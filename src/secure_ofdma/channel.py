@@ -56,8 +56,13 @@ class ChannelEnsemble:
     rho: float
 
     def __post_init__(self):
-        if self.alpha.ndim != 3 or self.alpha.shape[0] < 1:
+        a = np.asarray(self.alpha, dtype=float)
+        if a.ndim != 3 or a.shape[0] < 1:
             raise ValueError("alpha must be a nonempty (count, K, N) stack")
+        # two reductions and no temporaries; a NaN propagates and fails both
+        if not (a.min() > 0 and a.max() < np.inf):
+            raise ValueError("alpha entries must be positive and finite")
+        object.__setattr__(self, "alpha", a)
 
     @property
     def count(self) -> int:

@@ -29,11 +29,20 @@ from .allocation import (
 from .channel import ChannelEnsemble, ChannelRealization, column_order_stats
 from .config import ProblemConfig, SolverOptions
 from .evaluate import EvaluationReport, evaluate
-from .rates import DualState, _h_su_core
+from .rates import DualState, _h_su_core, _NuCandidates
 
 
 class _Prepared:
-    """Per-(ensemble, config) caches for the vectorized dual evaluation."""
+    """Per-(ensemble, config) caches for the vectorized dual evaluation.
+
+    The auction is pruned here, once.  An SU can be paid only where it
+    holds the column maximum, so the SU side keeps just those columns:
+    ``su_idx`` (flat t*N + n index), ``su_t``, ``su_k`` (the SU), and
+    ``su_nu1``/``su_nu2``.  On the NU side only the strongest NU of each
+    weight class can win, so ``nu`` keeps one candidate per class and
+    column; its (T, G, N) arrays are also exposed as ``ln_wa`` and
+    ``inv_alpha_nu``, the names of the full per-NU caches they replace.
+    """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
         if ensemble.count < 1:
@@ -47,11 +56,15 @@ class _Prepared:
         self.t_count, self.k, self.n = ensemble.alpha.shape
         self.k1 = config.n_secure
         self.nu1, self.nu2, self.kmax = column_order_stats(self.alpha)
-        self.gap = self.nu1 - self.nu2
         self.is_su_col = self.kmax < self.k1
-        self.alpha_nu = self.alpha[:, self.k1:, :]
-        self.inv_alpha_nu = 1.0 / self.alpha_nu
-        self.ln_wa = np.log(config.weights[:, None] * self.alpha_nu)
+        self.su_idx = np.flatnonzero(self.is_su_col)
+        self.su_t = self.su_idx // self.n
+        self.su_k = self.kmax.ravel()[self.su_idx]
+        self.su_nu1 = self.nu1.ravel()[self.su_idx]
+        self.su_nu2 = self.nu2.ravel()[self.su_idx]
+        self.nu = _NuCandidates(self.alpha[:, self.k1:, :], config.weights)
+        self.ln_wa = self.nu.ln_wa
+        self.inv_alpha_nu = self.nu.inv_alpha
         self.omega = config.weights
 
     _su_caps = None
@@ -60,15 +73,11 @@ class _Prepared:
     def su_caps(self) -> np.ndarray:
         """Per-SU ensemble-average secrecy at unbounded power (upper limit)."""
         if self._su_caps is None:
-            ln_ratio = np.where(
-                self.is_su_col & (self.gap > 0),
-                np.log(self.nu1) - np.log(self.nu2),
-                0.0,
-            )
-            caps = np.zeros(self.k1)
-            idx = self.kmax[self.is_su_col]
-            np.add.at(caps, idx, ln_ratio[self.is_su_col])
-            self._su_caps = caps / self.t_count
+            a, b = self.su_nu1, self.su_nu2
+            ln_ratio = np.where(a > b, np.log(a) - np.log(b), 0.0)
+            self._su_caps = np.bincount(
+                self.su_k, weights=ln_ratio, minlength=self.k1
+            ) / self.t_count
         return self._su_caps
 
 
@@ -90,59 +99,62 @@ def _eval_point(prep: _Prepared, mu, lam, *, full=True, arrays=False) -> _PointS
     """Evaluate the per-subcarrier auction at dual prices (mu, lam).
 
     ``lam`` is a scalar (average mode) or a length-T vector (peak mode).
+    Only the pruned bidders of ``prep`` are priced: the NU candidates on
+    every column and the SU payoff on the SU-max columns.  The SU results
+    are scattered back into (T, N) arrays before any per-frame sum, so
+    the output is bit-identical to pricing every user everywhere.
     """
     cfg = prep.config
     k1 = prep.k1
+    nu = prep.nu
     mu = np.asarray(mu, float)
     lam_arr = np.asarray(lam, float)
     if lam_arr.ndim == 1:
         lam_n = lam_arr[:, None]
-        lam_kn = lam_arr[:, None, None]
         ln_lam_n = np.log(lam_arr)[:, None]
-        ln_lam_kn = ln_lam_n[:, :, None]
+        lam_g, ln_lam_g = lam_n[:, :, None], ln_lam_n[:, :, None]
+        lam_su = lam_arr[prep.su_t]
     else:
-        lam_n = lam_kn = float(lam_arr)
-        ln_lam_n = ln_lam_kn = math.log(float(lam_arr))
+        lam_n = lam_g = lam_su = float(lam_arr)
+        ln_lam_n = ln_lam_g = math.log(lam_n)
 
-    omega = prep.omega[:, None]
-    h_nus = np.maximum(
-        omega * np.maximum(prep.ln_wa - ln_lam_kn, 0.0)
-        - np.maximum(omega - lam_kn * prep.inv_alpha_nu, 0.0),
-        0.0,
+    h_nu_best, g = nu.auction(ln_lam_g, lam_g)
+    p_nu_best = np.maximum(
+        nu.weight(g) / lam_n - nu.take(nu.inv_alpha, g), 0.0
     )
-    j_best = np.argmax(h_nus, axis=1)
-    take = j_best[:, None, :]
-    h_nu_best = np.take_along_axis(h_nus, take, axis=1)[:, 0, :]
-    inv_a_best = np.take_along_axis(prep.inv_alpha_nu, take, axis=1)[:, 0, :]
-    w_best = prep.omega[j_best]
-    p_nu_best = np.maximum(w_best / lam_n - inv_a_best, 0.0)
+    h_su, p_su, rs = _h_su_core(prep.su_nu1, prep.su_nu2, mu[prep.su_k], lam_su)
+    h_nu_su = h_nu_best.ravel()[prep.su_idx]
+    su_wins = h_su > h_nu_su
+    su_won = prep.su_idx[su_wins]
 
-    mu_col = np.where(prep.is_su_col, mu[np.minimum(prep.kmax, k1 - 1)], 0.0)
-    h_su_col, p_su, rs = _h_su_core(prep.nu1, prep.nu2, mu_col, lam_n)
-
-    su_wins = h_su_col > h_nu_best
-    any_pos = np.maximum(h_su_col, h_nu_best) > 0.0
-    p_win = np.where(any_pos, np.where(su_wins, p_su, p_nu_best), 0.0)
+    # the scatter targets below are fresh C-ordered arrays, so ravel() is a view
+    nu_pos = h_nu_best > 0.0
+    p_win = np.where(nu_pos, p_nu_best, 0.0)
+    p_win.ravel()[su_won] = p_su[su_wins]
     power_t = p_win.sum(axis=1)
     power_mean = float(power_t.mean())
 
     secrecy = np.zeros(k1)
     nu_rate = np.zeros(cfg.n_normal)
     r_nu_total = su_power = su_count = dual = np.nan
+    if full or arrays:
+        nu_wins = nu_pos.copy()
+        nu_wins.ravel()[su_won] = False
+        j_best = nu.take(nu.index, g)
     if full:
         secrecy = np.bincount(
-            prep.kmax[su_wins], weights=rs[su_wins], minlength=k1
-        )[:k1] / prep.t_count
-        nu_wins = any_pos & ~su_wins
-        ln_wa_best = np.take_along_axis(prep.ln_wa, take, axis=1)[:, 0, :]
-        rate_best = np.maximum(ln_wa_best - ln_lam_n, 0.0)
+            prep.su_k[su_wins], weights=rs[su_wins], minlength=k1
+        ) / prep.t_count
+        rate_best = np.maximum(nu.take(nu.ln_wa, g) - ln_lam_n, 0.0)
         nu_rate = np.bincount(
             j_best[nu_wins], weights=rate_best[nu_wins], minlength=cfg.n_normal
         ) / prep.t_count
         r_nu_total = float(prep.omega @ nu_rate)
         su_power = float(p_su[su_wins].sum() / prep.t_count)
         su_count = float(su_wins.sum() / prep.t_count)
-        h_sum_t = np.maximum(h_su_col, h_nu_best).sum(axis=1)
+        h_col = h_nu_best.copy()
+        h_col.ravel()[prep.su_idx] = np.maximum(h_su, h_nu_su)
+        h_sum_t = h_col.sum(axis=1)
         if lam_arr.ndim == 1:
             dual = float(h_sum_t.mean() + (lam_arr * cfg.power).mean()
                          - mu @ cfg.secrecy_targets)
@@ -152,11 +164,8 @@ def _eval_point(prep: _Prepared, mu, lam, *, full=True, arrays=False) -> _PointS
 
     owner = None
     if arrays:
-        owner = np.where(
-            any_pos,
-            np.where(su_wins, prep.kmax, k1 + j_best),
-            UNASSIGNED,
-        ).astype(np.int64)
+        owner = np.where(nu_wins, k1 + j_best, UNASSIGNED).astype(np.int64)
+        owner.ravel()[su_won] = prep.su_k[su_wins]
     return _PointStats(
         secrecy=secrecy, power_t=power_t, power_mean=power_mean,
         r_nu_total=r_nu_total, nu_rate=nu_rate, su_power=su_power,
@@ -350,8 +359,10 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     when the budget falls inside an ownership-switch discontinuity.  The
     leftover is poured onto the non-SU-owned columns of those frames by
     raising the (weight-proportional) water level, keeping ownership and
-    all SU powers fixed.  Frames whose price sits at the floor legitimately
-    underspend and are left alone.
+    all SU powers fixed.  Each column's bidder is the NU auction winner at
+    the frame's price; where no NU is profitable that is the strongest NU
+    candidate, the first to open as the water level rises.  Frames whose
+    price sits at the floor legitimately underspend and are left alone.
     """
     cfg = prep.config
     k1 = prep.k1
@@ -359,17 +370,12 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     if not needs.any():
         return
     idx = np.flatnonzero(needs)
-    h_nus = np.maximum(
-        prep.omega[:, None] * np.maximum(
-            prep.ln_wa[idx] - np.log(lam_t[idx])[:, None, None], 0.0)
-        - np.maximum(prep.omega[:, None]
-                     - lam_t[idx][:, None, None] * prep.inv_alpha_nu[idx], 0.0),
-        0.0,
-    )
-    j_best = np.argmax(h_nus, axis=1)
-    take = j_best[:, None, :]
-    inv_a = np.take_along_axis(prep.inv_alpha_nu[idx], take, axis=1)[:, 0, :]
-    w = prep.omega[j_best]
+    nu = prep.nu
+    lam_i = lam_t[idx][:, None, None]
+    _, g = nu.auction(np.log(lam_i), lam_i, rows=idx)
+    j_best = nu.take(nu.index, g, rows=idx)
+    inv_a = nu.take(nu.inv_alpha, g, rows=idx)
+    w = nu.weight(g)
     candidate = ~((owner[idx] >= 0) & (owner[idx] < k1))  # non-SU columns
     if not candidate.any():
         return

@@ -159,6 +159,63 @@ def h_nu(alpha, omega_k, lam):
     return _maybe_scalar(out)
 
 
+class _NuCandidates:
+    """The strongest NU of each distinct weight on every subcarrier.
+
+    At a fixed weight the priced NU payoff is non-decreasing in the CNR,
+    so only these candidates can win a column's NU auction.  ``index``
+    (NU index), ``ln_wa`` (``ln(omega*alpha)``) and ``inv_alpha`` have
+    shape (T, G, N), with G the number of distinct weights (1 for equal
+    weights) and ``weights`` the (G,) sorted class weights.  CNR ties go
+    to the lowest NU index.  This is the one priced NU auction: the dual
+    solver, its primal refill and the two-phase NU phase all bid here.
+    """
+
+    def __init__(self, alpha_nu: np.ndarray, weights: np.ndarray):
+        self.weights = np.unique(weights)
+        if self.weights.size == 1:
+            index = np.argmax(alpha_nu, axis=1)[:, None, :]
+        else:
+            members = [np.flatnonzero(weights == w) for w in self.weights]
+            index = np.stack([
+                m[np.argmax(alpha_nu[:, m, :], axis=1)] for m in members
+            ], axis=1)
+        alpha = np.take_along_axis(alpha_nu, index, axis=1)
+        self.index = index
+        self.ln_wa = np.log(self.weights[:, None] * alpha)
+        self.inv_alpha = 1.0 / alpha
+
+    def auction(self, ln_lam, lam, rows=slice(None)):
+        """Winning candidate per column at power price ``lam``.
+
+        ``ln_lam`` and ``lam`` are scalars or broadcast against
+        (T', 1, 1) for the frames ``rows``.  Returns ``(h, g)``: the (T', N)
+        winning payoff and the winner's class, or ``g = None`` when there
+        is a single class.  Payoff ties between classes go to the lower
+        class weight.
+        """
+        w = self.weights[:, None]
+        h = np.maximum(
+            w * np.maximum(self.ln_wa[rows] - ln_lam, 0.0)
+            - np.maximum(w - lam * self.inv_alpha[rows], 0.0),
+            0.0,
+        )
+        if self.weights.size == 1:
+            return h[:, 0, :], None
+        g = np.argmax(h, axis=1)
+        return self.take(h, g), g
+
+    def take(self, arr, g, rows=slice(None)):
+        """The (T', N) slice of a (T, G, N) candidate array at classes ``g``."""
+        if g is None:
+            return arr[rows, 0, :]
+        return np.take_along_axis(arr[rows], g[:, None, :], axis=1)[:, 0, :]
+
+    def weight(self, g):
+        """Weight of the chosen candidates: a scalar for a single class."""
+        return self.weights[0] if g is None else self.weights[g]
+
+
 def assign_subcarrier(column, duals: DualState, config: ProblemConfig, lam):
     """Auction one subcarrier among all K users at the given dual prices.
 

@@ -22,7 +22,7 @@ from .allocation import SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, column_order_stats
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
-from .rates import DualState
+from .rates import DualState, _NuCandidates
 
 
 class SecrecyInfeasibleError(RuntimeError):
@@ -135,8 +135,10 @@ def nu_phase(
 ):
     """Search the NU water level that spends the residual power.
 
-    On each free subcarrier the NU with the largest priced payoff wins
-    (with ``fixed_sets`` the owner is predetermined instead).  Average NU
+    On each free subcarrier the NU with the largest priced payoff at power
+    price ``1/level`` wins.  Only the strongest NU of each weight class
+    bids: this is the dual solver's pruned auction (``_NuCandidates``).
+    With ``fixed_sets`` the owner is predetermined instead.  Average NU
     power is non-decreasing in the water level, so bisection stops when
     the total spend matches the budget within ``eps * power``.  A
     non-positive residual short-circuits to an all-zero allocation with
@@ -156,38 +158,31 @@ def nu_phase(
         )
 
     alpha_nu = ensemble.alpha[:, k1:, :]
-    inv_alpha = 1.0 / alpha_nu
-    ln_wa = np.log(omega[:, None] * alpha_nu)
-
     if fixed_sets is not None:
         owner = np.full(n, -1)
         for j, subs in enumerate(fixed_sets):
             owner[subs] = j
         owner_nu = np.broadcast_to(owner, (t_count, n))
         free = owner_nu >= 0
-        idx = np.where(free, owner_nu, 0)[:, None, :]
-        inv_a_win = np.take_along_axis(inv_alpha, idx, axis=1)[:, 0, :]
-        ln_wa_win = np.take_along_axis(ln_wa, idx, axis=1)[:, 0, :]
-        w_win = omega[np.where(free, owner_nu, 0)]
+        idx = np.where(free, owner_nu, 0)
+        a_win = np.take_along_axis(alpha_nu, idx[:, None, :], axis=1)[:, 0, :]
+        inv_a_win = 1.0 / a_win
+        w_win = omega[idx]
+        ln_wa_win = np.log(w_win * a_win)
 
         def assignment(level):
             return owner_nu, inv_a_win, ln_wa_win, w_win
     else:
         free = ~occupied
+        nu = _NuCandidates(alpha_nu, omega)
 
         def assignment(level):
-            h = np.maximum(
-                omega[:, None] * np.maximum(ln_wa + np.log(level), 0.0)
-                - np.maximum(omega[:, None] - inv_alpha / level, 0.0),
-                0.0,
-            )
-            j = np.argmax(h, axis=1)
-            take = j[:, None, :]
+            _, g = nu.auction(-np.log(level), 1.0 / level)
             return (
-                np.where(free, j, -1),
-                np.take_along_axis(inv_alpha, take, axis=1)[:, 0, :],
-                np.take_along_axis(ln_wa, take, axis=1)[:, 0, :],
-                omega[j],
+                np.where(free, nu.take(nu.index, g), -1),
+                nu.take(nu.inv_alpha, g),
+                nu.take(nu.ln_wa, g),
+                nu.weight(g),
             )
 
     def spend(level):

@@ -4,12 +4,20 @@ Nothing here may call into the closed forms under test: power levels come
 from bounded 1-D numerical maximization, distributional quantities from
 brute-force sampling, and the tiny-instance benchmark from exhaustive
 enumeration plus a general-purpose constrained optimizer.
+
+The one exception is ``unpruned_auction``.  It checks the solver's
+candidate pruning bit for bit, so it prices every user on every column
+with the library's own per-column closed forms.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy import optimize
+
+from secure_ofdma.channel import column_order_stats
+from secure_ofdma.rates import _h_su_core
 
 
 def maximize_power_payoff(payoff, p_hi, tol=1e-11):
@@ -195,3 +203,84 @@ def exhaustive_best_rate(alpha, k1, weights, c_target, power):
         if value is not None and (best is None or value > best):
             best = value
     return best
+
+
+def unpruned_auction(alpha, config, mu, lam, *, full=True, arrays=False):
+    """The dual solver's auction with every user priced on every column.
+
+    Every NU bids on every column and the SU payoff is evaluated
+    everywhere, with the multiplier forced to 0 where no SU holds the
+    column maximum.  ``lam`` is a scalar or one price per frame.  Returns
+    a dict keyed like the solver's ``_PointStats`` fields.
+    """
+    t_count = alpha.shape[0]
+    k1 = config.n_secure
+    omega = config.weights
+    nu1, nu2, kmax = column_order_stats(alpha)
+    is_su_col = kmax < k1
+    alpha_nu = alpha[:, k1:, :]
+    inv_alpha_nu = 1.0 / alpha_nu
+    ln_wa = np.log(omega[:, None] * alpha_nu)
+
+    mu = np.asarray(mu, float)
+    lam_arr = np.asarray(lam, float)
+    if lam_arr.ndim == 1:
+        lam_n = lam_arr[:, None]
+        lam_kn = lam_arr[:, None, None]
+        ln_lam_n = np.log(lam_arr)[:, None]
+        ln_lam_kn = ln_lam_n[:, :, None]
+    else:
+        lam_n = lam_kn = float(lam_arr)
+        ln_lam_n = ln_lam_kn = math.log(float(lam_arr))
+
+    h_nus = np.maximum(
+        omega[:, None] * np.maximum(ln_wa - ln_lam_kn, 0.0)
+        - np.maximum(omega[:, None] - lam_kn * inv_alpha_nu, 0.0),
+        0.0,
+    )
+    j_best = np.argmax(h_nus, axis=1)
+    take = j_best[:, None, :]
+    h_nu_best = np.take_along_axis(h_nus, take, axis=1)[:, 0, :]
+    inv_a_best = np.take_along_axis(inv_alpha_nu, take, axis=1)[:, 0, :]
+    p_nu_best = np.maximum(omega[j_best] / lam_n - inv_a_best, 0.0)
+
+    mu_col = np.where(is_su_col, mu[np.minimum(kmax, k1 - 1)], 0.0)
+    h_su_col, p_su, rs = _h_su_core(nu1, nu2, mu_col, lam_n)
+
+    su_wins = h_su_col > h_nu_best
+    any_pos = np.maximum(h_su_col, h_nu_best) > 0.0
+    p_win = np.where(any_pos, np.where(su_wins, p_su, p_nu_best), 0.0)
+    power_t = p_win.sum(axis=1)
+    out = {
+        "secrecy": np.zeros(k1), "power_t": power_t,
+        "power_mean": float(power_t.mean()),
+        "r_nu_total": np.nan, "nu_rate": np.zeros(config.n_normal),
+        "su_power": np.nan, "su_count": np.nan, "dual_value": np.nan,
+        "owner": None, "p_win": None,
+    }
+    if full:
+        out["secrecy"] = np.bincount(
+            kmax[su_wins], weights=rs[su_wins], minlength=k1
+        )[:k1] / t_count
+        nu_wins = any_pos & ~su_wins
+        ln_wa_best = np.take_along_axis(ln_wa, take, axis=1)[:, 0, :]
+        rate_best = np.maximum(ln_wa_best - ln_lam_n, 0.0)
+        out["nu_rate"] = np.bincount(
+            j_best[nu_wins], weights=rate_best[nu_wins],
+            minlength=config.n_normal,
+        ) / t_count
+        out["r_nu_total"] = float(omega @ out["nu_rate"])
+        out["su_power"] = float(p_su[su_wins].sum() / t_count)
+        out["su_count"] = float(su_wins.sum() / t_count)
+        h_sum_t = np.maximum(h_su_col, h_nu_best).sum(axis=1)
+        spent = (lam_arr * config.power).mean() if lam_arr.ndim == 1 \
+            else float(lam_arr) * config.power
+        out["dual_value"] = float(
+            h_sum_t.mean() + spent - mu @ config.secrecy_targets
+        )
+    if arrays:
+        out["owner"] = np.where(
+            any_pos, np.where(su_wins, kmax, k1 + j_best), -1
+        ).astype(np.int64)
+        out["p_win"] = p_win
+    return out

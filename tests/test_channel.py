@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secure_ofdma import (
+    ChannelEnsemble,
     ChannelRealization,
     ensemble_hash,
     generate_ensemble,
@@ -146,3 +147,31 @@ def test_realization_validation():
         ChannelRealization(np.array([[1.0, -2.0]]))
     with pytest.raises(ValueError):
         ChannelRealization(np.array([[np.inf, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_ensemble_validation(bad):
+    alpha = np.ones((2, 3, 4))
+    alpha[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChannelEnsemble(alpha=alpha, seed=0, rho=1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChannelEnsemble(alpha=np.full((1, 3, 4), bad), seed=0, rho=1.0)
+
+
+def test_ensemble_coerces_to_float():
+    ens = ChannelEnsemble(alpha=np.ones((1, 2, 3), dtype=int), seed=0, rho=1.0)
+    assert ens.alpha.dtype == float
+
+
+def test_load_rejects_corrupt_payload(tmp_path):
+    cfg = make_config(n=4, k=3, k1=1)
+    ens = generate_ensemble(cfg, 2, seed=5)
+    path = tmp_path / "channels.bin"
+    save_ensemble(ens, path)
+    raw = bytearray(path.read_bytes())
+    # overwrite the last CNR of the payload with NaN
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="positive and finite"):
+        load_ensemble(path)

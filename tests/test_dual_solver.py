@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secure_ofdma import (
     ChannelRealization,
@@ -24,6 +27,7 @@ from oracles import (
     maximize_power_payoff,
     nu_payoff,
     su_payoff,
+    unpruned_auction,
     weighted_waterfilling_rate,
 )
 
@@ -249,3 +253,67 @@ class TestPeakMode:
         assert res_a.converged and res_p.converged
         gap = abs(res_a.report.r_nu_total - res_p.report.r_nu_total)
         assert gap / res_a.report.r_nu_total < 0.05
+
+
+class TestPrunedAuction:
+    """The pruned auction against every user priced on every column."""
+
+    @given(
+        k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
+        n=st.integers(1, 8), t=st.integers(1, 6),
+        weights=st.sampled_from(["unit", "distinct", "repeated"]),
+        lam_kind=st.sampled_from(["scalar", "vector"]),
+        mode=st.sampled_from(["power", "full", "arrays"]),
+        cnr_tie=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_unpruned(self, k, k1_frac, n, t, weights,
+                                       lam_kind, mode, cnr_tie, seed):
+        from secure_ofdma.dual_solver import _PointStats, _Prepared, _eval_point
+
+        rng = np.random.default_rng(seed)
+        k1 = min(1 + int(k1_frac * (k - 1)), k - 1)   # K1 = K-1 included
+        n_nu = k - k1
+        omega = {
+            "unit": np.ones(n_nu),
+            "distinct": rng.permutation(np.arange(1.0, n_nu + 1.0) / 2.0),
+            "repeated": rng.choice([0.5, 1.0, 3.0], size=n_nu),
+        }[weights]
+        cfg = make_config(n=n, k=k, k1=k1, c=0.3, omega=omega, power=20.0)
+        alpha = rng.exponential(size=(t, k, n))
+        if cnr_tie and n_nu > 1:
+            alpha[:, -1, :] = alpha[:, k1, :]   # two NUs with equal CNRs
+        ens = ChannelEnsemble(alpha=alpha, seed=0, rho=1.0)
+        mu = rng.uniform(0.0, 4.0, size=k1) * (rng.random(k1) < 0.7)
+        lam = np.exp(rng.uniform(-4.0, 1.0, size=t if lam_kind == "vector" else None))
+        full, arrays = mode != "power", mode == "arrays"
+
+        got = _eval_point(_Prepared(ens, cfg), mu, lam, full=full, arrays=arrays)
+        want = unpruned_auction(alpha, cfg, mu, lam, full=full, arrays=arrays)
+        for field in dataclasses.fields(_PointStats):
+            a, b = getattr(got, field.name), want[field.name]
+            if b is None:
+                assert a is None, field.name
+            else:
+                assert np.array_equal(a, b, equal_nan=True), field.name
+
+    def test_refill_opens_a_column_for_the_strongest_nu(self):
+        # one frame, SU 0 and NUs 1 (weak) and 2 (strong) on column 0.  At
+        # lam = 5 no NU is profitable there (omega*alpha <= lam), so the
+        # refill must raise the water level for NU 2, not for NU 1.
+        from secure_ofdma.dual_solver import _Prepared, _refill_nu_water
+
+        cfg = make_config(n=2, k=3, k1=1, c=0.0, power=10.0, mode="peak")
+        alpha = np.array([[[0.1, 0.1], [0.5, 1.0], [4.0, 100.0]]])
+        prep = _Prepared(ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg)
+        lam_t = np.array([5.0])
+        owner = np.array([[-1, 2]])
+        p_win = np.array([[0.0, 1.0 / 5.0 - 1.0 / 100.0]])
+        residual = cfg.power - p_win.sum(axis=1)
+        _refill_nu_water(prep, owner, p_win, lam_t, residual, 1e-12)
+
+        assert owner.tolist() == [[2, 2]]
+        # one water level theta across both columns spends the budget
+        theta = (cfg.power + 1.0 / 4.0 + 1.0 / 100.0) / 2.0
+        assert p_win[0] == pytest.approx([theta - 1.0 / 4.0, theta - 1.0 / 100.0])
+        assert p_win.sum() <= cfg.power
