@@ -3,7 +3,7 @@ secrecy-constrained users share the band with best-effort users."""
 
 __version__ = "0.1.0"
 
-from .allocation import AllocationDecision, SolveResult
+from .allocation import Allocation, AllocationDecision, SolveResult
 from .baselines import fsa_partition, solve_fsa
 from .channel import (
     ChannelEnsemble,
@@ -48,6 +48,7 @@ from .suboptimal import (
 )
 
 __all__ = [
+    "Allocation",
     "AllocationDecision",
     "ChannelEnsemble",
     "ChannelRealization",

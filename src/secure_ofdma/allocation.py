@@ -1,4 +1,4 @@
-"""Per-realization allocation decisions and solver result containers."""
+"""Ensemble allocations, their per-frame views, and solver result containers."""
 
 from __future__ import annotations
 
@@ -29,43 +29,75 @@ class AllocationDecision:
     total_power: float
 
 
+@dataclass(frozen=True)
+class Allocation:
+    """Subcarrier ownership, power and rate for every frame of an ensemble.
+
+    Each subcarrier of a frame serves at most one user, so the whole
+    allocation is three (T, N) arrays: ``owner`` (user index or -1),
+    ``power`` (the owner's power, 0 where unassigned) and ``rate`` (the
+    owner's secrecy rate for an SU, information rate for an NU).
+    ``alloc[t]`` is frame ``t`` as an ``AllocationDecision``, built on
+    demand.
+    """
+
+    owner: np.ndarray   # (T, N) int
+    power: np.ndarray   # (T, N) >= 0
+    rate: np.ndarray    # (T, N) >= 0
+    n_users: int
+    n_secure: int
+
+    def __len__(self) -> int:
+        return self.owner.shape[0]
+
+    def __getitem__(self, t: int) -> AllocationDecision:
+        k, k1 = self.n_users, self.n_secure
+        own, p, r = self.owner[t], self.power[t], self.rate[t]
+        cols = np.flatnonzero(own >= 0)
+        power = np.zeros((k, own.size))
+        power[own[cols], cols] = p[cols]
+        su = (own >= 0) & (own < k1)
+        nu = own >= k1
+        return AllocationDecision(
+            owner=own.copy(),
+            power=power,
+            su_secrecy=np.bincount(own[su], weights=r[su], minlength=k1),
+            nu_rate=np.bincount(own[nu] - k1, weights=r[nu], minlength=k - k1),
+            total_power=float(p.sum()),
+        )
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+
 def decisions_from_arrays(
     owner: np.ndarray, power: np.ndarray, ensemble: ChannelEnsemble,
     config: ProblemConfig,
-) -> list[AllocationDecision]:
-    """Materialize decisions from stacked (T, N) owner / (T, K, N) power arrays.
+) -> Allocation:
+    """Build the allocation from stacked (T, N) owner / power arrays.
 
-    Rates are recomputed here from power and channel so stored decisions
-    are consistent with the rate formulas by construction.
+    Power on unassigned subcarriers is dropped.  Rates are recomputed here
+    from power and channel so stored rates are consistent with the rate
+    formulas by construction.
     """
-    t_count = owner.shape[0]
-    k1 = config.n_secure
+    shape = (ensemble.count, ensemble.n_subcarriers)
+    if np.shape(owner) != shape or np.shape(power) != shape:
+        raise ValueError("owner and power must be (realizations, subcarriers)")
+    owner = np.array(owner, dtype=np.int64)
+    owned = owner >= 0
+    power = np.where(owned, power, 0.0)
     nu1, nu2, kmax = column_order_stats(ensemble.alpha)
-    out = []
-    for t in range(t_count):
-        su_secrecy = np.zeros(k1)
-        nu_rate = np.zeros(config.n_normal)
-        own = owner[t]
-        pw = power[t]
-        for n in np.flatnonzero(own >= 0):
-            u = own[n]
-            p = pw[u, n]
-            a = ensemble.alpha[t, u, n]
-            if u < k1:
-                beta = nu2[t, n] if kmax[t, n] == u else nu1[t, n]
-                su_secrecy[u] += max(np.log1p(p * a) - np.log1p(p * beta), 0.0)
-            else:
-                nu_rate[u - k1] += np.log1p(p * a)
-        out.append(
-            AllocationDecision(
-                owner=own.copy(),
-                power=pw.copy(),
-                su_secrecy=su_secrecy,
-                nu_rate=nu_rate,
-                total_power=float(pw.sum()),
-            )
-        )
-    return out
+    a = np.take_along_axis(
+        ensemble.alpha, np.where(owned, owner, 0)[:, None, :], axis=1
+    )[:, 0, :]
+    info = np.log1p(power * a)
+    beta = np.where(kmax == owner, nu2, nu1)
+    secrecy = np.maximum(info - np.log1p(power * beta), 0.0)
+    rate = np.where(owned, np.where(owner < config.n_secure, secrecy, info), 0.0)
+    return Allocation(
+        owner=owner, power=power, rate=rate,
+        n_users=config.n_users, n_secure=config.n_secure,
+    )
 
 
 def validate_exclusivity(decision: AllocationDecision, atol: float = 0.0) -> None:
@@ -89,12 +121,12 @@ class SolveResult:
 
     duals: DualState
     report: "EvaluationReport"
+    decisions: Allocation
     iterations: int
     converged: bool
     infeasible: bool
     dual_value: float = np.nan
     dual_trace: list = field(default_factory=list)
-    decisions: list[AllocationDecision] | None = None
     lambda_per_realization: np.ndarray | None = None
     message: str = ""
 

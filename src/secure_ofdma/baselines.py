@@ -16,12 +16,7 @@ import numpy as np
 
 from .channel import ChannelEnsemble
 from .config import ProblemConfig, SolverOptions
-from .suboptimal import (
-    SecrecyInfeasibleError,
-    _assemble_result,
-    nu_phase,
-    su_phase,
-)
+from .suboptimal import _two_phase
 
 SCHEMES = ("fsa1", "fsa2")
 
@@ -66,60 +61,9 @@ def solve_fsa(
     """Adaptive power on the fixed partition, same tolerances as the solvers."""
     if config.mode != "average":
         raise ValueError("the fixed-assignment baselines support only mode='average'")
-    opts = opts or SolverOptions()
-    eps = opts.epsilon
     sets = fsa_partition(scheme, config)
     k1 = config.n_secure
-
-    from .allocation import SolveResult, decisions_from_arrays
-    from .evaluate import evaluate
-    from .rates import DualState
-
-    try:
-        thresholds, su_rep, p_su = su_phase(
-            ensemble, config, eps, candidate_sets=sets[:k1]
-        )
-    except SecrecyInfeasibleError as err:
-        t, n, k = ensemble.count, config.n_subcarriers, config.n_users
-        return SolveResult(
-            duals=DualState(mu=np.zeros(k1), lam=None),
-            report=evaluate(
-                decisions_from_arrays(
-                    np.full((t, n), -1), np.zeros((t, k, n)), ensemble, config
-                ),
-                ensemble, config,
-            ),
-            iterations=0,
-            converged=False,
-            infeasible=True,
-            message=f"{scheme}: {err}",
-        )
-
-    residual = config.power - p_su
-    level, nu_rep = nu_phase(
-        ensemble, config, residual, su_rep.occupied, eps,
-        fixed_sets=sets[k1:],
-    )
-    iterations = int(su_rep.iterations.sum()) + nu_rep.iterations
-
-    if nu_rep.budget_exhausted:
-        return _assemble_result(
-            ensemble, config, opts, thresholds, su_rep, nu_rep, 0.0,
-            iterations, converged=False, infeasible=True,
-            message=(
-                f"{scheme}: secrecy targets consume {p_su:.4g} of the "
-                f"{config.power:.4g} budget"
-            ),
-        )
-
-    targets = config.secrecy_targets
-    secrecy_ok = np.all(
-        (targets <= 0)
-        | (np.abs(su_rep.secrecy - targets) <= eps * np.maximum(targets, 1e-300))
-    )
-    power_ok = abs(p_su + nu_rep.power - config.power) < eps * config.power
-    return _assemble_result(
-        ensemble, config, opts, thresholds, su_rep, nu_rep, level,
-        iterations, converged=bool(secrecy_ok and power_ok), infeasible=False,
-        message="",
+    return _two_phase(
+        ensemble, config, opts or SolverOptions(),
+        candidate_sets=sets[:k1], fixed_sets=sets[k1:], prefix=f"{scheme}: ",
     )

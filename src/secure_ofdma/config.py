@@ -133,7 +133,6 @@ class SolverOptions:
     multiplier_ceiling: float = 1e6
     lambda_floor: float = 1e-12
     mu0: np.ndarray | None = None      # warm-start secrecy multipliers
-    keep_decisions: bool = True        # retain per-realization decisions
 
     def __post_init__(self):
         if self.method not in ("subgradient", "ellipsoid"):
@@ -155,7 +154,7 @@ class SolverOptions:
     def from_dict(cls, d: dict) -> "SolverOptions":
         known = {
             "method", "epsilon", "step_scale", "max_iterations",
-            "multiplier_ceiling", "lambda_floor", "keep_decisions",
+            "multiplier_ceiling", "lambda_floor",
         }
         unknown = set(d) - known
         if unknown:

@@ -28,7 +28,7 @@ from .allocation import (
 )
 from .channel import ChannelEnsemble, ChannelRealization, column_order_stats
 from .config import ProblemConfig, SolverOptions
-from .evaluate import EvaluationReport, evaluate
+from .evaluate import evaluate
 from .rates import DualState, _h_su_core, _NuCandidates
 
 
@@ -411,25 +411,6 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     p_win[idx] = sub_p
 
 
-def _power_matrix(owner, p_win, k):
-    t_count, n = owner.shape
-    power = np.zeros((t_count, k, n))
-    tt, nn = np.nonzero(owner >= 0)
-    power[tt, owner[tt, nn], nn] = p_win[tt, nn]
-    return power
-
-
-def _report_from_stats(st: _PointStats, t_count: int) -> EvaluationReport:
-    return EvaluationReport(
-        r_nu_total=st.r_nu_total,
-        r_su=st.secrecy.copy(),
-        avg_power=float(st.power_t.mean()),
-        su_power=st.su_power,
-        su_subcarriers=st.su_count,
-        realizations_used=t_count,
-    )
-
-
 def _initial_mu(prep: _Prepared, lam0, *, rounds=28) -> np.ndarray:
     """Warm-start multipliers by calibrating each SU against the auction.
 
@@ -642,14 +623,8 @@ def _finish(prep, ensemble, opts, mu, lam, iters, st, trace, converged,
         residual = cfg.power - p_win.sum(axis=1)
         _refill_nu_water(prep, owner, p_win, lam_arr, residual, opts.lambda_floor)
 
-    decisions = None
-    report = _report_from_stats(st_arrays, prep.t_count)
-    if peak or opts.keep_decisions:
-        power = _power_matrix(owner, p_win, prep.k)
-        decisions = decisions_from_arrays(owner, power, ensemble, cfg)
-        report = evaluate(decisions, ensemble, cfg)
-    if not opts.keep_decisions:
-        decisions = None
+    decisions = decisions_from_arrays(owner, p_win, ensemble, cfg)
+    report = evaluate(decisions, ensemble, cfg)
 
     if peak and not converged and not infeasible_msg:
         # granularity can block the dual loop's tolerance test while the
@@ -692,16 +667,13 @@ def _infeasible_result(prep, ensemble, opts, message, *, peak=False) -> SolveRes
     else:
         lam, _, _ = _solve_lambda_avg(prep, mu0, tol_power, opts.lambda_floor)
     st = _eval_point(prep, mu0, lam, full=True, arrays=True)
-    decisions = None
-    if opts.keep_decisions:
-        power_m = _power_matrix(st.owner, st.p_win, prep.k)
-        decisions = decisions_from_arrays(st.owner, power_m, ensemble, cfg)
+    decisions = decisions_from_arrays(st.owner, st.p_win, ensemble, cfg)
     lam_arr = np.asarray(lam, float)
     return SolveResult(
         duals=DualState(
             mu=mu0, lam=float(lam_arr) if lam_arr.ndim == 0 else None
         ),
-        report=_report_from_stats(st, prep.t_count),
+        report=evaluate(decisions, ensemble, cfg),
         iterations=0,
         converged=False,
         infeasible=True,
@@ -780,8 +752,7 @@ def allocate_realization_avg(
     ensemble = ChannelEnsemble(alpha=real.alpha[None], seed=0, rho=config.rho)
     prep = _Prepared(ensemble, config)
     st = _eval_point(prep, duals.mu, duals.lam, full=True, arrays=True)
-    power = _power_matrix(st.owner, st.p_win, prep.k)
-    return decisions_from_arrays(st.owner, power, ensemble, config)[0]
+    return decisions_from_arrays(st.owner, st.p_win, ensemble, config)[0]
 
 
 def allocate_realization_peak(
@@ -807,6 +778,5 @@ def allocate_realization_peak(
         _trim_su_surplus(prep, owner, p_win, mu, lam_t, epsilon)
         residual = config.power - p_win.sum(axis=1)
         _refill_nu_water(prep, owner, p_win, lam_t, residual, lambda_floor)
-    power = _power_matrix(owner, p_win, prep.k)
-    decision = decisions_from_arrays(owner, power, ensemble, config)[0]
+    decision = decisions_from_arrays(owner, p_win, ensemble, config)[0]
     return decision, float(lam_t[0])

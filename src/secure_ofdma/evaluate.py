@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationDecision
+from .allocation import Allocation
 from .channel import ChannelEnsemble
 from .config import ProblemConfig
 
@@ -38,37 +38,28 @@ class EvaluationReport:
 
 
 def evaluate(
-    decisions: list[AllocationDecision],
+    allocation: Allocation,
     ensemble: ChannelEnsemble,
     config: ProblemConfig,
 ) -> EvaluationReport:
-    """Aggregate per-realization decisions with fixed-order summation."""
-    if len(decisions) != ensemble.count:
-        raise ValueError("need exactly one decision per ensemble realization")
-    k, n = ensemble.n_users, ensemble.n_subcarriers
+    """Ensemble averages of an allocation's rates and powers."""
+    t_count = ensemble.count
+    shape = (t_count, ensemble.n_subcarriers)
+    if (allocation.owner.shape, allocation.power.shape, allocation.rate.shape,
+            allocation.n_users, allocation.n_secure) != (
+            shape, shape, shape, ensemble.n_users, config.n_secure):
+        raise ValueError("allocation dimensions do not match the ensemble")
     k1 = config.n_secure
-    for d in decisions:
-        if d.power.shape != (k, n) or d.owner.shape != (n,):
-            raise ValueError("decision dimensions do not match the ensemble")
-
-    t_count = len(decisions)
-    r_nu = 0.0
-    r_su = np.zeros(k1)
-    power = 0.0
-    su_power = 0.0
-    su_count = 0.0
-    for d in decisions:
-        r_nu += float(config.weights @ d.nu_rate)
-        r_su += d.su_secrecy
-        power += d.total_power
-        su_owned = (d.owner >= 0) & (d.owner < k1)
-        su_power += float(d.power[:, su_owned].sum())
-        su_count += int(su_owned.sum())
+    owner, power, rate = allocation.owner, allocation.power, allocation.rate
+    su = (owner >= 0) & (owner < k1)
+    nu = owner >= k1
+    r_su = np.bincount(owner[su], weights=rate[su], minlength=k1)
+    nu_rate = np.bincount(owner[nu] - k1, weights=rate[nu], minlength=config.n_normal)
     return EvaluationReport(
-        r_nu_total=r_nu / t_count,
+        r_nu_total=float(config.weights @ nu_rate) / t_count,
         r_su=r_su / t_count,
-        avg_power=power / t_count,
-        su_power=su_power / t_count,
-        su_subcarriers=su_count / t_count,
+        avg_power=float(power.sum()) / t_count,
+        su_power=float(power[su].sum()) / t_count,
+        su_subcarriers=int(su.sum()) / t_count,
         realizations_used=t_count,
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import column_order_stats
 from .config import ProblemConfig
 
 
@@ -234,8 +235,8 @@ def assign_subcarrier(column, duals: DualState, config: ProblemConfig, lam):
     if duals.mu.size != k1:
         raise ValueError("duals.mu must have one entry per SU")
 
-    real = ChannelColumn(column)
-    best, nu1, nu2 = real.best, real.nu1, real.nu2
+    nu1, nu2, kmax = column_order_stats(column[:, None])
+    best, nu1, nu2 = int(kmax[0]), float(nu1[0]), float(nu2[0])
 
     h = np.zeros(k)
     p = np.zeros(k)
@@ -253,17 +254,6 @@ def assign_subcarrier(column, duals: DualState, config: ProblemConfig, lam):
     if h[winner] <= 0.0:
         return None, 0.0
     return int(winner), float(p[winner])
-
-
-class ChannelColumn:
-    """Order statistics of a single subcarrier column."""
-
-    def __init__(self, column: np.ndarray):
-        if column.size < 2:
-            raise ValueError("need at least 2 users")
-        self.best = int(np.argmax(column))
-        self.nu1 = float(column[self.best])
-        self.nu2 = float(np.delete(column, self.best).max())
 
 
 __all__ = [

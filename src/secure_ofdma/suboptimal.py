@@ -22,7 +22,7 @@ from .allocation import SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, column_order_stats
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
-from .rates import DualState, _NuCandidates
+from .rates import DualState, _NuCandidates, _su_power_core
 
 
 class SecrecyInfeasibleError(RuntimeError):
@@ -221,10 +221,8 @@ def nu_phase(
     return level, report
 
 
-def _assemble_result(ensemble, config, opts, thresholds, su_rep, nu_rep,
+def _assemble_result(ensemble, config, thresholds, su_rep, nu_rep,
                      level, iterations, converged, infeasible, message):
-    from .rates import _su_power_core
-
     t_count = ensemble.count
     k1 = config.n_secure
     nu1, nu2, _ = column_order_stats(ensemble.alpha)
@@ -244,24 +242,72 @@ def _assemble_result(ensemble, config, opts, thresholds, su_rep, nu_rep,
         owner[nu_cols] = k1 + nu_rep.owner_nu[nu_cols]
         p_win[nu_cols] = nu_rep.power_nu[nu_cols]
 
-    power = np.zeros((t_count, config.n_users, config.n_subcarriers))
-    tt, nn = np.nonzero(owner >= 0)
-    power[tt, owner[tt, nn], nn] = p_win[tt, nn]
-    decisions = decisions_from_arrays(owner, power, ensemble, config)
-    report = evaluate(decisions, ensemble, config)
-
+    decisions = decisions_from_arrays(owner, p_win, ensemble, config)
     lam = 1.0 / level if level > 0 else None
     mu = np.zeros(k1)
     finite = np.isfinite(thresholds) & (thresholds > 0)
     mu[finite] = (lam if lam is not None else 1.0) / thresholds[finite]
     return SolveResult(
         duals=DualState(mu=mu, lam=lam),
-        report=report,
+        report=evaluate(decisions, ensemble, config),
+        decisions=decisions,
         iterations=int(iterations),
         converged=converged,
         infeasible=infeasible,
-        decisions=decisions if opts.keep_decisions else None,
         message=message,
+    )
+
+
+def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
+               prefix=""):
+    """Both phases, optionally on fixed subcarrier sets, packaged as a result.
+
+    ``candidate_sets`` and ``fixed_sets`` go to ``su_phase`` and
+    ``nu_phase``; ``prefix`` leads every failure message.
+    """
+    eps = opts.epsilon
+    try:
+        thresholds, su_rep, p_su = su_phase(ensemble, config, eps, candidate_sets)
+    except SecrecyInfeasibleError as err:
+        shape = (ensemble.count, config.n_subcarriers)
+        decisions = decisions_from_arrays(
+            np.full(shape, -1), np.zeros(shape), ensemble, config
+        )
+        return SolveResult(
+            duals=DualState(mu=np.zeros(config.n_secure), lam=None),
+            report=evaluate(decisions, ensemble, config),
+            decisions=decisions,
+            iterations=0,
+            converged=False,
+            infeasible=True,
+            message=f"{prefix}{err}",
+        )
+
+    residual = config.power - p_su
+    level, nu_rep = nu_phase(
+        ensemble, config, residual, su_rep.occupied, eps, fixed_sets
+    )
+    iterations = int(su_rep.iterations.sum()) + nu_rep.iterations
+
+    if nu_rep.budget_exhausted:
+        return _assemble_result(
+            ensemble, config, thresholds, su_rep, nu_rep, 0.0,
+            iterations, converged=False, infeasible=True,
+            message=(
+                f"{prefix}secrecy targets consume {p_su:.4g} of the "
+                f"{config.power:.4g} power budget; nothing left for normal users"
+            ),
+        )
+
+    targets = config.secrecy_targets
+    secrecy_ok = np.all(
+        (targets <= 0) | (np.abs(su_rep.secrecy - targets) <= eps * np.maximum(targets, 1e-300))
+    )
+    power_ok = abs(p_su + nu_rep.power - config.power) < eps * config.power
+    return _assemble_result(
+        ensemble, config, thresholds, su_rep, nu_rep, level,
+        iterations, converged=bool(secrecy_ok and power_ok), infeasible=False,
+        message="",
     )
 
 
@@ -273,48 +319,4 @@ def solve_suboptimal(
     """Run both phases and package the allocation like the other solvers."""
     if config.mode != "average":
         raise ValueError("the two-phase allocator supports only mode='average'")
-    opts = opts or SolverOptions()
-    eps = opts.epsilon
-    try:
-        thresholds, su_rep, p_su = su_phase(ensemble, config, eps)
-    except SecrecyInfeasibleError as err:
-        return SolveResult(
-            duals=DualState(mu=np.zeros(config.n_secure), lam=None),
-            report=evaluate(
-                decisions_from_arrays(
-                    np.full((ensemble.count, config.n_subcarriers), -1),
-                    np.zeros((ensemble.count, config.n_users, config.n_subcarriers)),
-                    ensemble, config,
-                ),
-                ensemble, config,
-            ),
-            iterations=0,
-            converged=False,
-            infeasible=True,
-            message=str(err),
-        )
-
-    residual = config.power - p_su
-    level, nu_rep = nu_phase(ensemble, config, residual, su_rep.occupied, eps)
-    iterations = int(su_rep.iterations.sum()) + nu_rep.iterations
-
-    if nu_rep.budget_exhausted:
-        return _assemble_result(
-            ensemble, config, opts, thresholds, su_rep, nu_rep, 0.0,
-            iterations, converged=False, infeasible=True,
-            message=(
-                f"secrecy targets consume {p_su:.4g} of the {config.power:.4g} "
-                f"power budget; nothing left for normal users"
-            ),
-        )
-
-    targets = config.secrecy_targets
-    secrecy_ok = np.all(
-        (targets <= 0) | (np.abs(su_rep.secrecy - targets) <= eps * np.maximum(targets, 1e-300))
-    )
-    power_ok = abs(p_su + nu_rep.power - config.power) < eps * config.power
-    return _assemble_result(
-        ensemble, config, opts, thresholds, su_rep, nu_rep, level,
-        iterations, converged=bool(secrecy_ok and power_ok), infeasible=False,
-        message="",
-    )
+    return _two_phase(ensemble, config, opts or SolverOptions())

@@ -8,6 +8,10 @@ enumeration plus a general-purpose constrained optimizer.
 The one exception is ``unpruned_auction``.  It checks the solver's
 candidate pruning bit for bit, so it prices every user on every column
 with the library's own per-column closed forms.
+
+``per_frame_decisions`` and ``per_frame_evaluate`` are the per-frame
+loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
+(T, N) array reductions; they take the dense (T, K, N) power tensor.
 """
 
 import itertools
@@ -16,7 +20,9 @@ import math
 import numpy as np
 from scipy import optimize
 
+from secure_ofdma.allocation import AllocationDecision
 from secure_ofdma.channel import column_order_stats
+from secure_ofdma.evaluate import EvaluationReport
 from secure_ofdma.rates import _h_su_core
 
 
@@ -284,3 +290,68 @@ def unpruned_auction(alpha, config, mu, lam, *, full=True, arrays=False):
         ).astype(np.int64)
         out["p_win"] = p_win
     return out
+
+
+def per_frame_decisions(owner, power, ensemble, config):
+    """One ``AllocationDecision`` per frame from (T, N) owner and (T, K, N) power."""
+    t_count = owner.shape[0]
+    k1 = config.n_secure
+    nu1, nu2, kmax = column_order_stats(ensemble.alpha)
+    out = []
+    for t in range(t_count):
+        su_secrecy = np.zeros(k1)
+        nu_rate = np.zeros(config.n_normal)
+        own = owner[t]
+        pw = power[t]
+        for n in np.flatnonzero(own >= 0):
+            u = own[n]
+            p = pw[u, n]
+            a = ensemble.alpha[t, u, n]
+            if u < k1:
+                beta = nu2[t, n] if kmax[t, n] == u else nu1[t, n]
+                su_secrecy[u] += max(np.log1p(p * a) - np.log1p(p * beta), 0.0)
+            else:
+                nu_rate[u - k1] += np.log1p(p * a)
+        out.append(
+            AllocationDecision(
+                owner=own.copy(),
+                power=pw.copy(),
+                su_secrecy=su_secrecy,
+                nu_rate=nu_rate,
+                total_power=float(pw.sum()),
+            )
+        )
+    return out
+
+
+def per_frame_evaluate(decisions, ensemble, config):
+    """Ensemble averages of per-frame decisions, summed frame by frame."""
+    if len(decisions) != ensemble.count:
+        raise ValueError("need exactly one decision per ensemble realization")
+    k, n = ensemble.n_users, ensemble.n_subcarriers
+    k1 = config.n_secure
+    for d in decisions:
+        if d.power.shape != (k, n) or d.owner.shape != (n,):
+            raise ValueError("decision dimensions do not match the ensemble")
+
+    t_count = len(decisions)
+    r_nu = 0.0
+    r_su = np.zeros(k1)
+    power = 0.0
+    su_power = 0.0
+    su_count = 0.0
+    for d in decisions:
+        r_nu += float(config.weights @ d.nu_rate)
+        r_su += d.su_secrecy
+        power += d.total_power
+        su_owned = (d.owner >= 0) & (d.owner < k1)
+        su_power += float(d.power[:, su_owned].sum())
+        su_count += int(su_owned.sum())
+    return EvaluationReport(
+        r_nu_total=r_nu / t_count,
+        r_su=r_su / t_count,
+        avg_power=power / t_count,
+        su_power=su_power / t_count,
+        su_subcarriers=su_count / t_count,
+        realizations_used=t_count,
+    )

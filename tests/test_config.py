@@ -71,6 +71,8 @@ class TestSolverOptions:
             SolverOptions(mu0=[-1.0])
         with pytest.raises(ValueError):
             SolverOptions.from_dict({"stepsize": 1.0})
+        with pytest.raises(ValueError):
+            SolverOptions.from_dict({"keep_decisions": False})
 
 
 class TestDualState:

@@ -5,7 +5,6 @@ import pytest
 
 from secure_ofdma import (
     DualState,
-    SolverOptions,
     assign_subcarrier,
     generate_ensemble,
     solve_average,
@@ -35,18 +34,19 @@ def test_vectorized_auction_matches_scalar_assignment():
                 assert abs(st.p_win[t, n] - p) < 1e-10
 
 
-def test_report_identical_with_and_without_decisions():
+def test_report_matches_final_auction_stats():
+    """Average mode: the evaluated primal is the final auction's bookkeeping."""
     cfg = make_config(n=16, k=4, k1=2, c=0.4, power=100.0)
     ens = generate_ensemble(cfg, 120, seed=14)
-    res_keep = solve_average(ens, cfg, SolverOptions(keep_decisions=True))
-    res_drop = solve_average(ens, cfg, SolverOptions(keep_decisions=False))
-    assert res_drop.decisions is None
-    assert res_keep.decisions is not None
-    a, b = res_keep.report, res_drop.report
-    assert a.r_nu_total == pytest.approx(b.r_nu_total, abs=1e-9)
-    assert np.allclose(a.r_su, b.r_su, atol=1e-9)
-    assert a.avg_power == pytest.approx(b.avg_power, abs=1e-9)
-    assert a.su_subcarriers == b.su_subcarriers
+    res = solve_average(ens, cfg)
+    assert len(res.decisions) == 120
+    st = _eval_point(_Prepared(ens, cfg), res.duals.mu, res.duals.lam, full=True)
+    rep = res.report
+    assert rep.r_nu_total == pytest.approx(st.r_nu_total, abs=1e-9)
+    assert np.allclose(rep.r_su, st.secrecy, atol=1e-9)
+    assert rep.avg_power == pytest.approx(st.power_mean, abs=1e-9)
+    assert rep.su_power == pytest.approx(st.su_power, abs=1e-9)
+    assert rep.su_subcarriers == pytest.approx(st.su_count, abs=1e-9)
 
 
 def test_unequal_weights_respected():

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secure_ofdma import evaluate, generate_ensemble, secrecy_rate, info_rate
 from secure_ofdma.allocation import (
@@ -7,25 +11,32 @@ from secure_ofdma.allocation import (
     decisions_from_arrays,
     validate_exclusivity,
 )
-from secure_ofdma.channel import column_order_stats
+from secure_ofdma.channel import ChannelEnsemble, column_order_stats
+from secure_ofdma.evaluate import EvaluationReport
 
 from conftest import make_config
+from oracles import per_frame_decisions, per_frame_evaluate
 
 
-def _zero_decision(cfg):
-    return AllocationDecision(
-        owner=np.full(cfg.n_subcarriers, -1),
-        power=np.zeros((cfg.n_users, cfg.n_subcarriers)),
-        su_secrecy=np.zeros(cfg.n_secure),
-        nu_rate=np.zeros(cfg.n_normal),
-        total_power=0.0,
-    )
+def _random_arrays(rng, t, k, n):
+    owner = rng.integers(-1, k, size=(t, n))
+    power = np.where(owner >= 0, rng.exponential(size=(t, n)), 0.0)
+    return owner, power
+
+
+def _dense(owner, power, k):
+    t, n = owner.shape
+    dense = np.zeros((t, k, n))
+    tt, nn = np.nonzero(owner >= 0)
+    dense[tt, owner[tt, nn], nn] = power[tt, nn]
+    return dense
 
 
 def test_all_zero_allocation_gives_all_zero_report():
     cfg = make_config(n=4, k=3, k1=1)
     ens = generate_ensemble(cfg, 5, seed=1)
-    rep = evaluate([_zero_decision(cfg) for _ in range(5)], ens, cfg)
+    alloc = decisions_from_arrays(np.full((5, 4), -1), np.zeros((5, 4)), ens, cfg)
+    rep = evaluate(alloc, ens, cfg)
     assert rep.r_nu_total == 0.0
     assert np.all(rep.r_su == 0.0)
     assert rep.avg_power == 0.0
@@ -37,12 +48,10 @@ def test_hand_built_single_realization():
     cfg = make_config(n=2, k=2, k1=1, omega=[2.0])
     ens = generate_ensemble(cfg, 1, seed=3)
     alpha = ens.alpha[0]
-    owner = np.array([0, 1])
-    power = np.zeros((2, 2))
-    power[0, 0] = 1.5
-    power[1, 1] = 2.5
-    decisions = decisions_from_arrays(owner[None], power[None], ens, cfg)
-    rep = evaluate(decisions, ens, cfg)
+    alloc = decisions_from_arrays(
+        np.array([[0, 1]]), np.array([[1.5, 2.5]]), ens, cfg
+    )
+    rep = evaluate(alloc, ens, cfg)
 
     beta0 = alpha[1, 0]
     expected_secrecy = secrecy_rate(1.5, alpha[0, 0], beta0)
@@ -52,25 +61,23 @@ def test_hand_built_single_realization():
     assert np.isclose(rep.avg_power, 4.0)
     assert np.isclose(rep.su_power, 1.5)
     assert rep.su_subcarriers == 1.0
+    assert np.array_equal(alloc[0].power, [[1.5, 0.0], [0.0, 2.5]])
 
 
 def test_half_ensemble_linearity():
     cfg = make_config(n=8, k=4, k1=2)
     ens = generate_ensemble(cfg, 10, seed=9)
-    rng = np.random.default_rng(4)
-    owner = rng.integers(-1, 4, size=(10, 8))
-    power = np.zeros((10, 4, 8))
-    tt, nn = np.nonzero(owner >= 0)
-    power[tt, owner[tt, nn], nn] = rng.exponential(size=tt.size)
-    decisions = decisions_from_arrays(owner, power, ens, cfg)
-
-    from secure_ofdma.channel import ChannelEnsemble
+    owner, power = _random_arrays(np.random.default_rng(4), 10, 4, 8)
 
     front = ChannelEnsemble(alpha=ens.alpha[:5], seed=0, rho=cfg.rho)
     back = ChannelEnsemble(alpha=ens.alpha[5:], seed=0, rho=cfg.rho)
-    rep_all = evaluate(decisions, ens, cfg)
-    rep_a = evaluate(decisions[:5], front, cfg)
-    rep_b = evaluate(decisions[5:], back, cfg)
+    rep_all = evaluate(decisions_from_arrays(owner, power, ens, cfg), ens, cfg)
+    rep_a = evaluate(
+        decisions_from_arrays(owner[:5], power[:5], front, cfg), front, cfg
+    )
+    rep_b = evaluate(
+        decisions_from_arrays(owner[5:], power[5:], back, cfg), back, cfg
+    )
     assert abs(rep_all.r_nu_total - 0.5 * (rep_a.r_nu_total + rep_b.r_nu_total)) < 1e-12
     assert np.allclose(rep_all.r_su, 0.5 * (rep_a.r_su + rep_b.r_su), atol=1e-12)
     assert abs(rep_all.avg_power - 0.5 * (rep_a.avg_power + rep_b.avg_power)) < 1e-12
@@ -79,27 +86,28 @@ def test_half_ensemble_linearity():
 def test_rates_recomputable_from_power_and_channel():
     cfg = make_config(n=6, k=3, k1=1)
     ens = generate_ensemble(cfg, 4, seed=17)
-    rng = np.random.default_rng(2)
-    owner = rng.integers(-1, 3, size=(4, 6))
-    power = np.zeros((4, 3, 6))
-    tt, nn = np.nonzero(owner >= 0)
-    power[tt, owner[tt, nn], nn] = rng.exponential(size=tt.size)
-    decisions = decisions_from_arrays(owner, power, ens, cfg)
+    owner, power = _random_arrays(np.random.default_rng(2), 4, 3, 6)
+    alloc = decisions_from_arrays(owner, power, ens, cfg)
 
     nu1, nu2, kmax = column_order_stats(ens.alpha)
-    for t, d in enumerate(decisions):
+    assert len(alloc) == 4
+    for t, d in enumerate(alloc):
         su, nu = np.zeros(1), np.zeros(2)
         for n in range(6):
             u = d.owner[n]
             if u < 0:
+                assert alloc.rate[t, n] == 0.0
                 continue
             p = d.power[u, n]
             a = ens.alpha[t, u, n]
             if u < 1:
                 beta = nu2[t, n] if kmax[t, n] == u else nu1[t, n]
-                su[u] += secrecy_rate(p, a, beta)
+                r = secrecy_rate(p, a, beta)
+                su[u] += r
             else:
-                nu[u - 1] += info_rate(p, a)
+                r = info_rate(p, a)
+                nu[u - 1] += r
+            assert abs(alloc.rate[t, n] - r) < 1e-12
         assert np.allclose(d.su_secrecy, su, atol=1e-12)
         assert np.allclose(d.nu_rate, nu, atol=1e-12)
         assert abs(d.total_power - d.power.sum()) < 1e-12
@@ -108,11 +116,20 @@ def test_rates_recomputable_from_power_and_channel():
 def test_mismatched_ensemble_rejected():
     cfg = make_config(n=4, k=3, k1=1)
     ens = generate_ensemble(cfg, 5, seed=1)
+    short = ChannelEnsemble(alpha=ens.alpha[:4], seed=0, rho=cfg.rho)
+    alloc4 = decisions_from_arrays(np.full((4, 4), -1), np.zeros((4, 4)), short, cfg)
     with pytest.raises(ValueError):
-        evaluate([_zero_decision(cfg)] * 4, ens, cfg)
-    bad = _zero_decision(make_config(n=5, k=3, k1=1))
+        evaluate(alloc4, ens, cfg)
+    wide_cfg = make_config(n=5, k=3, k1=1)
+    wide = generate_ensemble(wide_cfg, 5, seed=1)
+    bad = decisions_from_arrays(np.full((5, 5), -1), np.zeros((5, 5)), wide, wide_cfg)
     with pytest.raises(ValueError):
-        evaluate([bad] * 5, ens, cfg)
+        evaluate(bad, ens, cfg)
+    more_users = generate_ensemble(make_config(n=4, k=4, k1=1), 5, seed=1)
+    with pytest.raises(ValueError):
+        evaluate(alloc4, more_users, cfg)
+    with pytest.raises(ValueError):
+        decisions_from_arrays(np.full((5, 4), -1), np.zeros((5, 5)), ens, cfg)
 
 
 def test_exclusivity_validation():
@@ -145,3 +162,51 @@ def test_exclusivity_validation():
     )
     with pytest.raises(ValueError):
         validate_exclusivity(ghost)
+
+    # every frame view of an allocation powers only its owners
+    ens = generate_ensemble(cfg, 6, seed=5)
+    owner, power = _random_arrays(np.random.default_rng(7), 6, 2, 2)
+    power[0, 0] = 0.0   # an owned column at zero power
+    for d in decisions_from_arrays(owner, power, ens, cfg):
+        validate_exclusivity(d)
+
+
+@given(
+    k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 8), t=st.integers(1, 6),
+    unequal=st.booleans(), free=st.floats(0.0, 1.0),
+    zero_power=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_matches_per_frame_oracle(k, k1_frac, n, t, unequal, free, zero_power,
+                                  seed):
+    """Array build and evaluation against the per-frame loops, to 1e-12.
+
+    Owners are drawn at random, so SUs also own columns where they are not
+    the strongest user (their secrecy clips to 0).
+    """
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)   # K1 = K-1 included
+    omega = rng.uniform(0.5, 3.0, size=k - k1) if unequal else 1.0
+    cfg = make_config(n=n, k=k, k1=k1, omega=omega)
+    ens = ChannelEnsemble(alpha=rng.exponential(size=(t, k, n)), seed=0, rho=1.0)
+    owner = np.where(rng.random((t, n)) < free, -1, rng.integers(0, k, size=(t, n)))
+    # power on unassigned columns must be dropped, as the dense tensor does
+    power = rng.exponential(size=(t, n)) * (rng.random((t, n)) >= zero_power)
+
+    alloc = decisions_from_arrays(owner, power, ens, cfg)
+    want = per_frame_decisions(owner, _dense(owner, power, k), ens, cfg)
+    assert len(alloc) == len(want)
+    for got, ref in zip(alloc, want):
+        for field in dataclasses.fields(AllocationDecision):
+            np.testing.assert_allclose(
+                getattr(got, field.name), getattr(ref, field.name),
+                rtol=1e-12, atol=0, err_msg=field.name,
+            )
+    rep = evaluate(alloc, ens, cfg)
+    ref_rep = per_frame_evaluate(want, ens, cfg)
+    for field in dataclasses.fields(EvaluationReport):
+        np.testing.assert_allclose(
+            getattr(rep, field.name), getattr(ref_rep, field.name),
+            rtol=1e-12, atol=0, err_msg=field.name,
+        )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from secure_ofdma import (
 from secure_ofdma.config import SolverOptions
 
 from conftest import make_config
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def small_spec(tmp_path=None, **overrides):
@@ -57,6 +60,18 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_dict(d)
         assert spec.sweep == "snr_db"
         assert spec.config.n_users == 4
+
+    @pytest.mark.parametrize("name", [
+        "rate_frontier", "snr_sweep_average", "snr_sweep_peak",
+    ])
+    def test_checked_in_specs_load(self, name):
+        spec = ExperimentSpec.from_file(SCRIPTS / f"{name}.json")
+        cfg = spec.config
+        assert (cfg.n_subcarriers, cfg.n_users, cfg.n_secure) == (64, 8, 4)
+        assert (spec.seed, spec.realizations) == (2025, 2000)
+        assert spec.output == f"results/{name}.csv"
+        if cfg.mode == "peak":
+            assert spec.solvers == ["optimal"]
 
 
 class TestRun:
