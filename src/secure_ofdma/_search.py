@@ -1,4 +1,12 @@
-"""Monotone binary-search primitives shared by the solvers."""
+"""The bracket-and-bisect primitive behind every monotone search.
+
+``bracket`` grows the upper ends, ``bisect`` then halves the brackets,
+elementwise over an array of independent brackets (a scalar is the 0-d
+case) with one probe call per step for all of them.  A probe
+``probe(x) -> (up, hit)`` returns booleans shaped like ``x``: ``up``
+where the sought point lies above ``x``, ``hit`` where ``x`` is close
+enough for that element to stop.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,49 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rates import _su_power_core
+
+
+def bracket(probe, lo, hi, factor, *, limit=np.inf, max_steps=200):
+    """Grow ``hi`` by ``factor`` until the sought point is at or below it.
+
+    Where ``probe(hi)`` is ``up``, ``lo`` moves to ``hi`` and ``hi`` grows,
+    capped at ``limit``, which is accepted without a probe.  Returns
+    ``(lo, hi)``; raises ``RuntimeError`` after ``max_steps`` probes.
+    """
+    lo, hi = np.array(lo, float), np.array(hi, float)
+    for _ in range(max_steps):
+        up = np.asarray(probe(hi)[0], bool)
+        if not up.any():
+            return lo, hi
+        lo = np.where(up, hi, lo)
+        hi = np.where(up, np.minimum(hi * factor, limit), hi)
+        if np.all(hi[up] >= limit):
+            return lo, hi
+    raise RuntimeError("failed to bracket a monotone search")
+
+
+def bisect(probe, lo, hi, *, geometric=False, xtol=0.0, rtol=0.0,
+           max_steps=200, done=None):
+    """Halve every bracket ``[lo, hi]`` until each element stops.
+
+    Each step probes the arithmetic (or geometric) midpoint and moves
+    ``lo`` there where it is ``up``, ``hi`` elsewhere.  An element stops
+    on a ``hit``, once ``hi - lo <= xtol + rtol * hi``, or from the start
+    if ``done``; stopped elements are probed at ``hi`` and never move.
+    Returns ``(lo, hi, steps)`` after at most ``max_steps`` probes.
+    """
+    lo, hi = np.array(lo, float), np.array(hi, float)
+    done = np.zeros(lo.shape, bool) if done is None else np.array(done, bool)
+    for step in range(max_steps):
+        if done.all():
+            return lo, hi, step
+        mid = np.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+        up, hit = probe(np.where(done, hi, mid))
+        up = np.asarray(up, bool)
+        lo = np.where(up & ~done, mid, lo)
+        hi = np.where(up | done, hi, mid)
+        done = done | hit | (hi - lo <= xtol + rtol * hi)
+    return lo, hi, max_steps
 
 
 @dataclass
@@ -26,26 +77,29 @@ def bisect_monotone(
     ``fn`` must be monotone on the bracket with ``fn(lo) <= target <= fn(hi)``
     when increasing (reversed when decreasing).  Terminates on tolerance or
     when the bracket collapses below ``width_floor`` times its initial width.
+    Returns the last point probed.
     """
     trace = []
-    width0 = hi - lo
-    x, fx = hi, fn(hi)
+    fx = fn(hi)
     if abs(fx - target) <= tol:
-        return SearchOutcome(x, fx, 0, True, trace)
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if abs(fm - target) <= tol:
-            return SearchOutcome(mid, fm, it, True, trace)
-        go_up = fm < target if increasing else fm > target
-        if go_up:
-            lo = mid
-        else:
-            hi = mid
-        trace.append((lo, hi))
-        if hi - lo <= width_floor * max(width0, 1.0):
-            return SearchOutcome(mid, fm, it, abs(fm - target) <= tol, trace)
-    return SearchOutcome(mid, fm, max_iter, False, trace)
+        return SearchOutcome(hi, fx, 0, True, trace)
+    last = [hi, fx]
+    ends = [lo, hi]
+
+    def probe(x):
+        last[:] = float(x), fn(float(x))
+        up = last[1] < target if increasing else last[1] > target
+        hit = abs(last[1] - target) <= tol
+        if not hit:
+            ends[0 if up else 1] = last[0]
+            trace.append(tuple(ends))
+        return up, hit
+
+    _, _, steps = bisect(
+        probe, lo, hi, xtol=width_floor * max(hi - lo, 1.0), max_steps=max_iter,
+    )
+    x, fx = last
+    return SearchOutcome(x, fx, steps, abs(fx - target) <= tol, trace)
 
 
 class ThresholdCurve:
@@ -67,11 +121,6 @@ class ThresholdCurve:
     @property
     def max_gap(self) -> float:
         return float(self.gap.max()) if self.gap.size else 0.0
-
-    def gap_percentile(self, q: float) -> float:
-        if self.gap.size == 0:
-            return 0.0
-        return float(np.percentile(self.gap, q))
 
     def limit_rate(self) -> float:
         """Average secrecy rate as the threshold (and the power price) -> 0."""
@@ -112,8 +161,7 @@ class ThresholdCurve:
         return p
 
 
-def search_threshold(curve: ThresholdCurve, target: float, eps: float,
-                     ub: float | None = None) -> SearchOutcome:
+def search_threshold(curve: ThresholdCurve, target: float, eps: float) -> SearchOutcome:
     """Shrink the threshold bracket until |mean rate - target| <= eps*target.
 
     The rate is continuous and non-increasing in the threshold, so plain
@@ -122,15 +170,11 @@ def search_threshold(curve: ThresholdCurve, target: float, eps: float,
     """
     if target <= 0:
         return SearchOutcome(np.inf, 0.0, 0, True)
-    hi = ub if ub is not None else curve.gap_percentile(99.9)
+    hi = float(np.percentile(curve.gap, 99.9)) if curve.gap.size else 0.0
     hard_cap = curve.max_gap * (1 + 1e-9) + 1e-9
     hi = min(max(hi, 1e-12), hard_cap)
-    guard = 0
-    while curve.rate(hi) > target and guard < 60:
-        hi = min(hi * 2.0, hard_cap)
-        guard += 1
-        if hi >= hard_cap:
-            break
+    _, hi = bracket(lambda x: (curve.rate(float(x)) > target, False), 0.0, hi, 2.0,
+                    limit=hard_cap, max_steps=60)
     return bisect_monotone(
-        curve.rate, target, 0.0, hi, eps * target, increasing=False,
+        curve.rate, target, 0.0, float(hi), eps * target, increasing=False,
     )

@@ -10,7 +10,10 @@ power spend hits the budget.
 
 The dual is minimized over ``mu`` with a projected subgradient (default)
 or the ellipsoid method; ``lam`` is eliminated exactly at every step by
-bisection on the spent power, which is non-increasing in ``lam``.
+bisection on the spent power, which is non-increasing in ``lam``.  That
+search, the ``mu`` calibration and the peak-mode primal recovery (trim
+and refill) are all calls into the one vectorized bracket-and-bisect
+primitive, ``_search.bracket`` and ``_search.bisect``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import bisect, bracket
 from .allocation import (
     UNASSIGNED,
     AllocationDecision,
@@ -29,7 +33,7 @@ from .allocation import (
 from .channel import ChannelEnsemble, ChannelRealization, column_order_stats
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
-from .rates import DualState, _h_su_core, _NuCandidates
+from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core
 
 
 class _Prepared:
@@ -192,16 +196,20 @@ def _solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=200):
 
     Spent power is non-increasing in ``lam`` (each candidate's power level
     falls and auction switches always move to the lower-power bidder), so
-    geometric bisection applies.  Returns ``(lam, power_mean, at_floor)``.
+    geometric bisection applies; the budget is approached from the
+    under-spending end of the bracket.
     """
     target = prep.config.power
 
     def power_at(lam):
-        return _eval_point(prep, mu, lam, full=False).power_mean
+        return _eval_point(prep, mu, float(lam), full=False).power_mean
 
-    p_floor = power_at(lam_floor)
-    if p_floor <= target:
-        return lam_floor, p_floor, True
+    def probe(lam):
+        p = power_at(lam)
+        return p > target, p <= target and target - p <= tol_power
+
+    if power_at(lam_floor) <= target:
+        return lam_floor
 
     lo, hi = lam_floor, None
     if warm is not None and warm > lam_floor:
@@ -213,34 +221,19 @@ def _solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=200):
         elif power_at(w_lo) > target:
             lo = w_hi
     if hi is None:
-        hi = max(lo * 4.0, 1e-3)
-        for _ in range(200):
-            if power_at(hi) <= target:
-                break
-            lo, hi = hi, hi * 4.0
-        else:
-            raise RuntimeError("failed to bracket the power multiplier")
-
-    lam, p = hi, power_at(hi)
-    for _ in range(max_iter):
-        if abs(p - target) <= tol_power:
-            break
-        mid = math.sqrt(lo * hi)
-        pm = power_at(mid)
-        if pm > target:
-            lo = mid
-        else:
-            hi = mid
-            lam, p = mid, pm
-        if hi - lo <= 1e-14 * hi:
-            break
-    return lam, p, False
+        lo, hi = bracket(probe, lo, max(lo * 4.0, 1e-3), 4.0)
+    if abs(power_at(hi) - target) <= tol_power:
+        return float(hi)
+    _, hi, _ = bisect(probe, lo, hi, geometric=True, rtol=1e-14, max_steps=max_iter)
+    return float(hi)
 
 
 def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
     """Per-realization power multipliers hitting the budget frame by frame.
 
-    Vectorized synchronized bisection; realizations whose spend at the
+    One synchronized bisection over all frames, approaching each budget
+    from the under-spending end so a frame's spend never exceeds it; the
+    final refill tops up the leftover.  Realizations whose spend at the
     floor is already below budget keep ``lam = lam_floor``.  Returns
     ``(lam_t, at_floor_mask)`` with spend <= budget at the returned prices.
     """
@@ -253,39 +246,24 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
     lo = np.full(t_count, lam_floor)
     at_floor = power_t(lo) <= target
 
+    def probe(lam_vec):
+        pm = power_t(lam_vec)
+        over = pm > target
+        return over & ~at_floor, ~over & (target - pm <= tol_power)
+
     hi = np.maximum(warm if warm is not None else np.ones(t_count), lam_floor * 4)
-    for _ in range(200):
-        need = (power_t(hi) > target) & ~at_floor
-        if not need.any():
-            break
-        hi[need] *= 4.0
-    else:
-        raise RuntimeError("failed to bracket per-realization multipliers")
+    _, hi = bracket(probe, lo, hi, 4.0)
     if warm is not None:
         # pull the lower bracket up near last iteration's multipliers
         lo_try = np.maximum(warm / 4.0, lam_floor)
         ok = (power_t(lo_try) >= target) & ~at_floor
         lo = np.where(ok, lo_try, lo)
-
-    # close in on the budget strictly from the under-spending side so a
-    # frame's spend never exceeds it; the final refill tops up the leftover
-    done = at_floor.copy()
-    lam = np.where(at_floor, lam_floor, hi)
-    for _ in range(max_iter):
-        if done.all():
-            break
-        mid = np.sqrt(lo * hi)
-        probe = np.where(done, lam, mid)
-        pm = power_t(probe)
-        active = ~done
-        over = pm > target
-        lo = np.where(active & over, mid, lo)
-        hi = np.where(active & ~over, mid, hi)
-        lam = np.where(active & ~over, mid, lam)
-        done |= active & ~over & (target - pm <= tol_power)
-        # frames whose budget sits inside an assignment discontinuity
-        # cannot meet the tolerance; stop once the bracket pins the kink
-        done |= active & (hi - lo <= 1e-12 * hi)
+    # frames whose budget sits inside an assignment discontinuity cannot
+    # meet the tolerance; they stop once the bracket pins the kink
+    _, lam, _ = bisect(
+        probe, lo, np.where(at_floor, lam_floor, hi), geometric=True,
+        rtol=1e-12, max_steps=max_iter, done=at_floor,
+    )
     return lam, at_floor
 
 
@@ -297,10 +275,8 @@ def _trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
     each frame's contribution is scaled down by re-tuning the per-set gap
     threshold, releasing power for the NU refill.  Per-frame targets are
     proportional to the frame's contribution, so the ensemble average
-    lands on the target exactly.
+    lands on the target exactly.  All (frame, SU) groups share one bisection.
     """
-    from .rates import _su_power_core
-
     k1 = prep.k1
     targets = prep.config.secrecy_targets
     su_owned = (owner >= 0) & (owner < k1)
@@ -318,38 +294,38 @@ def _trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
         return
     scale = np.where(trim, targets / np.maximum(s_mean, 1e-300), 1.0)
     lam_t = np.broadcast_to(np.asarray(lam_t, float), (prep.t_count,))
-    for t in range(prep.t_count):
-        for k in np.flatnonzero(trim):
-            cols = np.flatnonzero(owner[t] == k)
-            if cols.size == 0:
-                continue
-            a = prep.nu1[t, cols]
-            b = prep.nu2[t, cols]
-            target_t = rs[t, cols].sum() * scale[k]
-            if target_t <= 0:
-                owner[t, cols] = UNASSIGNED
-                p_win[t, cols] = 0.0
-                continue
-            lo = lam_t[t] / mu[k]          # current ratio: rate >= target
-            hi = float((a - b).max())
-            best_p = p_win[t, cols].copy()
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                p_mid = _su_power_core(a, b, 1.0 / mid, 1.0)
-                r_mid = float(np.where(
-                    p_mid > 0, np.log1p(p_mid * a) - np.log1p(p_mid * b), 0.0
-                ).sum())
-                if r_mid >= target_t:
-                    lo = mid
-                    best_p = p_mid
-                    if r_mid - target_t <= 1e-6 * target_t:
-                        break
-                else:
-                    hi = mid
-            p_win[t, cols] = best_p
-            dead = best_p <= 0
-            if dead.any():
-                owner[t, cols[dead]] = UNASSIGNED
+
+    # the columns of trimmed SUs and their (frame, SU) group
+    t, n = np.nonzero(su_owned & trim[np.where(su_owned, owner, 0)])
+    keys, group = np.unique(t * k1 + owner[t, n], return_inverse=True)
+    g_t, g_k = np.divmod(keys, k1)
+    a, b = prep.nu1[t, n], prep.nu2[t, n]
+    g_gap = np.zeros(keys.size)
+    np.maximum.at(g_gap, group, a - b)
+
+    def group_sum(x):
+        return np.bincount(group, weights=x, minlength=keys.size)
+
+    target_g = group_sum(rs[t, n]) * scale[g_k]
+    drop = target_g <= 0
+
+    def powers(ratio):
+        return _su_power_core(a, b, 1.0 / ratio[group], 1.0)
+
+    def probe(ratio):
+        p = powers(ratio)
+        r = group_sum(np.where(p > 0, np.log1p(p * a) - np.log1p(p * b), 0.0))
+        above = r >= target_g
+        return above, above & (r - target_g <= 1e-6 * target_g)
+
+    lo0 = lam_t[g_t] / mu[g_k]       # current ratio: rate >= target
+    lo, _, _ = bisect(probe, lo0, g_gap, max_steps=60, done=drop)
+    # a group the bisection never moved keeps its auction powers
+    p_new = np.where((lo != lo0)[group], powers(lo), p_win[t, n])
+    p_new[drop[group]] = 0.0
+    p_win[t, n] = p_new
+    dead = p_new <= 0
+    owner[t[dead], n[dead]] = UNASSIGNED
 
 
 def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
@@ -370,45 +346,34 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     if not needs.any():
         return
     idx = np.flatnonzero(needs)
+    candidate = ~((owner[idx] >= 0) & (owner[idx] < k1))  # non-SU columns
+    # a frame whose columns all belong to SUs has nothing to pour onto
+    poured = candidate.any(axis=1)
+    if not poured.any():
+        return
+    idx, candidate = idx[poured], candidate[poured]
     nu = prep.nu
     lam_i = lam_t[idx][:, None, None]
     _, g = nu.auction(np.log(lam_i), lam_i, rows=idx)
     j_best = nu.take(nu.index, g, rows=idx)
     inv_a = nu.take(nu.inv_alpha, g, rows=idx)
     w = nu.weight(g)
-    candidate = ~((owner[idx] >= 0) & (owner[idx] < k1))  # non-SU columns
-    if not candidate.any():
-        return
     su_spend = np.where(candidate, 0.0, p_win[idx]).sum(axis=1)
     budget = cfg.power - su_spend
 
-    def spend(theta):
-        p = np.maximum(theta[:, None] * w - inv_a, 0.0)
-        return np.where(candidate, p, 0.0).sum(axis=1)
+    def levels(theta):
+        return np.where(candidate, np.maximum(theta[:, None] * w - inv_a, 0.0), 0.0)
 
-    lo = np.full(idx.size, 0.0)
-    hi = np.maximum(1.0 / lam_t[idx], 1.0)
-    for _ in range(200):
-        short = spend(hi) < budget
-        if not short.any():
-            break
-        hi[short] *= 2.0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        s = spend(mid)
-        under = s < budget
-        lo = np.where(under, mid, lo)
-        hi = np.where(under, hi, mid)
-    theta = lo  # under-budget side: the frame never exceeds its cap
-    p_new = np.maximum(theta[:, None] * w - inv_a, 0.0)
-    p_new = np.where(candidate, p_new, 0.0)
-    opened = candidate & (p_new > 0)
-    sub_owner = owner[idx]
-    sub_owner[opened] = k1 + j_best[opened]
-    owner[idx] = sub_owner
-    sub_p = p_win[idx]
-    sub_p[candidate] = p_new[candidate]
-    p_win[idx] = sub_p
+    def probe(theta):
+        return levels(theta).sum(axis=1) < budget, False
+
+    lo = np.zeros(idx.size)
+    _, hi = bracket(probe, lo, np.maximum(1.0 / lam_t[idx], 1.0), 2.0)
+    # the under-budget end: the frame never exceeds its cap
+    theta, _, _ = bisect(probe, lo, hi, max_steps=70)
+    p_new = levels(theta)
+    owner[idx] = np.where(candidate & (p_new > 0), k1 + j_best, owner[idx])
+    p_win[idx] = np.where(candidate, p_new, p_win[idx])
 
 
 def _initial_mu(prep: _Prepared, lam0, *, rounds=28) -> np.ndarray:
@@ -420,26 +385,17 @@ def _initial_mu(prep: _Prepared, lam0, *, rounds=28) -> np.ndarray:
     vector bisection against the target vector is exact.  The dual
     iteration then only has to absorb the feedback of the power price.
     """
-    cfg = prep.config
-    targets = cfg.secrecy_targets
+    targets = prep.config.secrecy_targets
     want = targets > 0
     if not want.any():
         return np.zeros(prep.k1)
 
-    hi = np.ones(prep.k1)
-    for _ in range(40):
-        sec = _eval_point(prep, hi, lam0, full=True).secrecy
-        short = want & (sec < targets)
-        if not short.any():
-            break
-        hi[short] *= 4.0
+    def probe(mu):
+        return _eval_point(prep, mu, lam0, full=True).secrecy < targets, False
+
     lo = np.zeros(prep.k1)
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        sec = _eval_point(prep, mid, lam0, full=True).secrecy
-        low = sec < targets
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
+    _, hi = bracket(probe, lo, np.ones(prep.k1), 4.0, limit=4.0**40)
+    lo, hi, _ = bisect(probe, lo, hi, max_steps=rounds)
     return np.where(want, 0.5 * (lo + hi), 0.0)
 
 
@@ -462,12 +418,16 @@ def _power_side_ok(lam, st, cfg, eps, lam_floor) -> bool:
     return abs(cfg.power - st.power_mean) <= eps * cfg.power
 
 
+_OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"
+
+
 def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
     """Shared outer minimization over mu for both power-constraint modes.
 
     ``resolve_lambda(mu, warm)`` must return ``(lam, warm_state)`` with the
     power side of the dual solved exactly; ``describe_lambda(lam)`` maps it
-    to the scalar stored in the dual trace bookkeeping.
+    to the scalar stored in the dual trace bookkeeping.  An unconverged
+    exit says why in its message.
     """
     cfg = prep.config
     eps = opts.epsilon
@@ -498,8 +458,8 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
 
     trace = []
     best = None
-    converged = False
-    infeasible_msg = ""
+    converged = infeasible = False
+    message = ""
     stall = 0
     stall_limit = 150
     for t in range(1, opts.max_iterations + 1):
@@ -528,7 +488,8 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
         over_ceiling = (mu > opts.multiplier_ceiling) & (viol > 0)
         if over_ceiling.any():
             k_bad = int(np.flatnonzero(over_ceiling)[0])
-            infeasible_msg = (
+            infeasible = True
+            message = (
                 f"multiplier for SU {k_bad} exceeded the ceiling with its "
                 f"secrecy constraint still violated"
             )
@@ -537,6 +498,10 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
         if stall >= stall_limit:
             # finite-ensemble granularity: the achievable secrecy values
             # jump across the tolerance window, no point grinding on
+            message = (
+                f"stalled: the secrecy violation did not improve in "
+                f"{stall_limit} iterations"
+            )
             break
 
         step = opts.step_scale / math.sqrt(t)
@@ -544,9 +509,11 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
         mu = np.maximum(
             0.0, mu - step * scale * dmu / np.maximum(targets, 1.0)
         )
+    else:
+        message = _OUT_OF_ITERATIONS.format(opts.max_iterations)
 
-    _, mu_best, lam_best, iters, st_best = best
-    return (mu_best, lam_best, iters, st_best, trace, converged, infeasible_msg), ""
+    _, mu_best, lam_best, iters, _ = best
+    return (mu_best, lam_best, iters, trace, converged, infeasible, message), ""
 
 
 def _ellipsoid_loop(prep, opts, mu0, resolve_lambda, describe_lambda):
@@ -564,6 +531,7 @@ def _ellipsoid_loop(prep, opts, mu0, resolve_lambda, describe_lambda):
     converged = False
     warm = None
     iters = 0
+    message = _OUT_OF_ITERATIONS.format(opts.max_iterations)
     for it in range(1, opts.max_iterations + 1):
         iters = it
         negative = center < 0
@@ -590,6 +558,7 @@ def _ellipsoid_loop(prep, opts, mu0, resolve_lambda, describe_lambda):
             cut = dmu  # subgradient of the reduced dual
         denom = float(cut @ shape @ cut)
         if denom <= 0 or math.sqrt(denom) < 1e-14:
+            message = "the ellipsoid collapsed before the tolerance test passed"
             break
         if n_dim == 1:
             step = shape[0, 0] ** 0.5 / 2.0
@@ -606,82 +575,67 @@ def _ellipsoid_loop(prep, opts, mu0, resolve_lambda, describe_lambda):
         lam, warm = resolve_lambda(np.maximum(center, 0.0), warm)
         st = _eval_point(prep, np.maximum(center, 0.0), lam, full=True)
         best = (np.inf, np.maximum(center, 0.0), np.array(lam, copy=True), iters, st)
-    return best[1], best[2], best[3], best[4], trace, converged, ""
+    message = "" if converged else message
+    return best[1], best[2], best[3], trace, converged, False, message
 
 
-def _finish(prep, ensemble, opts, mu, lam, iters, st, trace, converged,
-            infeasible_msg, *, peak):
+def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,
+            message, *, peak):
     cfg = prep.config
     eps = opts.epsilon
-    lam_arr = np.asarray(lam, float)
-
-    st_arrays = _eval_point(prep, mu, lam, full=True, arrays=True)
-    owner = st_arrays.owner
-    p_win = st_arrays.p_win
+    final = _eval_point(prep, mu, lam, full=False, arrays=True)
+    owner, p_win = final.owner, final.p_win
     if peak:
-        _trim_su_surplus(prep, owner, p_win, mu, lam_arr, eps)
+        _trim_su_surplus(prep, owner, p_win, mu, lam, eps)
         residual = cfg.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, lam_arr, residual, opts.lambda_floor)
+        _refill_nu_water(prep, owner, p_win, lam, residual, opts.lambda_floor)
 
-    decisions = decisions_from_arrays(owner, p_win, ensemble, cfg)
-    report = evaluate(decisions, ensemble, cfg)
-
-    if peak and not converged and not infeasible_msg:
+    res = _result(
+        prep, ensemble, mu, lam, owner, p_win, iterations=iters,
+        converged=converged, infeasible=infeasible,
+        dual_value=float(np.min(trace)) if trace else np.nan,
+        dual_trace=trace, message=message,
+    )
+    if peak and not converged and not infeasible:
         # granularity can block the dual loop's tolerance test while the
         # recovered primal still meets every constraint; judge the output
         targets = cfg.secrecy_targets
-        tol = eps * np.maximum(targets, 1.0)
-        sec_ok = bool(np.all(
-            (targets <= 0)
-            | ((report.r_su >= targets * (1 - eps))
-               & (np.abs(report.r_su - targets) <= tol))
+        r_su = res.report.r_su
+        sec_ok = np.all((targets <= 0) | (
+            (r_su >= targets * (1 - eps))
+            & (np.abs(r_su - targets) <= eps * np.maximum(targets, 1.0))
         ))
-        power_ok = report.avg_power <= cfg.power * (1 + eps)
-        converged = sec_ok and power_ok
-
-    infeasible = bool(infeasible_msg)
-    duals = DualState(
-        mu=mu, lam=float(lam_arr) if lam_arr.ndim == 0 else None
-    )
-    return SolveResult(
-        duals=duals,
-        report=report,
-        iterations=iters,
-        converged=converged and not infeasible,
-        infeasible=infeasible,
-        dual_value=float(np.min(trace)) if trace else np.nan,
-        dual_trace=trace,
-        decisions=decisions,
-        lambda_per_realization=lam_arr.copy() if lam_arr.ndim == 1 else None,
-        message=infeasible_msg,
-    )
+        if sec_ok and res.report.avg_power <= cfg.power * (1 + eps):
+            res.converged, res.message = True, ""
+    return res
 
 
 def _infeasible_result(prep, ensemble, opts, message, *, peak=False) -> SolveResult:
     """Diagnostic result: the no-secrecy allocation plus the failure note."""
-    cfg = prep.config
     mu0 = np.zeros(prep.k1)
-    tol_power = opts.epsilon * cfg.power / 4
+    tol_power = opts.epsilon * prep.config.power / 4
     if peak:
         lam, _ = _solve_lambda_peak(prep, mu0, tol_power, opts.lambda_floor)
     else:
-        lam, _, _ = _solve_lambda_avg(prep, mu0, tol_power, opts.lambda_floor)
+        lam = _solve_lambda_avg(prep, mu0, tol_power, opts.lambda_floor)
     st = _eval_point(prep, mu0, lam, full=True, arrays=True)
-    decisions = decisions_from_arrays(st.owner, st.p_win, ensemble, cfg)
+    return _result(
+        prep, ensemble, mu0, lam, st.owner, st.p_win, iterations=0,
+        converged=False, infeasible=True, dual_value=st.dual_value,
+        dual_trace=[st.dual_value], message=message,
+    )
+
+
+def _result(prep, ensemble, mu, lam, owner, p_win, **fields) -> SolveResult:
+    """An allocation packaged with its evaluated report and its prices."""
     lam_arr = np.asarray(lam, float)
+    decisions = decisions_from_arrays(owner, p_win, ensemble, prep.config)
     return SolveResult(
-        duals=DualState(
-            mu=mu0, lam=float(lam_arr) if lam_arr.ndim == 0 else None
-        ),
-        report=evaluate(decisions, ensemble, cfg),
-        iterations=0,
-        converged=False,
-        infeasible=True,
-        dual_value=st.dual_value,
-        dual_trace=[st.dual_value],
+        duals=DualState(mu=mu, lam=float(lam_arr) if lam_arr.ndim == 0 else None),
+        report=evaluate(decisions, ensemble, prep.config),
         decisions=decisions,
         lambda_per_realization=lam_arr.copy() if lam_arr.ndim == 1 else None,
-        message=message,
+        **fields,
     )
 
 
@@ -698,19 +652,14 @@ def solve_average(
     tol_power = opts.epsilon * config.power / 4.0
 
     def resolve(mu, warm):
-        lam, _, _ = _solve_lambda_avg(
-            prep, mu, tol_power, opts.lambda_floor, warm
-        )
+        lam = _solve_lambda_avg(prep, mu, tol_power, opts.lambda_floor, warm)
         return lam, lam
 
     out, msg = _dual_outer_loop(prep, opts, resolve, lambda lam: float(lam))
     if out is None:
         return _infeasible_result(prep, ensemble, opts, msg)
-    mu, lam, iters, st, trace, converged, infeasible_msg = out
-    return _finish(
-        prep, ensemble, opts, mu, float(lam), iters, st, trace, converged,
-        infeasible_msg, peak=False,
-    )
+    mu, lam, *rest = out
+    return _finish(prep, ensemble, opts, mu, float(lam), *rest, peak=False)
 
 
 def solve_peak(
@@ -736,11 +685,7 @@ def solve_peak(
     )
     if out is None:
         return _infeasible_result(prep, ensemble, opts, msg, peak=True)
-    mu, lam_t, iters, st, trace, converged, infeasible_msg = out
-    return _finish(
-        prep, ensemble, opts, mu, lam_t, iters, st, trace, converged,
-        infeasible_msg, peak=True,
-    )
+    return _finish(prep, ensemble, opts, *out, peak=True)
 
 
 def allocate_realization_avg(

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import ThresholdCurve, bisect_monotone, search_threshold
+from ._search import ThresholdCurve, bisect_monotone, bracket, search_threshold
 from .allocation import SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, column_order_stats
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
-from .rates import DualState, _NuCandidates, _su_power_core
+from .rates import DualState, _NuCandidates
 
 
 class SecrecyInfeasibleError(RuntimeError):
@@ -142,7 +142,8 @@ def nu_phase(
     power is non-decreasing in the water level, so bisection stops when
     the total spend matches the budget within ``eps * power``.  A
     non-positive residual short-circuits to an all-zero allocation with
-    ``budget_exhausted`` set.  Returns ``(water_level, NuPhaseReport)``.
+    ``budget_exhausted`` set; so does a phase with no free subcarrier, at
+    level 0 without the flag.  Returns ``(water_level, NuPhaseReport)``.
     """
     t_count = ensemble.count
     n = config.n_subcarriers
@@ -150,12 +151,14 @@ def nu_phase(
     n_nu = config.n_normal
     omega = config.weights
 
-    if p_residual <= 0:
+    def idle(exhausted):
         return 0.0, NuPhaseReport(
-            nu_rate=np.zeros(n_nu), power=0.0, iterations=0,
-            budget_exhausted=True,
+            nu_rate=np.zeros(n_nu), power=0.0, iterations=0, budget_exhausted=exhausted,
             owner_nu=np.full((t_count, n), -1), power_nu=np.zeros((t_count, n)),
         )
+
+    if p_residual <= 0:
+        return idle(True)
 
     alpha_nu = ensemble.alpha[:, k1:, :]
     if fixed_sets is not None:
@@ -185,6 +188,10 @@ def nu_phase(
                 nu.weight(g),
             )
 
+    if not free.any():
+        # every subcarrier is taken, so no water level spends anything
+        return idle(False)
+
     def spend(level):
         if level <= 0:
             return 0.0
@@ -192,13 +199,10 @@ def nu_phase(
         p = np.maximum(w * level - inv_a, 0.0)
         return float(np.where(free, p, 0.0).sum() / t_count)
 
-    hi = max(config.power, 1e-12)
-    guard = 0
-    while spend(hi) < p_residual and guard < 200:
-        hi *= 2.0
-        guard += 1
+    _, hi = bracket(lambda x: (spend(float(x)) < p_residual, False),
+                    0.0, max(config.power, 1e-12), 2.0)
     out = bisect_monotone(
-        spend, p_residual, 0.0, hi, eps * config.power, increasing=True,
+        spend, p_residual, 0.0, float(hi), eps * config.power, increasing=True,
     )
     level = out.value
 
@@ -225,7 +229,6 @@ def _assemble_result(ensemble, config, thresholds, su_rep, nu_rep,
                      level, iterations, converged, infeasible, message):
     t_count = ensemble.count
     k1 = config.n_secure
-    nu1, nu2, _ = column_order_stats(ensemble.alpha)
 
     owner = np.full((t_count, config.n_subcarriers), -1, dtype=np.int64)
     p_win = np.zeros((t_count, config.n_subcarriers))
@@ -233,10 +236,11 @@ def _assemble_result(ensemble, config, thresholds, su_rep, nu_rep,
         mask = su_rep.claimed[k]
         if not np.isfinite(thresholds[k]) or not mask.any():
             continue
+        # the curve holds SU k's candidate columns in row-major order and
+        # ``mask`` is the subset of them above the threshold
+        curve = su_rep.curves[k]
         owner[mask] = k
-        p_win[mask] = _su_power_core(
-            nu1[mask], nu2[mask], 1.0 / thresholds[k], 1.0
-        )
+        p_win[mask] = curve.powers(thresholds[k])[curve.gap > thresholds[k]]
     if nu_rep.owner_nu is not None:
         nu_cols = nu_rep.owner_nu >= 0
         owner[nu_cols] = k1 + nu_rep.owner_nu[nu_cols]

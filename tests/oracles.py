@@ -12,6 +12,12 @@ with the library's own per-column closed forms.
 ``per_frame_decisions`` and ``per_frame_evaluate`` are the per-frame
 loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
 (T, N) array reductions; they take the dense (T, K, N) power tensor.
+
+The ``looped_*`` functions are the dual solver's hand-rolled bracket and
+bisection loops (lambda resolution in both modes, the peak trim and
+refill, the mu calibration) that ``_search.bracket``/``_search.bisect``
+replaced.  They call the library's auction through this module's
+``_eval_point`` name, so a test can record their probes.
 """
 
 import itertools
@@ -20,10 +26,11 @@ import math
 import numpy as np
 from scipy import optimize
 
-from secure_ofdma.allocation import AllocationDecision
+from secure_ofdma.allocation import UNASSIGNED, AllocationDecision
 from secure_ofdma.channel import column_order_stats
+from secure_ofdma.dual_solver import _eval_point
 from secure_ofdma.evaluate import EvaluationReport
-from secure_ofdma.rates import _h_su_core
+from secure_ofdma.rates import _h_su_core, _su_power_core
 
 
 def maximize_power_payoff(payoff, p_hi, tol=1e-11):
@@ -355,3 +362,257 @@ def per_frame_evaluate(decisions, ensemble, config):
         su_subcarriers=su_count / t_count,
         realizations_used=t_count,
     )
+
+
+def looped_solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=200):
+    """Scalar power multiplier meeting the mean budget, or the floor.
+
+    Spent power is non-increasing in ``lam`` (each candidate's power level
+    falls and auction switches always move to the lower-power bidder), so
+    geometric bisection applies.  Returns ``(lam, power_mean, at_floor)``.
+    """
+    target = prep.config.power
+
+    def power_at(lam):
+        return _eval_point(prep, mu, lam, full=False).power_mean
+
+    p_floor = power_at(lam_floor)
+    if p_floor <= target:
+        return lam_floor, p_floor, True
+
+    lo, hi = lam_floor, None
+    if warm is not None and warm > lam_floor:
+        w_lo, w_hi = warm / 2.0, warm * 2.0
+        if power_at(w_hi) <= target:
+            hi = w_hi
+            if power_at(w_lo) > target:
+                lo = w_lo
+        elif power_at(w_lo) > target:
+            lo = w_hi
+    if hi is None:
+        hi = max(lo * 4.0, 1e-3)
+        for _ in range(200):
+            if power_at(hi) <= target:
+                break
+            lo, hi = hi, hi * 4.0
+        else:
+            raise RuntimeError("failed to bracket the power multiplier")
+
+    lam, p = hi, power_at(hi)
+    for _ in range(max_iter):
+        if abs(p - target) <= tol_power:
+            break
+        mid = math.sqrt(lo * hi)
+        pm = power_at(mid)
+        if pm > target:
+            lo = mid
+        else:
+            hi = mid
+            lam, p = mid, pm
+        if hi - lo <= 1e-14 * hi:
+            break
+    return lam, p, False
+
+
+def looped_solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
+    """Per-realization power multipliers hitting the budget frame by frame.
+
+    Vectorized synchronized bisection; realizations whose spend at the
+    floor is already below budget keep ``lam = lam_floor``.  Returns
+    ``(lam_t, at_floor_mask)`` with spend <= budget at the returned prices.
+    """
+    target = prep.config.power
+    t_count = prep.t_count
+
+    def power_t(lam_vec):
+        return _eval_point(prep, mu, lam_vec, full=False).power_t
+
+    lo = np.full(t_count, lam_floor)
+    at_floor = power_t(lo) <= target
+
+    hi = np.maximum(warm if warm is not None else np.ones(t_count), lam_floor * 4)
+    for _ in range(200):
+        need = (power_t(hi) > target) & ~at_floor
+        if not need.any():
+            break
+        hi[need] *= 4.0
+    else:
+        raise RuntimeError("failed to bracket per-realization multipliers")
+    if warm is not None:
+        # pull the lower bracket up near last iteration's multipliers
+        lo_try = np.maximum(warm / 4.0, lam_floor)
+        ok = (power_t(lo_try) >= target) & ~at_floor
+        lo = np.where(ok, lo_try, lo)
+
+    # close in on the budget strictly from the under-spending side so a
+    # frame's spend never exceeds it; the final refill tops up the leftover
+    done = at_floor.copy()
+    lam = np.where(at_floor, lam_floor, hi)
+    for _ in range(max_iter):
+        if done.all():
+            break
+        mid = np.sqrt(lo * hi)
+        probe = np.where(done, lam, mid)
+        pm = power_t(probe)
+        active = ~done
+        over = pm > target
+        lo = np.where(active & over, mid, lo)
+        hi = np.where(active & ~over, mid, hi)
+        lam = np.where(active & ~over, mid, lam)
+        done |= active & ~over & (target - pm <= tol_power)
+        # frames whose budget sits inside an assignment discontinuity
+        # cannot meet the tolerance; stop once the bracket pins the kink
+        done |= active & (hi - lo <= 1e-12 * hi)
+    return lam, at_floor
+
+
+def looped_trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
+    """Primal recovery: shave secrecy overshoot back to the targets.
+
+    Assignment granularity can leave an SU above its average target (the
+    marginal column is won whole or not at all).  With ownership fixed,
+    each frame's contribution is scaled down by re-tuning the per-set gap
+    threshold, releasing power for the NU refill.  Per-frame targets are
+    proportional to the frame's contribution, so the ensemble average
+    lands on the target exactly.
+    """
+    k1 = prep.k1
+    targets = prep.config.secrecy_targets
+    su_owned = (owner >= 0) & (owner < k1)
+    if not su_owned.any():
+        return
+    rs = np.zeros_like(p_win)
+    rs[su_owned] = np.log1p(p_win[su_owned] * prep.nu1[su_owned]) \
+        - np.log1p(p_win[su_owned] * prep.nu2[su_owned])
+    s_mean = np.bincount(
+        owner[su_owned], weights=rs[su_owned], minlength=k1
+    )[:k1] / prep.t_count
+    # overshoot already inside the tolerance band is left alone
+    trim = (targets > 0) & (s_mean > targets * (1 + eps / 4)) & (mu > 0)
+    if not trim.any():
+        return
+    scale = np.where(trim, targets / np.maximum(s_mean, 1e-300), 1.0)
+    lam_t = np.broadcast_to(np.asarray(lam_t, float), (prep.t_count,))
+    for t in range(prep.t_count):
+        for k in np.flatnonzero(trim):
+            cols = np.flatnonzero(owner[t] == k)
+            if cols.size == 0:
+                continue
+            a = prep.nu1[t, cols]
+            b = prep.nu2[t, cols]
+            target_t = rs[t, cols].sum() * scale[k]
+            if target_t <= 0:
+                owner[t, cols] = UNASSIGNED
+                p_win[t, cols] = 0.0
+                continue
+            lo = lam_t[t] / mu[k]          # current ratio: rate >= target
+            hi = float((a - b).max())
+            best_p = p_win[t, cols].copy()
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                p_mid = _su_power_core(a, b, 1.0 / mid, 1.0)
+                r_mid = float(np.where(
+                    p_mid > 0, np.log1p(p_mid * a) - np.log1p(p_mid * b), 0.0
+                ).sum())
+                if r_mid >= target_t:
+                    lo = mid
+                    best_p = p_mid
+                    if r_mid - target_t <= 1e-6 * target_t:
+                        break
+                else:
+                    hi = mid
+            p_win[t, cols] = best_p
+            dead = best_p <= 0
+            if dead.any():
+                owner[t, cols[dead]] = UNASSIGNED
+
+
+def looped_refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
+    """Primal recovery: spend leftover per-frame budget on NU water levels.
+
+    The auction at the resolved per-frame price can undershoot the budget
+    when the budget falls inside an ownership-switch discontinuity.  The
+    leftover is poured onto the non-SU-owned columns of those frames by
+    raising the (weight-proportional) water level, keeping ownership and
+    all SU powers fixed.  Each column's bidder is the NU auction winner at
+    the frame's price; where no NU is profitable that is the strongest NU
+    candidate, the first to open as the water level rises.  Frames whose
+    price sits at the floor legitimately underspend and are left alone.
+    """
+    cfg = prep.config
+    k1 = prep.k1
+    needs = (residual > 1e-9 * max(cfg.power, 1.0)) & (lam_t > lam_floor * 1.001)
+    if not needs.any():
+        return
+    idx = np.flatnonzero(needs)
+    nu = prep.nu
+    lam_i = lam_t[idx][:, None, None]
+    _, g = nu.auction(np.log(lam_i), lam_i, rows=idx)
+    j_best = nu.take(nu.index, g, rows=idx)
+    inv_a = nu.take(nu.inv_alpha, g, rows=idx)
+    w = nu.weight(g)
+    candidate = ~((owner[idx] >= 0) & (owner[idx] < k1))  # non-SU columns
+    if not candidate.any():
+        return
+    su_spend = np.where(candidate, 0.0, p_win[idx]).sum(axis=1)
+    budget = cfg.power - su_spend
+
+    def spend(theta):
+        p = np.maximum(theta[:, None] * w - inv_a, 0.0)
+        return np.where(candidate, p, 0.0).sum(axis=1)
+
+    lo = np.full(idx.size, 0.0)
+    hi = np.maximum(1.0 / lam_t[idx], 1.0)
+    for _ in range(200):
+        short = spend(hi) < budget
+        if not short.any():
+            break
+        hi[short] *= 2.0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        s = spend(mid)
+        under = s < budget
+        lo = np.where(under, mid, lo)
+        hi = np.where(under, hi, mid)
+    theta = lo  # under-budget side: the frame never exceeds its cap
+    p_new = np.maximum(theta[:, None] * w - inv_a, 0.0)
+    p_new = np.where(candidate, p_new, 0.0)
+    opened = candidate & (p_new > 0)
+    sub_owner = owner[idx]
+    sub_owner[opened] = k1 + j_best[opened]
+    owner[idx] = sub_owner
+    sub_p = p_win[idx]
+    sub_p[candidate] = p_new[candidate]
+    p_win[idx] = sub_p
+
+
+def looped_initial_mu(prep, lam0, *, rounds=28) -> np.ndarray:
+    """Warm-start multipliers by calibrating each SU against the auction.
+
+    At a fixed power price the SUs do not interact (each competes only
+    with the NUs on the columns where it is the strongest), so every
+    component's secrecy is monotone in its own multiplier and a joint
+    vector bisection against the target vector is exact.  The dual
+    iteration then only has to absorb the feedback of the power price.
+    """
+    cfg = prep.config
+    targets = cfg.secrecy_targets
+    want = targets > 0
+    if not want.any():
+        return np.zeros(prep.k1)
+
+    hi = np.ones(prep.k1)
+    for _ in range(40):
+        sec = _eval_point(prep, hi, lam0, full=True).secrecy
+        short = want & (sec < targets)
+        if not short.any():
+            break
+        hi[short] *= 4.0
+    lo = np.zeros(prep.k1)
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        sec = _eval_point(prep, mid, lam0, full=True).secrecy
+        low = sec < targets
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
+    return np.where(want, 0.5 * (lo + hi), 0.0)

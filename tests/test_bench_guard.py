@@ -1,0 +1,68 @@
+"""The benchmark's tracer still fits the package.
+
+``perfbench/tracer.py`` rebinds stage functions by module and name,
+wraps the ``_Prepared`` constructor and reads a few ``_Prepared`` arrays.
+A refactor that renames one of them would otherwise only show up as a
+crash, or as silently zeroed counts, in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from secure_ofdma import generate_ensemble, solve_peak, solve_suboptimal
+from secure_ofdma.dual_solver import _Prepared
+
+from conftest import make_config
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_stage_resolves_on_the_package(tracer):
+    def resolve(mod, attr):
+        return getattr(importlib.import_module(f"{tracer.PACKAGE}.{mod}"), attr)
+
+    for name, mod, attr in tracer.STAGES:
+        assert callable(resolve(mod, attr)), name
+    _, mod, attr = tracer.PREPARE
+    assert isinstance(resolve(mod, attr), type)
+
+
+def test_prepared_exposes_what_the_auction_span_reads(tracer):
+    cfg = make_config(n=4, k=3, k1=1)
+    prep = _Prepared(generate_ensemble(cfg, 2, seed=1), cfg)
+    for attr in ("ln_wa", "inv_alpha_nu", "nu1", "nu2", "kmax", "is_su_col"):
+        assert isinstance(getattr(prep, attr), np.ndarray), attr
+    extra = tracer._eval_point_extra((prep,), {"full": False}, None)
+    assert extra == {"full": False, "bytes": extra["bytes"]} and extra["bytes"] > 0
+
+
+def test_traced_solves_attribute_auctions_to_their_stages(tracer):
+    # lambda and mu auctions are counted from spans whose direct parent
+    # is the stage, so no traced function may sit between them
+    cfg = make_config(n=8, k=4, k1=2, c=0.4, power=50.0, mode="peak")
+    ens = generate_ensemble(cfg, 20, seed=3)
+    spans = tracer.Tracer()
+    with spans.installed():
+        solve_peak(ens, cfg)
+        solve_suboptimal(ens, make_config(n=8, k=4, k1=2, c=0.4, power=50.0))
+    name = {s[0]: s[1] for s in spans.spans}
+    parents = {
+        name[s[4]] for s in spans.spans
+        if s[1] == "dual_solver.eval_point" and s[4] is not None
+    }
+    assert {"dual_solver.lambda_peak", "dual_solver.initial_mu",
+            "dual_solver.outer", "dual_solver.finish"} <= parents
+    steps = [s[6]["steps"] for s in spans.spans if s[1] == "search.bisect_monotone"]
+    assert steps and all(n > 0 for n in steps)

@@ -136,6 +136,17 @@ class TestSolveAverage:
         assert res.infeasible and not res.converged
         assert res.message
 
+    def test_unconverged_result_says_why(self, headline_config, small_ensemble):
+        cfg = headline_config.with_targets(1.2)
+        opts = SolverOptions(max_iterations=1, mu0=np.zeros(cfg.n_secure))
+        res = solve_average(small_ensemble, cfg, opts)
+        assert not res.converged and not res.infeasible
+        assert "max_iterations=1" in res.message
+
+    def test_converged_result_has_no_message(self, headline_config, small_ensemble):
+        res = solve_average(small_ensemble, headline_config.with_targets(0.8))
+        assert res.converged and res.message == ""
+
     def test_empty_ensemble_rejected(self, headline_config):
         with pytest.raises(ValueError):
             ChannelEnsemble(alpha=np.empty((0, 8, 64)), seed=0, rho=1.0)
@@ -235,6 +246,22 @@ class TestPeakMode:
             assert d.total_power <= cap
             validate_exclusivity(d)
 
+    def test_rejudged_result_clears_the_stop_message(self, monkeypatch):
+        # on this ensemble one outer iteration stops the loop unconverged,
+        # but the recovered primal passes every check
+        from secure_ofdma import dual_solver
+
+        loop = dual_solver._dual_outer_loop
+        seen = []
+        monkeypatch.setattr(dual_solver, "_dual_outer_loop",
+                            lambda *a: seen.append(loop(*a)) or seen[-1])
+        cfg = make_config(c=0.4, mode="peak")
+        ens = generate_ensemble(cfg, 120, seed=62)
+        res = solve_peak(ens, cfg, SolverOptions(max_iterations=1))
+        *_, loop_converged, loop_infeasible, loop_message = seen[0][0]
+        assert not loop_converged and not loop_infeasible and loop_message
+        assert res.converged and not res.infeasible and res.message == ""
+
     def test_zero_targets_fill_budget_every_frame(self):
         cfg = make_config(n=16, k=4, k1=1, c=0.0, power=80.0, mode="peak")
         ens = generate_ensemble(cfg, 40, seed=71)
@@ -317,3 +344,20 @@ class TestPrunedAuction:
         theta = (cfg.power + 1.0 / 4.0 + 1.0 / 100.0) / 2.0
         assert p_win[0] == pytest.approx([theta - 1.0 / 4.0, theta - 1.0 / 100.0])
         assert p_win.sum() <= cfg.power
+
+    def test_refill_skips_a_frame_without_nu_columns(self):
+        # frame 0's only column belongs to the SU, so it has nowhere to
+        # pour; frame 1's NU column takes the rest of its budget
+        from secure_ofdma.dual_solver import _Prepared, _refill_nu_water
+
+        cfg = make_config(n=1, k=2, k1=1, c=0.0, power=10.0, mode="peak")
+        alpha = np.array([[[5.0], [1.0]], [[0.5], [2.0]]])
+        prep = _Prepared(ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg)
+        owner = np.array([[0], [1]])
+        p_win = np.array([[2.0], [1.0]])
+        residual = cfg.power - p_win.sum(axis=1)
+        _refill_nu_water(prep, owner, p_win, np.ones(2), residual, 1e-12)
+
+        assert owner.tolist() == [[0], [1]]
+        assert p_win[0, 0] == 2.0
+        assert p_win[1, 0] == pytest.approx(cfg.power) and p_win[1, 0] <= cfg.power

@@ -116,6 +116,13 @@ class TestNuPhase:
         assert rep.budget_exhausted
         assert np.all(rep.nu_rate == 0.0) and rep.power == 0.0
 
+    def test_no_free_subcarrier_spends_nothing(self):
+        cfg = make_config(n=4, k=3, k1=1, power=10.0)
+        ens = generate_ensemble(cfg, 5, seed=1)
+        level, rep = nu_phase(ens, cfg, 5.0, np.ones((5, 4), bool), 1e-2)
+        assert level == 0.0 and rep.power == 0.0 and rep.iterations == 0
+        assert not rep.budget_exhausted and np.all(rep.owner_nu == -1)
+
     def test_single_nu_level_matches_scalar_root(self):
         # one NU, every subcarrier free: the level solves
         # E[sum_n (L - 1/alpha)+] = residual, checkable by brentq
