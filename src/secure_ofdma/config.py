@@ -132,7 +132,6 @@ class SolverOptions:
     max_iterations: int = 5000
     multiplier_ceiling: float = 1e6
     lambda_floor: float = 1e-12
-    mu0: np.ndarray | None = None      # warm-start secrecy multipliers
 
     def __post_init__(self):
         if self.method not in ("subgradient", "ellipsoid"):
@@ -145,10 +144,6 @@ class SolverOptions:
             raise ValueError("max_iterations must be >= 1")
         if self.multiplier_ceiling <= 0 or self.lambda_floor <= 0:
             raise ValueError("multiplier_ceiling and lambda_floor must be > 0")
-        if self.mu0 is not None:
-            self.mu0 = np.asarray(self.mu0, dtype=float)
-            if np.any(self.mu0 < 0):
-                raise ValueError("mu0 must be >= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverOptions":

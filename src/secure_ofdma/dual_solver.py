@@ -8,12 +8,15 @@ Under the average power constraint ``lam`` is a single scalar; under the
 peak constraint it is resolved per realization so that every frame's
 power spend hits the budget.
 
-The dual is minimized over ``mu`` with a projected subgradient (default)
-or the ellipsoid method; ``lam`` is eliminated exactly at every step by
-bisection on the spent power, which is non-increasing in ``lam``.  That
-search, the ``mu`` calibration and the peak-mode primal recovery (trim
-and refill) are all calls into the one vectorized bracket-and-bisect
-primitive, ``_search.bracket`` and ``_search.bisect``.
+Every solve starts cold, from a calibrated ``mu``, and the dual is then
+minimized over ``mu`` in one loop: ``lam`` is eliminated exactly at
+every iterate by bisection on the spent power, which is non-increasing
+in ``lam``, and the iterate is evaluated, scored and tested.  Only the
+move to the next ``mu`` depends on the method: a projected subgradient
+step (default) or an ellipsoid cut.  The ``lam`` search, the ``mu``
+calibration and the peak-mode primal recovery (trim and refill) are all
+calls into the one vectorized bracket-and-bisect primitive,
+``_search.bracket`` and ``_search.bisect``.
 """
 
 from __future__ import annotations
@@ -377,7 +380,7 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
 
 
 def _initial_mu(prep: _Prepared, lam0, *, rounds=28) -> np.ndarray:
-    """Warm-start multipliers by calibrating each SU against the auction.
+    """Starting multipliers, calibrating each SU against the auction.
 
     At a fixed power price the SUs do not interact (each competes only
     with the NUs on the columns where it is the strongest), so every
@@ -422,12 +425,15 @@ _OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed
 
 
 def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
-    """Shared outer minimization over mu for both power-constraint modes.
+    """Outer minimization over mu for both power modes and both methods.
 
-    ``resolve_lambda(mu, warm)`` must return ``(lam, warm_state)`` with the
-    power side of the dual solved exactly; ``describe_lambda(lam)`` maps it
-    to the scalar stored in the dual trace bookkeeping.  An unconverged
-    exit says why in its message.
+    Every solve starts cold: calibrate ``mu``, let the power price react,
+    calibrate again.  ``resolve_lambda(mu, warm)`` must return
+    ``(lam, warm_state)`` with the power side of the dual solved exactly;
+    ``describe_lambda(lam)`` maps it to a scalar price.  Each iterate is
+    evaluated, scored and tested here; only the move to the next ``mu``
+    depends on ``opts.method``.  An unconverged exit says why in its
+    message.
     """
     cfg = prep.config
     eps = opts.epsilon
@@ -442,48 +448,63 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
             f"ensemble's unbounded-power limit {caps[k_bad]:.4g}"
         )
 
-    warm = None
-    lam, warm = resolve_lambda(np.zeros(prep.k1), warm)
-    lam0 = describe_lambda(lam)
-    if opts.mu0 is not None:
-        mu = opts.mu0.copy()
-    else:
-        # calibrate, let the power price react, calibrate once more
-        mu = _initial_mu(prep, lam0)
-        lam, warm = resolve_lambda(mu, warm)
-        mu = _initial_mu(prep, describe_lambda(lam))
+    lam, warm = resolve_lambda(np.zeros(prep.k1), None)
+    mu = _initial_mu(prep, describe_lambda(lam))
+    lam, warm = resolve_lambda(mu, warm)
+    mu = _initial_mu(prep, describe_lambda(lam))
 
-    if opts.method == "ellipsoid":
-        return _ellipsoid_loop(prep, opts, mu, resolve_lambda, describe_lambda), ""
-
+    ellipsoid = opts.method == "ellipsoid"
+    n_dim = prep.k1
+    # the ellipsoid method's starting ball, centred on the calibrated mu
+    shape = np.eye(n_dim) * (10.0 * max(1.0, float(np.max(mu)) * 4.0)) ** 2
     trace = []
     best = None
     converged = infeasible = False
-    message = ""
+    message = _OUT_OF_ITERATIONS.format(opts.max_iterations)
     stall = 0
     stall_limit = 150
     for t in range(1, opts.max_iterations + 1):
-        lam, warm = resolve_lambda(mu, warm)
-        st = _eval_point(prep, mu, lam, full=True)
-        trace.append(st.dual_value)
-        dmu = st.secrecy - targets
-
-        viol = np.maximum(targets * (1 - eps) - st.secrecy, 0.0)
-        score = float(viol.max())
-        if best is None or score < best[0] - 1e-15 or (
-            score <= best[0] + 1e-15 and st.r_nu_total > best[4].r_nu_total
-        ):
-            best = (score, mu.copy(), np.array(lam, copy=True), t, st)
-            stall = 0
+        negative = np.flatnonzero(mu < 0)
+        if negative.size:
+            # only an ellipsoid centre leaves the orthant: cut it back in
+            g = np.zeros(n_dim)
+            g[negative[0]] = -1.0
         else:
-            stall += 1
+            lam, warm = resolve_lambda(mu, warm)
+            st = _eval_point(prep, mu, lam, full=True)
+            trace.append(st.dual_value)
+            g = st.secrecy - targets  # subgradient of the reduced dual
+            viol = np.maximum(targets * (1 - eps) - st.secrecy, 0.0)
+            score = float(viol.max())
+            converged = _converged_mu(g, st.secrecy, cfg, eps) and _power_side_ok(
+                lam, st, cfg, eps, opts.lambda_floor
+            )
+            if converged or best is None or score < best[0] - 1e-15 or (
+                score <= best[0] + 1e-15 and st.r_nu_total > best[4]
+            ):
+                best = (score, mu.copy(), np.array(lam, copy=True), t, st.r_nu_total)
+                stall = 0
+            else:
+                stall += 1
+            if converged:
+                message = ""
+                break
 
-        if _converged_mu(dmu, st.secrecy, cfg, eps) and _power_side_ok(
-            lam, st, cfg, eps, opts.lambda_floor
-        ):
-            converged = True
-            best = (0.0, mu.copy(), np.array(lam, copy=True), t, st)
-            break
+        if ellipsoid:
+            denom = float(g @ shape @ g)
+            if denom <= 0 or math.sqrt(denom) < 1e-14:
+                message = "the ellipsoid collapsed before the tolerance test passed"
+                break
+            if n_dim == 1:  # the cut halves the interval
+                mu = mu - np.sign(g) * shape[0, 0] ** 0.5 / 4.0
+                shape = shape * 0.25
+            else:
+                norm_cut = (shape @ g) / math.sqrt(denom)
+                mu = mu - norm_cut / (n_dim + 1)
+                shape = (n_dim**2 / (n_dim**2 - 1.0)) * (
+                    shape - (2.0 / (n_dim + 1)) * np.outer(norm_cut, norm_cut)
+                )
+            continue
 
         over_ceiling = (mu > opts.multiplier_ceiling) & (viol > 0)
         if over_ceiling.any():
@@ -507,76 +528,12 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
         step = opts.step_scale / math.sqrt(t)
         scale = np.maximum(mu, describe_lambda(lam))
         mu = np.maximum(
-            0.0, mu - step * scale * dmu / np.maximum(targets, 1.0)
+            0.0, mu - step * scale * g / np.maximum(targets, 1.0)
         )
-    else:
-        message = _OUT_OF_ITERATIONS.format(opts.max_iterations)
 
+    # the first iterate is the calibrated mu >= 0, so best is always set
     _, mu_best, lam_best, iters, _ = best
     return (mu_best, lam_best, iters, trace, converged, infeasible, message), ""
-
-
-def _ellipsoid_loop(prep, opts, mu0, resolve_lambda, describe_lambda):
-    """Ellipsoid minimization of the reduced dual over mu >= 0."""
-    cfg = prep.config
-    eps = opts.epsilon
-    targets = cfg.secrecy_targets
-    n_dim = prep.k1
-    radius = 10.0 * max(1.0, float(np.max(mu0)) * 4.0)
-    center = mu0.astype(float).copy()
-    shape = np.eye(n_dim) * radius**2
-
-    trace = []
-    best = None
-    converged = False
-    warm = None
-    iters = 0
-    message = _OUT_OF_ITERATIONS.format(opts.max_iterations)
-    for it in range(1, opts.max_iterations + 1):
-        iters = it
-        negative = center < 0
-        if negative.any():
-            cut = np.zeros(n_dim)
-            cut[int(np.flatnonzero(negative)[0])] = -1.0
-        else:
-            lam, warm = resolve_lambda(center, warm)
-            st = _eval_point(prep, center, lam, full=True)
-            trace.append(st.dual_value)
-            dmu = st.secrecy - targets
-            viol = np.maximum(targets * (1 - eps) - st.secrecy, 0.0)
-            score = float(viol.max())
-            if best is None or score < best[0] - 1e-15 or (
-                score <= best[0] + 1e-15 and st.r_nu_total > best[4].r_nu_total
-            ):
-                best = (score, center.copy(), np.array(lam, copy=True), it, st)
-            if _converged_mu(dmu, st.secrecy, cfg, eps) and _power_side_ok(
-                lam, st, cfg, eps, opts.lambda_floor
-            ):
-                converged = True
-                best = (0.0, center.copy(), np.array(lam, copy=True), it, st)
-                break
-            cut = dmu  # subgradient of the reduced dual
-        denom = float(cut @ shape @ cut)
-        if denom <= 0 or math.sqrt(denom) < 1e-14:
-            message = "the ellipsoid collapsed before the tolerance test passed"
-            break
-        if n_dim == 1:
-            step = shape[0, 0] ** 0.5 / 2.0
-            center = center - np.sign(cut) * step / 2.0
-            shape *= 0.25
-            continue
-        norm_cut = (shape @ cut) / math.sqrt(denom)
-        center = center - norm_cut / (n_dim + 1)
-        shape = (n_dim**2 / (n_dim**2 - 1.0)) * (
-            shape - (2.0 / (n_dim + 1)) * np.outer(norm_cut, norm_cut)
-        )
-
-    if best is None:
-        lam, warm = resolve_lambda(np.maximum(center, 0.0), warm)
-        st = _eval_point(prep, np.maximum(center, 0.0), lam, full=True)
-        best = (np.inf, np.maximum(center, 0.0), np.array(lam, copy=True), iters, st)
-    message = "" if converged else message
-    return best[1], best[2], best[3], trace, converged, False, message
 
 
 def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,

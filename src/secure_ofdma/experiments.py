@@ -1,8 +1,10 @@
 """Sweep orchestration: run solver variants over shared ensembles.
 
 Every sweep point reuses one seeded ensemble so solver comparisons are
-paired; rows are emitted in a fixed documented column order and output
-files are byte-reproducible for a given spec.
+paired, and every point is solved on its own: nothing carries from one
+point to the next, so a row does not depend on the rest of the grid.
+Rows are emitted in a fixed documented column order and output files are
+byte-reproducible for a given spec.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .suboptimal import solve_suboptimal
 
 SOLVERS = ("optimal", "suboptimal", "fsa1", "fsa2")
 SWEEPS = ("C", "snr_db")
+SPEC_KEYS = {
+    "sweep", "values", "solvers", "config", "realizations", "seed",
+    "solver", "epsilon", "output",
+}
 
 # fixed CSV column order, before the per-SU rate columns
 BASE_COLUMNS = (
@@ -42,7 +48,6 @@ class ExperimentSpec:
     seed: int = 0
     options: SolverOptions = field(default_factory=SolverOptions)
     output: str | None = None
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.sweep not in SWEEPS:
@@ -63,6 +68,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        unknown = set(d) - SPEC_KEYS
+        if unknown:
+            raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
         opts = dict(d.get("solver", {}))
         if "epsilon" in d:
             opts.setdefault("epsilon", float(d["epsilon"]))
@@ -75,7 +83,6 @@ class ExperimentSpec:
             seed=int(d.get("seed", 0)),
             options=SolverOptions.from_dict(opts),
             output=d.get("output"),
-            warm_start=bool(d.get("warm_start", True)),
         )
 
     @classmethod
@@ -108,18 +115,12 @@ def run_experiment(spec: ExperimentSpec):
     Returns the row dicts; when ``spec.output`` is set also writes the CSV
     plus a JSON sidecar (spec echo, ensemble hash, content hash).
     """
-    from dataclasses import replace
-
     ensemble = generate_ensemble(spec.config, spec.realizations, spec.seed)
     k1 = spec.config.n_secure
     rows = []
-    warm_mu = {}
     for value in spec.values:
         cfg = _point_config(spec, value)
         for solver in spec.solvers:
-            opts = spec.options
-            if spec.warm_start and solver == "optimal" and solver in warm_mu:
-                opts = replace(opts, mu0=warm_mu[solver])
             row = {
                 "sweep": spec.sweep,
                 "value": value,
@@ -128,7 +129,7 @@ def run_experiment(spec: ExperimentSpec):
                 "realizations": spec.realizations,
             }
             try:
-                result = _run_solver(solver, ensemble, cfg, opts)
+                result = _run_solver(solver, ensemble, cfg, spec.options)
             except Exception as err:  # keep the sweep alive
                 row.update(
                     status=f"error: {err}", converged=False, infeasible=False,
@@ -153,8 +154,6 @@ def run_experiment(spec: ExperimentSpec):
             for i in range(k1):
                 row[f"r_su_{i + 1}"] = float(rep.r_su[i])
             rows.append(row)
-            if solver == "optimal" and not result.infeasible:
-                warm_mu[solver] = result.duals.mu.copy()
     if spec.output:
         write_results(spec, ensemble, rows)
     return rows

@@ -53,14 +53,9 @@ def frontier():
     cfg = make_config(power=snr_db_to_power(30.0))
     ens = generate_ensemble(cfg, REALIZATIONS, SEED)
     t0 = time.time()
-    optimal = {}
-    mu_warm = None
-    for c in C_GRID:
-        opts = SolverOptions(mu0=mu_warm)
-        res = solve_average(ens, cfg.with_targets(c), opts)
-        optimal[c] = res
-        mu_warm = res.duals.mu.copy() if not res.infeasible else None
-    optimal[3.6] = solve_average(ens, cfg.with_targets(3.6))
+    optimal = {
+        c: solve_average(ens, cfg.with_targets(c)) for c in C_GRID + [3.6]
+    }
     optimal_elapsed = time.time() - t0
 
     suboptimal = {
@@ -81,7 +76,7 @@ def peak_pair(frontier):
     ens = frontier["ensemble"]
     cfg_p = make_config(c=0.4, mode="peak", power=snr_db_to_power(30.0))
     avg = frontier["optimal"][0.4]
-    peak = solve_peak(ens, cfg_p, SolverOptions(mu0=avg.duals.mu))
+    peak = solve_peak(ens, cfg_p)
     return avg, peak, cfg_p
 
 

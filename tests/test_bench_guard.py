@@ -1,13 +1,16 @@
-"""The benchmark's tracer still fits the package.
+"""The benchmark's tracer and workloads still fit the package.
 
 ``perfbench/tracer.py`` rebinds stage functions by module and name,
-wraps the ``_Prepared`` constructor and reads a few ``_Prepared`` arrays.
-A refactor that renames one of them would otherwise only show up as a
-crash, or as silently zeroed counts, in a traced benchmark run.
+wraps the ``_Prepared`` constructor and reads a few ``_Prepared`` arrays,
+and ``perfbench/workloads.py`` builds an ``ExperimentSpec`` of its own.
+A refactor that renames one of them, or stops accepting that spec, would
+otherwise only show up as a crash, or as silently zeroed counts, in a
+benchmark run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +21,23 @@ from secure_ofdma.dual_solver import _Prepared
 
 from conftest import make_config
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the body runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_stage_resolves_on_the_package(tracer):
@@ -66,3 +77,13 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
             "dual_solver.outer", "dual_solver.finish"} <= parents
     steps = [s[6]["steps"] for s in spans.spans if s[1] == "search.bisect_monotone"]
     assert steps and all(n > 0 for n in steps)
+
+
+def test_sweep_workload_runs_on_the_package(tmp_path):
+    workloads = _load("workloads")
+    ens = generate_ensemble(workloads.headline_config(), 2, seed=1)
+    cells = workloads._run_sweep([ens], tmp_path)
+    assert [c.label for c in cells] == [f"C={v}" for v in workloads.SWEEP_GRID]
+    assert all(c.error is None and c.result is not None for c in cells)
+    assert cells[-1].expect_infeasible and cells[-1].result.infeasible
+    assert (tmp_path / f"sweep_avg-{ens.seed}.csv").is_file()

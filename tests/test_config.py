@@ -68,8 +68,6 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(epsilon=0.0)
         with pytest.raises(ValueError):
-            SolverOptions(mu0=[-1.0])
-        with pytest.raises(ValueError):
             SolverOptions.from_dict({"stepsize": 1.0})
         with pytest.raises(ValueError):
             SolverOptions.from_dict({"keep_decisions": False})

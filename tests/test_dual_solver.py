@@ -138,7 +138,7 @@ class TestSolveAverage:
 
     def test_unconverged_result_says_why(self, headline_config, small_ensemble):
         cfg = headline_config.with_targets(1.2)
-        opts = SolverOptions(max_iterations=1, mu0=np.zeros(cfg.n_secure))
+        opts = SolverOptions(max_iterations=1, epsilon=1e-6)
         res = solve_average(small_ensemble, cfg, opts)
         assert not res.converged and not res.infeasible
         assert "max_iterations=1" in res.message
@@ -189,6 +189,74 @@ class TestSolveAverage:
         res = solve_average(ens, cfg, SolverOptions(method="ellipsoid"))
         assert res.converged
         assert res.report.r_su[0] >= 0.6 * 0.99
+
+
+class TestOuterLoopExits:
+    """Every way out of the outer loop over mu, for both methods."""
+
+    OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0)
+        return generate_ensemble(cfg, 100, seed=8), cfg
+
+    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
+    def test_converged_has_no_message(self, problem, method):
+        res = solve_average(*problem, SolverOptions(method=method))
+        assert res.converged and not res.infeasible and res.message == ""
+
+    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_max_iterations(self, problem, method, cap):
+        opts = SolverOptions(method=method, epsilon=1e-7, max_iterations=cap)
+        res = solve_average(*problem, opts)
+        assert not res.converged and not res.infeasible
+        assert res.message == self.OUT_OF_ITERATIONS.format(cap)
+        assert 1 <= res.iterations <= cap
+
+    @pytest.mark.parametrize("method, message", [
+        ("subgradient", "stalled: the secrecy violation did not improve in 150 "
+                        "iterations"),
+        ("ellipsoid", "the ellipsoid collapsed before the tolerance test passed"),
+    ])
+    def test_tight_tolerance_stops_with_its_reason(self, problem, method, message):
+        opts = SolverOptions(method=method, epsilon=1e-7, max_iterations=400)
+        res = solve_average(*problem, opts)
+        assert not res.converged and not res.infeasible
+        assert res.message == message
+        assert len(res.dual_trace) < 400
+
+    def test_subgradient_multiplier_ceiling(self, problem):
+        opts = SolverOptions(epsilon=1e-7, multiplier_ceiling=1e-3)
+        res = solve_average(*problem, opts)
+        assert res.infeasible and not res.converged
+        assert "exceeded the ceiling" in res.message
+
+    def test_ellipsoid_cuts_a_negative_centre_without_evaluating_it(
+        self, problem, monkeypatch
+    ):
+        from secure_ofdma import dual_solver
+
+        seen = []
+        auction = dual_solver._eval_point
+        monkeypatch.setattr(dual_solver, "_eval_point",
+                            lambda prep, mu, *a, **k: seen.append(np.copy(mu))
+                            or auction(prep, mu, *a, **k))
+        opts = SolverOptions(method="ellipsoid", epsilon=1e-7, max_iterations=5)
+        res = solve_average(*problem, opts)
+        assert res.message == self.OUT_OF_ITERATIONS.format(5)
+        # five iterations, fewer evaluated centres: the rest were cut
+        assert 1 <= len(res.dual_trace) < 5
+        assert all(np.all(mu >= 0) for mu in seen)
+        assert np.all(res.duals.mu >= 0)
+
+    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
+    def test_precheck_infeasible(self, problem, method):
+        ens, cfg = problem
+        res = solve_average(ens, cfg.with_targets(10.0), SolverOptions(method=method))
+        assert res.infeasible and not res.converged and res.iterations == 0
+        assert "unbounded-power limit" in res.message
 
 
 class TestSubgradientInequality:
@@ -276,7 +344,7 @@ class TestPeakMode:
         cfg_p = make_config(c=0.4, mode="peak")
         ens = generate_ensemble(cfg_a, 200, seed=81)
         res_a = solve_average(ens, cfg_a)
-        res_p = solve_peak(ens, cfg_p, SolverOptions(mu0=res_a.duals.mu))
+        res_p = solve_peak(ens, cfg_p)
         assert res_a.converged and res_p.converged
         gap = abs(res_a.report.r_nu_total - res_p.report.r_nu_total)
         assert gap / res_a.report.r_nu_total < 0.05

@@ -8,6 +8,7 @@ from secure_ofdma import (
     ensemble_hash,
     generate_ensemble,
     run_experiment,
+    solve_average,
 )
 from secure_ofdma.config import SolverOptions
 
@@ -60,6 +61,17 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_dict(d)
         assert spec.sweep == "snr_db"
         assert spec.config.n_users == 4
+
+    def test_from_dict_rejects_unknown_keys(self):
+        d = {
+            "sweep": "C", "values": [0.2], "solvers": ["optimal"],
+            "config": {"N": 16, "K": 4, "K1": 2, "snr_db": 20},
+        }
+        ExperimentSpec.from_dict(d)
+        with pytest.raises(ValueError, match="warm_start"):
+            ExperimentSpec.from_dict({**d, "warm_start": False})
+        with pytest.raises(ValueError, match="realisations"):
+            ExperimentSpec.from_dict({**d, "realisations": 10})
 
     @pytest.mark.parametrize("name", [
         "rate_frontier", "snr_sweep_average", "snr_sweep_peak",
@@ -131,3 +143,36 @@ class TestRun:
         r20 = [r for r in rows if r["value"] == 20.0][0]
         assert r20["avg_power"] > r10["avg_power"] * 5
         assert r20["r_nu_total"] > r10["r_nu_total"]
+
+
+class TestSweepPointsIndependent:
+    """A sweep row depends on its own point only, not on the rest of the grid."""
+
+    GRID = [0.2, 0.6, 1.0, 1.4]
+    FIELDS = ("converged", "infeasible", "iterations", "r_nu_total",
+              "avg_power", "su_power", "su_subcarriers")
+
+    def test_optimal_rows_match_standalone_solves(self):
+        spec = small_spec(values=self.GRID, solvers=["optimal"])
+        forward = run_experiment(spec)
+        # the spec only accepts increasing grids, so reverse it after checking
+        reversed_spec = small_spec(values=self.GRID, solvers=["optimal"])
+        reversed_spec.values = self.GRID[::-1]
+        backward = {row["value"]: row for row in run_experiment(reversed_spec)}
+        ens = generate_ensemble(spec.config, spec.realizations, spec.seed)
+        ok = [row for row in forward if row["status"] == "ok"]
+        assert len(ok) >= 3
+        for row in ok:
+            c = row["value"]
+            alone = solve_average(ens, spec.config.with_targets(c))
+            expect = dict(
+                converged=alone.converged, infeasible=alone.infeasible,
+                iterations=alone.iterations, **{
+                    f: getattr(alone.report, f) for f in self.FIELDS[3:]
+                },
+                r_su_1=float(alone.report.r_su[0]),
+                r_su_2=float(alone.report.r_su[1]),
+            )
+            assert {f: row[f] for f in expect} == expect, c
+            single = run_experiment(small_spec(values=[c], solvers=["optimal"]))
+            assert row == backward[c] == single[0], c
