@@ -6,6 +6,13 @@ case) with one probe call per step for all of them.  A probe
 ``probe(x) -> (up, hit)`` returns booleans shaped like ``x``: ``up``
 where the sought point lies above ``x``, ``hit`` where ``x`` is close
 enough for that element to stop.
+
+A probe may also return a third array, a signed residual that is
+negative exactly where ``up``.  Both functions then carry the residuals
+at the bracket ends, and ``bisect`` replaces the midpoint by an ITP step
+(Oliveira & Takahashi, "An Enhancement of the Bisection Method Average
+Performance Preserving Minmax Optimality", ACM TOMS 47(1), 2021)
+wherever both are known.
 """
 
 from __future__ import annotations
@@ -16,46 +23,124 @@ import numpy as np
 
 from .rates import _su_power_core
 
+# ITP's truncation and projection constants: kappa_1 = _ITP_KAPPA / w0
+# with kappa_2 = 2, and n_0 = _ITP_SLACK extra probes over bisection
+_ITP_KAPPA = 0.2
+_ITP_SLACK = 1
 
-def bracket(probe, lo, hi, factor, *, limit=np.inf, max_steps=200):
+
+def bracket(probe, lo, hi, factor, *, limit=np.inf, max_steps=200, f_lo=None):
     """Grow ``hi`` by ``factor`` until the sought point is at or below it.
 
     Where ``probe(hi)`` is ``up``, ``lo`` moves to ``hi`` and ``hi`` grows,
     capped at ``limit``, which is accepted without a probe.  Returns
     ``(lo, hi)``; raises ``RuntimeError`` after ``max_steps`` probes.
+    Given ``f_lo``, the residuals at ``lo``, the probe must return
+    residuals too, and ``(lo, hi, f_lo, f_hi)`` is returned, with NaN
+    where ``hi`` was not probed.
     """
     lo, hi = np.array(lo, float), np.array(hi, float)
+    carry = f_lo is not None
+    if carry:
+        f_lo = np.array(np.broadcast_to(f_lo, lo.shape), float)
     for _ in range(max_steps):
-        up = np.asarray(probe(hi)[0], bool)
+        out = probe(hi)
+        up = np.asarray(out[0], bool)
+        if carry:
+            f_lo = np.where(up, out[2], f_lo)
+            f_hi = np.where(up, np.nan, out[2])
         if not up.any():
-            return lo, hi
+            return (lo, hi, f_lo, f_hi) if carry else (lo, hi)
         lo = np.where(up, hi, lo)
         hi = np.where(up, np.minimum(hi * factor, limit), hi)
         if np.all(hi[up] >= limit):
-            return lo, hi
+            return (lo, hi, f_lo, f_hi) if carry else (lo, hi)
     raise RuntimeError("failed to bracket a monotone search")
 
 
+def _itp_point(lo, hi, f_lo, f_hi, radius, kappa):
+    """ITP's probe point, or the midpoint where a residual is unknown.
+
+    Regula falsi, moved toward the midpoint by ``kappa * width**2`` and
+    then projected into the ball of ``radius - width / 2`` around it.
+    """
+    width = hi - lo
+    half = lo + 0.5 * width
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x_f = lo - f_lo * width / (f_hi - f_lo)
+    known = np.isfinite(x_f) & (width > 0)
+    x_f = np.where(known, x_f, half)
+    side = np.sign(half - x_f)
+    delta = kappa * width * width
+    x_t = np.where(delta <= np.abs(half - x_f), x_f + side * delta, half)
+    ball = np.maximum(radius - 0.5 * width, 0.0)
+    return np.where(np.abs(x_t - half) <= ball, x_t, half - side * ball)
+
+
+def _probe_open(probe, x, done):
+    """Call an open-only probe on the open elements; scatter its answers."""
+    if not done.any():
+        return probe(x, None)
+    idx = np.flatnonzero(~done)
+    full = []
+    for part in probe(x[idx], idx):
+        out = np.zeros(x.shape, np.asarray(part).dtype)
+        out[idx] = part
+        full.append(out)
+    return full
+
+
 def bisect(probe, lo, hi, *, geometric=False, xtol=0.0, rtol=0.0,
-           max_steps=200, done=None):
+           max_steps=200, done=None, open_only=False, f_lo=None, f_hi=None):
     """Halve every bracket ``[lo, hi]`` until each element stops.
 
     Each step probes the arithmetic (or geometric) midpoint and moves
     ``lo`` there where it is ``up``, ``hi`` elsewhere.  An element stops
     on a ``hit``, once ``hi - lo <= xtol + rtol * hi``, or from the start
-    if ``done``; stopped elements are probed at ``hi`` and never move.
-    Returns ``(lo, hi, steps)`` after at most ``max_steps`` probes.
+    if ``done``; stopped elements never move.  They are probed at ``hi``,
+    unless ``open_only``: then the call is ``probe(x, idx)`` with the
+    points of the open elements only and ``idx`` their indices, or
+    ``None`` while every element is open.  Returns ``(lo, hi, steps)``
+    after at most ``max_steps`` probes.
+
+    Given ``f_lo`` (and ``f_hi``, NaN where unknown), the residuals at
+    the ends, the probe must return residuals too.  An arithmetic
+    bracket whose ends both have one then takes ITP steps: after ``j``
+    probes it is at most ``2**_ITP_SLACK`` times as wide as bisection
+    leaves it, so a width stop costs at most ``_ITP_SLACK`` more probes
+    than bisection, while a smooth residual meets its ``hit`` in a few.
     """
     lo, hi = np.array(lo, float), np.array(hi, float)
     done = np.zeros(lo.shape, bool) if done is None else np.array(done, bool)
+    itp = f_lo is not None
+    if itp:
+        if geometric:
+            raise ValueError("residual steps need an arithmetic bracket")
+        f_lo = np.array(np.broadcast_to(f_lo, lo.shape), float)
+        f_hi = np.full(lo.shape, np.nan) if f_hi is None else np.array(f_hi, float)
+        width0 = hi - lo
+        kappa = _ITP_KAPPA / np.where(width0 > 0, width0, 1.0)
     for step in range(max_steps):
         if done.all():
             return lo, hi, step
-        mid = np.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
-        up, hit = probe(np.where(done, hi, mid))
-        up = np.asarray(up, bool)
-        lo = np.where(up & ~done, mid, lo)
-        hi = np.where(up | done, hi, mid)
+        if geometric:
+            mid = np.sqrt(lo * hi)
+        elif itp:
+            radius = width0 * 2.0 ** (_ITP_SLACK - 1 - step)
+            mid = _itp_point(lo, hi, f_lo, f_hi, radius, kappa)
+        else:
+            mid = 0.5 * (lo + hi)
+        if open_only:
+            out = _probe_open(probe, mid, done)
+        else:
+            out = probe(np.where(done, hi, mid))
+        up, hit = np.asarray(out[0], bool), out[1]
+        moved_lo, moved_hi = up & ~done, ~(up | done)
+        lo = np.where(moved_lo, mid, lo)
+        hi = np.where(moved_hi, mid, hi)
+        if itp:
+            f_lo = np.where(moved_lo, out[2], f_lo)
+            f_hi = np.where(moved_hi, out[2], f_hi)
         done = done | hit | (hi - lo <= xtol + rtol * hi)
     return lo, hi, max_steps
 

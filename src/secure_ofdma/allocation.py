@@ -72,13 +72,14 @@ class Allocation:
 
 def decisions_from_arrays(
     owner: np.ndarray, power: np.ndarray, ensemble: ChannelEnsemble,
-    config: ProblemConfig,
+    config: ProblemConfig, order_stats=None,
 ) -> Allocation:
     """Build the allocation from stacked (T, N) owner / power arrays.
 
     Power on unassigned subcarriers is dropped.  Rates are recomputed here
     from power and channel so stored rates are consistent with the rate
-    formulas by construction.
+    formulas by construction.  ``order_stats`` is the solver's
+    ``column_order_stats(ensemble.alpha)``, computed here when omitted.
     """
     shape = (ensemble.count, ensemble.n_subcarriers)
     if np.shape(owner) != shape or np.shape(power) != shape:
@@ -86,7 +87,9 @@ def decisions_from_arrays(
     owner = np.array(owner, dtype=np.int64)
     owned = owner >= 0
     power = np.where(owned, power, 0.0)
-    nu1, nu2, kmax = column_order_stats(ensemble.alpha)
+    if order_stats is None:
+        order_stats = column_order_stats(ensemble.alpha)
+    nu1, nu2, kmax = order_stats
     a = np.take_along_axis(
         ensemble.alpha, np.where(owned, owner, 0)[:, None, :], axis=1
     )[:, 0, :]

@@ -16,7 +16,9 @@ move to the next ``mu`` depends on the method: a projected subgradient
 step (default) or an ellipsoid cut.  The ``lam`` search, the ``mu``
 calibration and the peak-mode primal recovery (trim and refill) are all
 calls into the one vectorized bracket-and-bisect primitive,
-``_search.bracket`` and ``_search.bisect``.
+``_search.bracket`` and ``_search.bisect``: the per-frame ``lam``
+search prices only the frames still open, and the ``mu`` calibration
+takes ITP steps on the secrecy surplus and stops at a tolerance.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ class _Prepared:
         self.su_k = self.kmax.ravel()[self.su_idx]
         self.su_nu1 = self.nu1.ravel()[self.su_idx]
         self.su_nu2 = self.nu2.ravel()[self.su_idx]
+        # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
+        self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
         self.nu = _NuCandidates(self.alpha[:, self.k1:, :], config.weights)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
@@ -87,6 +91,22 @@ class _Prepared:
             ) / self.t_count
         return self._su_caps
 
+    @property
+    def order_stats(self):
+        return self.nu1, self.nu2, self.kmax
+
+    def su_in_frames(self, frames):
+        """The SU-max columns of ascending ``frames``.
+
+        Returns their positions in the ``su_*`` arrays, their row among
+        ``frames`` and their flat index into a (len(frames), N) array.
+        """
+        start = self.su_ptr[frames]
+        count = self.su_ptr[frames + 1] - start
+        row = np.repeat(np.arange(frames.size), count)
+        at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        return at, row, row * self.n + self.su_idx[at] % self.n
+
 
 @dataclass
 class _PointStats:
@@ -102,7 +122,8 @@ class _PointStats:
     p_win: np.ndarray | None = None     # (T,N)
 
 
-def _eval_point(prep: _Prepared, mu, lam, *, full=True, arrays=False) -> _PointStats:
+def _eval_point(prep: _Prepared, mu, lam, *, full=True, arrays=False,
+                frames=None) -> _PointStats:
     """Evaluate the per-subcarrier auction at dual prices (mu, lam).
 
     ``lam`` is a scalar (average mode) or a length-T vector (peak mode).
@@ -110,35 +131,53 @@ def _eval_point(prep: _Prepared, mu, lam, *, full=True, arrays=False) -> _PointS
     every column and the SU payoff on the SU-max columns.  The SU results
     are scattered back into (T, N) arrays before any per-frame sum, so
     the output is bit-identical to pricing every user everywhere.
+    ``frames`` (ascending, with one price in ``lam`` each) asks for the
+    spend ``power_t`` of just those frames, bit-identical to the rows of
+    a whole-ensemble auction at the same prices.
     """
     cfg = prep.config
     k1 = prep.k1
     nu = prep.nu
     mu = np.asarray(mu, float)
     lam_arr = np.asarray(lam, float)
+    rows, su_at, su_t, su_idx = slice(None), slice(None), prep.su_t, prep.su_idx
+    keep = slice(None)
+    if frames is not None:
+        if full or arrays or lam_arr.ndim != 1:
+            raise ValueError("a frame subset prices the per-frame spend only")
+        if 2 * frames.size > prep.t_count:
+            # gathering most frames costs more than pricing them all; the
+            # other frames get placeholder prices and their spend is dropped
+            keep, lam_arr = frames, np.ones(prep.t_count)
+            lam_arr[frames] = lam
+        else:
+            rows = frames
+            su_at, su_t, su_idx = prep.su_in_frames(frames)
     if lam_arr.ndim == 1:
         lam_n = lam_arr[:, None]
         ln_lam_n = np.log(lam_arr)[:, None]
         lam_g, ln_lam_g = lam_n[:, :, None], ln_lam_n[:, :, None]
-        lam_su = lam_arr[prep.su_t]
+        lam_su = lam_arr[su_t]
     else:
         lam_n = lam_g = lam_su = float(lam_arr)
         ln_lam_n = ln_lam_g = math.log(lam_n)
 
-    h_nu_best, g = nu.auction(ln_lam_g, lam_g)
+    h_nu_best, g = nu.auction(ln_lam_g, lam_g, rows=rows)
     p_nu_best = np.maximum(
-        nu.weight(g) / lam_n - nu.take(nu.inv_alpha, g), 0.0
+        nu.weight(g) / lam_n - nu.take(nu.inv_alpha, g, rows=rows), 0.0
     )
-    h_su, p_su, rs = _h_su_core(prep.su_nu1, prep.su_nu2, mu[prep.su_k], lam_su)
-    h_nu_su = h_nu_best.ravel()[prep.su_idx]
+    h_su, p_su, rs = _h_su_core(
+        prep.su_nu1[su_at], prep.su_nu2[su_at], mu[prep.su_k[su_at]], lam_su
+    )
+    h_nu_su = h_nu_best.ravel()[su_idx]
     su_wins = h_su > h_nu_su
-    su_won = prep.su_idx[su_wins]
+    su_won = su_idx[su_wins]
 
     # the scatter targets below are fresh C-ordered arrays, so ravel() is a view
     nu_pos = h_nu_best > 0.0
     p_win = np.where(nu_pos, p_nu_best, 0.0)
     p_win.ravel()[su_won] = p_su[su_wins]
-    power_t = p_win.sum(axis=1)
+    power_t = p_win.sum(axis=1)[keep]
     power_mean = float(power_t.mean())
 
     secrecy = np.zeros(k1)
@@ -208,24 +247,26 @@ def _solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=200):
         return _eval_point(prep, mu, float(lam), full=False).power_mean
 
     def probe(lam):
-        p = power_at(lam)
-        return p > target, p <= target and target - p <= tol_power
+        unspent = target - power_at(lam)
+        return unspent < 0, 0 <= unspent <= tol_power, unspent
 
     if power_at(lam_floor) <= target:
         return lam_floor
 
+    # the spend at hi is carried from the probe that placed hi there
     lo, hi = lam_floor, None
     if warm is not None and warm > lam_floor:
         w_lo, w_hi = warm / 2.0, warm * 2.0
-        if power_at(w_hi) <= target:
+        unspent = target - power_at(w_hi)
+        if unspent >= 0:
             hi = w_hi
             if power_at(w_lo) > target:
                 lo = w_lo
         elif power_at(w_lo) > target:
             lo = w_hi
     if hi is None:
-        lo, hi = bracket(probe, lo, max(lo * 4.0, 1e-3), 4.0)
-    if abs(power_at(hi) - target) <= tol_power:
+        lo, hi, _, unspent = bracket(probe, lo, max(lo * 4.0, 1e-3), 4.0, f_lo=np.nan)
+    if unspent <= tol_power:
         return float(hi)
     _, hi, _ = bisect(probe, lo, hi, geometric=True, rtol=1e-14, max_steps=max_iter)
     return float(hi)
@@ -243,16 +284,18 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
     target = prep.config.power
     t_count = prep.t_count
 
-    def power_t(lam_vec):
-        return _eval_point(prep, mu, lam_vec, full=False).power_t
+    def power_t(lam_vec, frames=None):
+        return _eval_point(prep, mu, lam_vec, full=False, frames=frames).power_t
 
     lo = np.full(t_count, lam_floor)
     at_floor = power_t(lo) <= target
 
-    def probe(lam_vec):
-        pm = power_t(lam_vec)
+    # a frame at the floor underspends at every higher price too, so it
+    # never grows its bracket; the bisection starts it done
+    def probe(lam_vec, frames=None):
+        pm = power_t(lam_vec, frames)
         over = pm > target
-        return over & ~at_floor, ~over & (target - pm <= tol_power)
+        return over, ~over & (target - pm <= tol_power)
 
     hi = np.maximum(warm if warm is not None else np.ones(t_count), lam_floor * 4)
     _, hi = bracket(probe, lo, hi, 4.0)
@@ -262,10 +305,11 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
         ok = (power_t(lo_try) >= target) & ~at_floor
         lo = np.where(ok, lo_try, lo)
     # frames whose budget sits inside an assignment discontinuity cannot
-    # meet the tolerance; they stop once the bracket pins the kink
+    # meet the tolerance; they stop once the bracket pins the kink.  Only
+    # the frames still open are priced.
     _, lam, _ = bisect(
         probe, lo, np.where(at_floor, lam_floor, hi), geometric=True,
-        rtol=1e-12, max_steps=max_iter, done=at_floor,
+        rtol=1e-12, max_steps=max_iter, done=at_floor, open_only=True,
     )
     return lam, at_floor
 
@@ -379,27 +423,37 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     p_win[idx] = np.where(candidate, p_new, p_win[idx])
 
 
-def _initial_mu(prep: _Prepared, lam0, *, rounds=28) -> np.ndarray:
+def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     """Starting multipliers, calibrating each SU against the auction.
 
     At a fixed power price the SUs do not interact (each competes only
     with the NUs on the columns where it is the strongest), so every
     component's secrecy is monotone in its own multiplier and a joint
-    vector bisection against the target vector is exact.  The dual
+    vector search against the target vector is exact.  Each SU stops at
+    the first probe with -eps * C_k / 4 <= s_k - C_k <= eps * max(C_k, 1) / 4,
+    a quarter of the outer loop's convergence band, or after ``rounds``
+    ITP steps, and keeps the multiplier it was last probed at.  The dual
     iteration then only has to absorb the feedback of the power price.
     """
     targets = prep.config.secrecy_targets
     want = targets > 0
     if not want.any():
         return np.zeros(prep.k1)
+    below, above = eps * targets / 4.0, eps * np.maximum(targets, 1.0) / 4.0
+    mu = np.zeros(prep.k1)   # every SU's last probe
 
-    def probe(mu):
-        return _eval_point(prep, mu, lam0, full=True).secrecy < targets, False
+    def probe(x, idx=None):
+        at = slice(None) if idx is None else idx
+        mu[at] = x
+        gap = _eval_point(prep, mu, lam0, full=True).secrecy[at] - targets[at]
+        return gap < 0, (-below[at] <= gap) & (gap <= above[at]), gap
 
-    lo = np.zeros(prep.k1)
-    _, hi = bracket(probe, lo, np.ones(prep.k1), 4.0, limit=4.0**40)
-    lo, hi, _ = bisect(probe, lo, hi, max_steps=rounds)
-    return np.where(want, 0.5 * (lo + hi), 0.0)
+    # no secrecy at mu = 0: the residual there is -C_k without an auction
+    lo, hi, f_lo, f_hi = bracket(probe, np.zeros(prep.k1), np.ones(prep.k1), 4.0,
+                                 limit=4.0**40, f_lo=-targets)
+    bisect(probe, lo, hi, f_lo=f_lo, f_hi=f_hi, max_steps=rounds,
+           done=~want | (f_hi <= above), open_only=True)
+    return np.where(want, mu, 0.0)
 
 
 def _converged_mu(dmu, secrecy, cfg, eps) -> bool:
@@ -449,9 +503,9 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
         )
 
     lam, warm = resolve_lambda(np.zeros(prep.k1), None)
-    mu = _initial_mu(prep, describe_lambda(lam))
+    mu = _initial_mu(prep, describe_lambda(lam), eps)
     lam, warm = resolve_lambda(mu, warm)
-    mu = _initial_mu(prep, describe_lambda(lam))
+    mu = _initial_mu(prep, describe_lambda(lam), eps)
 
     ellipsoid = opts.method == "ellipsoid"
     n_dim = prep.k1
@@ -586,7 +640,8 @@ def _infeasible_result(prep, ensemble, opts, message, *, peak=False) -> SolveRes
 def _result(prep, ensemble, mu, lam, owner, p_win, **fields) -> SolveResult:
     """An allocation packaged with its evaluated report and its prices."""
     lam_arr = np.asarray(lam, float)
-    decisions = decisions_from_arrays(owner, p_win, ensemble, prep.config)
+    decisions = decisions_from_arrays(owner, p_win, ensemble, prep.config,
+                                      prep.order_stats)
     return SolveResult(
         duals=DualState(mu=mu, lam=float(lam_arr) if lam_arr.ndim == 0 else None),
         report=evaluate(decisions, ensemble, prep.config),
@@ -654,7 +709,8 @@ def allocate_realization_avg(
     ensemble = ChannelEnsemble(alpha=real.alpha[None], seed=0, rho=config.rho)
     prep = _Prepared(ensemble, config)
     st = _eval_point(prep, duals.mu, duals.lam, full=True, arrays=True)
-    return decisions_from_arrays(st.owner, st.p_win, ensemble, config)[0]
+    return decisions_from_arrays(st.owner, st.p_win, ensemble, config,
+                                 prep.order_stats)[0]
 
 
 def allocate_realization_peak(
@@ -680,5 +736,6 @@ def allocate_realization_peak(
         _trim_su_surplus(prep, owner, p_win, mu, lam_t, epsilon)
         residual = config.power - p_win.sum(axis=1)
         _refill_nu_water(prep, owner, p_win, lam_t, residual, lambda_floor)
-    decision = decisions_from_arrays(owner, p_win, ensemble, config)[0]
+    decision = decisions_from_arrays(owner, p_win, ensemble, config,
+                                     prep.order_stats)[0]
     return decision, float(lam_t[0])

@@ -59,6 +59,7 @@ class SuPhaseReport:
     occupied: np.ndarray         # (T, N) bool, subcarriers claimed by any SU
     claimed: list = field(default_factory=list, repr=False)  # per-SU (T, N) bool
     curves: list = field(default_factory=list, repr=False)
+    order_stats: tuple = field(default=None, repr=False)  # column_order_stats
 
 
 @dataclass
@@ -85,7 +86,8 @@ def su_phase(
     ``(nu_thresholds, SuPhaseReport, total SU power)``.
     """
     k1 = config.n_secure
-    nu1, nu2, kmax = column_order_stats(ensemble.alpha)
+    order_stats = column_order_stats(ensemble.alpha)
+    nu1, nu2, kmax = order_stats
     t_count = ensemble.count
 
     thresholds = np.full(k1, np.inf)
@@ -121,6 +123,7 @@ def su_phase(
     report = SuPhaseReport(
         secrecy=secrecy, power=power, iterations=iterations,
         occupied=occupied, claimed=claimed_masks, curves=curves,
+        order_stats=order_stats,
     )
     return thresholds, report, float(power.sum())
 
@@ -246,7 +249,8 @@ def _assemble_result(ensemble, config, thresholds, su_rep, nu_rep,
         owner[nu_cols] = k1 + nu_rep.owner_nu[nu_cols]
         p_win[nu_cols] = nu_rep.power_nu[nu_cols]
 
-    decisions = decisions_from_arrays(owner, p_win, ensemble, config)
+    decisions = decisions_from_arrays(owner, p_win, ensemble, config,
+                                      su_rep.order_stats)
     lam = 1.0 / level if level > 0 else None
     mu = np.zeros(k1)
     finite = np.isfinite(thresholds) & (thresholds > 0)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from secure_ofdma import dual_solver
-from secure_ofdma._search import bisect, bisect_monotone, bracket
-from secure_ofdma.channel import ChannelEnsemble
+from secure_ofdma._search import _ITP_SLACK, bisect, bisect_monotone, bracket
+from secure_ofdma.channel import ChannelEnsemble, generate_ensemble
 from secure_ofdma.dual_solver import (
     _eval_point,
     _initial_mu,
@@ -94,6 +94,86 @@ class TestPrimitive:
         with pytest.raises(RuntimeError):
             bracket(lambda x: (True, False), 0.0, 1.0, 2.0, max_steps=5)
 
+    def test_open_only_probes_see_just_the_open_elements(self):
+        roots = np.array([0.3, 3.1, 7.3, 5.0])
+        tol = np.array([1e-3, 1e-9, 1.0, 0.0])
+        seen = []
+
+        def open_probe(x, idx):
+            at = slice(None) if idx is None else idx
+            seen.append(idx)
+            assert x.shape == roots[at].shape
+            return x < roots[at], np.abs(x - roots[at]) <= tol[at]
+
+        def probe(x):
+            return x < roots, np.abs(x - roots) <= tol
+
+        start = (np.zeros(4), np.full(4, 8.0))
+        for done in (None, np.array([False, False, False, True])):
+            seen.clear()
+            got = bisect(open_probe, *start, done=done, open_only=True)
+            want = bisect(probe, *start, done=done)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            if done is None:
+                # every element is open until the loosest one stops
+                assert seen[0] is None and seen[-1].tolist() == [1]
+            else:
+                assert (got[0][3], got[1][3]) == (0.0, 8.0)
+                assert all(idx is not None and 3 not in idx for idx in seen)
+            sets = [set(range(4)) if idx is None else set(idx) for idx in seen]
+            assert all(a >= b for a, b in zip(sets, sets[1:]))
+
+    @pytest.mark.parametrize("jump", [1e-9, 1.0, 1e9])
+    def test_residual_steps_keep_the_bisection_worst_case(self, jump):
+        # a step residual gives the interpolation nothing to work with;
+        # a lopsided jump drags regula falsi to one end of the bracket
+        xtol = 1e-9
+        for root in np.random.default_rng(1).uniform(0.0, 1.0, size=40):
+            _, _, plain = bisect(lambda x: (x < root, False), 0.0, 1.0, xtol=xtol)
+
+            def residual(x):
+                r = -1.0 if x < root else jump
+                return r < 0, False, r
+
+            lo, hi, steps = bisect(residual, 0.0, 1.0, xtol=xtol, f_lo=-1.0,
+                                   f_hi=jump)
+            assert steps <= plain + _ITP_SLACK
+            assert lo <= root <= hi and hi - lo <= xtol
+
+    def test_residual_steps_converge_fast_on_a_smooth_curve(self):
+        scale = np.array([0.5, 1.0, 3.0, 8.0])
+        counts = []
+
+        def residual(x, idx):
+            at = slice(None) if idx is None else idx
+            counts.append(x.size)
+            r = np.expm1(scale[at] * x) - 2.0
+            return r < 0, np.abs(r) <= 1e-9, r
+
+        lo, hi, steps = bisect(residual, np.zeros(4), np.full(4, 3.0),
+                               f_lo=np.full(4, -2.0), open_only=True)
+        roots = np.log(3.0) / scale
+        assert np.all((lo <= roots) & (roots <= hi))
+        # bisection needs about 31 probes for the same residual tolerance
+        assert steps <= 10 and counts[0] == 4 and counts[-1] < 4
+
+    def test_residuals_need_an_arithmetic_bracket(self):
+        with pytest.raises(ValueError):
+            bisect(lambda x: (x < 2, False, x - 2), 1.0, 4.0, geometric=True,
+                   f_lo=-1.0)
+
+    def test_bracket_carries_the_residuals_at_its_ends(self):
+        def residual(x):
+            r = x - np.array([5.0, 0.5, 1e9])
+            return r < 0, False, r
+
+        lo, hi, f_lo, f_hi = bracket(residual, np.zeros(3), np.ones(3), 4.0,
+                                     limit=256.0, f_lo=-1.0)
+        assert hi.tolist() == [16.0, 1.0, 256.0] and lo.tolist() == [4.0, 0.0, 64.0]
+        assert f_lo.tolist() == [-1.0, -1.0, 64.0 - 1e9]
+        assert f_hi[:2].tolist() == [11.0, 0.5] and np.isnan(f_hi[2])
+
     def test_bisect_monotone_returns_last_probe(self):
         out = bisect_monotone(lambda x: x**3, 2.0, 0.0, 4.0, 1e-9, increasing=True)
         assert out.converged and abs(out.value**3 - 2.0) <= 1e-9
@@ -121,17 +201,83 @@ def recorded_auctions():
         yield log
 
 
-def assert_same_probes(log, scalar_lam=False):
-    assert len(log["lib"]) == len(log["oracle"])
-    for (mu_a, lam_a, kw_a), (mu_b, lam_b, kw_b) in zip(log["lib"], log["oracle"]):
-        assert np.array_equal(mu_a, mu_b)
-        assert np.array_equal(lam_a, lam_b)
-        assert kw_a == kw_b
-        if scalar_lam:
-            # a size-1 array would switch the auction to per-frame prices
-            assert isinstance(lam_a, float)
+def clear(log):
     log["lib"].clear()
     log["oracle"].clear()
+
+
+def assert_avg_probes_drop_only_repeats(log):
+    """The oracle's probes minus some that repeat an earlier point."""
+    lib = iter(log["lib"])
+    want = next(lib, None)
+    seen = []
+    for mu_b, lam_b, kw_b in log["oracle"]:
+        if want is not None and np.array_equal(mu_b, want[0]) and (
+                lam_b == want[1] and kw_b == want[2]):
+            # a size-1 array would switch the auction to per-frame prices
+            assert isinstance(want[1], float)
+            want = next(lib, None)
+        else:
+            assert lam_b in seen, "the library skipped a probe at a new point"
+        seen.append(lam_b)
+    assert want is None, "the library made a probe the oracle did not"
+    clear(log)
+
+
+def assert_peak_probes_on_open_frames(log):
+    """The oracle's probes, each on a shrinking set of open frames."""
+    assert len(log["lib"]) == len(log["oracle"])
+    open_frames = None
+    for (mu_a, lam_a, kw_a), (mu_b, lam_b, kw_b) in zip(log["lib"], log["oracle"]):
+        assert np.array_equal(mu_a, mu_b)
+        frames = kw_a.pop("frames", None)
+        assert kw_a == kw_b
+        if frames is None:
+            assert open_frames is None, "an open set never grows back"
+            assert np.array_equal(lam_a, lam_b)
+            continue
+        assert np.all(np.diff(frames) > 0)
+        if open_frames is not None:
+            assert np.all(np.isin(frames, open_frames))
+        open_frames = frames
+        assert np.array_equal(lam_a, lam_b[frames])
+    clear(log)
+
+
+def assert_mu_contract(log, prep, lam0, eps, mu, rounds=28):
+    """The calibration against ``oracles.looped_initial_mu``.
+
+    Replayed from its probes, every SU's search keeps a bracket
+    [lo, hi] with secrecy below the target at lo and not below it at hi,
+    and probes strictly inside it.  Each SU ends within its tolerance
+    band at its last probe, which is what is returned, or the search ran
+    to its round cap; either way it makes no more auctions than the
+    oracle.
+    """
+    targets = prep.config.secrecy_targets
+    below, above = eps * targets / 4, eps * np.maximum(targets, 1.0) / 4
+    secrecy = [_eval_point(prep, m, lam0).secrecy for m, _, _ in log["lib"]]
+    met = True
+    for k in np.flatnonzero(targets > 0):
+        lo, hi, last, gap = 0.0, np.inf, None, None
+        for m, s in zip((m for m, _, _ in log["lib"]), secrecy):
+            if m[k] == last:
+                continue    # not probed for SU k: stopped, or a held bracket end
+            assert lo < m[k] < hi
+            last, gap = m[k], s[k] - targets[k]
+            if gap < 0:
+                lo = last
+            else:
+                hi = last
+        assert mu[k] == last
+        met &= -below[k] <= gap <= above[k]
+    assert np.all(mu[targets <= 0] == 0)
+    lib, oracle = len(log["lib"]), len(log["oracle"])
+    assert lib <= oracle
+    if not met:
+        # the oracle always runs its bracket plus ``rounds`` bisections
+        assert lib == oracle
+    clear(log)
 
 
 def random_problem(rng, k, k1, n, t, zero_target, power):
@@ -145,15 +291,36 @@ def random_problem(rng, k, k1, n, t, zero_target, power):
     return _Prepared(ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg)
 
 
+def test_frame_subset_spend_is_the_whole_auction_row():
+    rng = np.random.default_rng(4)
+    prep = random_problem(rng, 5, 2, 8, 10, False, 20.0)
+    mu, lam = rng.uniform(0.0, 4.0, size=2), rng.uniform(0.05, 2.0, size=10)
+    whole = _eval_point(prep, mu, lam, full=False).power_t
+    # a few frames are gathered; most frames are priced with the rest
+    for frames in (np.array([3]), np.array([0, 4, 9]), np.arange(1, 10)):
+        got = _eval_point(prep, mu, lam[frames], full=False, frames=frames)
+        assert np.array_equal(got.power_t, whole[frames])
+    with pytest.raises(ValueError):
+        _eval_point(prep, mu, lam[:2], frames=np.arange(2))
+
+
 class TestStagesMatchLoops:
-    """Each rewritten stage against the parent's hand-rolled loop."""
+    """Each stage against the hand-rolled loop it replaced.
+
+    The lambda searches return the loops' prices bit for bit.  The
+    average-mode search skips the loop's re-probes of a bracket end, and
+    the peak search prices only the frames still open, so their probes
+    are the loops' probes minus those.  The mu calibration stops each SU
+    at its own tolerance and steps by ITP, so it is held to the contract
+    of ``assert_mu_contract`` instead of the loop's probes.
+    """
 
     @given(
         k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
         n=st.integers(1, 8), t=st.integers(1, 6),
         zero_target=st.booleans(), zero_mu=st.booleans(),
         at_floor=st.booleans(), warm=st.booleans(),
-        eps=st.sampled_from([1e-2, 1e-6]), power=st.floats(1.0, 50.0),
+        eps=st.sampled_from([1.0, 1e-2, 1e-6]), power=st.floats(1.0, 50.0),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=120, deadline=None)
@@ -183,7 +350,7 @@ class TestStagesMatchLoops:
             got = _solve_lambda_avg(prep, mu, tol, floor, warm_avg)
             want, _, _ = oracles.looped_solve_lambda_avg(prep, mu, tol, floor, warm_avg)
             assert isinstance(got, float) and got == want
-            assert_same_probes(log, scalar_lam=True)
+            assert_avg_probes_drop_only_repeats(log)
 
             warm_t = None
             if warm:
@@ -198,12 +365,12 @@ class TestStagesMatchLoops:
             assert np.array_equal(got_floor, want_floor)
             if at_floor and t > 1:
                 assert got_floor.any()
-            assert_same_probes(log)
+            assert_peak_probes_on_open_frames(log)
 
             lam0 = float(np.median(got_t)) if warm else got
-            assert np.array_equal(_initial_mu(prep, lam0),
-                                  oracles.looped_initial_mu(prep, lam0))
-            assert_same_probes(log)
+            mu0 = _initial_mu(prep, lam0, eps)
+            oracles.looped_initial_mu(prep, lam0)
+            assert_mu_contract(log, prep, lam0, eps, mu0)
 
     @given(
         k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
@@ -277,3 +444,15 @@ class TestStagesMatchLoops:
         assert np.array_equal(owner, o_ref)
         np.testing.assert_allclose(p_win, p_ref, rtol=1e-6, atol=0.0)
         assert 0 < p_win[0].sum() < p_before
+
+
+def test_initial_mu_at_a_tight_tolerance_stops_within_its_rounds():
+    cfg = make_config(n=8, k=4, k1=2, c=[0.4, 0.7], power=50.0)
+    prep = _Prepared(generate_ensemble(cfg, 20, seed=3), cfg)
+    lam0 = _solve_lambda_avg(prep, np.zeros(2), 1e-3, 1e-12)
+    for rounds in (6, 28):
+        with recorded_auctions() as log:
+            mu = _initial_mu(prep, lam0, 1e-7, rounds=rounds)
+            oracles.looped_initial_mu(prep, lam0, rounds=rounds)
+            assert np.all(mu > 0)
+            assert_mu_contract(log, prep, lam0, 1e-7, mu, rounds)
