@@ -41,7 +41,6 @@ from .rates import (
 )
 from .suboptimal import (
     SecrecyInfeasibleError,
-    SuboptimalState,
     nu_phase,
     solve_suboptimal,
     su_phase,
@@ -61,7 +60,6 @@ __all__ = [
     "SecrecyInfeasibleError",
     "SolveResult",
     "SolverOptions",
-    "SuboptimalState",
     "allocate_realization_avg",
     "allocate_realization_peak",
     "assign_subcarrier",

@@ -148,7 +148,6 @@ def bisect(probe, lo, hi, *, geometric=False, xtol=0.0, rtol=0.0,
 @dataclass
 class SearchOutcome:
     value: float           # located search variable
-    fn_value: float        # function value there
     iterations: int
     converged: bool
     trace: list = field(default_factory=list)  # (lo, hi) after each step
@@ -167,7 +166,7 @@ def bisect_monotone(
     trace = []
     fx = fn(hi)
     if abs(fx - target) <= tol:
-        return SearchOutcome(hi, fx, 0, True, trace)
+        return SearchOutcome(hi, 0, True, trace)
     last = [hi, fx]
     ends = [lo, hi]
 
@@ -184,7 +183,7 @@ def bisect_monotone(
         probe, lo, hi, xtol=width_floor * max(hi - lo, 1.0), max_steps=max_iter,
     )
     x, fx = last
-    return SearchOutcome(x, fx, steps, abs(fx - target) <= tol, trace)
+    return SearchOutcome(x, steps, abs(fx - target) <= tol, trace)
 
 
 class ThresholdCurve:
@@ -254,7 +253,7 @@ def search_threshold(curve: ThresholdCurve, target: float, eps: float) -> Search
     gap (where the rate is exactly zero) always terminates.
     """
     if target <= 0:
-        return SearchOutcome(np.inf, 0.0, 0, True)
+        return SearchOutcome(np.inf, 0, True)
     hi = float(np.percentile(curve.gap, 99.9)) if curve.gap.size else 0.0
     hard_cap = curve.max_gap * (1 + 1e-9) + 1e-9
     hi = min(max(hi, 1e-12), hard_cap)

@@ -9,7 +9,7 @@ file boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,35 +126,24 @@ class ProblemConfig:
 class SolverOptions:
     """Tunables shared by the dual, suboptimal, and baseline solvers."""
 
-    method: str = "subgradient"        # "subgradient" | "ellipsoid"
     epsilon: float = 1e-2              # relative constraint tolerance
-    step_scale: float = 0.5            # 'a' in the a/sqrt(t) dual step
     max_iterations: int = 5000
     multiplier_ceiling: float = 1e6
-    lambda_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.method not in ("subgradient", "ellipsoid"):
-            raise ValueError("method must be 'subgradient' or 'ellipsoid'")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must be in (0, 1)")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.multiplier_ceiling <= 0 or self.lambda_floor <= 0:
-            raise ValueError("multiplier_ceiling and lambda_floor must be > 0")
+        if self.multiplier_ceiling <= 0:
+            raise ValueError("multiplier_ceiling must be > 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverOptions":
-        known = {
-            "method", "epsilon", "step_scale", "max_iterations",
-            "multiplier_ceiling", "lambda_floor",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver options: {sorted(unknown)}")
-        return cls(**{k: d[k] for k in d})
+        return cls(**d)
 
 
 @dataclass

@@ -11,9 +11,9 @@ power spend hits the budget.
 Every solve starts cold, from a calibrated ``mu``, and the dual is then
 minimized over ``mu`` in one loop: ``lam`` is eliminated exactly at
 every iterate by bisection on the spent power, which is non-increasing
-in ``lam``, and the iterate is evaluated, scored and tested.  Only the
-move to the next ``mu`` depends on the method: a projected subgradient
-step (default) or an ellipsoid cut.  The ``lam`` search, the ``mu``
+in ``lam``, the iterate is evaluated, scored and tested, and ``mu``
+takes a projected subgradient step.  Both power modes run the same
+loop; only the ``lam`` search differs.  The ``lam`` search, the ``mu``
 calibration and the peak-mode primal recovery (trim and refill) are all
 calls into the one vectorized bracket-and-bisect primitive,
 ``_search.bracket`` and ``_search.bisect``: the per-frame ``lam``
@@ -39,6 +39,9 @@ from .channel import ChannelEnsemble, ChannelRealization, column_order_stats
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
 from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core
+
+_STEP_SCALE = 0.5      # 'a' in the a/sqrt(t) subgradient step on mu
+_LAMBDA_FLOOR = 1e-12  # the smallest power price a search returns
 
 
 class _Prepared:
@@ -278,8 +281,8 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
     One synchronized bisection over all frames, approaching each budget
     from the under-spending end so a frame's spend never exceeds it; the
     final refill tops up the leftover.  Realizations whose spend at the
-    floor is already below budget keep ``lam = lam_floor``.  Returns
-    ``(lam_t, at_floor_mask)`` with spend <= budget at the returned prices.
+    floor is already below budget keep ``lam = lam_floor``, and only they
+    do.  Returns ``lam_t`` with spend <= budget at the returned prices.
     """
     target = prep.config.power
     t_count = prep.t_count
@@ -311,7 +314,7 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
         probe, lo, np.where(at_floor, lam_floor, hi), geometric=True,
         rtol=1e-12, max_steps=max_iter, done=at_floor, open_only=True,
     )
-    return lam, at_floor
+    return lam
 
 
 def _trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
@@ -463,31 +466,34 @@ def _converged_mu(dmu, secrecy, cfg, eps) -> bool:
     return bool(np.all(secrecy >= cfg.secrecy_targets * (1.0 - eps)))
 
 
-def _power_side_ok(lam, st, cfg, eps, lam_floor) -> bool:
+def _power_side_ok(lam, st, cfg, eps) -> bool:
     """Budget met within tolerance, or underspent with the price at its floor."""
-    lam_arr = np.asarray(lam, float)
-    if lam_arr.ndim == 1:
-        # peak mode: bisection leaves every frame at the budget or at the floor
+    if cfg.mode == "peak":
+        # bisection leaves every frame at the budget or at the floor
         return bool(np.all(st.power_t <= cfg.power * (1 + eps)))
-    at_floor = float(lam_arr) <= 1.001 * lam_floor
-    if at_floor:
+    if lam <= 1.001 * _LAMBDA_FLOOR:
         return st.power_mean <= cfg.power * (1 + eps)
     return abs(cfg.power - st.power_mean) <= eps * cfg.power
+
+
+def _solve_lambda(prep, mu, eps, warm=None):
+    """The power price at ``mu``: one scalar, or one per frame in peak mode."""
+    search = _solve_lambda_peak if prep.config.mode == "peak" else _solve_lambda_avg
+    return search(prep, mu, eps * prep.config.power / 4.0, _LAMBDA_FLOOR, warm)
 
 
 _OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"
 
 
-def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
-    """Outer minimization over mu for both power modes and both methods.
+def _dual_outer_loop(prep, opts):
+    """Outer minimization over mu for both power modes.
 
     Every solve starts cold: calibrate ``mu``, let the power price react,
-    calibrate again.  ``resolve_lambda(mu, warm)`` must return
-    ``(lam, warm_state)`` with the power side of the dual solved exactly;
-    ``describe_lambda(lam)`` maps it to a scalar price.  Each iterate is
-    evaluated, scored and tested here; only the move to the next ``mu``
-    depends on ``opts.method``.  An unconverged exit says why in its
-    message.
+    calibrate again.  Each iterate solves the power side of the dual
+    exactly, warm-started from the last price, then is evaluated, scored
+    and tested, and ``mu`` takes a projected subgradient step scaled by
+    the larger of itself and the (median) power price.  An unconverged
+    exit says why in its message.
     """
     cfg = prep.config
     eps = opts.epsilon
@@ -502,15 +508,11 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
             f"ensemble's unbounded-power limit {caps[k_bad]:.4g}"
         )
 
-    lam, warm = resolve_lambda(np.zeros(prep.k1), None)
-    mu = _initial_mu(prep, describe_lambda(lam), eps)
-    lam, warm = resolve_lambda(mu, warm)
-    mu = _initial_mu(prep, describe_lambda(lam), eps)
+    lam = _solve_lambda(prep, np.zeros(prep.k1), eps)
+    mu = _initial_mu(prep, float(np.median(lam)), eps)
+    lam = _solve_lambda(prep, mu, eps, lam)
+    mu = _initial_mu(prep, float(np.median(lam)), eps)
 
-    ellipsoid = opts.method == "ellipsoid"
-    n_dim = prep.k1
-    # the ellipsoid method's starting ball, centred on the calibrated mu
-    shape = np.eye(n_dim) * (10.0 * max(1.0, float(np.max(mu)) * 4.0)) ** 2
     trace = []
     best = None
     converged = infeasible = False
@@ -518,47 +520,26 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
     stall = 0
     stall_limit = 150
     for t in range(1, opts.max_iterations + 1):
-        negative = np.flatnonzero(mu < 0)
-        if negative.size:
-            # only an ellipsoid centre leaves the orthant: cut it back in
-            g = np.zeros(n_dim)
-            g[negative[0]] = -1.0
+        lam = _solve_lambda(prep, mu, eps, lam)
+        st = _eval_point(prep, mu, lam, full=True)
+        trace.append(st.dual_value)
+        g = st.secrecy - targets  # subgradient of the reduced dual
+        viol = np.maximum(targets * (1 - eps) - st.secrecy, 0.0)
+        score = float(viol.max())
+        converged = _converged_mu(g, st.secrecy, cfg, eps) and _power_side_ok(
+            lam, st, cfg, eps
+        )
+        if converged or best is None or score < best[0] - 1e-15 or (
+            score <= best[0] + 1e-15 and st.r_nu_total > best[4]
+        ):
+            # each search returns a fresh price, so lam needs no copy
+            best = (score, mu.copy(), lam, t, st.r_nu_total)
+            stall = 0
         else:
-            lam, warm = resolve_lambda(mu, warm)
-            st = _eval_point(prep, mu, lam, full=True)
-            trace.append(st.dual_value)
-            g = st.secrecy - targets  # subgradient of the reduced dual
-            viol = np.maximum(targets * (1 - eps) - st.secrecy, 0.0)
-            score = float(viol.max())
-            converged = _converged_mu(g, st.secrecy, cfg, eps) and _power_side_ok(
-                lam, st, cfg, eps, opts.lambda_floor
-            )
-            if converged or best is None or score < best[0] - 1e-15 or (
-                score <= best[0] + 1e-15 and st.r_nu_total > best[4]
-            ):
-                best = (score, mu.copy(), np.array(lam, copy=True), t, st.r_nu_total)
-                stall = 0
-            else:
-                stall += 1
-            if converged:
-                message = ""
-                break
-
-        if ellipsoid:
-            denom = float(g @ shape @ g)
-            if denom <= 0 or math.sqrt(denom) < 1e-14:
-                message = "the ellipsoid collapsed before the tolerance test passed"
-                break
-            if n_dim == 1:  # the cut halves the interval
-                mu = mu - np.sign(g) * shape[0, 0] ** 0.5 / 4.0
-                shape = shape * 0.25
-            else:
-                norm_cut = (shape @ g) / math.sqrt(denom)
-                mu = mu - norm_cut / (n_dim + 1)
-                shape = (n_dim**2 / (n_dim**2 - 1.0)) * (
-                    shape - (2.0 / (n_dim + 1)) * np.outer(norm_cut, norm_cut)
-                )
-            continue
+            stall += 1
+        if converged:
+            message = ""
+            break
 
         over_ceiling = (mu > opts.multiplier_ceiling) & (viol > 0)
         if over_ceiling.any():
@@ -579,27 +560,28 @@ def _dual_outer_loop(prep, opts, resolve_lambda, describe_lambda):
             )
             break
 
-        step = opts.step_scale / math.sqrt(t)
-        scale = np.maximum(mu, describe_lambda(lam))
+        step = _STEP_SCALE / math.sqrt(t)
+        scale = np.maximum(mu, float(np.median(lam)))
         mu = np.maximum(
             0.0, mu - step * scale * g / np.maximum(targets, 1.0)
         )
 
-    # the first iterate is the calibrated mu >= 0, so best is always set
+    # the loop evaluates at least one iterate, so best is always set
     _, mu_best, lam_best, iters, _ = best
     return (mu_best, lam_best, iters, trace, converged, infeasible, message), ""
 
 
 def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,
-            message, *, peak):
+            message):
     cfg = prep.config
     eps = opts.epsilon
+    peak = cfg.mode == "peak"
     final = _eval_point(prep, mu, lam, full=False, arrays=True)
     owner, p_win = final.owner, final.p_win
     if peak:
         _trim_su_surplus(prep, owner, p_win, mu, lam, eps)
         residual = cfg.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, lam, residual, opts.lambda_floor)
+        _refill_nu_water(prep, owner, p_win, lam, residual, _LAMBDA_FLOOR)
 
     res = _result(
         prep, ensemble, mu, lam, owner, p_win, iterations=iters,
@@ -621,14 +603,10 @@ def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,
     return res
 
 
-def _infeasible_result(prep, ensemble, opts, message, *, peak=False) -> SolveResult:
+def _infeasible_result(prep, ensemble, opts, message) -> SolveResult:
     """Diagnostic result: the no-secrecy allocation plus the failure note."""
     mu0 = np.zeros(prep.k1)
-    tol_power = opts.epsilon * prep.config.power / 4
-    if peak:
-        lam, _ = _solve_lambda_peak(prep, mu0, tol_power, opts.lambda_floor)
-    else:
-        lam = _solve_lambda_avg(prep, mu0, tol_power, opts.lambda_floor)
+    lam = _solve_lambda(prep, mu0, opts.epsilon)
     st = _eval_point(prep, mu0, lam, full=True, arrays=True)
     return _result(
         prep, ensemble, mu0, lam, st.owner, st.p_win, iterations=0,
@@ -651,6 +629,16 @@ def _result(prep, ensemble, mu, lam, owner, p_win, **fields) -> SolveResult:
     )
 
 
+def _solve(ensemble, config, opts) -> SolveResult:
+    """The dual solve shared by both power modes."""
+    opts = opts or SolverOptions()
+    prep = _Prepared(ensemble, config)
+    out, msg = _dual_outer_loop(prep, opts)
+    if out is None:
+        return _infeasible_result(prep, ensemble, opts, msg)
+    return _finish(prep, ensemble, opts, *out)
+
+
 def solve_average(
     ensemble: ChannelEnsemble,
     config: ProblemConfig,
@@ -659,19 +647,7 @@ def solve_average(
     """Optimal policy under the long-term average power constraint."""
     if config.mode != "average":
         raise ValueError("config.mode must be 'average'")
-    opts = opts or SolverOptions()
-    prep = _Prepared(ensemble, config)
-    tol_power = opts.epsilon * config.power / 4.0
-
-    def resolve(mu, warm):
-        lam = _solve_lambda_avg(prep, mu, tol_power, opts.lambda_floor, warm)
-        return lam, lam
-
-    out, msg = _dual_outer_loop(prep, opts, resolve, lambda lam: float(lam))
-    if out is None:
-        return _infeasible_result(prep, ensemble, opts, msg)
-    mu, lam, *rest = out
-    return _finish(prep, ensemble, opts, mu, float(lam), *rest, peak=False)
+    return _solve(ensemble, config, opts)
 
 
 def solve_peak(
@@ -682,22 +658,7 @@ def solve_peak(
     """Optimal policy under the per-realization (peak) power constraint."""
     if config.mode != "peak":
         raise ValueError("config.mode must be 'peak'")
-    opts = opts or SolverOptions()
-    prep = _Prepared(ensemble, config)
-    tol_power = opts.epsilon * config.power / 4.0
-
-    def resolve(mu, warm):
-        lam_t, _ = _solve_lambda_peak(
-            prep, mu, tol_power, opts.lambda_floor, warm
-        )
-        return lam_t, lam_t.copy()
-
-    out, msg = _dual_outer_loop(
-        prep, opts, resolve, lambda lam: float(np.median(lam))
-    )
-    if out is None:
-        return _infeasible_result(prep, ensemble, opts, msg, peak=True)
-    return _finish(prep, ensemble, opts, *out, peak=True)
+    return _solve(ensemble, config, opts)
 
 
 def allocate_realization_avg(
@@ -715,7 +676,7 @@ def allocate_realization_avg(
 
 def allocate_realization_peak(
     real: ChannelRealization, mu, config: ProblemConfig,
-    epsilon: float = 1e-2, lambda_floor: float = 1e-12,
+    epsilon: float = 1e-2,
 ):
     """One frame under the peak constraint: resolve the frame's power price.
 
@@ -729,13 +690,13 @@ def allocate_realization_peak(
     ensemble = ChannelEnsemble(alpha=real.alpha[None], seed=0, rho=config.rho)
     prep = _Prepared(ensemble, config)
     tol_power = epsilon * config.power / 4.0
-    lam_t, at_floor = _solve_lambda_peak(prep, mu, tol_power, lambda_floor)
+    lam_t = _solve_lambda_peak(prep, mu, tol_power, _LAMBDA_FLOOR)
     st = _eval_point(prep, mu, lam_t, full=True, arrays=True)
     owner, p_win = st.owner, st.p_win
-    if not at_floor[0]:
+    if lam_t[0] != _LAMBDA_FLOOR:
         _trim_su_surplus(prep, owner, p_win, mu, lam_t, epsilon)
         residual = config.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, lam_t, residual, lambda_floor)
+        _refill_nu_water(prep, owner, p_win, lam_t, residual, _LAMBDA_FLOOR)
     decision = decisions_from_arrays(owner, p_win, ensemble, config,
                                      prep.order_stats)[0]
     return decision, float(lam_t[0])

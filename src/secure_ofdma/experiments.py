@@ -189,7 +189,6 @@ def write_results(spec: ExperimentSpec, ensemble: ChannelEnsemble, rows) -> None
             "realizations": spec.realizations,
             "seed": spec.seed,
             "epsilon": spec.options.epsilon,
-            "method": spec.options.method,
         },
         "package_version": __version__,
         "ensemble_sha256": ensemble_hash(ensemble),

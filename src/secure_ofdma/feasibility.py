@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
+_MC_SEED = 20_240_901
+_MC_BATCH = 1 << 19    # Monte Carlo draws per batch
+_NEAR_MARGIN = 0.05    # relative distance below the bound flagged near-boundary
+
 
 @dataclass
 class QuadratureOptions:
     method: str = "quadrature"     # "quadrature" | "monte-carlo"
     mc_samples: int = 2_000_000
-    mc_seed: int = 20_240_901
-    mc_batch: int = 1 << 19
 
     def __post_init__(self):
         if self.method not in ("quadrature", "monte-carlo"):
@@ -45,11 +47,11 @@ def expected_top_two_log_ratio(n_users: int, rho: float = 1.0,
     opts = opts or QuadratureOptions()
     k = n_users
     if opts.method == "monte-carlo":
-        rng = np.random.default_rng(opts.mc_seed)
+        rng = np.random.default_rng(_MC_SEED)
         remaining = opts.mc_samples
         total = 0.0
         while remaining > 0:
-            batch = min(remaining, opts.mc_batch)
+            batch = min(remaining, _MC_BATCH)
             x = rng.exponential(scale=rho, size=(batch, k))
             part = np.partition(x, k - 2, axis=1)[:, k - 2:]
             top2 = np.sort(part, axis=1)
@@ -80,15 +82,13 @@ class FeasibilityCheck:
     bound: float
     verdicts: list = field(default_factory=list)  # per-SU strings
     feasible_hint: bool = True
-    near_boundary_margin: float = 0.05
 
 
-def check_feasibility(config, opts: QuadratureOptions | None = None,
-                      near_margin: float = 0.05) -> FeasibilityCheck:
+def check_feasibility(config, opts: QuadratureOptions | None = None) -> FeasibilityCheck:
     """Screen secrecy targets against the unbounded-power bound.
 
     Targets at or above the bound can never be met; targets within
-    ``near_margin`` of it are flagged near-boundary.  This is a necessary
+    ``_NEAR_MARGIN`` of it are flagged near-boundary.  This is a necessary
     condition only: finite power makes the true feasible region smaller.
     """
     bound = secrecy_rate_upper_bound(
@@ -100,11 +100,8 @@ def check_feasibility(config, opts: QuadratureOptions | None = None,
         if c >= bound:
             verdicts.append("infeasible")
             ok = False
-        elif c > bound * (1.0 - near_margin):
+        elif c > bound * (1.0 - _NEAR_MARGIN):
             verdicts.append("near-boundary")
         else:
             verdicts.append("feasible")
-    return FeasibilityCheck(
-        bound=bound, verdicts=verdicts, feasible_hint=ok,
-        near_boundary_margin=near_margin,
-    )
+    return FeasibilityCheck(bound=bound, verdicts=verdicts, feasible_hint=ok)

@@ -39,19 +39,6 @@ class SecrecyInfeasibleError(RuntimeError):
 
 
 @dataclass
-class SuboptimalState:
-    """Tuned search variables of the two phases."""
-
-    nu_thresholds: np.ndarray   # (K1,) CNR-gap thresholds, inf = no service
-    water_level: float          # base water level L0
-    weights: np.ndarray
-
-    @property
-    def per_nu_levels(self) -> np.ndarray:
-        return self.weights * self.water_level
-
-
-@dataclass
 class SuPhaseReport:
     secrecy: np.ndarray          # (K1,) achieved average secrecy rates
     power: np.ndarray            # (K1,) average power spent per SU

@@ -57,20 +57,20 @@ class TestProblemConfig:
 class TestSolverOptions:
     def test_defaults_follow_contract(self):
         opts = SolverOptions()
-        assert opts.method == "subgradient"
         assert opts.epsilon == 1e-2
         assert opts.max_iterations == 5000
         assert opts.multiplier_ceiling == 1e6
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(method="newton")
-        with pytest.raises(ValueError):
             SolverOptions(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverOptions.from_dict({"stepsize": 1.0})
-        with pytest.raises(ValueError):
-            SolverOptions.from_dict({"keep_decisions": False})
+        # removed knobs: one dual method, a fixed step scale and price floor
+        for key, value in [("keep_decisions", False), ("method", "subgradient"),
+                           ("step_scale", 0.5), ("lambda_floor", 1e-12)]:
+            with pytest.raises(ValueError, match="unknown solver options"):
+                SolverOptions.from_dict({key: value})
 
 
 class TestDualState:
@@ -97,3 +97,9 @@ class TestRunSpec:
         assert run.options.epsilon == 0.02
         assert run.options.max_iterations == 100
         assert np.array_equal(run.config.secrecy_targets, [0.1, 0.2])
+
+    def test_solver_block_with_a_method_fails_at_load(self):
+        payload = {"N": 8, "K": 4, "K1": 2, "snr_db": 20.0,
+                   "solver": {"method": "ellipsoid"}}
+        with pytest.raises(ValueError, match="method"):
+            RunSpec.from_dict(payload)

@@ -173,26 +173,9 @@ class TestSolveAverage:
         assert res.dual_value >= primal - 1e-6
         assert (res.dual_value - primal) / primal < 0.02
 
-    def test_ellipsoid_method_agrees_with_subgradient(self):
-        cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0)
-        ens = generate_ensemble(cfg, 100, seed=8)
-        res_sub = solve_average(ens, cfg)
-        res_ell = solve_average(ens, cfg, SolverOptions(method="ellipsoid"))
-        assert res_ell.converged
-        assert np.all(res_ell.report.r_su >= 0.5 * 0.99)
-        assert abs(res_ell.report.r_nu_total - res_sub.report.r_nu_total) \
-            / res_sub.report.r_nu_total < 0.03
-
-    def test_ellipsoid_single_su_degenerates_to_interval_halving(self):
-        cfg = make_config(n=16, k=3, k1=1, c=0.6, power=100.0)
-        ens = generate_ensemble(cfg, 150, seed=9)
-        res = solve_average(ens, cfg, SolverOptions(method="ellipsoid"))
-        assert res.converged
-        assert res.report.r_su[0] >= 0.6 * 0.99
-
 
 class TestOuterLoopExits:
-    """Every way out of the outer loop over mu, for both methods."""
+    """Every way out of the outer loop over mu."""
 
     OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"
 
@@ -201,31 +184,46 @@ class TestOuterLoopExits:
         cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0)
         return generate_ensemble(cfg, 100, seed=8), cfg
 
-    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
-    def test_converged_has_no_message(self, problem, method):
-        res = solve_average(*problem, SolverOptions(method=method))
+    def test_converged_has_no_message(self, problem):
+        res = solve_average(*problem)
         assert res.converged and not res.infeasible and res.message == ""
 
-    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
     @pytest.mark.parametrize("cap", [1, 3])
-    def test_max_iterations(self, problem, method, cap):
-        opts = SolverOptions(method=method, epsilon=1e-7, max_iterations=cap)
+    def test_max_iterations(self, problem, cap):
+        opts = SolverOptions(epsilon=1e-7, max_iterations=cap)
         res = solve_average(*problem, opts)
         assert not res.converged and not res.infeasible
         assert res.message == self.OUT_OF_ITERATIONS.format(cap)
         assert 1 <= res.iterations <= cap
 
-    @pytest.mark.parametrize("method, message", [
-        ("subgradient", "stalled: the secrecy violation did not improve in 150 "
-                        "iterations"),
-        ("ellipsoid", "the ellipsoid collapsed before the tolerance test passed"),
-    ])
-    def test_tight_tolerance_stops_with_its_reason(self, problem, method, message):
-        opts = SolverOptions(method=method, epsilon=1e-7, max_iterations=400)
+    def test_tight_tolerance_stops_with_its_reason(self, problem):
+        opts = SolverOptions(epsilon=1e-7, max_iterations=400)
         res = solve_average(*problem, opts)
         assert not res.converged and not res.infeasible
-        assert res.message == message
+        assert res.message == ("stalled: the secrecy violation did not "
+                               "improve in 150 iterations")
         assert len(res.dual_trace) < 400
+
+    def test_no_auction_is_priced_at_a_negative_mu(self, problem, monkeypatch):
+        from secure_ofdma import dual_solver
+
+        # SU 0 starts far above its optimum, so its first subgradient step
+        # overshoots zero and only the projection keeps it in the orthant
+        ens, cfg = problem
+        cfg = cfg.with_targets([0.1, 0.5])
+        calibrate = dual_solver._initial_mu
+        monkeypatch.setattr(dual_solver, "_initial_mu", lambda prep, lam0, eps:
+                            np.array([50.0, calibrate(prep, lam0, eps)[1]]))
+        seen = []
+        auction = dual_solver._eval_point
+        monkeypatch.setattr(dual_solver, "_eval_point",
+                            lambda prep, mu, *a, **k: seen.append(np.copy(mu))
+                            or auction(prep, mu, *a, **k))
+        res = solve_average(ens, cfg, SolverOptions(max_iterations=3))
+        assert res.message == self.OUT_OF_ITERATIONS.format(3)
+        assert any(mu[0] == 50.0 for mu in seen)
+        assert all(np.all(mu >= 0) for mu in seen)
+        assert np.all(res.duals.mu >= 0)
 
     def test_subgradient_multiplier_ceiling(self, problem):
         opts = SolverOptions(epsilon=1e-7, multiplier_ceiling=1e-3)
@@ -233,28 +231,9 @@ class TestOuterLoopExits:
         assert res.infeasible and not res.converged
         assert "exceeded the ceiling" in res.message
 
-    def test_ellipsoid_cuts_a_negative_centre_without_evaluating_it(
-        self, problem, monkeypatch
-    ):
-        from secure_ofdma import dual_solver
-
-        seen = []
-        auction = dual_solver._eval_point
-        monkeypatch.setattr(dual_solver, "_eval_point",
-                            lambda prep, mu, *a, **k: seen.append(np.copy(mu))
-                            or auction(prep, mu, *a, **k))
-        opts = SolverOptions(method="ellipsoid", epsilon=1e-7, max_iterations=5)
-        res = solve_average(*problem, opts)
-        assert res.message == self.OUT_OF_ITERATIONS.format(5)
-        # five iterations, fewer evaluated centres: the rest were cut
-        assert 1 <= len(res.dual_trace) < 5
-        assert all(np.all(mu >= 0) for mu in seen)
-        assert np.all(res.duals.mu >= 0)
-
-    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
-    def test_precheck_infeasible(self, problem, method):
+    def test_precheck_infeasible(self, problem):
         ens, cfg = problem
-        res = solve_average(ens, cfg.with_targets(10.0), SolverOptions(method=method))
+        res = solve_average(ens, cfg.with_targets(10.0))
         assert res.infeasible and not res.converged and res.iterations == 0
         assert "unbounded-power limit" in res.message
 

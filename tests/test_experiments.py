@@ -72,6 +72,8 @@ class TestSpecValidation:
             ExperimentSpec.from_dict({**d, "warm_start": False})
         with pytest.raises(ValueError, match="realisations"):
             ExperimentSpec.from_dict({**d, "realisations": 10})
+        with pytest.raises(ValueError, match="method"):
+            ExperimentSpec.from_dict({**d, "solver": {"method": "ellipsoid"}})
 
     @pytest.mark.parametrize("name", [
         "rate_frontier", "snr_sweep_average", "snr_sweep_peak",

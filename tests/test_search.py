@@ -339,7 +339,7 @@ class TestStagesMatchLoops:
         if at_floor:
             # a floor inside the spread of the resolved prices pins some
             # frames (or the scalar price) to it
-            lam_t, _ = _solve_lambda_peak(prep, mu, tol, floor)
+            lam_t = _solve_lambda_peak(prep, mu, tol, floor)
             floor = float(np.quantile(lam_t, 0.5)) * 1.01
 
         with recorded_auctions() as log:
@@ -354,17 +354,18 @@ class TestStagesMatchLoops:
 
             warm_t = None
             if warm:
-                warm_t, _ = _solve_lambda_peak(prep, mu, tol, 1e-12)
+                warm_t = _solve_lambda_peak(prep, mu, tol, 1e-12)
                 warm_t = warm_t * rng.uniform(0.3, 3, size=t)
                 log["lib"].clear()
-            got_t, got_floor = _solve_lambda_peak(prep, mu, tol, floor, warm_t)
+            got_t = _solve_lambda_peak(prep, mu, tol, floor, warm_t)
             want_t, want_floor = oracles.looped_solve_lambda_peak(
                 prep, mu, tol, floor, warm_t
             )
             assert np.array_equal(got_t, want_t)
-            assert np.array_equal(got_floor, want_floor)
+            # a frame is at the floor exactly when its price is the floor
+            assert np.array_equal(got_t == floor, want_floor)
             if at_floor and t > 1:
-                assert got_floor.any()
+                assert want_floor.any()
             assert_peak_probes_on_open_frames(log)
 
             lam0 = float(np.median(got_t)) if warm else got
@@ -388,7 +389,7 @@ class TestStagesMatchLoops:
         mu = rng.uniform(0.5, 6.0, size=k1)
         if zero_mu:
             mu[rng.integers(k1)] = 0.0
-        lam_t, _ = _solve_lambda_peak(prep, mu, eps * power / 4, 1e-12)
+        lam_t = _solve_lambda_peak(prep, mu, eps * power / 4, 1e-12)
         lam = float(np.median(lam_t)) if scalar_lam else lam_t
         st_ = _eval_point(prep, mu, lam, full=True, arrays=True)
         owner, p_win = st_.owner, st_.p_win
