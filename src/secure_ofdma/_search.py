@@ -17,7 +17,7 @@ wherever both are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def bracket(probe, lo, hi, factor, *, limit=np.inf, max_steps=200, f_lo=None):
             return (lo, hi, f_lo, f_hi) if carry else (lo, hi)
         lo = np.where(up, hi, lo)
         hi = np.where(up, np.minimum(hi * factor, limit), hi)
-        if np.all(hi[up] >= limit):
+        if np.all((hi >= limit)[up]):
             return (lo, hi, f_lo, f_hi) if carry else (lo, hi)
     raise RuntimeError("failed to bracket a monotone search")
 
@@ -149,8 +149,6 @@ def bisect(probe, lo, hi, *, geometric=False, xtol=0.0, rtol=0.0,
 class SearchOutcome:
     value: float           # located search variable
     iterations: int
-    converged: bool
-    trace: list = field(default_factory=list)  # (lo, hi) after each step
 
 
 def bisect_monotone(
@@ -163,102 +161,78 @@ def bisect_monotone(
     when the bracket collapses below ``width_floor`` times its initial width.
     Returns the last point probed.
     """
-    trace = []
-    fx = fn(hi)
-    if abs(fx - target) <= tol:
-        return SearchOutcome(hi, 0, True, trace)
-    last = [hi, fx]
-    ends = [lo, hi]
+    if abs(fn(hi) - target) <= tol:
+        return SearchOutcome(hi, 0)
+    last = [hi]
 
     def probe(x):
-        last[:] = float(x), fn(float(x))
-        up = last[1] < target if increasing else last[1] > target
-        hit = abs(last[1] - target) <= tol
-        if not hit:
-            ends[0 if up else 1] = last[0]
-            trace.append(tuple(ends))
-        return up, hit
+        last[0] = float(x)
+        fx = fn(last[0])
+        up = fx < target if increasing else fx > target
+        return up, abs(fx - target) <= tol
 
     _, _, steps = bisect(
         probe, lo, hi, xtol=width_floor * max(hi - lo, 1.0), max_steps=max_iter,
     )
-    x, fx = last
-    return SearchOutcome(x, steps, abs(fx - target) <= tol, trace)
+    return SearchOutcome(last[0], steps)
 
 
-class ThresholdCurve:
-    """Average secrecy rate and power of one SU as its CNR-gap threshold moves.
+def threshold_stats(a, b, su, x, t_count):
+    """Mean secrecy rate and power per SU at CNR-gap thresholds ``x``.
 
-    Built from the flattened candidate columns of an ensemble: ``a`` holds the
-    SU's CNR where it is the column maximum (restricted to a fixed subcarrier
-    set for the fixed-assignment baselines), ``b`` the runner-up CNR.  Power
-    follows the secure-user closed form with the price pair (1/threshold, 1),
-    which keeps the activation rule at ``a - b > threshold`` exactly.
+    ``a``, ``b`` and ``su`` are the flattened candidate columns: the top
+    CNR, the runner-up and the SU holding the top.  SU ``k`` is active
+    where ``a - b > x[k]``, with the closed-form power at the price pair
+    (1/x[k], 1), which keeps that rule exactly; only active columns are
+    priced.  Returns the (K1,) means, the active indices and their powers.
     """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, t_count: int):
-        self.a = np.asarray(a, float)
-        self.b = np.asarray(b, float)
-        self.gap = self.a - self.b
-        self.t_count = t_count
-
-    @property
-    def max_gap(self) -> float:
-        return float(self.gap.max()) if self.gap.size else 0.0
-
-    def limit_rate(self) -> float:
-        """Average secrecy rate as the threshold (and the power price) -> 0."""
-        act = self.gap > 0
-        if not act.any():
-            return 0.0
-        return float(np.log(self.a[act] / self.b[act]).sum() / self.t_count)
-
-    def stats(self, threshold: float):
-        """(mean secrecy rate, mean power) at the given threshold.
-
-        A vanishing threshold is the unbounded-power limit: the rate tends
-        to the mean log-ratio of the top two CNRs and the power diverges.
-        """
-        if not np.isfinite(threshold):
-            return 0.0, 0.0
-        if threshold <= 0:
-            return self.limit_rate(), np.inf
-        act = self.gap > threshold
-        if not act.any():
-            return 0.0, 0.0
-        a, b = self.a[act], self.b[act]
-        p = _su_power_core(a, b, 1.0 / threshold, 1.0)
-        rs = np.log1p(p * a) - np.log1p(p * b)
-        return float(rs.sum() / self.t_count), float(p.sum() / self.t_count)
-
-    def rate(self, threshold: float) -> float:
-        return self.stats(threshold)[0]
-
-    def powers(self, threshold: float) -> np.ndarray:
-        """Per-candidate-column powers at the threshold (0 when inactive)."""
-        p = np.zeros_like(self.gap)
-        if not np.isfinite(threshold):
-            return p
-        act = self.gap > threshold
-        if act.any():
-            p[act] = _su_power_core(self.a[act], self.b[act], 1.0 / threshold, 1.0)
-        return p
+    thr = x[su]
+    on = np.flatnonzero(a - b > thr)
+    a_on, b_on, su_on = a[on], b[on], su[on]
+    p = _su_power_core(a_on, b_on, 1.0 / thr[on], 1.0)
+    rs = np.log1p(p * a_on) - np.log1p(p * b_on)
+    rate = np.bincount(su_on, rs, minlength=x.size) / t_count
+    power = np.bincount(su_on, p, minlength=x.size) / t_count
+    return rate, power, on, p
 
 
-def search_threshold(curve: ThresholdCurve, target: float, eps: float) -> SearchOutcome:
-    """Shrink the threshold bracket until |mean rate - target| <= eps*target.
+def search_threshold(a, b, su, targets, eps, t_count):
+    """Tune every SU's gap threshold until |mean rate - C_k| <= eps*C_k.
 
-    The rate is continuous and non-increasing in the threshold, so plain
-    bisection with a bracket that caps at just above the largest observed
-    gap (where the rate is exactly zero) always terminates.
+    Each SU's rate is continuous and non-increasing in its own threshold
+    alone, so the K1 searches are one elementwise bracket and bisection
+    whose probes price only the open SUs.  SU k's bracket starts at its
+    99.9th gap percentile and doubles, capped just above its largest gap
+    (rate 0 there).  Returns each SU's last probe and bisection steps; a
+    zero target gives ``inf`` and 0 steps, a positive one needs a column.
     """
-    if target <= 0:
-        return SearchOutcome(np.inf, 0, True)
-    hi = float(np.percentile(curve.gap, 99.9)) if curve.gap.size else 0.0
-    hard_cap = curve.max_gap * (1 + 1e-9) + 1e-9
-    hi = min(max(hi, 1e-12), hard_cap)
-    _, hi = bracket(lambda x: (curve.rate(float(x)) > target, False), 0.0, hi, 2.0,
-                    limit=hard_cap, max_steps=60)
-    return bisect_monotone(
-        curve.rate, target, 0.0, float(hi), eps * target, increasing=False,
-    )
+    thresholds = np.full(targets.size, np.inf)
+    steps = np.zeros(targets.size, dtype=int)
+    live = np.flatnonzero(targets > 0)
+    if not live.size:
+        return thresholds, steps
+    gaps = [(a - b)[su == k] for k in live]
+    cap = np.array([g.max() for g in gaps]) * (1 + 1e-9) + 1e-9
+    hi = np.minimum(np.maximum([np.percentile(g, 99.9) for g in gaps], 1e-12), cap)
+    c = targets[live]
+    tol = eps * c
+
+    def rate(x, idx=slice(None)):
+        at = np.full(targets.size, np.inf)
+        at[live[idx]] = x
+        return threshold_stats(a, b, su, at, t_count)[0][live[idx]]
+
+    _, hi = bracket(lambda x: (rate(x) > c, False), 0.0, hi, 2.0, limit=cap,
+                    max_steps=60)
+    thresholds[live] = hi
+
+    def probe(x, idx):
+        idx = slice(None) if idx is None else idx
+        fx = rate(x, idx)
+        thresholds[live[idx]] = x
+        steps[live[idx]] += 1
+        return fx > c[idx], np.abs(fx - c[idx]) <= tol[idx]
+
+    bisect(probe, 0.0, hi, xtol=1e-12 * np.maximum(hi, 1.0),
+           done=np.abs(rate(hi) - c) <= tol, open_only=True)
+    return thresholds, steps

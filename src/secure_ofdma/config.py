@@ -145,6 +145,14 @@ class SolverOptions:
             raise ValueError(f"unknown solver options: {sorted(unknown)}")
         return cls(**d)
 
+    @classmethod
+    def from_spec(cls, d: dict) -> "SolverOptions":
+        """The ``"solver"`` block of a spec, with a top-level ``epsilon``."""
+        opts = dict(d.get("solver", {}))
+        if "epsilon" in d:
+            opts.setdefault("epsilon", float(d["epsilon"]))
+        return cls.from_dict(opts)
+
 
 @dataclass
 class RunSpec:
@@ -157,14 +165,11 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
-        opts = dict(d.get("solver", {}))
-        if "epsilon" in d:
-            opts.setdefault("epsilon", float(d["epsilon"]))
         return cls(
             config=ProblemConfig.from_dict(d),
             realizations=int(d.get("realizations", 2000)),
             seed=int(d.get("seed", 0)),
-            options=SolverOptions.from_dict(opts),
+            options=SolverOptions.from_spec(d),
         )
 
     @classmethod

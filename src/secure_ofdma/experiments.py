@@ -71,9 +71,6 @@ class ExperimentSpec:
         unknown = set(d) - SPEC_KEYS
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
-        opts = dict(d.get("solver", {}))
-        if "epsilon" in d:
-            opts.setdefault("epsilon", float(d["epsilon"]))
         return cls(
             sweep=d["sweep"],
             values=d["values"],
@@ -81,7 +78,7 @@ class ExperimentSpec:
             config=ProblemConfig.from_dict(d["config"]),
             realizations=int(d.get("realizations", 2000)),
             seed=int(d.get("seed", 0)),
-            options=SolverOptions.from_dict(opts),
+            options=SolverOptions.from_spec(d),
             output=d.get("output"),
         )
 

@@ -2,13 +2,13 @@
 
 Phase 1 serves the secure users in isolation, treating every other user
 as a pure eavesdropper: SU k claims the subcarriers where its CNR beats
-the best other CNR by more than a per-user gap threshold, and K1
-independent binary searches tune the thresholds until each average
-secrecy target is met.  Phase 2 distributes the leftover subcarriers and
-power among the normal users by searching a single water level with
-per-user levels proportional to the weights.  The two phases decouple
-the multiplier updates, so the whole run needs O((K1+1) log(1/eps))
-bisection steps.
+the best other CNR by more than a per-user gap threshold, and one
+elementwise bisection tunes the K1 independent thresholds until each
+average secrecy target is met.  Phase 2 distributes the leftover
+subcarriers and power among the normal users by searching a single
+water level with per-user levels proportional to the weights.  The two
+phases decouple the multiplier updates, so the whole run needs
+O((K1+1) log(1/eps)) bisection steps.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import ThresholdCurve, bisect_monotone, bracket, search_threshold
+from ._search import bisect_monotone, bracket, search_threshold, threshold_stats
 from .allocation import SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, column_order_stats
 from .config import ProblemConfig, SolverOptions
@@ -43,10 +43,13 @@ class SuPhaseReport:
     secrecy: np.ndarray          # (K1,) achieved average secrecy rates
     power: np.ndarray            # (K1,) average power spent per SU
     iterations: np.ndarray       # (K1,) bisection steps per SU
-    occupied: np.ndarray         # (T, N) bool, subcarriers claimed by any SU
-    claimed: list = field(default_factory=list, repr=False)  # per-SU (T, N) bool
-    curves: list = field(default_factory=list, repr=False)
+    owner: np.ndarray            # (T, N) SU holding the subcarrier or -1
+    p_win: np.ndarray            # (T, N) SU powers
     order_stats: tuple = field(default=None, repr=False)  # column_order_stats
+
+    @property
+    def occupied(self) -> np.ndarray:
+        return self.owner >= 0
 
 
 @dataclass
@@ -55,8 +58,18 @@ class NuPhaseReport:
     power: float                 # average NU power
     iterations: int
     budget_exhausted: bool
-    owner_nu: np.ndarray | None = None   # (T, N) NU winner or -1, repr-free
-    power_nu: np.ndarray | None = None   # (T, N) NU powers
+    owner_nu: np.ndarray         # (T, N) NU winner or -1
+    power_nu: np.ndarray         # (T, N) NU powers
+
+
+def _idle_nu(config, t_count, exhausted):
+    """The NU phase that spends nothing."""
+    shape = (t_count, config.n_subcarriers)
+    return NuPhaseReport(
+        nu_rate=np.zeros(config.n_normal), power=0.0, iterations=0,
+        budget_exhausted=exhausted, owner_nu=np.full(shape, -1),
+        power_nu=np.zeros(shape),
+    )
 
 
 def su_phase(
@@ -69,48 +82,38 @@ def su_phase(
 
     ``candidate_sets`` restricts SU k to a fixed subcarrier set (used by
     the fixed-assignment baselines); by default every subcarrier where the
-    SU has the largest CNR is a candidate.  Returns
+    SU has the largest CNR is a candidate.  Raises
+    ``SecrecyInfeasibleError`` for the lowest-indexed SU whose target its
+    unbounded-power limit cannot reach.  Returns
     ``(nu_thresholds, SuPhaseReport, total SU power)``.
     """
-    k1 = config.n_secure
+    k1, n, t_count = config.n_secure, config.n_subcarriers, ensemble.count
     order_stats = column_order_stats(ensemble.alpha)
-    nu1, nu2, kmax = order_stats
-    t_count = ensemble.count
+    nu1, nu2, kmax = (s.ravel() for s in order_stats)
+    cols = np.flatnonzero(kmax < k1)
+    if candidate_sets is not None:
+        in_set = np.zeros((k1, n), dtype=bool)
+        for k, subs in enumerate(candidate_sets):
+            in_set[k, subs] = True
+        cols = cols[in_set[kmax[cols], cols % n]]
+    a, b, su = nu1[cols], nu2[cols], kmax[cols]
+    targets = config.secrecy_targets
 
-    thresholds = np.full(k1, np.inf)
-    secrecy = np.zeros(k1)
-    power = np.zeros(k1)
-    iterations = np.zeros(k1, dtype=int)
-    occupied = np.zeros((t_count, config.n_subcarriers), dtype=bool)
-    claimed_masks = []
-    curves = []
+    # the unbounded-power limit: every positive gap active at rate ln(a/b)
+    pos = a > b
+    limit = np.bincount(su[pos], np.log(a[pos] / b[pos]), minlength=k1) / t_count
+    short = np.flatnonzero((targets > 0) & (limit <= targets * (1 - eps)))
+    if short.size:
+        k = short[0]
+        raise SecrecyInfeasibleError(int(k), float(limit[k]), float(targets[k]))
 
-    for k in range(k1):
-        mask = kmax == k
-        if candidate_sets is not None:
-            in_set = np.zeros(config.n_subcarriers, dtype=bool)
-            in_set[candidate_sets[k]] = True
-            mask = mask & in_set
-        curve = ThresholdCurve(nu1[mask], nu2[mask], t_count)
-        curves.append(curve)
-        claimed = np.zeros_like(occupied)
-        target = float(config.secrecy_targets[k])
-        if target > 0:
-            achievable = curve.limit_rate()
-            if achievable <= target * (1 - eps):
-                raise SecrecyInfeasibleError(k, achievable, target)
-            out = search_threshold(curve, target, eps)
-            thresholds[k] = out.value
-            iterations[k] = out.iterations
-            secrecy[k], power[k] = curve.stats(out.value)
-            claimed[mask] = curve.gap > thresholds[k]
-        claimed_masks.append(claimed)
-        occupied |= claimed
-
+    thresholds, iterations = search_threshold(a, b, su, targets, eps, t_count)
+    secrecy, power, on, p = threshold_stats(a, b, su, thresholds, t_count)
+    owner, p_win = np.full((t_count, n), -1), np.zeros((t_count, n))
+    owner.flat[cols[on]], p_win.flat[cols[on]] = su[on], p
     report = SuPhaseReport(
         secrecy=secrecy, power=power, iterations=iterations,
-        occupied=occupied, claimed=claimed_masks, curves=curves,
-        order_stats=order_stats,
+        owner=owner, p_win=p_win, order_stats=order_stats,
     )
     return thresholds, report, float(power.sum())
 
@@ -138,17 +141,10 @@ def nu_phase(
     t_count = ensemble.count
     n = config.n_subcarriers
     k1 = config.n_secure
-    n_nu = config.n_normal
     omega = config.weights
 
-    def idle(exhausted):
-        return 0.0, NuPhaseReport(
-            nu_rate=np.zeros(n_nu), power=0.0, iterations=0, budget_exhausted=exhausted,
-            owner_nu=np.full((t_count, n), -1), power_nu=np.zeros((t_count, n)),
-        )
-
     if p_residual <= 0:
-        return idle(True)
+        return 0.0, _idle_nu(config, t_count, True)
 
     alpha_nu = ensemble.alpha[:, k1:, :]
     if fixed_sets is not None:
@@ -180,7 +176,7 @@ def nu_phase(
 
     if not free.any():
         # every subcarrier is taken, so no water level spends anything
-        return idle(False)
+        return 0.0, _idle_nu(config, t_count, False)
 
     def spend(level):
         if level <= 0:
@@ -199,7 +195,7 @@ def nu_phase(
     owner_nu, inv_a, ln_wa_win, w_win = assignment(level)
     p = np.where(free & (owner_nu >= 0), np.maximum(w_win * level - inv_a, 0.0), 0.0)
     rate = np.where(p > 0, np.maximum(ln_wa_win + np.log(level), 0.0), 0.0)
-    nu_rate = np.zeros(n_nu)
+    nu_rate = np.zeros(config.n_normal)
     won = p > 0
     np.add.at(nu_rate, owner_nu[won], rate[won])
     nu_rate /= t_count
@@ -217,24 +213,10 @@ def nu_phase(
 
 def _assemble_result(ensemble, config, thresholds, su_rep, nu_rep,
                      level, iterations, converged, infeasible, message):
-    t_count = ensemble.count
     k1 = config.n_secure
-
-    owner = np.full((t_count, config.n_subcarriers), -1, dtype=np.int64)
-    p_win = np.zeros((t_count, config.n_subcarriers))
-    for k in range(k1):
-        mask = su_rep.claimed[k]
-        if not np.isfinite(thresholds[k]) or not mask.any():
-            continue
-        # the curve holds SU k's candidate columns in row-major order and
-        # ``mask`` is the subset of them above the threshold
-        curve = su_rep.curves[k]
-        owner[mask] = k
-        p_win[mask] = curve.powers(thresholds[k])[curve.gap > thresholds[k]]
-    if nu_rep.owner_nu is not None:
-        nu_cols = nu_rep.owner_nu >= 0
-        owner[nu_cols] = k1 + nu_rep.owner_nu[nu_cols]
-        p_win[nu_cols] = nu_rep.power_nu[nu_cols]
+    nu_cols = nu_rep.owner_nu >= 0
+    owner = np.where(nu_cols, k1 + nu_rep.owner_nu, su_rep.owner)
+    p_win = np.where(nu_cols, nu_rep.power_nu, su_rep.p_win)
 
     decisions = decisions_from_arrays(owner, p_win, ensemble, config,
                                       su_rep.order_stats)
@@ -264,18 +246,16 @@ def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
     try:
         thresholds, su_rep, p_su = su_phase(ensemble, config, eps, candidate_sets)
     except SecrecyInfeasibleError as err:
-        shape = (ensemble.count, config.n_subcarriers)
-        decisions = decisions_from_arrays(
-            np.full(shape, -1), np.zeros(shape), ensemble, config
+        k1, nu_rep = config.n_secure, _idle_nu(config, ensemble.count, False)
+        # every column free: the idle NU phase's arrays serve the SUs too
+        su_rep = SuPhaseReport(
+            secrecy=np.zeros(k1), power=np.zeros(k1),
+            iterations=np.zeros(k1, dtype=int),
+            owner=nu_rep.owner_nu, p_win=nu_rep.power_nu,
         )
-        return SolveResult(
-            duals=DualState(mu=np.zeros(config.n_secure), lam=None),
-            report=evaluate(decisions, ensemble, config),
-            decisions=decisions,
-            iterations=0,
-            converged=False,
-            infeasible=True,
-            message=f"{prefix}{err}",
+        return _assemble_result(
+            ensemble, config, np.full(k1, np.inf), su_rep, nu_rep, 0.0, 0,
+            converged=False, infeasible=True, message=f"{prefix}{err}",
         )
 
     residual = config.power - p_su

@@ -18,6 +18,9 @@ bisection loops (lambda resolution in both modes, the peak trim and
 refill, the mu calibration) that ``_search.bracket``/``_search.bisect``
 replaced.  They call the library's auction through this module's
 ``_eval_point`` name, so a test can record their probes.
+``looped_su_phase`` is the two-phase allocator's per-SU threshold
+search, one ``ThresholdCurve`` and one scalar bisection per SU, that the
+single elementwise ``_search.search_threshold`` replaced.
 """
 
 import itertools
@@ -26,11 +29,13 @@ import math
 import numpy as np
 from scipy import optimize
 
+from secure_ofdma._search import SearchOutcome, bisect_monotone, bracket
 from secure_ofdma.allocation import UNASSIGNED, AllocationDecision
 from secure_ofdma.channel import column_order_stats
 from secure_ofdma.dual_solver import _eval_point
 from secure_ofdma.evaluate import EvaluationReport
 from secure_ofdma.rates import _h_su_core, _su_power_core
+from secure_ofdma.suboptimal import SecrecyInfeasibleError
 
 
 def maximize_power_payoff(payoff, p_hi, tol=1e-11):
@@ -616,3 +621,124 @@ def looped_initial_mu(prep, lam0, *, rounds=28) -> np.ndarray:
         lo = np.where(low, mid, lo)
         hi = np.where(low, hi, mid)
     return np.where(want, 0.5 * (lo + hi), 0.0)
+
+
+class ThresholdCurve:
+    """Average secrecy rate and power of one SU as its CNR-gap threshold moves.
+
+    Built from the flattened candidate columns of an ensemble: ``a`` holds the
+    SU's CNR where it is the column maximum (restricted to a fixed subcarrier
+    set for the fixed-assignment baselines), ``b`` the runner-up CNR.  Power
+    follows the secure-user closed form with the price pair (1/threshold, 1),
+    which keeps the activation rule at ``a - b > threshold`` exactly.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, t_count: int):
+        self.a = np.asarray(a, float)
+        self.b = np.asarray(b, float)
+        self.gap = self.a - self.b
+        self.t_count = t_count
+
+    @property
+    def max_gap(self) -> float:
+        return float(self.gap.max()) if self.gap.size else 0.0
+
+    def limit_rate(self) -> float:
+        """Average secrecy rate as the threshold (and the power price) -> 0."""
+        act = self.gap > 0
+        if not act.any():
+            return 0.0
+        return float(np.log(self.a[act] / self.b[act]).sum() / self.t_count)
+
+    def stats(self, threshold: float):
+        """(mean secrecy rate, mean power) at the given threshold.
+
+        A vanishing threshold is the unbounded-power limit: the rate tends
+        to the mean log-ratio of the top two CNRs and the power diverges.
+        """
+        if not np.isfinite(threshold):
+            return 0.0, 0.0
+        if threshold <= 0:
+            return self.limit_rate(), np.inf
+        act = self.gap > threshold
+        if not act.any():
+            return 0.0, 0.0
+        a, b = self.a[act], self.b[act]
+        p = _su_power_core(a, b, 1.0 / threshold, 1.0)
+        rs = np.log1p(p * a) - np.log1p(p * b)
+        return float(rs.sum() / self.t_count), float(p.sum() / self.t_count)
+
+    def rate(self, threshold: float) -> float:
+        return self.stats(threshold)[0]
+
+    def powers(self, threshold: float) -> np.ndarray:
+        """Per-candidate-column powers at the threshold (0 when inactive)."""
+        p = np.zeros_like(self.gap)
+        if not np.isfinite(threshold):
+            return p
+        act = self.gap > threshold
+        if act.any():
+            p[act] = _su_power_core(self.a[act], self.b[act], 1.0 / threshold, 1.0)
+        return p
+
+
+def looped_search_threshold(curve: ThresholdCurve, target: float, eps: float) -> SearchOutcome:
+    """Shrink the threshold bracket until |mean rate - target| <= eps*target.
+
+    The rate is continuous and non-increasing in the threshold, so plain
+    bisection with a bracket that caps at just above the largest observed
+    gap (where the rate is exactly zero) always terminates.
+    """
+    if target <= 0:
+        return SearchOutcome(np.inf, 0)
+    hi = float(np.percentile(curve.gap, 99.9)) if curve.gap.size else 0.0
+    hard_cap = curve.max_gap * (1 + 1e-9) + 1e-9
+    hi = min(max(hi, 1e-12), hard_cap)
+    _, hi = bracket(lambda x: (curve.rate(float(x)) > target, False), 0.0, hi, 2.0,
+                    limit=hard_cap, max_steps=60)
+    return bisect_monotone(
+        curve.rate, target, 0.0, float(hi), eps * target, increasing=False,
+    )
+
+
+def looped_su_phase(ensemble, config, eps, candidate_sets=None):
+    """One ``ThresholdCurve`` and one threshold search per SU.
+
+    Returns ``(thresholds, secrecy, power, iterations, owner, p_win)``:
+    the (K1,) per-SU results and the (T, N) SU owner (-1 where free) and
+    power arrays; raises ``SecrecyInfeasibleError`` like ``su_phase``.
+    """
+    k1 = config.n_secure
+    nu1, nu2, kmax = column_order_stats(ensemble.alpha)
+    t_count = ensemble.count
+
+    thresholds = np.full(k1, np.inf)
+    secrecy = np.zeros(k1)
+    power = np.zeros(k1)
+    iterations = np.zeros(k1, dtype=int)
+    owner = np.full((t_count, config.n_subcarriers), -1, dtype=np.int64)
+    p_win = np.zeros((t_count, config.n_subcarriers))
+
+    for k in range(k1):
+        mask = kmax == k
+        if candidate_sets is not None:
+            in_set = np.zeros(config.n_subcarriers, dtype=bool)
+            in_set[candidate_sets[k]] = True
+            mask = mask & in_set
+        curve = ThresholdCurve(nu1[mask], nu2[mask], t_count)
+        target = float(config.secrecy_targets[k])
+        if target > 0:
+            achievable = curve.limit_rate()
+            if achievable <= target * (1 - eps):
+                raise SecrecyInfeasibleError(k, achievable, target)
+            out = looped_search_threshold(curve, target, eps)
+            thresholds[k] = out.value
+            iterations[k] = out.iterations
+            secrecy[k], power[k] = curve.stats(out.value)
+            # the curve holds SU k's candidate columns in row-major order
+            # and ``claimed`` is the subset of them above the threshold
+            claimed = np.zeros_like(mask)
+            claimed[mask] = curve.gap > thresholds[k]
+            owner[claimed] = k
+            p_win[claimed] = curve.powers(thresholds[k])[curve.gap > thresholds[k]]
+    return thresholds, secrecy, power, iterations, owner, p_win

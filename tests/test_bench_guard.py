@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secure_ofdma import generate_ensemble, solve_peak, solve_suboptimal
+from secure_ofdma import generate_ensemble, solve_fsa, solve_peak, solve_suboptimal
 from secure_ofdma.dual_solver import _Prepared
 
 from conftest import make_config
@@ -77,6 +77,21 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
             "dual_solver.outer", "dual_solver.finish"} <= parents
     steps = [s[6]["steps"] for s in spans.spans if s[1] == "search.bisect_monotone"]
     assert steps and all(n > 0 for n in steps)
+
+
+def test_two_phase_solves_never_enter_the_dual_solver(tracer):
+    # the twophase workload is the benchmark's bypass: a dual-solver
+    # change must not move it, so its solvers may open no dual_solver span
+    cfg = make_config(n=8, k=4, k1=2, c=0.05, power=50.0)
+    ens = generate_ensemble(cfg, 20, seed=3)
+    spans = tracer.Tracer()
+    with spans.installed():
+        solve_suboptimal(ens, cfg)
+        solve_fsa(ens, cfg, "fsa1")
+    names = [s[1] for s in spans.spans]
+    assert names.count("suboptimal.su_phase") == 2
+    assert names.count("search.search_threshold") == 2
+    assert not [n for n in names if n.startswith("dual_solver.")]
 
 
 def test_sweep_workload_runs_on_the_package(tmp_path):

@@ -174,12 +174,24 @@ class TestPrimitive:
         assert f_lo.tolist() == [-1.0, -1.0, 64.0 - 1e9]
         assert f_hi[:2].tolist() == [11.0, 0.5] and np.isnan(f_hi[2])
 
+    def test_bracket_caps_each_element_at_its_own_limit(self):
+        # two of three elements still up against per-element limits
+        lo, hi = bracket(lambda x: (x < np.array([5.0, 100.0, 0.5]), False),
+                         np.zeros(3), np.ones(3), 2.0,
+                         limit=np.array([64.0, 8.0, 4.0]))
+        assert lo.tolist() == [4.0, 8.0, 0.0] and hi.tolist() == [8.0, 8.0, 1.0]
+
     def test_bisect_monotone_returns_last_probe(self):
-        out = bisect_monotone(lambda x: x**3, 2.0, 0.0, 4.0, 1e-9, increasing=True)
-        assert out.converged and abs(out.value**3 - 2.0) <= 1e-9
-        assert out.iterations == len(out.trace) + 1
-        for lo, hi in out.trace:
-            assert lo**3 < 2.0 < hi**3
+        probes = []
+
+        def cube(x):
+            probes.append(x)
+            return x**3
+
+        out = bisect_monotone(cube, 2.0, 0.0, 4.0, 1e-9, increasing=True)
+        assert abs(out.value**3 - 2.0) <= 1e-9 and out.value == probes[-1]
+        # the first call checks the top of the bracket, the rest are steps
+        assert out.iterations == len(probes) - 1 > 0
 
 
 @contextlib.contextmanager

@@ -5,18 +5,22 @@ import pytest
 from scipy import optimize
 
 from secure_ofdma import (
+    ChannelEnsemble,
     SecrecyInfeasibleError,
     generate_ensemble,
     nu_phase,
     solve_average,
+    solve_fsa,
     solve_suboptimal,
     su_phase,
 )
-from secure_ofdma._search import ThresholdCurve, search_threshold
+from secure_ofdma import _search
+from secure_ofdma._search import threshold_stats
 from secure_ofdma.allocation import validate_exclusivity
 from secure_ofdma.channel import column_order_stats
 
 from conftest import make_config
+from oracles import ThresholdCurve, looped_su_phase
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +33,9 @@ class TestSuPhase:
     def test_zero_target_claims_nothing(self, ens300):
         cfg = make_config(c=[0.0, 0.5, 0.5, 0.5])
         thresholds, rep, p_su = su_phase(ens300, cfg, eps=1e-2)
-        assert np.isinf(thresholds[0])
+        assert np.isinf(thresholds[0]) and rep.iterations[0] == 0
         assert rep.power[0] == 0.0 and rep.secrecy[0] == 0.0
-        assert not rep.claimed[0].any()
+        assert not (rep.owner == 0).any()
         assert p_su == rep.power.sum()
 
     def test_targets_met_within_tolerance(self, ens300):
@@ -43,8 +47,7 @@ class TestSuPhase:
         cfg = make_config(n=16, k=3, k1=1, c=0.0)
         ens = generate_ensemble(cfg, 200, seed=5)
         nu1, nu2, kmax = column_order_stats(ens.alpha)
-        mask = kmax == 0
-        curve = ThresholdCurve(nu1[mask], nu2[mask], 200)
+        curve = ThresholdCurve(nu1[kmax == 0], nu2[kmax == 0], 200)
         limit = curve.limit_rate()
         cfg2 = make_config(n=16, k=3, k1=1, c=limit * 0.995)
         thresholds, rep, _ = su_phase(ens, cfg2, eps=1e-2)
@@ -58,35 +61,66 @@ class TestSuPhase:
         assert err.value.su_index == 1
         assert err.value.target == 4.5
 
-    def test_bracket_maintained_throughout_search(self, ens300):
-        cfg = make_config()
+    def test_bracket_maintained_throughout_search(self, ens300, monkeypatch):
+        # replay every bisection probe: each SU's bracket keeps its target
+        # between the rates at its ends, and only open SUs are probed
+        cfg = make_config(c=[1.0, 0.6, 1.0, 1.4])
+        start, probes = [], []
+        bisect = _search.bisect
+
+        def recording(probe, lo, hi, **kw):
+            def logged(x, idx):
+                out = probe(x, idx)
+                probes.append((x, np.arange(x.size) if idx is None else idx, out[0]))
+                return out
+            start.append(np.array(hi))
+            return bisect(logged, lo, hi, **kw)
+
+        monkeypatch.setattr(_search, "bisect", recording)
+        _, rep, _ = su_phase(ens300, cfg, eps=1e-2)
         nu1, nu2, kmax = column_order_stats(ens300.alpha)
-        curve = ThresholdCurve(nu1[kmax == 0], nu2[kmax == 0], ens300.count)
-        target = 1.0
-        out = search_threshold(curve, target, eps=1e-2)
-        assert out.converged
-        for lo, hi in out.trace:
-            assert curve.rate(lo) >= target - 1e-9
-            assert curve.rate(hi) <= target + 1e-9
+        curves = [ThresholdCurve(nu1[kmax == k], nu2[kmax == k], ens300.count)
+                  for k in range(4)]
+        target = cfg.secrecy_targets
+        lo, hi = np.zeros(4), start[0].copy()
+        for x, idx, up in probes:
+            lo[idx] = np.where(up, x, lo[idx])
+            hi[idx] = np.where(up, hi[idx], x)
+            for k in idx:
+                assert curves[k].rate(lo[k]) >= target[k] - 1e-9
+                assert curves[k].rate(hi[k]) <= target[k] + 1e-9
+        probed = np.bincount(np.concatenate([idx for _, idx, _ in probes]), minlength=4)
+        assert np.array_equal(probed, rep.iterations) and len(set(probed)) > 1
+        assert np.all(np.abs(rep.secrecy - target) <= 1e-2 * target)
 
     def test_rate_and_power_decrease_with_threshold(self, ens300):
-        nu1, nu2, kmax = column_order_stats(ens300.alpha)
-        curve = ThresholdCurve(nu1[kmax == 2], nu2[kmax == 2], ens300.count)
-        grid = np.linspace(0.05, curve.max_gap * 0.9, 25)
-        stats = [curve.stats(v) for v in grid]
-        rates = [s[0] for s in stats]
-        powers = [s[1] for s in stats]
+        nu1, nu2, kmax = (s.ravel() for s in column_order_stats(ens300.alpha))
+        on = kmax < 4
+        a, b, su = nu1[on], nu2[on], kmax[on]
+        grid = np.linspace(0.05, (a - b)[su == 2].max() * 0.9, 25)
+        stats = [
+            threshold_stats(a, b, su, np.array([np.inf, np.inf, v, np.inf]), ens300.count)
+            for v in grid
+        ]
+        rates = [s[0][2] for s in stats]
+        powers = [s[1][2] for s in stats]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(powers, powers[1:]))
+        # an infinite threshold leaves its SU idle
+        assert all(not s[0][[0, 1, 3]].any() and not s[1][[0, 1, 3]].any() for s in stats)
 
     def test_claimed_sets_disjoint(self, ens300):
+        # one owner array makes the claims disjoint; each SU-owned column
+        # must be one where that SU holds the largest CNR
         cfg = make_config(c=0.8)
         _, rep, _ = su_phase(ens300, cfg, eps=1e-2)
-        total = np.zeros_like(rep.occupied, dtype=int)
-        for claimed in rep.claimed:
-            total += claimed.astype(int)
-        assert total.max() <= 1
-        assert np.array_equal(total > 0, rep.occupied)
+        kmax = column_order_stats(ens300.alpha)[2]
+        owned = rep.owner >= 0
+        assert owned.any() and np.array_equal(rep.occupied, owned)
+        assert np.array_equal(kmax[owned], rep.owner[owned])
+        assert np.all(rep.p_win[~owned] == 0.0)
+        per_su = np.bincount(rep.owner[owned], rep.p_win[owned], minlength=4)
+        np.testing.assert_allclose(per_su / ens300.count, rep.power, rtol=1e-12)
 
     @given(
         st.integers(0, 10_000),
@@ -102,8 +136,67 @@ class TestSuPhase:
             _, rep, _ = su_phase(ens, cfg, eps=0.05)
         except SecrecyInfeasibleError:
             return
-        stacked = np.stack(rep.claimed).astype(int).sum(axis=0)
-        assert stacked.max() <= 1
+        kmax = column_order_stats(ens.alpha)[2]
+        owned = rep.owner >= 0
+        assert np.array_equal(kmax[owned], rep.owner[owned])
+
+
+FRACTIONS = (0.0, 0.3, 0.7, 0.995, 1.2)
+
+
+class TestSuPhaseMatchesLoop:
+    """``su_phase`` against the per-SU loop it replaced (``oracles``)."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=st.sampled_from([(1, 8, 4, 2), (1, 6, 3, 2), (12, 8, 4, 3),
+                               (25, 8, 5, 2), (40, 12, 4, 1)]),
+        fractions=st.lists(st.sampled_from(FRACTIONS), min_size=3, max_size=3),
+        fixed_sets=st.booleans(),
+        absent=st.booleans(),
+        eps=st.sampled_from([1e-2, 0.05]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_thresholds_steps_and_arrays_match(self, seed, shape, fractions,
+                                              fixed_sets, absent, eps):
+        t, n, k, k1 = shape
+        cfg = make_config(n=n, k=k, k1=k1, c=0.0, power=100.0)
+        ens = generate_ensemble(cfg, t, seed=seed)
+        if absent:
+            # SU 0 falls below every other user: the column maximum nowhere
+            alpha = ens.alpha.copy()
+            alpha[:, 0, :] = 0.5 * alpha[:, 1:, :].min(axis=1)
+            ens = ChannelEnsemble(alpha=alpha, seed=ens.seed, rho=ens.rho)
+        sets = np.array_split(np.arange(n), k)[:k1] if fixed_sets else None
+        nu1, nu2, kmax = column_order_stats(ens.alpha)
+        targets = []
+        for j in range(k1):
+            mask = kmax == j
+            if sets is not None:
+                mask &= np.isin(np.arange(n), sets[j])
+            limit = ThresholdCurve(nu1[mask], nu2[mask], t).limit_rate()
+            frac = fractions[j % 3]
+            targets.append(frac * limit if limit > 0 else frac)
+        cfg = make_config(n=n, k=k, k1=k1, c=targets, power=100.0)
+
+        def run(fn):
+            try:
+                return fn(ens, cfg, eps, sets)
+            except SecrecyInfeasibleError as err:
+                return err.su_index, err.target
+
+        want, got = run(looped_su_phase), run(su_phase)
+        if len(want) == 2:
+            assert got == want
+            return
+        thresholds, secrecy, power, iterations, owner, p_win = want
+        got_thresholds, rep, p_su = got
+        assert np.array_equal(got_thresholds, thresholds)
+        assert np.array_equal(rep.iterations, iterations)
+        assert np.array_equal(rep.owner, owner) and np.array_equal(rep.p_win, p_win)
+        np.testing.assert_allclose(rep.secrecy, secrecy, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.power, power, rtol=1e-12, atol=0)
+        assert p_su == rep.power.sum()
 
 
 class TestNuPhase:
@@ -174,9 +267,13 @@ class TestSolveSuboptimal:
 
     def test_infeasible_secrecy_propagates(self, ens300):
         cfg = make_config(c=4.2)
-        res = solve_suboptimal(ens300, cfg)
-        assert res.infeasible and not res.converged
-        assert "exceeds" in res.message
+        for res, prefix in ((solve_suboptimal(ens300, cfg), ""),
+                            (solve_fsa(ens300, cfg, "fsa1"), "fsa1: ")):
+            assert res.infeasible and not res.converged
+            assert res.message.startswith(f"{prefix}SU 0: target 4.2 exceeds")
+            assert res.iterations == 0 and res.duals.lam is None
+            assert np.array_equal(res.duals.mu, np.zeros(4))
+            assert np.all(res.decisions.owner == -1) and res.report.avg_power == 0.0
 
     def test_dominated_by_optimal(self, ens300):
         cfg = make_config(c=1.6)
