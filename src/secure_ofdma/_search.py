@@ -222,8 +222,14 @@ def search_threshold(a, b, su, targets, eps, t_count):
         at[live[idx]] = x
         return threshold_stats(a, b, su, at, t_count)[0][live[idx]]
 
-    _, hi = bracket(lambda x: (rate(x) > c, False), 0.0, hi, 2.0, limit=cap,
-                    max_steps=60)
+    def top(x):
+        fx = rate(x)
+        return fx > c, False, c - fx
+
+    # each top is priced once; one capped unprobed has rate 0 (no gap above)
+    _, hi, _, f_hi = bracket(top, 0.0, hi, 2.0, limit=cap, max_steps=60,
+                             f_lo=np.nan)
+    f_hi = np.where(np.isnan(f_hi), c, f_hi)
     thresholds[live] = hi
 
     def probe(x, idx):
@@ -234,5 +240,5 @@ def search_threshold(a, b, su, targets, eps, t_count):
         return fx > c[idx], np.abs(fx - c[idx]) <= tol[idx]
 
     bisect(probe, 0.0, hi, xtol=1e-12 * np.maximum(hi, 1.0),
-           done=np.abs(rate(hi) - c) <= tol, open_only=True)
+           done=np.abs(f_hi) <= tol, open_only=True)
     return thresholds, steps

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelEnsemble, column_order_stats
+from .channel import ChannelEnsemble
 from .config import ProblemConfig
 from .rates import DualState
 
@@ -72,14 +72,13 @@ class Allocation:
 
 def decisions_from_arrays(
     owner: np.ndarray, power: np.ndarray, ensemble: ChannelEnsemble,
-    config: ProblemConfig, order_stats=None,
+    config: ProblemConfig,
 ) -> Allocation:
     """Build the allocation from stacked (T, N) owner / power arrays.
 
     Power on unassigned subcarriers is dropped.  Rates are recomputed here
     from power and channel so stored rates are consistent with the rate
-    formulas by construction.  ``order_stats`` is the solver's
-    ``column_order_stats(ensemble.alpha)``, computed here when omitted.
+    formulas by construction, from the ensemble's cached order statistics.
     """
     shape = (ensemble.count, ensemble.n_subcarriers)
     if np.shape(owner) != shape or np.shape(power) != shape:
@@ -87,9 +86,7 @@ def decisions_from_arrays(
     owner = np.array(owner, dtype=np.int64)
     owned = owner >= 0
     power = np.where(owned, power, 0.0)
-    if order_stats is None:
-        order_stats = column_order_stats(ensemble.alpha)
-    nu1, nu2, kmax = order_stats
+    nu1, nu2, kmax = ensemble.order_stats
     a = np.take_along_axis(
         ensemble.alpha, np.where(owned, owner, 0)[:, None, :], axis=1
     )[:, 0, :]

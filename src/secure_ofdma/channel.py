@@ -8,6 +8,11 @@ Each realization is produced from its own counter-based Philox stream
 keyed by ``(seed, index)``, so realization ``i`` is a pure function of
 the seed and its index: regeneration is bit-identical for any count,
 prefix-stable when the count grows, and safe to parallelize.
+
+Both solver families read the per-subcarrier order statistics from
+here: an ensemble's ``alpha`` is read-only, so ``ensemble.order_stats``
+is computed once per ensemble, ``ensemble.su_columns(k1)`` are the
+columns an SU can win, and ``secrecy_limit`` its cap on them.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +55,12 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ChannelEnsemble:
-    """Ordered stack of i.i.d. channel realizations."""
+    """Ordered stack of i.i.d. channel realizations.
+
+    The ensemble does not copy ``alpha``: it keeps a read-only view, so
+    nothing writes through it under the cached ``order_stats``.  The
+    caller's own array stays writable and must not change under it.
+    """
 
     alpha: np.ndarray  # shape (count, K, N)
     seed: int
@@ -62,7 +73,28 @@ class ChannelEnsemble:
         # two reductions and no temporaries; a NaN propagates and fails both
         if not (a.min() > 0 and a.max() < np.inf):
             raise ValueError("alpha entries must be positive and finite")
+        a = a.view()
+        a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
+
+    @cached_property
+    def order_stats(self):
+        """``column_order_stats(alpha)``, computed once; shared, so read-only."""
+        stats = column_order_stats(self.alpha)
+        for s in stats:
+            s.flags.writeable = False
+        return stats
+
+    def su_columns(self, k1: int):
+        """The columns whose largest CNR belongs to one of the ``k1`` SUs.
+
+        Returns ``(idx, su, nu1, nu2)``: the ascending flat ``t*N + n``
+        index of each column, the SU holding its maximum and its top two
+        CNRs.  Only these columns can pay an SU a positive secrecy rate.
+        """
+        nu1, nu2, kmax = self.order_stats
+        idx = np.flatnonzero(kmax < k1)
+        return idx, kmax.ravel()[idx], nu1.ravel()[idx], nu2.ravel()[idx]
 
     @property
     def count(self) -> int:
@@ -138,6 +170,16 @@ def column_order_stats(alpha: np.ndarray):
     np.put_along_axis(masked, kmax[..., None, :], -np.inf, axis=-2)
     nu2 = masked.max(axis=-2)
     return nu1, nu2, kmax
+
+
+def secrecy_limit(nu1, nu2, su, k1: int, t_count: int) -> np.ndarray:
+    """Per-SU mean secrecy rate at unbounded power over SU-max columns.
+
+    Every column with a positive gap is active at rate ``ln(nu1/nu2)``;
+    ``su`` is the SU holding each column, ``t_count`` the frame count.
+    """
+    pos = nu1 > nu2
+    return np.bincount(su[pos], np.log(nu1[pos] / nu2[pos]), minlength=k1) / t_count
 
 
 def save_ensemble(ensemble: ChannelEnsemble, path) -> None:

@@ -23,13 +23,11 @@ import sys
 
 import numpy as np
 
-from .baselines import solve_fsa
+from .baselines import SCHEMES
 from .channel import ensemble_hash, generate_ensemble, load_ensemble, save_ensemble
 from .config import RunSpec
-from .dual_solver import solve_average, solve_peak
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import ExperimentSpec, _run_solver, run_experiment
 from .feasibility import QuadratureOptions, check_feasibility
-from .suboptimal import solve_suboptimal
 
 
 def _load_run(args) -> RunSpec:
@@ -94,34 +92,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_solve_optimal(args) -> int:
+def _cmd_solve(args) -> int:
+    """solve-optimal, solve-suboptimal and baseline: one solver by name."""
     run = _load_run(args)
     ens = _ensemble_for(run, args)
-    solver = solve_peak if run.config.mode == "peak" else solve_average
-    result = solver(ens, run.config, run.options)
-    _print_result(f"optimal/{run.config.mode}", run, result)
-    if args.out:
-        _dump_result(args.out, run, result)
-    return 0
-
-
-def _cmd_solve_suboptimal(args) -> int:
-    run = _load_run(args)
-    if run.config.mode != "average":
-        raise SystemExit("the suboptimal solver supports only mode='average'")
-    ens = _ensemble_for(run, args)
-    result = solve_suboptimal(ens, run.config, run.options)
-    _print_result("suboptimal", run, result)
-    if args.out:
-        _dump_result(args.out, run, result)
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    run = _load_run(args)
-    ens = _ensemble_for(run, args)
-    result = solve_fsa(ens, run.config, args.scheme, run.options)
-    _print_result(args.scheme, run, result)
+    try:
+        result = _run_solver(args.solver, ens, run.config, run.options)
+    except ValueError as err:  # a mode or partition the solver rejects
+        raise SystemExit(str(err)) from None
+    tag = f"optimal/{run.config.mode}" if args.solver == "optimal" else args.solver
+    _print_result(tag, run, result)
     if args.out:
         _dump_result(args.out, run, result)
     return 0
@@ -188,22 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    for name, func in (
-        ("solve-optimal", _cmd_solve_optimal),
-        ("solve-suboptimal", _cmd_solve_suboptimal),
+    for name, solver in (
+        ("solve-optimal", "optimal"),
+        ("solve-suboptimal", "suboptimal"),
+        ("baseline", None),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, help=None if solver else "fixed subcarrier assignment")
         p.add_argument("--config", required=True)
+        if solver is None:
+            p.add_argument("--scheme", dest="solver", required=True, choices=SCHEMES)
         p.add_argument("--ensemble", help="reuse a generated ensemble file")
         p.add_argument("--out", help="write a JSON result file")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("baseline", help="fixed subcarrier assignment")
-    p.add_argument("--config", required=True)
-    p.add_argument("--scheme", required=True, choices=("fsa1", "fsa2"))
-    p.add_argument("--ensemble")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_baseline)
+        p.set_defaults(func=_cmd_solve, solver=solver)
 
     p = sub.add_parser("feasibility-bound",
                        help="unbounded-power secrecy ceiling")

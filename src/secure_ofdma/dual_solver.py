@@ -35,7 +35,7 @@ from .allocation import (
     SolveResult,
     decisions_from_arrays,
 )
-from .channel import ChannelEnsemble, ChannelRealization, column_order_stats
+from .channel import ChannelEnsemble, ChannelRealization, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
 from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core
@@ -67,36 +67,20 @@ class _Prepared:
         self.alpha = ensemble.alpha
         self.t_count, self.k, self.n = ensemble.alpha.shape
         self.k1 = config.n_secure
-        self.nu1, self.nu2, self.kmax = column_order_stats(self.alpha)
+        self.nu1, self.nu2, self.kmax = ensemble.order_stats
         self.is_su_col = self.kmax < self.k1
-        self.su_idx = np.flatnonzero(self.is_su_col)
+        self.su_idx, self.su_k, self.su_nu1, self.su_nu2 = ensemble.su_columns(self.k1)
         self.su_t = self.su_idx // self.n
-        self.su_k = self.kmax.ravel()[self.su_idx]
-        self.su_nu1 = self.nu1.ravel()[self.su_idx]
-        self.su_nu2 = self.nu2.ravel()[self.su_idx]
+        # per-SU ensemble-average secrecy at unbounded power (upper limit)
+        self.su_caps = secrecy_limit(
+            self.su_nu1, self.su_nu2, self.su_k, self.k1, self.t_count
+        )
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
         self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
         self.nu = _NuCandidates(self.alpha[:, self.k1:, :], config.weights)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
         self.omega = config.weights
-
-    _su_caps = None
-
-    @property
-    def su_caps(self) -> np.ndarray:
-        """Per-SU ensemble-average secrecy at unbounded power (upper limit)."""
-        if self._su_caps is None:
-            a, b = self.su_nu1, self.su_nu2
-            ln_ratio = np.where(a > b, np.log(a) - np.log(b), 0.0)
-            self._su_caps = np.bincount(
-                self.su_k, weights=ln_ratio, minlength=self.k1
-            ) / self.t_count
-        return self._su_caps
-
-    @property
-    def order_stats(self):
-        return self.nu1, self.nu2, self.kmax
 
     def su_in_frames(self, frames):
         """The SU-max columns of ascending ``frames``.
@@ -618,8 +602,7 @@ def _infeasible_result(prep, ensemble, opts, message) -> SolveResult:
 def _result(prep, ensemble, mu, lam, owner, p_win, **fields) -> SolveResult:
     """An allocation packaged with its evaluated report and its prices."""
     lam_arr = np.asarray(lam, float)
-    decisions = decisions_from_arrays(owner, p_win, ensemble, prep.config,
-                                      prep.order_stats)
+    decisions = decisions_from_arrays(owner, p_win, ensemble, prep.config)
     return SolveResult(
         duals=DualState(mu=mu, lam=float(lam_arr) if lam_arr.ndim == 0 else None),
         report=evaluate(decisions, ensemble, prep.config),
@@ -670,8 +653,7 @@ def allocate_realization_avg(
     ensemble = ChannelEnsemble(alpha=real.alpha[None], seed=0, rho=config.rho)
     prep = _Prepared(ensemble, config)
     st = _eval_point(prep, duals.mu, duals.lam, full=True, arrays=True)
-    return decisions_from_arrays(st.owner, st.p_win, ensemble, config,
-                                 prep.order_stats)[0]
+    return decisions_from_arrays(st.owner, st.p_win, ensemble, config)[0]
 
 
 def allocate_realization_peak(
@@ -697,6 +679,5 @@ def allocate_realization_peak(
         _trim_su_surplus(prep, owner, p_win, mu, lam_t, epsilon)
         residual = config.power - p_win.sum(axis=1)
         _refill_nu_water(prep, owner, p_win, lam_t, residual, _LAMBDA_FLOOR)
-    decision = decisions_from_arrays(owner, p_win, ensemble, config,
-                                     prep.order_stats)[0]
+    decision = decisions_from_arrays(owner, p_win, ensemble, config)[0]
     return decision, float(lam_t[0])

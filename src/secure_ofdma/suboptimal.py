@@ -13,13 +13,13 @@ O((K1+1) log(1/eps)) bisection steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._search import bisect_monotone, bracket, search_threshold, threshold_stats
 from .allocation import SolveResult, decisions_from_arrays
-from .channel import ChannelEnsemble, column_order_stats
+from .channel import ChannelEnsemble, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
 from .rates import DualState, _NuCandidates
@@ -45,7 +45,6 @@ class SuPhaseReport:
     iterations: np.ndarray       # (K1,) bisection steps per SU
     owner: np.ndarray            # (T, N) SU holding the subcarrier or -1
     p_win: np.ndarray            # (T, N) SU powers
-    order_stats: tuple = field(default=None, repr=False)  # column_order_stats
 
     @property
     def occupied(self) -> np.ndarray:
@@ -88,20 +87,16 @@ def su_phase(
     ``(nu_thresholds, SuPhaseReport, total SU power)``.
     """
     k1, n, t_count = config.n_secure, config.n_subcarriers, ensemble.count
-    order_stats = column_order_stats(ensemble.alpha)
-    nu1, nu2, kmax = (s.ravel() for s in order_stats)
-    cols = np.flatnonzero(kmax < k1)
+    cols, su, a, b = ensemble.su_columns(k1)
     if candidate_sets is not None:
         in_set = np.zeros((k1, n), dtype=bool)
         for k, subs in enumerate(candidate_sets):
             in_set[k, subs] = True
-        cols = cols[in_set[kmax[cols], cols % n]]
-    a, b, su = nu1[cols], nu2[cols], kmax[cols]
+        keep = in_set[su, cols % n]
+        cols, su, a, b = cols[keep], su[keep], a[keep], b[keep]
     targets = config.secrecy_targets
 
-    # the unbounded-power limit: every positive gap active at rate ln(a/b)
-    pos = a > b
-    limit = np.bincount(su[pos], np.log(a[pos] / b[pos]), minlength=k1) / t_count
+    limit = secrecy_limit(a, b, su, k1, t_count)
     short = np.flatnonzero((targets > 0) & (limit <= targets * (1 - eps)))
     if short.size:
         k = short[0]
@@ -113,7 +108,7 @@ def su_phase(
     owner.flat[cols[on]], p_win.flat[cols[on]] = su[on], p
     report = SuPhaseReport(
         secrecy=secrecy, power=power, iterations=iterations,
-        owner=owner, p_win=p_win, order_stats=order_stats,
+        owner=owner, p_win=p_win,
     )
     return thresholds, report, float(power.sum())
 
@@ -218,8 +213,7 @@ def _assemble_result(ensemble, config, thresholds, su_rep, nu_rep,
     owner = np.where(nu_cols, k1 + nu_rep.owner_nu, su_rep.owner)
     p_win = np.where(nu_cols, nu_rep.power_nu, su_rep.p_win)
 
-    decisions = decisions_from_arrays(owner, p_win, ensemble, config,
-                                      su_rep.order_stats)
+    decisions = decisions_from_arrays(owner, p_win, ensemble, config)
     lam = 1.0 / level if level > 0 else None
     mu = np.zeros(k1)
     finite = np.isfinite(thresholds) & (thresholds > 0)

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secure_ofdma import generate_ensemble, solve_fsa, solve_peak, solve_suboptimal
+from secure_ofdma import (
+    generate_ensemble, solve_average, solve_fsa, solve_peak, solve_suboptimal,
+)
 from secure_ofdma.dual_solver import _Prepared
 
 from conftest import make_config
@@ -88,10 +90,17 @@ def test_two_phase_solves_never_enter_the_dual_solver(tracer):
     with spans.installed():
         solve_suboptimal(ens, cfg)
         solve_fsa(ens, cfg, "fsa1")
+        two_phase = [s[1] for s in spans.spans]
+        solve_average(ens, cfg)
+    assert two_phase.count("suboptimal.su_phase") == 2
+    assert two_phase.count("search.search_threshold") == 2
+    assert not [n for n in two_phase if n.startswith("dual_solver.")]
+    # the ensemble's order statistics are computed once, by the first
+    # solve, through the traced function, and shared by the other two
     names = [s[1] for s in spans.spans]
-    assert names.count("suboptimal.su_phase") == 2
-    assert names.count("search.search_threshold") == 2
-    assert not [n for n in names if n.startswith("dual_solver.")]
+    assert names.count("channel.column_order_stats") == 1
+    assert two_phase.count("channel.column_order_stats") == 1
+    assert "dual_solver.prepare" in names
 
 
 def test_sweep_workload_runs_on_the_package(tmp_path):

@@ -159,6 +159,18 @@ def test_ensemble_validation(bad):
         ChannelEnsemble(alpha=np.full((1, 3, 4), bad), seed=0, rho=1.0)
 
 
+def test_ensemble_keeps_a_read_only_view_and_its_order_stats():
+    alpha = np.random.default_rng(0).exponential(size=(2, 3, 4))
+    ens = ChannelEnsemble(alpha=alpha, seed=0, rho=1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        ens.alpha[0, 0, 0] = 2.0
+    assert alpha.flags.writeable and np.shares_memory(ens.alpha, alpha)
+    stats = ens.order_stats
+    assert ens.order_stats is stats
+    for got, want in zip(stats, column_order_stats(alpha)):
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
 def test_ensemble_coerces_to_float():
     ens = ChannelEnsemble(alpha=np.ones((1, 2, 3), dtype=int), seed=0, rho=1.0)
     assert ens.alpha.dtype == float

@@ -66,6 +66,18 @@ def test_baseline_scheme_flag(tmp_path, capsys):
         main(["baseline", "--config", str(cfg), "--scheme", "fsa9"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve-suboptimal"], "the two-phase allocator supports only mode='average'"),
+    (["baseline", "--scheme", "fsa1"],
+     "the fixed-assignment baselines support only mode='average'"),
+], ids=["solve-suboptimal", "baseline"])
+def test_average_only_solvers_exit_with_their_message(tmp_path, argv, message):
+    cfg = write_config(tmp_path, mode="peak", realizations=5)
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], "--config", str(cfg), *argv[1:]])
+    assert err.value.code == message
+
+
 def test_feasibility_bound_subcommand(capsys):
     assert main(["feasibility-bound", "--n", "64", "--k", "8",
                  "--targets", "0.5", "3.6"]) == 0

@@ -18,6 +18,7 @@ from secure_ofdma import _search
 from secure_ofdma._search import threshold_stats
 from secure_ofdma.allocation import validate_exclusivity
 from secure_ofdma.channel import column_order_stats
+from secure_ofdma.dual_solver import _Prepared
 
 from conftest import make_config
 from oracles import ThresholdCurve, looped_su_phase
@@ -93,6 +94,48 @@ class TestSuPhase:
         assert np.array_equal(probed, rep.iterations) and len(set(probed)) > 1
         assert np.all(np.abs(rep.secrecy - target) <= 1e-2 * target)
 
+    def test_every_rate_is_priced_by_a_probe(self, ens300, monkeypatch):
+        # the bracket carries the rate at each top, so the search prices no
+        # rate outside a bracket or bisection probe; SU 2's tiny target
+        # takes its top to the cap, which is accepted without a probe
+        cfg = make_config(c=[1.0, 0.6, 1e-3, 1.4])
+        calls = {"stats": 0, "probes": 0}
+        tops = []
+        stats, bracket, bisect = (_search.threshold_stats, _search.bracket,
+                                  _search.bisect)
+
+        def counted(fn):
+            def probe(*args):
+                calls["probes"] += 1
+                return fn(*args)
+            return probe
+
+        def counting_stats(*args):
+            calls["stats"] += 1
+            return stats(*args)
+
+        def recording_bracket(probe, *args, **kw):
+            out = bracket(counted(probe), *args, **kw)
+            tops.append(out)
+            return out
+
+        monkeypatch.setattr(_search, "threshold_stats", counting_stats)
+        monkeypatch.setattr(_search, "bracket", recording_bracket)
+        monkeypatch.setattr(_search, "bisect",
+                            lambda probe, *a, **kw: bisect(counted(probe), *a, **kw))
+        nu1, nu2, kmax = (s.ravel() for s in column_order_stats(ens300.alpha))
+        on = kmax < cfg.n_secure
+        a, b, su = nu1[on], nu2[on], kmax[on]
+        thresholds, steps = _search.search_threshold(
+            a, b, su, cfg.secrecy_targets, 1e-2, ens300.count
+        )
+        assert calls["stats"] == calls["probes"]
+        f_hi = tops[0][3]
+        assert np.isnan(f_hi[2]) and not np.isnan(f_hi[[0, 1, 3]]).any()
+        want = looped_su_phase(ens300, cfg, 1e-2)
+        assert np.array_equal(thresholds, want[0])
+        assert np.array_equal(steps, want[3])
+
     def test_rate_and_power_decrease_with_threshold(self, ens300):
         nu1, nu2, kmax = (s.ravel() for s in column_order_stats(ens300.alpha))
         on = kmax < 4
@@ -142,6 +185,21 @@ class TestSuPhase:
 
 
 FRACTIONS = (0.0, 0.3, 0.7, 0.995, 1.2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_both_prechecks_share_one_unbounded_power_limit(seed):
+    # the dual solver's precheck and su_phase's compare against one limit,
+    # so they cannot disagree about a target at its boundary
+    cfg = make_config()
+    ens = generate_ensemble(cfg, 100, seed=seed)
+    caps = _Prepared(ens, cfg).su_caps
+    for k in range(cfg.n_secure):
+        targets = np.zeros(cfg.n_secure)
+        targets[k] = caps[k] * 1.02
+        with pytest.raises(SecrecyInfeasibleError) as err:
+            su_phase(ens, cfg.with_targets(targets), eps=1e-2)
+        assert err.value.su_index == k and err.value.achievable == caps[k]
 
 
 class TestSuPhaseMatchesLoop:
