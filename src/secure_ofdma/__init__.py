@@ -7,17 +7,14 @@ from .allocation import Allocation, AllocationDecision, SolveResult
 from .baselines import fsa_partition, solve_fsa
 from .channel import (
     ChannelEnsemble,
-    ChannelRealization,
     ensemble_hash,
     generate_ensemble,
     load_ensemble,
-    order_stats,
     save_ensemble,
 )
 from .config import ProblemConfig, RunSpec, SolverOptions, snr_db_to_power
 from .dual_solver import (
-    allocate_realization_avg,
-    allocate_realization_peak,
+    apply_policy,
     dual_point,
     solve_average,
     solve_peak,
@@ -31,7 +28,6 @@ from .feasibility import (
 )
 from .rates import (
     DualState,
-    assign_subcarrier,
     h_nu,
     h_su,
     info_rate,
@@ -50,7 +46,6 @@ __all__ = [
     "Allocation",
     "AllocationDecision",
     "ChannelEnsemble",
-    "ChannelRealization",
     "DualState",
     "EvaluationReport",
     "ExperimentSpec",
@@ -60,9 +55,7 @@ __all__ = [
     "SecrecyInfeasibleError",
     "SolveResult",
     "SolverOptions",
-    "allocate_realization_avg",
-    "allocate_realization_peak",
-    "assign_subcarrier",
+    "apply_policy",
     "check_feasibility",
     "dual_point",
     "ensemble_hash",
@@ -75,7 +68,6 @@ __all__ = [
     "load_ensemble",
     "nu_phase",
     "nu_power",
-    "order_stats",
     "run_experiment",
     "save_ensemble",
     "secrecy_rate",

@@ -76,6 +76,8 @@ def decisions_from_arrays(
 ) -> Allocation:
     """Build the allocation from stacked (T, N) owner / power arrays.
 
+    Every solver builds its allocation here, so the arrays are checked
+    here: owners must lie in [-1, K) and powers be finite and >= 0.
     Power on unassigned subcarriers is dropped.  Rates are recomputed here
     from power and channel so stored rates are consistent with the rate
     formulas by construction, from the ensemble's cached order statistics.
@@ -84,6 +86,11 @@ def decisions_from_arrays(
     if np.shape(owner) != shape or np.shape(power) != shape:
         raise ValueError("owner and power must be (realizations, subcarriers)")
     owner = np.array(owner, dtype=np.int64)
+    if not (owner.min() >= UNASSIGNED and owner.max() < config.n_users):
+        raise ValueError(f"owners must lie in [-1, {config.n_users})")
+    # a NaN propagates through both reductions and fails both
+    if not (np.min(power) >= 0 and np.max(power) < np.inf):
+        raise ValueError("power must be finite and >= 0")
     owned = owner >= 0
     power = np.where(owned, power, 0.0)
     nu1, nu2, kmax = ensemble.order_stats
@@ -101,18 +108,23 @@ def decisions_from_arrays(
 
 
 def validate_exclusivity(decision: AllocationDecision, atol: float = 0.0) -> None:
-    """Raise if any subcarrier powers a user other than its owner."""
+    """Raise if any subcarrier powers a user other than its owner.
+
+    Kept, with ``AllocationDecision``, for the per-frame output check of
+    ``perfbench/checks.py``; an ``Allocation`` has one owner per column.
+    """
     positive = decision.power > atol
     per_column = positive.sum(axis=0)
     if np.any(per_column > 1):
         raise ValueError("multiple users powered on one subcarrier")
-    for n in range(decision.owner.size):
-        u = decision.owner[n]
-        if u == UNASSIGNED:
-            if per_column[n] != 0:
-                raise ValueError(f"unassigned subcarrier {n} carries power")
-        elif positive[:, n].any() and not positive[u, n]:
-            raise ValueError(f"subcarrier {n} powered by a non-owner")
+    owned = decision.owner != UNASSIGNED
+    cols = np.arange(owned.size)
+    owner_on = owned & positive[np.where(owned, decision.owner, 0), cols]
+    bad = np.flatnonzero((per_column > 0) & ~owner_on)
+    if bad.size:
+        n = bad[0]
+        raise ValueError(f"subcarrier {n} powered by a non-owner" if owned[n]
+                         else f"unassigned subcarrier {n} carries power")
 
 
 @dataclass

@@ -31,29 +31,6 @@ _HEADER = struct.Struct("<4sIIIdq")  # magic, K, N, count, rho, seed
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """CNR matrix for one frame, indexed [user, subcarrier]."""
-
-    alpha: np.ndarray  # shape (K, N), all entries > 0
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("alpha must be a 2-D (users x subcarriers) matrix")
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
-            raise ValueError("alpha entries must be positive and finite")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def n_users(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.alpha.shape[1]
-
-
-@dataclass(frozen=True)
 class ChannelEnsemble:
     """Ordered stack of i.i.d. channel realizations.
 
@@ -79,8 +56,13 @@ class ChannelEnsemble:
 
     @cached_property
     def order_stats(self):
-        """``column_order_stats(alpha)``, computed once; shared, so read-only."""
-        stats = column_order_stats(self.alpha)
+        """``column_order_stats(alpha)``, computed once; shared, so read-only.
+
+        ``kmax`` is kept in the smallest unsigned type that holds a user
+        index (uint8 up to 256 users), not the int64 ``argmax`` returns.
+        """
+        nu1, nu2, kmax = column_order_stats(self.alpha)
+        stats = nu1, nu2, kmax.astype(np.min_scalar_type(self.n_users - 1))
         for s in stats:
             s.flags.writeable = False
         return stats
@@ -108,13 +90,6 @@ class ChannelEnsemble:
     def n_subcarriers(self) -> int:
         return self.alpha.shape[2]
 
-    def realization(self, i: int) -> ChannelRealization:
-        return ChannelRealization(self.alpha[i])
-
-    @property
-    def realizations(self) -> list[ChannelRealization]:
-        return [self.realization(i) for i in range(self.count)]
-
 
 def _draw_realization(seed: int, index: int, k: int, n: int, rho: float) -> np.ndarray:
     # Distinct 256-bit counter block per realization; 2**128 draws of room.
@@ -136,24 +111,6 @@ def generate_ensemble(config: ProblemConfig, count: int, seed: int) -> ChannelEn
     for i in range(count):
         alpha[i] = _draw_realization(int(seed), i, k, n, config.rho)
     return ChannelEnsemble(alpha=alpha, seed=int(seed), rho=float(config.rho))
-
-
-def order_stats(real: ChannelRealization, n: int):
-    """Top-two CNRs on subcarrier ``n`` (0-based).
-
-    Returns ``(best_user, nu1, nu2)`` where ``nu1 >= nu2`` are the largest
-    and second-largest CNRs in the column and ties go to the lowest user
-    index.  The strongest eavesdropper CNR for the best user is ``nu2``;
-    for every other user it is ``nu1``.
-    """
-    if real.n_users < 2:
-        raise ValueError("order statistics need at least 2 users")
-    if not (0 <= n < real.n_subcarriers):
-        raise ValueError("subcarrier index out of range")
-    col = real.alpha[:, n]
-    best = int(np.argmax(col))
-    rest = np.delete(col, best)
-    return best, float(col[best]), float(rest.max())
 
 
 def column_order_stats(alpha: np.ndarray):

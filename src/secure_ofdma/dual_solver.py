@@ -29,13 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import bisect, bracket
-from .allocation import (
-    UNASSIGNED,
-    AllocationDecision,
-    SolveResult,
-    decisions_from_arrays,
-)
-from .channel import ChannelEnsemble, ChannelRealization, secrecy_limit
+from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
+from .channel import ChannelEnsemble, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
 from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core
@@ -555,25 +550,29 @@ def _dual_outer_loop(prep, opts):
     return (mu_best, lam_best, iters, trace, converged, infeasible, message), ""
 
 
+def _primal(prep, mu, lam, eps):
+    """The auction's ``(owner, p_win)`` at (mu, lam); peak mode trims and refills it."""
+    final = _eval_point(prep, mu, lam, full=False, arrays=True)
+    owner, p_win = final.owner, final.p_win
+    if prep.config.mode == "peak":
+        _trim_su_surplus(prep, owner, p_win, mu, lam, eps)
+        residual = prep.config.power - p_win.sum(axis=1)
+        _refill_nu_water(prep, owner, p_win, lam, residual, _LAMBDA_FLOOR)
+    return owner, p_win
+
+
 def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,
             message):
     cfg = prep.config
     eps = opts.epsilon
-    peak = cfg.mode == "peak"
-    final = _eval_point(prep, mu, lam, full=False, arrays=True)
-    owner, p_win = final.owner, final.p_win
-    if peak:
-        _trim_su_surplus(prep, owner, p_win, mu, lam, eps)
-        residual = cfg.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, lam, residual, _LAMBDA_FLOOR)
-
+    owner, p_win = _primal(prep, mu, lam, eps)
     res = _result(
         prep, ensemble, mu, lam, owner, p_win, iterations=iters,
         converged=converged, infeasible=infeasible,
         dual_value=float(np.min(trace)) if trace else np.nan,
         dual_trace=trace, message=message,
     )
-    if peak and not converged and not infeasible:
+    if cfg.mode == "peak" and not converged and not infeasible:
         # granularity can block the dual loop's tolerance test while the
         # recovered primal still meets every constraint; judge the output
         targets = cfg.secrecy_targets
@@ -644,40 +643,25 @@ def solve_peak(
     return _solve(ensemble, config, opts)
 
 
-def allocate_realization_avg(
-    real: ChannelRealization, duals: DualState, config: ProblemConfig,
-) -> AllocationDecision:
-    """Per-subcarrier auction of one frame at fixed average-mode duals."""
-    if duals.lam is None or duals.lam <= 0:
-        raise ValueError("average-mode allocation needs duals.lam > 0")
-    ensemble = ChannelEnsemble(alpha=real.alpha[None], seed=0, rho=config.rho)
-    prep = _Prepared(ensemble, config)
-    st = _eval_point(prep, duals.mu, duals.lam, full=True, arrays=True)
-    return decisions_from_arrays(st.owner, st.p_win, ensemble, config)[0]
+def apply_policy(ensemble: ChannelEnsemble, duals: DualState, config: ProblemConfig,
+                 opts: SolverOptions | None = None):
+    """Allocate every frame of ``ensemble`` at fixed, e.g. learned, prices.
 
-
-def allocate_realization_peak(
-    real: ChannelRealization, mu, config: ProblemConfig,
-    epsilon: float = 1e-2,
-):
-    """One frame under the peak constraint: resolve the frame's power price.
-
-    Bisects the frame's multiplier until the spend hits the budget within
-    ``epsilon * power`` (or leaves it at the floor when even a vanishing
-    price underspends), then returns ``(decision, lam)``.
+    Average mode runs the auction at ``(duals.mu, duals.lam)``, which
+    needs ``duals.lam > 0``.  Peak mode resolves each frame's price at
+    ``duals.mu`` to within ``opts.epsilon`` of the budget.  Either way the
+    allocation is recovered as a solve recovers its own.  Returns
+    ``(allocation, lam)``, with ``lam`` a scalar or the (T,) frame prices.
     """
-    mu = np.atleast_1d(np.asarray(mu, float))
-    if np.any(mu < 0):
-        raise ValueError("mu must be >= 0")
-    ensemble = ChannelEnsemble(alpha=real.alpha[None], seed=0, rho=config.rho)
+    opts = opts or SolverOptions()
+    if duals.mu.size != config.n_secure:
+        raise ValueError("duals.mu must have one entry per SU")
     prep = _Prepared(ensemble, config)
-    tol_power = epsilon * config.power / 4.0
-    lam_t = _solve_lambda_peak(prep, mu, tol_power, _LAMBDA_FLOOR)
-    st = _eval_point(prep, mu, lam_t, full=True, arrays=True)
-    owner, p_win = st.owner, st.p_win
-    if lam_t[0] != _LAMBDA_FLOOR:
-        _trim_su_surplus(prep, owner, p_win, mu, lam_t, epsilon)
-        residual = config.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, lam_t, residual, _LAMBDA_FLOOR)
-    decision = decisions_from_arrays(owner, p_win, ensemble, config)[0]
-    return decision, float(lam_t[0])
+    if config.mode == "peak":
+        lam = _solve_lambda(prep, duals.mu, opts.epsilon)
+    elif duals.lam is None or duals.lam <= 0:
+        raise ValueError("average-mode allocation needs duals.lam > 0")
+    else:
+        lam = duals.lam
+    owner, p_win = _primal(prep, duals.mu, lam, opts.epsilon)
+    return decisions_from_arrays(owner, p_win, ensemble, config), lam

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import column_order_stats
-from .config import ProblemConfig
-
 
 @dataclass
 class DualState:
@@ -217,45 +214,6 @@ class _NuCandidates:
         return self.weights[0] if g is None else self.weights[g]
 
 
-def assign_subcarrier(column, duals: DualState, config: ProblemConfig, lam):
-    """Auction one subcarrier among all K users at the given dual prices.
-
-    Evaluates the priced payoff of every user (secrecy payoff for SUs,
-    information payoff for NUs) and returns ``(owner, power)`` for the
-    winner.  Ties between an SU and an NU go to the NU; ties within a type
-    go to the lowest index.  If every payoff is zero the subcarrier is
-    left unassigned: ``(None, 0.0)``.
-    """
-    _check_positive("lam", lam)
-    column = np.asarray(column, dtype=float)
-    k = column.size
-    k1 = config.n_secure
-    if k != config.n_users:
-        raise ValueError("column length must equal the number of users")
-    if duals.mu.size != k1:
-        raise ValueError("duals.mu must have one entry per SU")
-
-    nu1, nu2, kmax = column_order_stats(column[:, None])
-    best, nu1, nu2 = int(kmax[0]), float(nu1[0]), float(nu2[0])
-
-    h = np.zeros(k)
-    p = np.zeros(k)
-    for u in range(k):
-        beta = nu2 if u == best else nu1
-        if u < k1:
-            h[u], p[u], _ = _h_su_core(column[u], beta, duals.mu[u], lam)
-        else:
-            h[u] = _h_nu_core(column[u], config.weights[u - k1], lam)
-            p[u] = _nu_power_core(column[u], config.weights[u - k1], lam)
-
-    # NU-first ordering implements the tie policy with a single argmax
-    order = np.concatenate([np.arange(k1, k), np.arange(k1)])
-    winner = order[int(np.argmax(h[order]))]
-    if h[winner] <= 0.0:
-        return None, 0.0
-    return int(winner), float(p[winner])
-
-
 __all__ = [
     "DualState",
     "secrecy_rate",
@@ -264,5 +222,4 @@ __all__ = [
     "nu_power",
     "h_su",
     "h_nu",
-    "assign_subcarrier",
 ]

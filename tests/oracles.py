@@ -5,9 +5,11 @@ from bounded 1-D numerical maximization, distributional quantities from
 brute-force sampling, and the tiny-instance benchmark from exhaustive
 enumeration plus a general-purpose constrained optimizer.
 
-The one exception is ``unpruned_auction``.  It checks the solver's
-candidate pruning bit for bit, so it prices every user on every column
-with the library's own per-column closed forms.
+The exceptions are ``unpruned_auction`` and ``assign_subcarrier``.  They
+check the solver's candidate pruning bit for bit, so they price every
+user on every column with the library's own per-column closed forms;
+``assign_subcarrier`` does it one column at a time, with the column's
+order statistics from the scalar ``order_stats``.
 
 ``per_frame_decisions`` and ``per_frame_evaluate`` are the per-frame
 loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
@@ -34,7 +36,7 @@ from secure_ofdma.allocation import UNASSIGNED, AllocationDecision
 from secure_ofdma.channel import column_order_stats
 from secure_ofdma.dual_solver import _eval_point
 from secure_ofdma.evaluate import EvaluationReport
-from secure_ofdma.rates import _h_su_core, _su_power_core
+from secure_ofdma.rates import _h_nu_core, _h_su_core, _nu_power_core, _su_power_core
 from secure_ofdma.suboptimal import SecrecyInfeasibleError
 
 
@@ -302,6 +304,56 @@ def unpruned_auction(alpha, config, mu, lam, *, full=True, arrays=False):
         ).astype(np.int64)
         out["p_win"] = p_win
     return out
+
+
+def order_stats(alpha, n):
+    """Top-two CNRs on subcarrier ``n`` (0-based) of a (K, N) CNR matrix.
+
+    Returns ``(best_user, nu1, nu2)`` where ``nu1 >= nu2`` are the largest
+    and second-largest CNRs in the column and ties go to the lowest user
+    index.  The strongest eavesdropper CNR for the best user is ``nu2``;
+    for every other user it is ``nu1``.
+    """
+    if alpha.shape[0] < 2:
+        raise ValueError("order statistics need at least 2 users")
+    if not (0 <= n < alpha.shape[1]):
+        raise ValueError("subcarrier index out of range")
+    col = alpha[:, n]
+    best = int(np.argmax(col))
+    rest = np.delete(col, best)
+    return best, float(col[best]), float(rest.max())
+
+
+def assign_subcarrier(column, duals, config, lam):
+    """Auction one subcarrier among all K users at the given dual prices.
+
+    Evaluates the priced payoff of every user (secrecy payoff for SUs,
+    information payoff for NUs) and returns ``(owner, power)`` for the
+    winner.  Ties between an SU and an NU go to the NU; ties within a type
+    go to the lowest index.  If every payoff is zero the subcarrier is
+    left unassigned: ``(None, 0.0)``.
+    """
+    column = np.asarray(column, dtype=float)
+    k = column.size
+    k1 = config.n_secure
+    best, nu1, nu2 = order_stats(column[:, None], 0)
+
+    h = np.zeros(k)
+    p = np.zeros(k)
+    for u in range(k):
+        beta = nu2 if u == best else nu1
+        if u < k1:
+            h[u], p[u], _ = _h_su_core(column[u], beta, duals.mu[u], lam)
+        else:
+            h[u] = _h_nu_core(column[u], config.weights[u - k1], lam)
+            p[u] = _nu_power_core(column[u], config.weights[u - k1], lam)
+
+    # NU-first ordering implements the tie policy with a single argmax
+    order = np.concatenate([np.arange(k1, k), np.arange(k1)])
+    winner = order[int(np.argmax(h[order]))]
+    if h[winner] <= 0.0:
+        return None, 0.0
+    return int(winner), float(p[winner])
 
 
 def per_frame_decisions(owner, power, ensemble, config):

@@ -2,10 +2,11 @@
 
 ``perfbench/tracer.py`` rebinds stage functions by module and name,
 wraps the ``_Prepared`` constructor and reads a few ``_Prepared`` arrays,
-and ``perfbench/workloads.py`` builds an ``ExperimentSpec`` of its own.
-A refactor that renames one of them, or stops accepting that spec, would
-otherwise only show up as a crash, or as silently zeroed counts, in a
-benchmark run.
+``perfbench/workloads.py`` builds an ``ExperimentSpec`` of its own, and
+``perfbench/checks.py`` judges every result through the per-frame view
+and ``validate_exclusivity``.  A refactor that renames one of them, or
+stops accepting that spec, would otherwise only show up as a crash, or
+as silently zeroed counts, in a benchmark run.
 """
 
 import importlib
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from secure_ofdma import (
-    generate_ensemble, solve_average, solve_fsa, solve_peak, solve_suboptimal,
+    SolverOptions, generate_ensemble, solve_average, solve_fsa, solve_peak,
+    solve_suboptimal,
 )
 from secure_ofdma.dual_solver import _Prepared
 
@@ -111,3 +113,11 @@ def test_sweep_workload_runs_on_the_package(tmp_path):
     assert all(c.error is None and c.result is not None for c in cells)
     assert cells[-1].expect_infeasible and cells[-1].result.infeasible
     assert (tmp_path / f"sweep_avg-{ens.seed}.csv").is_file()
+
+
+def test_output_checks_pass_a_peak_solve():
+    checks, workloads = _load("checks"), _load("workloads")
+    cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0, mode="peak")
+    res = solve_peak(generate_ensemble(cfg, 100, seed=8), cfg)
+    cell = workloads.Cell("C=0.5", cfg, 0, result=res)
+    assert checks.check_cell(cell, SolverOptions().epsilon, None) == []

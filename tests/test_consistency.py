@@ -1,11 +1,10 @@
-"""Cross-checks between the scalar public API and the vectorized solver core."""
+"""Cross-checks between per-column oracles, the public API and the vectorized solver core."""
 
 import numpy as np
 import pytest
 
 from secure_ofdma import (
     DualState,
-    assign_subcarrier,
     generate_ensemble,
     solve_average,
     solve_suboptimal,
@@ -13,6 +12,7 @@ from secure_ofdma import (
 from secure_ofdma.dual_solver import _Prepared, _eval_point
 
 from conftest import make_config
+from oracles import assign_subcarrier
 
 
 def test_vectorized_auction_matches_scalar_assignment():
@@ -109,12 +109,3 @@ def test_random_geometry_fuzz(seed):
             for col in su_cols:
                 assert kmax[t, col] == d.owner[col]
 
-
-def test_realizations_property_roundtrip():
-    cfg = make_config(n=4, k=3, k1=1)
-    ens = generate_ensemble(cfg, 3, seed=2)
-    reals = ens.realizations
-    assert len(reals) == 3
-    for i, real in enumerate(reals):
-        assert np.array_equal(real.alpha, ens.alpha[i])
-        assert real.n_users == 3 and real.n_subcarriers == 4

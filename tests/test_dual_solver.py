@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secure_ofdma import (
-    ChannelRealization,
     DualState,
     SolverOptions,
-    allocate_realization_avg,
-    allocate_realization_peak,
+    apply_policy,
     dual_point,
+    evaluate,
     generate_ensemble,
     h_nu,
     nu_power,
@@ -32,14 +31,20 @@ from oracles import (
 )
 
 
+def one_frame(alpha):
+    return ChannelEnsemble(alpha=np.asarray(alpha, float)[None], seed=0, rho=1.0)
+
+
 class TestAllocateRealizationAvg:
+    """``apply_policy`` on one frame at fixed average-mode prices."""
+
     def test_zero_mu_reduces_to_best_nu_waterfilling(self):
         cfg = make_config(n=16, k=4, k1=2, c=0.0, power=50.0)
         ens = generate_ensemble(cfg, 1, seed=5)
-        real = ens.realization(0)
         lam = 0.7
-        decision = allocate_realization_avg(real, DualState(mu=[0.0, 0.0], lam=lam), cfg)
-        alpha_nu = real.alpha[2:]
+        alloc, _ = apply_policy(ens, DualState(mu=[0.0, 0.0], lam=lam), cfg)
+        decision = alloc[0]
+        alpha_nu = ens.alpha[0, 2:]
         for n in range(16):
             j = int(np.argmax([h_nu(a, 1.0, lam) for a in alpha_nu[:, n]]))
             expect_p = nu_power(alpha_nu[j, n], 1.0, lam)
@@ -52,9 +57,8 @@ class TestAllocateRealizationAvg:
     def test_huge_price_leaves_everything_unassigned(self):
         cfg = make_config(n=8, k=3, k1=1, c=0.2)
         ens = generate_ensemble(cfg, 1, seed=6)
-        decision = allocate_realization_avg(
-            ens.realization(0), DualState(mu=[1.0], lam=1e6), cfg
-        )
+        alloc, _ = apply_policy(ens, DualState(mu=[1.0], lam=1e6), cfg)
+        decision = alloc[0]
         assert np.all(decision.owner == -1)
         assert decision.total_power == 0.0
 
@@ -65,9 +69,9 @@ class TestAllocateRealizationAvg:
         rng = np.random.default_rng(12)
         for _ in range(20):
             alpha = rng.exponential(size=(2, 2)) + 0.05
-            real = ChannelRealization(alpha)
             mu, lam = float(rng.uniform(0.2, 4)), float(rng.uniform(0.2, 2))
-            decision = allocate_realization_avg(real, DualState(mu=[mu], lam=lam), cfg)
+            alloc, _ = apply_policy(one_frame(alpha), DualState(mu=[mu], lam=lam), cfg)
+            decision = alloc[0]
             got = (
                 mu * decision.su_secrecy.sum()
                 + 1.3 * decision.nu_rate.sum()
@@ -96,7 +100,30 @@ class TestAllocateRealizationAvg:
         cfg = make_config(n=2, k=2, k1=1)
         ens = generate_ensemble(cfg, 1, seed=1)
         with pytest.raises(ValueError):
-            allocate_realization_avg(ens.realization(0), DualState(mu=[1.0]), cfg)
+            apply_policy(ens, DualState(mu=[1.0]), cfg)
+
+
+def test_apply_policy_recovers_the_solves_primal():
+    # at a solve's own prices the policy rebuilds the solve's allocation:
+    # bit for bit at the average-mode (mu, lam); in peak mode the frame
+    # prices are resolved afresh at mu, so R_NU agrees to within eps
+    cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0)
+    ens = generate_ensemble(cfg, 100, seed=8)
+    res = solve_average(ens, cfg)
+    assert res.converged
+    alloc, lam = apply_policy(ens, res.duals, cfg)
+    assert lam == res.duals.lam
+    assert np.array_equal(alloc.owner, res.decisions.owner)
+    assert np.array_equal(alloc.power, res.decisions.power)
+
+    peak = make_config(n=16, k=4, k1=2, c=0.5, power=100.0, mode="peak")
+    res = solve_peak(ens, peak)
+    assert res.converged
+    alloc, lam = apply_policy(ens, res.duals, peak)
+    assert lam.shape == (ens.count,)
+    r_nu = evaluate(alloc, ens, peak).r_nu_total
+    eps = SolverOptions().epsilon
+    assert abs(r_nu - res.report.r_nu_total) <= eps * res.report.r_nu_total
 
 
 class TestSolveAverage:
@@ -275,13 +302,12 @@ class TestPeakMode:
         # one NU, one subcarrier: the resolved price is w/(P + 1/alpha)
         # and the frame spends exactly its budget
         cfg = make_config(n=1, k=2, k1=1, c=0.0, power=25.0, mode="peak")
-        alpha = np.array([[0.3], [2.0]])
-        real = ChannelRealization(alpha)
-        decision, lam = allocate_realization_peak(real, [0.0], cfg, epsilon=1e-9)
+        alloc, lam = apply_policy(one_frame([[0.3], [2.0]]), DualState(mu=[0.0]),
+                                  cfg, SolverOptions(epsilon=1e-9))
         expect = 1.0 / (25.0 + 1.0 / 2.0)
-        assert abs(lam - expect) < 1e-6
-        assert abs(decision.total_power - 25.0) < 1e-6
-        assert decision.owner[0] == 1
+        assert abs(lam[0] - expect) < 1e-6
+        assert abs(alloc[0].total_power - 25.0) < 1e-6
+        assert alloc[0].owner[0] == 1
 
     def test_per_frame_budget_never_exceeded(self, headline_config):
         cfg = make_config(c=0.4, mode="peak")

@@ -130,6 +130,17 @@ def test_mismatched_ensemble_rejected():
         evaluate(alloc4, more_users, cfg)
     with pytest.raises(ValueError):
         decisions_from_arrays(np.full((5, 4), -1), np.zeros((5, 5)), ens, cfg)
+    # owners outside [-1, K), and powers that are negative or not finite
+    for bad_owner in (-2, 3):
+        owner = np.full((5, 4), -1)
+        owner[2, 1] = bad_owner
+        with pytest.raises(ValueError, match="owners"):
+            decisions_from_arrays(owner, np.ones((5, 4)), ens, cfg)
+    for bad_power in (-1.0, np.nan, np.inf):
+        power = np.ones((5, 4))
+        power[2, 1] = bad_power
+        with pytest.raises(ValueError, match="power"):
+            decisions_from_arrays(np.zeros((5, 4), int), power, ens, cfg)
 
 
 def test_exclusivity_validation():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secure_ofdma import (
+    ChannelEnsemble,
     DualState,
-    assign_subcarrier,
+    apply_policy,
     h_nu,
     h_su,
     info_rate,
@@ -147,12 +148,23 @@ class TestPayoffs:
         assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
 
 
+def auction_column(column, duals, cfg):
+    """One column auctioned by ``apply_policy``: ``(owner or None, power)``."""
+    ens = ChannelEnsemble(alpha=np.asarray(column, float)[None, :, None],
+                          seed=0, rho=1.0)
+    alloc, _ = apply_policy(ens, duals, cfg)
+    owner = int(alloc.owner[0, 0])
+    return (None if owner < 0 else owner), float(alloc.power[0, 0])
+
+
 class TestAssignSubcarrier:
+    """The per-subcarrier auction, on one-frame one-subcarrier ensembles."""
+
     def test_su_wins_with_dominant_channel(self):
         cfg = make_config(n=1, k=3, k1=1, c=0.5, omega=[1.0, 1.0])
         duals = DualState(mu=[1.0], lam=1.0)
         column = np.array([5.0, 1.0, 1.0])
-        owner, p = assign_subcarrier(column, duals, cfg, lam=1.0)
+        owner, p = auction_column(column, duals, cfg)
         assert owner == 0
         assert math.isclose(p, su_power(5.0, 1.0, 1.0, 1.0))
         # the SU bid must dominate each NU bid
@@ -161,14 +173,14 @@ class TestAssignSubcarrier:
     def test_best_nu_wins_when_secrecy_unpriced(self):
         cfg = make_config(n=1, k=3, k1=1, c=0.0, omega=[1.0, 1.0])
         duals = DualState(mu=[0.0], lam=0.5)
-        owner, p = assign_subcarrier(np.array([9.0, 2.0, 3.0]), duals, cfg, 0.5)
+        owner, p = auction_column(np.array([9.0, 2.0, 3.0]), duals, cfg)
         assert owner == 2
         assert math.isclose(p, nu_power(3.0, 1.0, 0.5))
 
     def test_unassigned_when_price_too_high(self):
         cfg = make_config(n=1, k=3, k1=1, c=0.5, omega=[1.0, 1.0])
         duals = DualState(mu=[1.0], lam=1e6)
-        owner, p = assign_subcarrier(np.array([2.0, 1.0, 1.5]), duals, cfg, 1e6)
+        owner, p = auction_column(np.array([2.0, 1.0, 1.5]), duals, cfg)
         assert owner is None and p == 0.0
 
     def test_direct_argmax(self):
@@ -179,14 +191,14 @@ class TestAssignSubcarrier:
         h_secure = h_su(8.0, 0.9, 4.0, 1.0)
         h_normal = h_nu(0.9, 1.0, 1.0)
         assert h_secure > h_normal
-        owner, _ = assign_subcarrier(column, duals, cfg, 1.0)
+        owner, _ = auction_column(column, duals, cfg)
         assert owner == 0
 
     def test_nu_preferred_on_exact_tie(self):
         # a zero-payoff tie must leave the subcarrier unassigned, not SU-owned
         cfg = make_config(n=1, k=2, k1=1, c=0.5, omega=[1.0])
         duals = DualState(mu=[1.0], lam=50.0)
-        owner, p = assign_subcarrier(np.array([3.0, 2.0]), duals, cfg, 50.0)
+        owner, p = auction_column(np.array([3.0, 2.0]), duals, cfg)
         assert owner is None and p == 0.0
 
     @given(st.integers(0, 10_000), mult, mult)
@@ -199,7 +211,7 @@ class TestAssignSubcarrier:
         cfg = make_config(n=1, k=k, k1=k1, c=0.5, omega=rng.uniform(0.5, 2, 3))
         column = rng.exponential(size=k) + 1e-3
         duals = DualState(mu=[mu_val, mu_val / 2], lam=lam)
-        owner, p = assign_subcarrier(column, duals, cfg, lam)
+        owner, p = auction_column(column, duals, cfg)
         best = column.max()
         second = np.sort(column)[-2]
         payoffs = []
