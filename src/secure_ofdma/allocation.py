@@ -77,7 +77,7 @@ def decisions_from_arrays(
     """Build the allocation from stacked (T, N) owner / power arrays.
 
     Every solver builds its allocation here, so the arrays are checked
-    here: owners must lie in [-1, K) and powers be finite and >= 0.
+    here: owners must be whole numbers in [-1, K), powers finite and >= 0.
     Power on unassigned subcarriers is dropped.  Rates are recomputed here
     from power and channel so stored rates are consistent with the rate
     formulas by construction, from the ensemble's cached order statistics.
@@ -85,9 +85,11 @@ def decisions_from_arrays(
     shape = (ensemble.count, ensemble.n_subcarriers)
     if np.shape(owner) != shape or np.shape(power) != shape:
         raise ValueError("owner and power must be (realizations, subcarriers)")
-    owner = np.array(owner, dtype=np.int64)
-    if not (owner.min() >= UNASSIGNED and owner.max() < config.n_users):
-        raise ValueError(f"owners must lie in [-1, {config.n_users})")
+    owner = np.asarray(owner)
+    if not (np.array_equal(np.trunc(owner), owner)
+            and owner.min() >= UNASSIGNED and owner.max() < config.n_users):
+        raise ValueError(f"owners must be whole numbers in [-1, {config.n_users})")
+    owner = owner.astype(np.int64)
     # a NaN propagates through both reductions and fails both
     if not (np.min(power) >= 0 and np.max(power) < np.inf):
         raise ValueError("power must be finite and >= 0")

@@ -2,29 +2,28 @@
 
 The coupled problem (maximize weighted NU rate subject to per-SU average
 secrecy targets and a total power budget) is priced with multipliers
-``mu`` (secrecy) and ``lam`` (power) and split per subcarrier, where the
-winner of each subcarrier is the user with the largest priced payoff.
-Under the average power constraint ``lam`` is a single scalar; under the
-peak constraint it is resolved per realization so that every frame's
-power spend hits the budget.
+``mu`` (secrecy) and ``lam`` (power) and split into one auction per
+subcarrier, won by the user with the largest priced payoff.  ``lam`` is
+one scalar under the average power constraint and one price per frame
+under the peak constraint.  Each probe prices the auction once, and each
+stage reads only the reductions it uses: the ``lam`` search the spend,
+the ``mu`` calibration the secrecy, the outer loop the secrecy, NU rate
+and dual value, and the primal recovery the allocation.
 
 Every solve starts cold, from a calibrated ``mu``, and the dual is then
 minimized over ``mu`` in one loop: ``lam`` is eliminated exactly at
 every iterate by bisection on the spent power, which is non-increasing
-in ``lam``, the iterate is evaluated, scored and tested, and ``mu``
-takes a projected subgradient step.  Both power modes run the same
-loop; only the ``lam`` search differs.  The ``lam`` search, the ``mu``
-calibration and the peak-mode primal recovery (trim and refill) are all
-calls into the one vectorized bracket-and-bisect primitive,
-``_search.bracket`` and ``_search.bisect``: the per-frame ``lam``
-search prices only the frames still open, and the ``mu`` calibration
-takes ITP steps on the secrecy surplus and stops at a tolerance.
+in ``lam``, and ``mu`` takes a projected subgradient step.  Both power
+modes run the same loop; only the ``lam`` search differs.  The ``lam``
+search (over just the open frames in peak mode), the ITP ``mu``
+calibration and the peak trim and refill all call the one vectorized
+primitive, ``_search.bracket`` and ``_search.bisect``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +58,8 @@ class _Prepared:
         ):
             raise ValueError("ensemble dimensions do not match the config")
         self.config = config
-        self.alpha = ensemble.alpha
-        self.t_count, self.k, self.n = ensemble.alpha.shape
+        alpha = ensemble.alpha
+        self.t_count, _, self.n = alpha.shape
         self.k1 = config.n_secure
         self.nu1, self.nu2, self.kmax = ensemble.order_stats
         self.is_su_col = self.kmax < self.k1
@@ -72,10 +71,9 @@ class _Prepared:
         )
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
         self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
-        self.nu = _NuCandidates(self.alpha[:, self.k1:, :], config.weights)
+        self.nu = _NuCandidates(alpha[:, self.k1:, :], config.weights)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
-        self.omega = config.weights
 
     def su_in_frames(self, frames):
         """The SU-max columns of ascending ``frames``.
@@ -90,128 +88,127 @@ class _Prepared:
         return at, row, row * self.n + self.su_idx[at] % self.n
 
 
-@dataclass
-class _PointStats:
-    secrecy: np.ndarray        # (K1,) mean secrecy per SU
-    power_t: np.ndarray        # (T,) spent power per realization
-    power_mean: float
-    r_nu_total: float
-    nu_rate: np.ndarray        # (K-K1,) mean rate per NU
-    su_power: float
-    su_count: float
-    dual_value: float
-    owner: np.ndarray | None = None     # (T,N)
-    p_win: np.ndarray | None = None     # (T,N)
-
-
-def _eval_point(prep: _Prepared, mu, lam, *, full=True, arrays=False,
-                frames=None) -> _PointStats:
-    """Evaluate the per-subcarrier auction at dual prices (mu, lam).
+class _Auction:
+    """The per-subcarrier auction at dual prices (mu, lam), priced once.
 
     ``lam`` is a scalar (average mode) or a length-T vector (peak mode).
-    Only the pruned bidders of ``prep`` are priced: the NU candidates on
-    every column and the SU payoff on the SU-max columns.  The SU results
-    are scattered back into (T, N) arrays before any per-frame sum, so
-    the output is bit-identical to pricing every user everywhere.
-    ``frames`` (ascending, with one price in ``lam`` each) asks for the
-    spend ``power_t`` of just those frames, bit-identical to the rows of
-    a whole-ensemble auction at the same prices.
+    Construction prices the pruned bidders of ``prep`` (the NU candidates
+    on every column, the SU closed form on the SU-max columns) and sets
+    ``p_win``, ``power_t`` and ``power_mean``; the SU results are scattered
+    into (T, N) arrays before any per-frame sum, so all is bit-identical to
+    pricing every user everywhere.  The reductions ``secrecy``,
+    ``r_nu_total``, ``dual_value`` and ``owner`` are computed on first
+    read.  ``frames`` (ascending, one price in ``lam`` each) prices just
+    those frames' ``power_t``; reading a reduction of it raises ValueError.
     """
-    cfg = prep.config
-    k1 = prep.k1
-    nu = prep.nu
-    mu = np.asarray(mu, float)
-    lam_arr = np.asarray(lam, float)
-    rows, su_at, su_t, su_idx = slice(None), slice(None), prep.su_t, prep.su_idx
-    keep = slice(None)
-    if frames is not None:
-        if full or arrays or lam_arr.ndim != 1:
-            raise ValueError("a frame subset prices the per-frame spend only")
-        if 2 * frames.size > prep.t_count:
-            # gathering most frames costs more than pricing them all; the
-            # other frames get placeholder prices and their spend is dropped
-            keep, lam_arr = frames, np.ones(prep.t_count)
-            lam_arr[frames] = lam
-        else:
-            rows = frames
-            su_at, su_t, su_idx = prep.su_in_frames(frames)
-    if lam_arr.ndim == 1:
-        lam_n = lam_arr[:, None]
-        ln_lam_n = np.log(lam_arr)[:, None]
-        lam_g, ln_lam_g = lam_n[:, :, None], ln_lam_n[:, :, None]
-        lam_su = lam_arr[su_t]
-    else:
-        lam_n = lam_g = lam_su = float(lam_arr)
-        ln_lam_n = ln_lam_g = math.log(lam_n)
 
-    h_nu_best, g = nu.auction(ln_lam_g, lam_g, rows=rows)
-    p_nu_best = np.maximum(
-        nu.weight(g) / lam_n - nu.take(nu.inv_alpha, g, rows=rows), 0.0
-    )
-    h_su, p_su, rs = _h_su_core(
-        prep.su_nu1[su_at], prep.su_nu2[su_at], mu[prep.su_k[su_at]], lam_su
-    )
-    h_nu_su = h_nu_best.ravel()[su_idx]
-    su_wins = h_su > h_nu_su
-    su_won = su_idx[su_wins]
-
-    # the scatter targets below are fresh C-ordered arrays, so ravel() is a view
-    nu_pos = h_nu_best > 0.0
-    p_win = np.where(nu_pos, p_nu_best, 0.0)
-    p_win.ravel()[su_won] = p_su[su_wins]
-    power_t = p_win.sum(axis=1)[keep]
-    power_mean = float(power_t.mean())
-
-    secrecy = np.zeros(k1)
-    nu_rate = np.zeros(cfg.n_normal)
-    r_nu_total = su_power = su_count = dual = np.nan
-    if full or arrays:
-        nu_wins = nu_pos.copy()
-        nu_wins.ravel()[su_won] = False
-        j_best = nu.take(nu.index, g)
-    if full:
-        secrecy = np.bincount(
-            prep.su_k[su_wins], weights=rs[su_wins], minlength=k1
-        ) / prep.t_count
-        rate_best = np.maximum(nu.take(nu.ln_wa, g) - ln_lam_n, 0.0)
-        nu_rate = np.bincount(
-            j_best[nu_wins], weights=rate_best[nu_wins], minlength=cfg.n_normal
-        ) / prep.t_count
-        r_nu_total = float(prep.omega @ nu_rate)
-        su_power = float(p_su[su_wins].sum() / prep.t_count)
-        su_count = float(su_wins.sum() / prep.t_count)
-        h_col = h_nu_best.copy()
-        h_col.ravel()[prep.su_idx] = np.maximum(h_su, h_nu_su)
-        h_sum_t = h_col.sum(axis=1)
+    def __init__(self, prep: _Prepared, mu, lam, frames=None):
+        nu = prep.nu
+        # copies: a reduction read later must not see the caller's updates
+        mu, lam_arr = np.array(mu, float), np.array(lam, float)
+        self.prep, self.frames, self._mu, self._lam = prep, frames, mu, lam_arr
+        rows, su_at, su_t, su_idx = slice(None), slice(None), prep.su_t, prep.su_idx
+        keep = slice(None)
+        if frames is not None:
+            if lam_arr.ndim != 1:
+                raise ValueError("a frame subset needs one price per frame")
+            if 2 * frames.size > prep.t_count:
+                # gathering most frames costs more than pricing them all; the
+                # other frames get placeholder prices and their spend is dropped
+                keep, lam_arr = frames, np.ones(prep.t_count)
+                lam_arr[frames] = lam
+            else:
+                rows = frames
+                su_at, su_t, su_idx = prep.su_in_frames(frames)
         if lam_arr.ndim == 1:
-            dual = float(h_sum_t.mean() + (lam_arr * cfg.power).mean()
-                         - mu @ cfg.secrecy_targets)
+            lam_n = lam_arr[:, None]
+            ln_lam_n = np.log(lam_arr)[:, None]
+            lam_g, ln_lam_g = lam_n[:, :, None], ln_lam_n[:, :, None]
+            lam_su = lam_arr[su_t]
         else:
-            dual = float(h_sum_t.mean() + float(lam_arr) * cfg.power
-                         - mu @ cfg.secrecy_targets)
+            lam_n = lam_g = lam_su = float(lam_arr)
+            ln_lam_n = ln_lam_g = math.log(lam_n)
 
-    owner = None
-    if arrays:
-        owner = np.where(nu_wins, k1 + j_best, UNASSIGNED).astype(np.int64)
-        owner.ravel()[su_won] = prep.su_k[su_wins]
-    return _PointStats(
-        secrecy=secrecy, power_t=power_t, power_mean=power_mean,
-        r_nu_total=r_nu_total, nu_rate=nu_rate, su_power=su_power,
-        su_count=su_count, dual_value=dual,
-        owner=owner, p_win=p_win if arrays else None,
-    )
+        h_nu_best, g = nu.auction(ln_lam_g, lam_g, rows=rows)
+        p_nu_best = np.maximum(
+            nu.weight(g) / lam_n - nu.take(nu.inv_alpha, g, rows=rows), 0.0
+        )
+        h_su, p_su, rs = _h_su_core(
+            prep.su_nu1[su_at], prep.su_nu2[su_at], mu[prep.su_k[su_at]], lam_su
+        )
+        h_nu_su = h_nu_best.ravel()[su_idx]
+        su_wins = h_su > h_nu_su
+        su_won = su_idx[su_wins]
+
+        # the scatter targets are fresh C-ordered arrays, so ravel() is a view
+        nu_pos = h_nu_best > 0.0
+        self.p_win = np.where(nu_pos, p_nu_best, 0.0)
+        self.p_win.ravel()[su_won] = p_su[su_wins]
+        self.power_t = self.p_win.sum(axis=1)[keep]
+        self.power_mean = float(self.power_t.mean())
+        self._ln_lam_n, self._h_nu_best, self._g, self._nu_pos = (
+            ln_lam_n, h_nu_best, g, nu_pos)
+        self._h_su, self._h_nu_su, self._rs, self._su_wins, self._su_won = (
+            h_su, h_nu_su, rs, su_wins, su_won)
+
+    def _whole(self) -> _Prepared:
+        """``prep`` for a reduction; an auction on a frame subset has none."""
+        if self.frames is not None:
+            raise ValueError("a frame subset prices the per-frame spend only")
+        return self.prep
+
+    @cached_property
+    def secrecy(self) -> np.ndarray:
+        prep, wins = self._whole(), self._su_wins
+        return np.bincount(prep.su_k[wins], weights=self._rs[wins],
+                           minlength=prep.k1) / prep.t_count
+
+    @cached_property
+    def _nu_winners(self):
+        nu = self._whole().nu
+        nu_wins = self._nu_pos.copy()
+        nu_wins.ravel()[self._su_won] = False
+        return nu_wins, nu.take(nu.index, self._g)
+
+    @cached_property
+    def r_nu_total(self) -> float:
+        nu_wins, j_best = self._nu_winners
+        prep, nu = self.prep, self.prep.nu
+        rate_best = np.maximum(nu.take(nu.ln_wa, self._g) - self._ln_lam_n, 0.0)
+        nu_rate = np.bincount(j_best[nu_wins], weights=rate_best[nu_wins],
+                              minlength=prep.config.n_normal) / prep.t_count
+        return float(prep.config.weights @ nu_rate)
+
+    @cached_property
+    def dual_value(self) -> float:
+        prep = self._whole()
+        h_col = self._h_nu_best.copy()
+        h_col.ravel()[prep.su_idx] = np.maximum(self._h_su, self._h_nu_su)
+        return float(h_col.sum(axis=1).mean() + (self._lam * prep.config.power).mean()
+                     - self._mu @ prep.config.secrecy_targets)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        nu_wins, j_best = self._nu_winners
+        owner = np.where(nu_wins, self.prep.k1 + j_best, UNASSIGNED).astype(np.int64)
+        owner.ravel()[self._su_won] = self.prep.su_k[self._su_wins]
+        return owner
+
+
+def _eval_point(prep: _Prepared, mu, lam, frames=None) -> _Auction:
+    """The auction at (mu, lam); every stage prices through this rebindable name."""
+    return _Auction(prep, mu, lam, frames)
 
 
 def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
-    """Dual value and subgradient at (mu, lam) under the average constraint.
+    """Dual value and subgradient at (mu, lam).
 
-    Returns ``(g, dmu, dlam)`` where ``dmu_k`` is the mean secrecy surplus
-    of SU k and ``dlam`` the unspent power, both training-set averages.
+    ``lam`` is one scalar (average constraint) or one price per frame
+    (peak constraint).  Returns ``(g, dmu, dlam)`` where ``dmu_k`` is the
+    mean secrecy surplus of SU k and ``dlam`` the mean unspent power.
     """
-    prep = ensemble if isinstance(ensemble, _Prepared) else _Prepared(ensemble, config)
-    st = _eval_point(prep, mu, lam, full=True)
-    dmu = st.secrecy - config.secrecy_targets
-    dlam = config.power - st.power_mean
+    st = _eval_point(_Prepared(ensemble, config), mu, lam)
+    dmu, dlam = st.secrecy - config.secrecy_targets, config.power - st.power_mean
     return st.dual_value, dmu, dlam
 
 
@@ -226,7 +223,7 @@ def _solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=200):
     target = prep.config.power
 
     def power_at(lam):
-        return _eval_point(prep, mu, float(lam), full=False).power_mean
+        return _eval_point(prep, mu, float(lam)).power_mean
 
     def probe(lam):
         unspent = target - power_at(lam)
@@ -267,7 +264,7 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
     t_count = prep.t_count
 
     def power_t(lam_vec, frames=None):
-        return _eval_point(prep, mu, lam_vec, full=False, frames=frames).power_t
+        return _eval_point(prep, mu, lam_vec, frames=frames).power_t
 
     lo = np.full(t_count, lam_floor)
     at_floor = power_t(lo) <= target
@@ -427,7 +424,7 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     def probe(x, idx=None):
         at = slice(None) if idx is None else idx
         mu[at] = x
-        gap = _eval_point(prep, mu, lam0, full=True).secrecy[at] - targets[at]
+        gap = _eval_point(prep, mu, lam0).secrecy[at] - targets[at]
         return gap < 0, (-below[at] <= gap) & (gap <= above[at]), gap
 
     # no secrecy at mu = 0: the residual there is -C_k without an auction
@@ -500,7 +497,7 @@ def _dual_outer_loop(prep, opts):
     stall_limit = 150
     for t in range(1, opts.max_iterations + 1):
         lam = _solve_lambda(prep, mu, eps, lam)
-        st = _eval_point(prep, mu, lam, full=True)
+        st = _eval_point(prep, mu, lam)
         trace.append(st.dual_value)
         g = st.secrecy - targets  # subgradient of the reduced dual
         viol = np.maximum(targets * (1 - eps) - st.secrecy, 0.0)
@@ -552,7 +549,7 @@ def _dual_outer_loop(prep, opts):
 
 def _primal(prep, mu, lam, eps):
     """The auction's ``(owner, p_win)`` at (mu, lam); peak mode trims and refills it."""
-    final = _eval_point(prep, mu, lam, full=False, arrays=True)
+    final = _eval_point(prep, mu, lam)
     owner, p_win = final.owner, final.p_win
     if prep.config.mode == "peak":
         _trim_su_surplus(prep, owner, p_win, mu, lam, eps)
@@ -590,7 +587,7 @@ def _infeasible_result(prep, ensemble, opts, message) -> SolveResult:
     """Diagnostic result: the no-secrecy allocation plus the failure note."""
     mu0 = np.zeros(prep.k1)
     lam = _solve_lambda(prep, mu0, opts.epsilon)
-    st = _eval_point(prep, mu0, lam, full=True, arrays=True)
+    st = _eval_point(prep, mu0, lam)
     return _result(
         prep, ensemble, mu0, lam, st.owner, st.p_win, iterations=0,
         converged=False, infeasible=True, dual_value=st.dual_value,

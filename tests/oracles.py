@@ -225,13 +225,14 @@ def exhaustive_best_rate(alpha, k1, weights, c_target, power):
     return best
 
 
-def unpruned_auction(alpha, config, mu, lam, *, full=True, arrays=False):
+def unpruned_auction(alpha, config, mu, lam):
     """The dual solver's auction with every user priced on every column.
 
     Every NU bids on every column and the SU payoff is evaluated
     everywhere, with the multiplier forced to 0 where no SU holds the
     column maximum.  ``lam`` is a scalar or one price per frame.  Returns
-    a dict keyed like the solver's ``_PointStats`` fields.
+    a dict of every output of the solver's auction, keyed by its
+    attribute name.
     """
     t_count = alpha.shape[0]
     k1 = config.n_secure
@@ -271,39 +272,28 @@ def unpruned_auction(alpha, config, mu, lam, *, full=True, arrays=False):
     any_pos = np.maximum(h_su_col, h_nu_best) > 0.0
     p_win = np.where(any_pos, np.where(su_wins, p_su, p_nu_best), 0.0)
     power_t = p_win.sum(axis=1)
-    out = {
-        "secrecy": np.zeros(k1), "power_t": power_t,
-        "power_mean": float(power_t.mean()),
-        "r_nu_total": np.nan, "nu_rate": np.zeros(config.n_normal),
-        "su_power": np.nan, "su_count": np.nan, "dual_value": np.nan,
-        "owner": None, "p_win": None,
-    }
-    if full:
-        out["secrecy"] = np.bincount(
+    nu_wins = any_pos & ~su_wins
+    ln_wa_best = np.take_along_axis(ln_wa, take, axis=1)[:, 0, :]
+    rate_best = np.maximum(ln_wa_best - ln_lam_n, 0.0)
+    nu_rate = np.bincount(
+        j_best[nu_wins], weights=rate_best[nu_wins], minlength=config.n_normal,
+    ) / t_count
+    h_sum_t = np.maximum(h_su_col, h_nu_best).sum(axis=1)
+    spent = (lam_arr * config.power).mean() if lam_arr.ndim == 1 \
+        else float(lam_arr) * config.power
+    return {
+        "secrecy": np.bincount(
             kmax[su_wins], weights=rs[su_wins], minlength=k1
-        )[:k1] / t_count
-        nu_wins = any_pos & ~su_wins
-        ln_wa_best = np.take_along_axis(ln_wa, take, axis=1)[:, 0, :]
-        rate_best = np.maximum(ln_wa_best - ln_lam_n, 0.0)
-        out["nu_rate"] = np.bincount(
-            j_best[nu_wins], weights=rate_best[nu_wins],
-            minlength=config.n_normal,
-        ) / t_count
-        out["r_nu_total"] = float(omega @ out["nu_rate"])
-        out["su_power"] = float(p_su[su_wins].sum() / t_count)
-        out["su_count"] = float(su_wins.sum() / t_count)
-        h_sum_t = np.maximum(h_su_col, h_nu_best).sum(axis=1)
-        spent = (lam_arr * config.power).mean() if lam_arr.ndim == 1 \
-            else float(lam_arr) * config.power
-        out["dual_value"] = float(
-            h_sum_t.mean() + spent - mu @ config.secrecy_targets
-        )
-    if arrays:
-        out["owner"] = np.where(
+        )[:k1] / t_count,
+        "power_t": power_t,
+        "power_mean": float(power_t.mean()),
+        "r_nu_total": float(omega @ nu_rate),
+        "dual_value": float(h_sum_t.mean() + spent - mu @ config.secrecy_targets),
+        "owner": np.where(
             any_pos, np.where(su_wins, kmax, k1 + j_best), -1
-        ).astype(np.int64)
-        out["p_win"] = p_win
-    return out
+        ).astype(np.int64),
+        "p_win": p_win,
+    }
 
 
 def order_stats(alpha, n):
@@ -431,7 +421,7 @@ def looped_solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=
     target = prep.config.power
 
     def power_at(lam):
-        return _eval_point(prep, mu, lam, full=False).power_mean
+        return _eval_point(prep, mu, lam).power_mean
 
     p_floor = power_at(lam_floor)
     if p_floor <= target:
@@ -482,7 +472,7 @@ def looped_solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter
     t_count = prep.t_count
 
     def power_t(lam_vec):
-        return _eval_point(prep, mu, lam_vec, full=False).power_t
+        return _eval_point(prep, mu, lam_vec).power_t
 
     lo = np.full(t_count, lam_floor)
     at_floor = power_t(lo) <= target
@@ -660,7 +650,7 @@ def looped_initial_mu(prep, lam0, *, rounds=28) -> np.ndarray:
 
     hi = np.ones(prep.k1)
     for _ in range(40):
-        sec = _eval_point(prep, hi, lam0, full=True).secrecy
+        sec = _eval_point(prep, hi, lam0).secrecy
         short = want & (sec < targets)
         if not short.any():
             break
@@ -668,7 +658,7 @@ def looped_initial_mu(prep, lam0, *, rounds=28) -> np.ndarray:
     lo = np.zeros(prep.k1)
     for _ in range(rounds):
         mid = 0.5 * (lo + hi)
-        sec = _eval_point(prep, mid, lam0, full=True).secrecy
+        sec = _eval_point(prep, mid, lam0).secrecy
         low = sec < targets
         lo = np.where(low, mid, lo)
         hi = np.where(low, hi, mid)

@@ -24,7 +24,7 @@ def test_vectorized_auction_matches_scalar_assignment():
     for _ in range(5):
         mu = rng.uniform(0.0, 3.0, size=2)
         lam = float(rng.uniform(0.05, 1.5))
-        st = _eval_point(prep, mu, lam, full=True, arrays=True)
+        st = _eval_point(prep, mu, lam)
         duals = DualState(mu=mu, lam=lam)
         for t in (0, 7, 19):
             for n in range(cfg.n_subcarriers):
@@ -40,13 +40,14 @@ def test_report_matches_final_auction_stats():
     ens = generate_ensemble(cfg, 120, seed=14)
     res = solve_average(ens, cfg)
     assert len(res.decisions) == 120
-    st = _eval_point(_Prepared(ens, cfg), res.duals.mu, res.duals.lam, full=True)
+    st = _eval_point(_Prepared(ens, cfg), res.duals.mu, res.duals.lam)
     rep = res.report
     assert rep.r_nu_total == pytest.approx(st.r_nu_total, abs=1e-9)
     assert np.allclose(rep.r_su, st.secrecy, atol=1e-9)
     assert rep.avg_power == pytest.approx(st.power_mean, abs=1e-9)
-    assert rep.su_power == pytest.approx(st.su_power, abs=1e-9)
-    assert rep.su_subcarriers == pytest.approx(st.su_count, abs=1e-9)
+    su = (st.owner >= 0) & (st.owner < cfg.n_secure)
+    assert rep.su_power == pytest.approx(st.p_win[su].sum() / 120, abs=1e-9)
+    assert rep.su_subcarriers == pytest.approx(su.sum() / 120, abs=1e-9)
 
 
 def test_unequal_weights_respected():

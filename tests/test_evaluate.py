@@ -130,12 +130,15 @@ def test_mismatched_ensemble_rejected():
         evaluate(alloc4, more_users, cfg)
     with pytest.raises(ValueError):
         decisions_from_arrays(np.full((5, 4), -1), np.zeros((5, 5)), ens, cfg)
-    # owners outside [-1, K), and powers that are negative or not finite
-    for bad_owner in (-2, 3):
-        owner = np.full((5, 4), -1)
+    # owners that are outside [-1, K) or not whole numbers, and powers
+    # that are negative or not finite
+    for bad_owner in (-2, 3, 0.7, np.nan):
+        owner = np.full((5, 4), -1.0)
         owner[2, 1] = bad_owner
         with pytest.raises(ValueError, match="owners"):
             decisions_from_arrays(owner, np.ones((5, 4)), ens, cfg)
+    whole = decisions_from_arrays(np.full((5, 4), 2.0), np.ones((5, 4)), ens, cfg)
+    assert whole.owner.dtype == np.int64 and np.all(whole.owner == 2)
     for bad_power in (-1.0, np.nan, np.inf):
         power = np.ones((5, 4))
         power[2, 1] = bad_power

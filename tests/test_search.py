@@ -307,13 +307,17 @@ def test_frame_subset_spend_is_the_whole_auction_row():
     rng = np.random.default_rng(4)
     prep = random_problem(rng, 5, 2, 8, 10, False, 20.0)
     mu, lam = rng.uniform(0.0, 4.0, size=2), rng.uniform(0.05, 2.0, size=10)
-    whole = _eval_point(prep, mu, lam, full=False).power_t
+    whole = _eval_point(prep, mu, lam).power_t
     # a few frames are gathered; most frames are priced with the rest
     for frames in (np.array([3]), np.array([0, 4, 9]), np.arange(1, 10)):
-        got = _eval_point(prep, mu, lam[frames], full=False, frames=frames)
+        got = _eval_point(prep, mu, lam[frames], frames=frames)
         assert np.array_equal(got.power_t, whole[frames])
-    with pytest.raises(ValueError):
-        _eval_point(prep, mu, lam[:2], frames=np.arange(2))
+        # a subset has only its spend
+        for reduction in ("secrecy", "r_nu_total", "dual_value", "owner"):
+            with pytest.raises(ValueError, match="frame subset"):
+                getattr(got, reduction)
+    with pytest.raises(ValueError, match="one price per frame"):
+        _eval_point(prep, mu, 1.0, frames=np.arange(2))
 
 
 class TestStagesMatchLoops:
@@ -403,7 +407,7 @@ class TestStagesMatchLoops:
             mu[rng.integers(k1)] = 0.0
         lam_t = _solve_lambda_peak(prep, mu, eps * power / 4, 1e-12)
         lam = float(np.median(lam_t)) if scalar_lam else lam_t
-        st_ = _eval_point(prep, mu, lam, full=True, arrays=True)
+        st_ = _eval_point(prep, mu, lam)
         owner, p_win = st_.owner, st_.p_win
 
         # targets below the achieved secrecy so that trimming runs; an SU
@@ -445,7 +449,7 @@ class TestStagesMatchLoops:
                           [[3.0, 6.0], [0.1, 0.3], [0.2, 0.2]]])
         prep = _Prepared(ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg)
         mu, lam = np.array([3.0]), np.array([0.5, 0.5])
-        st_ = _eval_point(prep, mu, lam, full=True, arrays=True)
+        st_ = _eval_point(prep, mu, lam)
         owner, p_win = st_.owner, st_.p_win
         assert np.all(owner == 0)
         p_before = p_win[0].sum()
