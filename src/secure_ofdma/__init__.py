@@ -21,11 +21,7 @@ from .dual_solver import (
 )
 from .evaluate import EvaluationReport, evaluate
 from .experiments import ExperimentSpec, run_experiment
-from .feasibility import (
-    QuadratureOptions,
-    check_feasibility,
-    secrecy_rate_upper_bound,
-)
+from .feasibility import check_feasibility, secrecy_rate_upper_bound
 from .rates import (
     DualState,
     h_nu,
@@ -50,7 +46,6 @@ __all__ = [
     "EvaluationReport",
     "ExperimentSpec",
     "ProblemConfig",
-    "QuadratureOptions",
     "RunSpec",
     "SecrecyInfeasibleError",
     "SolveResult",

@@ -91,6 +91,14 @@ class ChannelEnsemble:
         return self.alpha.shape[2]
 
 
+def check_dimensions(ensemble: ChannelEnsemble, config: ProblemConfig) -> None:
+    """Reject an ensemble whose user or subcarrier count is not the config's."""
+    if (ensemble.n_users, ensemble.n_subcarriers) != (
+        config.n_users, config.n_subcarriers,
+    ):
+        raise ValueError("ensemble dimensions do not match the config")
+
+
 def _draw_realization(seed: int, index: int, k: int, n: int, rho: float) -> np.ndarray:
     # Distinct 256-bit counter block per realization; 2**128 draws of room.
     bits = np.random.Philox(key=seed, counter=index << 128)
@@ -139,6 +147,13 @@ def secrecy_limit(nu1, nu2, su, k1: int, t_count: int) -> np.ndarray:
     return np.bincount(su[pos], np.log(nu1[pos] / nu2[pos]), minlength=k1) / t_count
 
 
+def _encode(ensemble: ChannelEnsemble):
+    """The file's 32-byte header and its float64 payload, as bytes."""
+    header = _HEADER.pack(_MAGIC, ensemble.n_users, ensemble.n_subcarriers,
+                          ensemble.count, ensemble.rho, ensemble.seed)
+    return header, np.ascontiguousarray(ensemble.alpha, dtype="<f8").tobytes()
+
+
 def save_ensemble(ensemble: ChannelEnsemble, path) -> None:
     """Write the documented flat binary format.
 
@@ -146,17 +161,8 @@ def save_ensemble(ensemble: ChannelEnsemble, path) -> None:
     count:u32, rho:f64, seed:i64)`` followed by ``count`` row-major
     float64 (K, N) matrices.  Round-trips losslessly at 64-bit precision.
     """
-    header = _HEADER.pack(
-        _MAGIC,
-        ensemble.n_users,
-        ensemble.n_subcarriers,
-        ensemble.count,
-        ensemble.rho,
-        ensemble.seed,
-    )
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ensemble.alpha, dtype="<f8").tobytes())
+        fh.writelines(_encode(ensemble))
 
 
 def load_ensemble(path) -> ChannelEnsemble:
@@ -178,15 +184,6 @@ def load_ensemble(path) -> ChannelEnsemble:
 def ensemble_hash(ensemble: ChannelEnsemble) -> str:
     """Content hash of the ensemble (header fields plus raw samples)."""
     h = hashlib.sha256()
-    h.update(
-        _HEADER.pack(
-            _MAGIC,
-            ensemble.n_users,
-            ensemble.n_subcarriers,
-            ensemble.count,
-            ensemble.rho,
-            ensemble.seed,
-        )
-    )
-    h.update(np.ascontiguousarray(ensemble.alpha, dtype="<f8").tobytes())
+    for part in _encode(ensemble):
+        h.update(part)
     return h.hexdigest()

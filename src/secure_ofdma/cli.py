@@ -27,22 +27,11 @@ from .baselines import SCHEMES
 from .channel import ensemble_hash, generate_ensemble, load_ensemble, save_ensemble
 from .config import RunSpec
 from .experiments import ExperimentSpec, _run_solver, run_experiment
-from .feasibility import QuadratureOptions, check_feasibility
+from .feasibility import check_feasibility, secrecy_rate_upper_bound
 
 
 def _load_run(args) -> RunSpec:
     return RunSpec.from_file(args.config)
-
-
-def _ensemble_for(run: RunSpec, args):
-    if getattr(args, "ensemble", None):
-        ens = load_ensemble(args.ensemble)
-        if (ens.n_users, ens.n_subcarriers) != (
-            run.config.n_users, run.config.n_subcarriers,
-        ):
-            raise SystemExit("ensemble file does not match the config dimensions")
-        return ens
-    return generate_ensemble(run.config, run.realizations, run.seed)
 
 
 def _print_result(tag: str, run: RunSpec, result) -> None:
@@ -95,10 +84,11 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     """solve-optimal, solve-suboptimal and baseline: one solver by name."""
     run = _load_run(args)
-    ens = _ensemble_for(run, args)
     try:
+        ens = (load_ensemble(args.ensemble) if args.ensemble
+               else generate_ensemble(run.config, run.realizations, run.seed))
         result = _run_solver(args.solver, ens, run.config, run.options)
-    except ValueError as err:  # a mode or partition the solver rejects
+    except ValueError as err:  # a bad ensemble file, or one the solver rejects
         raise SystemExit(str(err)) from None
     tag = f"optimal/{run.config.mode}" if args.solver == "optimal" else args.solver
     _print_result(tag, run, result)
@@ -118,22 +108,16 @@ def _cmd_feasibility(args) -> int:
             raise SystemExit("need --config or both --n and --k")
         n, k, rho = args.n, args.k, args.rho
         targets = np.asarray(args.targets or [], dtype=float)
-    opts = QuadratureOptions(
-        method="monte-carlo" if args.monte_carlo else "quadrature",
-        mc_samples=args.mc_samples,
-    )
-    from .feasibility import secrecy_rate_upper_bound
-
-    bound = secrecy_rate_upper_bound(n, k, rho, opts)
+    bound = secrecy_rate_upper_bound(n, k, rho)
     print(f"secrecy-rate upper bound: {bound:.6f} nat/OFDM symbol "
-          f"(N={n}, K={k}, rho={rho}, {opts.method})")
+          f"(N={n}, K={k}, rho={rho})")
     if targets.size:
         from types import SimpleNamespace
 
         cfg_like = SimpleNamespace(
             n_subcarriers=n, n_users=k, rho=rho, secrecy_targets=targets,
         )
-        check = check_feasibility(cfg_like, opts)
+        check = check_feasibility(cfg_like)
         for i, (c, verdict) in enumerate(zip(targets, check.verdicts)):
             print(f"  C_{i + 1} = {c:.4f}: {verdict}")
         print("  note: necessary condition only; finite power is stricter")
@@ -188,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--targets", type=float, nargs="*")
-    p.add_argument("--monte-carlo", action="store_true")
-    p.add_argument("--mc-samples", type=int, default=2_000_000)
     p.set_defaults(func=_cmd_feasibility)
 
     p = sub.add_parser("experiment", help="run a JSON sweep spec")

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 MODES = ("average", "peak")
+CONFIG_KEYS = {"N", "K", "K1", "C", "omega", "snr_db", "mode", "rho"}
+RUN_KEYS = CONFIG_KEYS | {"realizations", "seed", "epsilon", "solver"}
 
 
 def snr_db_to_power(snr_db: float) -> float:
@@ -57,16 +59,17 @@ class ProblemConfig:
             raise ValueError("secrecy_targets must have one entry per SU")
         if self.weights.shape != (self.n_normal,):
             raise ValueError("weights must have one entry per NU")
-        if np.any(self.secrecy_targets < 0):
-            raise ValueError("secrecy targets must be >= 0")
-        if np.any(self.weights <= 0):
-            raise ValueError("NU weights must be > 0")
-        if not self.power > 0:
-            raise ValueError("power budget must be > 0")
+        # each test is written to fail on NaN as well
+        if not np.all((self.secrecy_targets >= 0) & (self.secrecy_targets < np.inf)):
+            raise ValueError("secrecy targets must be finite and >= 0")
+        if not np.all((self.weights > 0) & (self.weights < np.inf)):
+            raise ValueError("NU weights must be finite and > 0")
+        if not 0 < self.power < np.inf:
+            raise ValueError("power budget must be finite and > 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be finite and > 0")
 
     @property
     def n_normal(self) -> int:
@@ -101,8 +104,12 @@ class ProblemConfig:
         """Build from the documented config-file fields.
 
         ``C`` and ``omega`` accept a scalar (broadcast to every SU / NU) or
-        an explicit list.  Power is given as ``snr_db``.
+        an explicit list.  Power is given as ``snr_db``.  A key outside
+        ``CONFIG_KEYS`` is an error, so a misspelt field fails at load.
         """
+        unknown = set(d) - CONFIG_KEYS
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         n = int(d["N"])
         k = int(d["K"])
         k1 = int(d["K1"])
@@ -165,8 +172,12 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
+        unknown = set(d) - RUN_KEYS
+        if unknown:
+            raise ValueError(f"unknown run config keys: {sorted(unknown)}")
+        block = {k: v for k, v in d.items() if k in CONFIG_KEYS}
         return cls(
-            config=ProblemConfig.from_dict(d),
+            config=ProblemConfig.from_dict(block),
             realizations=int(d.get("realizations", 2000)),
             seed=int(d.get("seed", 0)),
             options=SolverOptions.from_spec(d),

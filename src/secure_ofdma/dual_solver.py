@@ -29,7 +29,7 @@ import numpy as np
 
 from ._search import bisect, bracket
 from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
-from .channel import ChannelEnsemble, secrecy_limit
+from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
 from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core
@@ -51,12 +51,7 @@ class _Prepared:
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
-        if ensemble.count < 1:
-            raise ValueError("ensemble must contain at least one realization")
-        if (ensemble.n_users, ensemble.n_subcarriers) != (
-            config.n_users, config.n_subcarriers,
-        ):
-            raise ValueError("ensemble dimensions do not match the config")
+        check_dimensions(ensemble, config)
         self.config = config
         alpha = ensemble.alpha
         self.t_count, _, self.n = alpha.shape
@@ -572,12 +567,8 @@ def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,
     if cfg.mode == "peak" and not converged and not infeasible:
         # granularity can block the dual loop's tolerance test while the
         # recovered primal still meets every constraint; judge the output
-        targets = cfg.secrecy_targets
         r_su = res.report.r_su
-        sec_ok = np.all((targets <= 0) | (
-            (r_su >= targets * (1 - eps))
-            & (np.abs(r_su - targets) <= eps * np.maximum(targets, 1.0))
-        ))
+        sec_ok = _converged_mu(r_su - cfg.secrecy_targets, r_su, cfg, eps)
         if sec_ok and res.report.avg_power <= cfg.power * (1 + eps):
             res.converged, res.message = True, ""
     return res

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._search import bisect_monotone, bracket, search_threshold, threshold_stats
 from .allocation import SolveResult, decisions_from_arrays
-from .channel import ChannelEnsemble, secrecy_limit
+from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
 from .rates import DualState, _NuCandidates
@@ -236,6 +236,7 @@ def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
     ``candidate_sets`` and ``fixed_sets`` go to ``su_phase`` and
     ``nu_phase``; ``prefix`` leads every failure message.
     """
+    check_dimensions(ensemble, config)
     eps = opts.epsilon
     try:
         thresholds, su_rep, p_su = su_phase(ensemble, config, eps, candidate_sets)

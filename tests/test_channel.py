@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,10 @@ from secure_ofdma import (
     generate_ensemble,
     load_ensemble,
     save_ensemble,
+    solve_average,
+    solve_fsa,
+    solve_peak,
+    solve_suboptimal,
 )
 from secure_ofdma.channel import column_order_stats
 
@@ -128,6 +134,8 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.alpha, ens.alpha)
     assert back.seed == ens.seed and back.rho == ens.rho
     assert ensemble_hash(back) == ensemble_hash(ens)
+    # the hash covers exactly the bytes the file holds
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ensemble_hash(ens)
 
 
 def test_load_rejects_foreign_files(tmp_path):
@@ -176,3 +184,17 @@ def test_load_rejects_corrupt_payload(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="positive and finite"):
         load_ensemble(path)
+
+
+@pytest.mark.parametrize("solve, mode", [
+    (solve_average, "average"),
+    (solve_peak, "peak"),
+    (solve_suboptimal, "average"),
+    (lambda ens, cfg: solve_fsa(ens, cfg, "fsa1"), "average"),
+], ids=["average", "peak", "suboptimal", "fsa1"])
+@pytest.mark.parametrize("k, n", [(6, 8), (4, 16)], ids=["K", "N"])
+def test_solvers_reject_an_ensemble_of_other_dimensions(solve, mode, k, n):
+    cfg = make_config(n=8, k=4, k1=2, c=0.1, power=10.0, mode=mode)
+    ens = generate_ensemble(make_config(n=n, k=k, k1=2), 3, seed=1)
+    with pytest.raises(ValueError, match="ensemble dimensions do not match"):
+        solve(ens, cfg)

@@ -52,6 +52,17 @@ def test_solve_optimal_reuses_ensemble_file(tmp_path, capsys):
     assert a["report"] == b["report"]
 
 
+@pytest.mark.parametrize("command", ["solve-optimal", "solve-suboptimal"])
+def test_solve_rejects_an_ensemble_file_of_other_dimensions(tmp_path, command):
+    ens_path = tmp_path / "channels.bin"
+    main(["generate", "--config", str(write_config(tmp_path, K=5, realizations=3)),
+          "--out", str(ens_path)])
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(write_config(tmp_path)),
+              "--ensemble", str(ens_path)])
+    assert err.value.code == "ensemble dimensions do not match the config"
+
+
 def test_solve_suboptimal_runs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["solve-suboptimal", "--config", str(cfg)]) == 0

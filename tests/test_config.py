@@ -33,6 +33,13 @@ class TestProblemConfig:
             make_config(power=0.0)
         with pytest.raises(ValueError):
             make_config(mode="sometimes")
+        # non-finite inputs fail here, not as NaNs or a stall inside a solve
+        for bad in (np.nan, np.inf):
+            for field in ("c", "omega", "power", "rho"):
+                with pytest.raises(ValueError, match="finite"):
+                    make_config(**{field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            make_config(c=[0.1, np.nan, 0.2, 0.3])
 
     def test_snr_conversion_roundtrip(self):
         assert snr_db_to_power(30.0) == pytest.approx(1000.0)
@@ -97,6 +104,14 @@ class TestRunSpec:
         assert run.options.epsilon == 0.02
         assert run.options.max_iterations == 100
         assert np.array_equal(run.config.secrecy_targets, [0.1, 0.2])
+
+    def test_unknown_keys_fail_at_load(self):
+        payload = {"N": 8, "K": 4, "K1": 2, "snr_db": 20.0}
+        assert RunSpec.from_dict(payload).realizations == 2000
+        with pytest.raises(ValueError, match="relaizations"):
+            RunSpec.from_dict({**payload, "relaizations": 5})
+        with pytest.raises(ValueError, match="mdoe"):
+            RunSpec.from_dict({**payload, "mdoe": "peak"})
 
     def test_solver_block_with_a_method_fails_at_load(self):
         payload = {"N": 8, "K": 4, "K1": 2, "snr_db": 20.0,

@@ -74,6 +74,8 @@ class TestSpecValidation:
             ExperimentSpec.from_dict({**d, "realisations": 10})
         with pytest.raises(ValueError, match="method"):
             ExperimentSpec.from_dict({**d, "solver": {"method": "ellipsoid"}})
+        with pytest.raises(ValueError, match="mdoe"):
+            ExperimentSpec.from_dict({**d, "config": {**d["config"], "mdoe": "peak"}})
 
     @pytest.mark.parametrize("name", [
         "rate_frontier", "snr_sweep_average", "snr_sweep_peak",

@@ -1,10 +1,6 @@
 import pytest
 
-from secure_ofdma import (
-    QuadratureOptions,
-    check_feasibility,
-    secrecy_rate_upper_bound,
-)
+from secure_ofdma import check_feasibility, secrecy_rate_upper_bound
 
 from conftest import make_config
 from oracles import top_two_log_ratio_mc
@@ -20,14 +16,6 @@ class TestBound:
         b2 = secrecy_rate_upper_bound(64, 8, rho=1.0)
         b3 = secrecy_rate_upper_bound(64, 8, rho=4.0)
         assert abs(b1 - b2) < 1e-9 and abs(b2 - b3) < 1e-9
-
-    def test_monte_carlo_method_agrees(self):
-        quad = secrecy_rate_upper_bound(64, 8)
-        mc = secrecy_rate_upper_bound(
-            64, 8, opts=QuadratureOptions(method="monte-carlo",
-                                          mc_samples=1_000_000)
-        )
-        assert abs(mc - quad) / quad < 0.01
 
     def test_small_case_against_sampling_oracle(self):
         bound = secrecy_rate_upper_bound(8, 2, rho=1.0)
@@ -49,8 +37,9 @@ class TestBound:
             secrecy_rate_upper_bound(64, 1)
         with pytest.raises(ValueError):
             secrecy_rate_upper_bound(0, 8)
-        with pytest.raises(ValueError):
-            secrecy_rate_upper_bound(64, 8, rho=0.0)
+        for rho in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                secrecy_rate_upper_bound(64, 8, rho=rho)
 
 
 class TestCheck:

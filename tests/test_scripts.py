@@ -1,0 +1,23 @@
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from secure_ofdma import secrecy_rate_upper_bound
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_feasibility_map_prints_the_bound_table(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["feasibility_map.py", "--n", "16", "32", "--k", "2", "4"])
+    runpy.run_path(str(SCRIPTS / "feasibility_map.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["N\\K", "2", "4"]
+    for line, n in zip(lines[1:3], (16, 32)):
+        cells = line.split()
+        assert int(cells[0]) == n
+        for cell, k in zip(cells[1:], (2, 4)):
+            assert float(cell) == pytest.approx(secrecy_rate_upper_bound(n, k), abs=5e-5)
+    assert "independent of the fading mean" in lines[-1]
