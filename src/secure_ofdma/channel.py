@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ProblemConfig
+from .config import ProblemConfig, whole_number
 
 _MAGIC = b"CNR1"
 _HEADER = struct.Struct("<4sIIIdq")  # magic, K, N, count, rho, seed
@@ -112,13 +112,12 @@ def generate_ensemble(config: ProblemConfig, count: int, seed: int) -> ChannelEn
     """Draw ``count`` i.i.d. exponential CNR matrices with mean ``config.rho``."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not config.rho > 0:
-        raise ValueError("rho must be > 0")
+    seed = whole_number("seed", seed, 0, 2**63)  # the file header packs it as int64
     k, n = config.n_users, config.n_subcarriers
     alpha = np.empty((count, k, n), dtype=float)
     for i in range(count):
-        alpha[i] = _draw_realization(int(seed), i, k, n, config.rho)
-    return ChannelEnsemble(alpha=alpha, seed=int(seed), rho=float(config.rho))
+        alpha[i] = _draw_realization(seed, i, k, n, config.rho)
+    return ChannelEnsemble(alpha=alpha, seed=seed, rho=float(config.rho))
 
 
 def column_order_stats(alpha: np.ndarray):

@@ -10,9 +10,10 @@ Subcommands::
     experiment        sweep described by a JSON spec file
 
 Configs are JSON files with fields ``N, K, K1, C, omega, snr_db, mode,
-rho, realizations, seed, epsilon, solver``; ``C`` and ``omega`` accept a
-scalar or a per-user list.  All file outputs are linear/nat units; dB
-appears only here at the boundary.
+rho, realizations, seed, epsilon``; ``C`` and ``omega`` accept a scalar
+or a per-user list.  All file outputs are linear/nat units; dB appears
+only here at the boundary.  Input that fails a check (a config, spec or
+ensemble file, or a solve the solver rejects) exits with its message.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from .channel import ensemble_hash, generate_ensemble, load_ensemble, save_ensem
 from .config import RunSpec
 from .experiments import ExperimentSpec, _run_solver, run_experiment
 from .feasibility import check_feasibility, secrecy_rate_upper_bound
-
-
-def _load_run(args) -> RunSpec:
-    return RunSpec.from_file(args.config)
 
 
 def _print_result(tag: str, run: RunSpec, result) -> None:
@@ -70,7 +67,7 @@ def _dump_result(path, run: RunSpec, result) -> None:
 
 
 def _cmd_generate(args) -> int:
-    run = _load_run(args)
+    run = RunSpec.from_file(args.config)
     ens = generate_ensemble(run.config, run.realizations, run.seed)
     save_ensemble(ens, args.out)
     print(
@@ -83,13 +80,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     """solve-optimal, solve-suboptimal and baseline: one solver by name."""
-    run = _load_run(args)
-    try:
-        ens = (load_ensemble(args.ensemble) if args.ensemble
-               else generate_ensemble(run.config, run.realizations, run.seed))
-        result = _run_solver(args.solver, ens, run.config, run.options)
-    except ValueError as err:  # a bad ensemble file, or one the solver rejects
-        raise SystemExit(str(err)) from None
+    run = RunSpec.from_file(args.config)
+    ens = (load_ensemble(args.ensemble) if args.ensemble
+           else generate_ensemble(run.config, run.realizations, run.seed))
+    result = _run_solver(args.solver, ens, run.config, run.options)
     tag = f"optimal/{run.config.mode}" if args.solver == "optimal" else args.solver
     _print_result(tag, run, result)
     if args.out:
@@ -99,8 +93,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     if args.config:
-        run = _load_run(args)
-        cfg = run.config
+        cfg = RunSpec.from_file(args.config).config
         n, k, rho = cfg.n_subcarriers, cfg.n_users, cfg.rho
         targets = cfg.secrecy_targets
     else:
@@ -183,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # a check rejected the input: exit with its message
+        raise SystemExit(str(err)) from None
 
 
 if __name__ == "__main__":

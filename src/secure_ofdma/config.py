@@ -9,14 +9,16 @@ file boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 MODES = ("average", "peak")
 CONFIG_KEYS = {"N", "K", "K1", "C", "omega", "snr_db", "mode", "rho"}
-RUN_KEYS = CONFIG_KEYS | {"realizations", "seed", "epsilon", "solver"}
+RUN_FIELD_KEYS = {"realizations", "seed", "epsilon"}
+RUN_KEYS = CONFIG_KEYS | RUN_FIELD_KEYS
 
 
 def snr_db_to_power(snr_db: float) -> float:
@@ -26,6 +28,26 @@ def snr_db_to_power(snr_db: float) -> float:
 
 def power_to_snr_db(power: float) -> float:
     return float(10.0 * np.log10(power))
+
+
+def whole_number(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int, if it is a whole number >= ``low`` (and < ``high``)."""
+    top = np.inf if high is None else high
+    whole = isinstance(value, numbers.Real) and value == value // 1
+    if not (whole and low <= value < top):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be a whole number {span}")
+    return int(value)
+
+
+def _per_user(name: str, value, count: int) -> np.ndarray:
+    """A scalar broadcast to ``count`` users, or a list with one entry each."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim == 0:
+        return np.full(count, float(v))
+    if v.shape != (count,):
+        raise ValueError(f"{name} must be a scalar or have length {count}")
+    return v
 
 
 @dataclass
@@ -47,18 +69,12 @@ class ProblemConfig:
     rho: float = 1.0               # mean CNR of the fading distribution
 
     def __post_init__(self):
-        self.secrecy_targets = np.atleast_1d(
-            np.asarray(self.secrecy_targets, dtype=float)
-        )
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be >= 1")
-        if not (1 <= self.n_secure < self.n_users):
-            raise ValueError("need 1 <= n_secure < n_users")
-        if self.secrecy_targets.shape != (self.n_secure,):
-            raise ValueError("secrecy_targets must have one entry per SU")
-        if self.weights.shape != (self.n_normal,):
-            raise ValueError("weights must have one entry per NU")
+        self.n_subcarriers = whole_number("n_subcarriers", self.n_subcarriers, 1)
+        self.n_users = whole_number("n_users", self.n_users, 2)
+        self.n_secure = whole_number("n_secure", self.n_secure, 1, self.n_users)
+        self.secrecy_targets = _per_user("secrecy_targets", self.secrecy_targets,
+                                         self.n_secure)
+        self.weights = _per_user("weights", self.weights, self.n_normal)
         # each test is written to fail on NaN as well
         if not np.all((self.secrecy_targets >= 0) & (self.secrecy_targets < np.inf)):
             raise ValueError("secrecy targets must be finite and >= 0")
@@ -110,19 +126,12 @@ class ProblemConfig:
         unknown = set(d) - CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        n = int(d["N"])
-        k = int(d["K"])
-        k1 = int(d["K1"])
-        c = d.get("C", 0.0)
-        c = np.broadcast_to(np.asarray(c, dtype=float), (k1,)).copy()
-        omega = d.get("omega", 1.0)
-        omega = np.broadcast_to(np.asarray(omega, dtype=float), (k - k1,)).copy()
         return cls(
-            n_subcarriers=n,
-            n_users=k,
-            n_secure=k1,
-            secrecy_targets=c,
-            weights=omega,
+            n_subcarriers=d["N"],
+            n_users=d["K"],
+            n_secure=d["K1"],
+            secrecy_targets=d.get("C", 0.0),
+            weights=d.get("omega", 1.0),
             power=snr_db_to_power(float(d["snr_db"])),
             mode=d.get("mode", "average"),
             rho=float(d.get("rho", 1.0)),
@@ -131,34 +140,22 @@ class ProblemConfig:
 
 @dataclass
 class SolverOptions:
-    """Tunables shared by the dual, suboptimal, and baseline solvers."""
+    """The one setting shared by the dual, suboptimal, and baseline solvers."""
 
     epsilon: float = 1e-2              # relative constraint tolerance
-    max_iterations: int = 5000
-    multiplier_ceiling: float = 1e6
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must be in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.multiplier_ceiling <= 0:
-            raise ValueError("multiplier_ceiling must be > 0")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverOptions":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown solver options: {sorted(unknown)}")
-        return cls(**d)
 
-    @classmethod
-    def from_spec(cls, d: dict) -> "SolverOptions":
-        """The ``"solver"`` block of a spec, with a top-level ``epsilon``."""
-        opts = dict(d.get("solver", {}))
-        if "epsilon" in d:
-            opts.setdefault("epsilon", float(d["epsilon"]))
-        return cls.from_dict(opts)
+def run_fields(d: dict) -> dict:
+    """``realizations``, ``seed`` and ``options`` of a run config or spec."""
+    return {
+        "realizations": whole_number("realizations", d.get("realizations", 2000), 1),
+        "seed": whole_number("seed", d.get("seed", 0)),
+        "options": SolverOptions(float(d.get("epsilon", SolverOptions.epsilon))),
+    }
 
 
 @dataclass
@@ -176,12 +173,7 @@ class RunSpec:
         if unknown:
             raise ValueError(f"unknown run config keys: {sorted(unknown)}")
         block = {k: v for k, v in d.items() if k in CONFIG_KEYS}
-        return cls(
-            config=ProblemConfig.from_dict(block),
-            realizations=int(d.get("realizations", 2000)),
-            seed=int(d.get("seed", 0)),
-            options=SolverOptions.from_spec(d),
-        )
+        return cls(config=ProblemConfig.from_dict(block), **run_fields(d))
 
     @classmethod
     def from_file(cls, path) -> "RunSpec":

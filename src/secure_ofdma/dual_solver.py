@@ -36,6 +36,8 @@ from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core
 
 _STEP_SCALE = 0.5      # 'a' in the a/sqrt(t) subgradient step on mu
 _LAMBDA_FLOOR = 1e-12  # the smallest power price a search returns
+_MAX_ITERATIONS = 5000  # outer-loop iterates before an unconverged stop
+_MU_CEILING = 1e6      # a still-violated SU whose mu passes this is infeasible
 
 
 class _Prepared:
@@ -456,7 +458,7 @@ def _solve_lambda(prep, mu, eps, warm=None):
 _OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"
 
 
-def _dual_outer_loop(prep, opts):
+def _dual_outer_loop(prep, eps):
     """Outer minimization over mu for both power modes.
 
     Every solve starts cold: calibrate ``mu``, let the power price react,
@@ -467,7 +469,6 @@ def _dual_outer_loop(prep, opts):
     exit says why in its message.
     """
     cfg = prep.config
-    eps = opts.epsilon
     targets = cfg.secrecy_targets
 
     caps = prep.su_caps
@@ -487,10 +488,10 @@ def _dual_outer_loop(prep, opts):
     trace = []
     best = None
     converged = infeasible = False
-    message = _OUT_OF_ITERATIONS.format(opts.max_iterations)
+    message = _OUT_OF_ITERATIONS.format(_MAX_ITERATIONS)
     stall = 0
     stall_limit = 150
-    for t in range(1, opts.max_iterations + 1):
+    for t in range(1, _MAX_ITERATIONS + 1):
         lam = _solve_lambda(prep, mu, eps, lam)
         st = _eval_point(prep, mu, lam)
         trace.append(st.dual_value)
@@ -512,7 +513,7 @@ def _dual_outer_loop(prep, opts):
             message = ""
             break
 
-        over_ceiling = (mu > opts.multiplier_ceiling) & (viol > 0)
+        over_ceiling = (mu > _MU_CEILING) & (viol > 0)
         if over_ceiling.any():
             k_bad = int(np.flatnonzero(over_ceiling)[0])
             infeasible = True
@@ -553,10 +554,9 @@ def _primal(prep, mu, lam, eps):
     return owner, p_win
 
 
-def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,
+def _finish(prep, ensemble, eps, mu, lam, iters, trace, converged, infeasible,
             message):
     cfg = prep.config
-    eps = opts.epsilon
     owner, p_win = _primal(prep, mu, lam, eps)
     res = _result(
         prep, ensemble, mu, lam, owner, p_win, iterations=iters,
@@ -574,10 +574,10 @@ def _finish(prep, ensemble, opts, mu, lam, iters, trace, converged, infeasible,
     return res
 
 
-def _infeasible_result(prep, ensemble, opts, message) -> SolveResult:
+def _infeasible_result(prep, ensemble, eps, message) -> SolveResult:
     """Diagnostic result: the no-secrecy allocation plus the failure note."""
     mu0 = np.zeros(prep.k1)
-    lam = _solve_lambda(prep, mu0, opts.epsilon)
+    lam = _solve_lambda(prep, mu0, eps)
     st = _eval_point(prep, mu0, lam)
     return _result(
         prep, ensemble, mu0, lam, st.owner, st.p_win, iterations=0,
@@ -601,12 +601,12 @@ def _result(prep, ensemble, mu, lam, owner, p_win, **fields) -> SolveResult:
 
 def _solve(ensemble, config, opts) -> SolveResult:
     """The dual solve shared by both power modes."""
-    opts = opts or SolverOptions()
+    eps = (opts or SolverOptions()).epsilon
     prep = _Prepared(ensemble, config)
-    out, msg = _dual_outer_loop(prep, opts)
+    out, msg = _dual_outer_loop(prep, eps)
     if out is None:
-        return _infeasible_result(prep, ensemble, opts, msg)
-    return _finish(prep, ensemble, opts, *out)
+        return _infeasible_result(prep, ensemble, eps, msg)
+    return _finish(prep, ensemble, eps, *out)
 
 
 def solve_average(

@@ -19,16 +19,15 @@ import numpy as np
 from . import __version__
 from .baselines import solve_fsa
 from .channel import ChannelEnsemble, ensemble_hash, generate_ensemble
-from .config import ProblemConfig, SolverOptions, snr_db_to_power
+from .config import (
+    RUN_FIELD_KEYS, ProblemConfig, SolverOptions, run_fields, snr_db_to_power,
+)
 from .dual_solver import solve_average, solve_peak
 from .suboptimal import solve_suboptimal
 
 SOLVERS = ("optimal", "suboptimal", "fsa1", "fsa2")
 SWEEPS = ("C", "snr_db")
-SPEC_KEYS = {
-    "sweep", "values", "solvers", "config", "realizations", "seed",
-    "solver", "epsilon", "output",
-}
+SPEC_KEYS = {"sweep", "values", "solvers", "config", "output"} | RUN_FIELD_KEYS
 
 # fixed CSV column order, before the per-SU rate columns
 BASE_COLUMNS = (
@@ -63,8 +62,6 @@ class ExperimentSpec:
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers: {sorted(unknown)}")
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -76,10 +73,8 @@ class ExperimentSpec:
             values=d["values"],
             solvers=list(d["solvers"]),
             config=ProblemConfig.from_dict(d["config"]),
-            realizations=int(d.get("realizations", 2000)),
-            seed=int(d.get("seed", 0)),
-            options=SolverOptions.from_spec(d),
             output=d.get("output"),
+            **run_fields(d),
         )
 
     @classmethod

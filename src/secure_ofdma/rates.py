@@ -33,10 +33,11 @@ class DualState:
 
     def __post_init__(self):
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if np.any(self.mu < 0):
-            raise ValueError("secrecy multipliers must be >= 0")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("power multiplier must be >= 0")
+        # each test is written to fail on NaN as well
+        if not np.all((self.mu >= 0) & (self.mu < np.inf)):
+            raise ValueError("secrecy multipliers must be finite and >= 0")
+        if self.lam is not None and not 0 <= self.lam < np.inf:
+            raise ValueError("power multiplier must be finite and >= 0")
 
 
 def _maybe_scalar(x):

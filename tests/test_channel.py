@@ -63,6 +63,13 @@ def test_generate_rejects_bad_arguments():
         generate_ensemble(cfg, 0, seed=1)
     with pytest.raises(ValueError):
         make_config(rho=-1.0)
+    # the file header packs the seed as int64, and Philox needs a key >= 0
+    for bad in (2**63, -1, 2.5, np.nan):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            generate_ensemble(cfg, 1, seed=bad)
+    top = generate_ensemble(make_config(n=1, k=2, k1=1), 1, seed=2**63 - 1)
+    assert ensemble_hash(top) and top.seed == 2**63 - 1
+    assert generate_ensemble(cfg, 1, seed=np.int64(4)).seed == 4
 
 
 def test_order_stats_examples():

@@ -89,6 +89,27 @@ def test_average_only_solvers_exit_with_their_message(tmp_path, argv, message):
     assert err.value.code == message
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["solve-suboptimal"], {"mdoe": "peak"}, "unknown run config keys: ['mdoe']"),
+    (["solve-optimal"], "{not json", "Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (["feasibility-bound", "--n", "8", "--k", "1"], None, "need at least 2 users"),
+    (["generate", "--out", "channels.bin"], {"realizations": 0},
+     "realizations must be a whole number >= 1"),
+], ids=["unknown-key", "malformed-json", "one-user", "no-realizations"])
+def test_bad_input_exits_with_its_message(tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        if isinstance(config, dict):
+            path = write_config(tmp_path, **config)
+        else:
+            path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == message
+
+
 def test_feasibility_bound_subcommand(capsys):
     assert main(["feasibility-bound", "--n", "64", "--k", "8",
                  "--targets", "0.5", "3.6"]) == 0

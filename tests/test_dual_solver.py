@@ -10,6 +10,7 @@ from secure_ofdma import (
     SolverOptions,
     apply_policy,
     dual_point,
+    dual_solver,
     evaluate,
     generate_ensemble,
     h_nu,
@@ -162,9 +163,11 @@ class TestSolveAverage:
         assert res.infeasible and not res.converged
         assert res.message
 
-    def test_unconverged_result_says_why(self, headline_config, small_ensemble):
+    def test_unconverged_result_says_why(self, headline_config, small_ensemble,
+                                         monkeypatch):
+        monkeypatch.setattr(dual_solver, "_MAX_ITERATIONS", 1)
         cfg = headline_config.with_targets(1.2)
-        opts = SolverOptions(max_iterations=1, epsilon=1e-6)
+        opts = SolverOptions(epsilon=1e-6)
         res = solve_average(small_ensemble, cfg, opts)
         assert not res.converged and not res.infeasible
         assert "max_iterations=1" in res.message
@@ -215,24 +218,22 @@ class TestOuterLoopExits:
         assert res.converged and not res.infeasible and res.message == ""
 
     @pytest.mark.parametrize("cap", [1, 3])
-    def test_max_iterations(self, problem, cap):
-        opts = SolverOptions(epsilon=1e-7, max_iterations=cap)
-        res = solve_average(*problem, opts)
+    def test_max_iterations(self, problem, cap, monkeypatch):
+        monkeypatch.setattr(dual_solver, "_MAX_ITERATIONS", cap)
+        res = solve_average(*problem, SolverOptions(epsilon=1e-7))
         assert not res.converged and not res.infeasible
         assert res.message == self.OUT_OF_ITERATIONS.format(cap)
         assert 1 <= res.iterations <= cap
 
-    def test_tight_tolerance_stops_with_its_reason(self, problem):
-        opts = SolverOptions(epsilon=1e-7, max_iterations=400)
-        res = solve_average(*problem, opts)
+    def test_tight_tolerance_stops_with_its_reason(self, problem, monkeypatch):
+        monkeypatch.setattr(dual_solver, "_MAX_ITERATIONS", 400)
+        res = solve_average(*problem, SolverOptions(epsilon=1e-7))
         assert not res.converged and not res.infeasible
         assert res.message == ("stalled: the secrecy violation did not "
                                "improve in 150 iterations")
         assert len(res.dual_trace) < 400
 
     def test_no_auction_is_priced_at_a_negative_mu(self, problem, monkeypatch):
-        from secure_ofdma import dual_solver
-
         # SU 0 starts far above its optimum, so its first subgradient step
         # overshoots zero and only the projection keeps it in the orthant
         ens, cfg = problem
@@ -245,15 +246,16 @@ class TestOuterLoopExits:
         monkeypatch.setattr(dual_solver, "_eval_point",
                             lambda prep, mu, *a, **k: seen.append(np.copy(mu))
                             or auction(prep, mu, *a, **k))
-        res = solve_average(ens, cfg, SolverOptions(max_iterations=3))
+        monkeypatch.setattr(dual_solver, "_MAX_ITERATIONS", 3)
+        res = solve_average(ens, cfg)
         assert res.message == self.OUT_OF_ITERATIONS.format(3)
         assert any(mu[0] == 50.0 for mu in seen)
         assert all(np.all(mu >= 0) for mu in seen)
         assert np.all(res.duals.mu >= 0)
 
-    def test_subgradient_multiplier_ceiling(self, problem):
-        opts = SolverOptions(epsilon=1e-7, multiplier_ceiling=1e-3)
-        res = solve_average(*problem, opts)
+    def test_subgradient_multiplier_ceiling(self, problem, monkeypatch):
+        monkeypatch.setattr(dual_solver, "_MU_CEILING", 1e-3)
+        res = solve_average(*problem, SolverOptions(epsilon=1e-7))
         assert res.infeasible and not res.converged
         assert "exceeded the ceiling" in res.message
 
@@ -321,15 +323,14 @@ class TestPeakMode:
     def test_rejudged_result_clears_the_stop_message(self, monkeypatch):
         # on this ensemble one outer iteration stops the loop unconverged,
         # but the recovered primal passes every check
-        from secure_ofdma import dual_solver
-
         loop = dual_solver._dual_outer_loop
         seen = []
         monkeypatch.setattr(dual_solver, "_dual_outer_loop",
                             lambda *a: seen.append(loop(*a)) or seen[-1])
         cfg = make_config(c=0.4, mode="peak")
         ens = generate_ensemble(cfg, 120, seed=62)
-        res = solve_peak(ens, cfg, SolverOptions(max_iterations=1))
+        monkeypatch.setattr(dual_solver, "_MAX_ITERATIONS", 1)
+        res = solve_peak(ens, cfg)
         *_, loop_converged, loop_infeasible, loop_message = seen[0][0]
         assert not loop_converged and not loop_infeasible and loop_message
         assert res.converged and not res.infeasible and res.message == ""

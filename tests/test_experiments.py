@@ -72,7 +72,7 @@ class TestSpecValidation:
             ExperimentSpec.from_dict({**d, "warm_start": False})
         with pytest.raises(ValueError, match="realisations"):
             ExperimentSpec.from_dict({**d, "realisations": 10})
-        with pytest.raises(ValueError, match="method"):
+        with pytest.raises(ValueError, match="solver"):
             ExperimentSpec.from_dict({**d, "solver": {"method": "ellipsoid"}})
         with pytest.raises(ValueError, match="mdoe"):
             ExperimentSpec.from_dict({**d, "config": {**d["config"], "mdoe": "peak"}})
