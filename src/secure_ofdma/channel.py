@@ -30,6 +30,11 @@ _MAGIC = b"CNR1"
 _HEADER = struct.Struct("<4sIIIdq")  # magic, K, N, count, rho, seed
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int: Philox needs a key >= 0 and the header an int64."""
+    return whole_number("seed", seed, 0, 2**63)
+
+
 @dataclass(frozen=True)
 class ChannelEnsemble:
     """Ordered stack of i.i.d. channel realizations.
@@ -53,6 +58,7 @@ class ChannelEnsemble:
         a = a.view()
         a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
 
     @cached_property
     def order_stats(self):
@@ -110,9 +116,8 @@ def _draw_realization(seed: int, index: int, k: int, n: int, rho: float) -> np.n
 
 def generate_ensemble(config: ProblemConfig, count: int, seed: int) -> ChannelEnsemble:
     """Draw ``count`` i.i.d. exponential CNR matrices with mean ``config.rho``."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    seed = whole_number("seed", seed, 0, 2**63)  # the file header packs it as int64
+    count = whole_number("count", count, 1)
+    seed = _checked_seed(seed)  # before the draw, which needs a valid key
     k, n = config.n_users, config.n_subcarriers
     alpha = np.empty((count, k, n), dtype=float)
     for i in range(count):

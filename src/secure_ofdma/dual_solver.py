@@ -5,19 +5,22 @@ secrecy targets and a total power budget) is priced with multipliers
 ``mu`` (secrecy) and ``lam`` (power) and split into one auction per
 subcarrier, won by the user with the largest priced payoff.  ``lam`` is
 one scalar under the average power constraint and one price per frame
-under the peak constraint.  Each probe prices the auction once, and each
-stage reads only the reductions it uses: the ``lam`` search the spend,
-the ``mu`` calibration the secrecy, the outer loop the secrecy, NU rate
-and dual value, and the primal recovery the allocation.
+under the peak constraint.  Each probe prices the auction once and only
+what its caller reads: the ``lam`` search the spend (of the open frames
+in peak mode), the ``mu`` calibration the secrecy of the open SUs (on
+their columns alone), the outer loop the secrecy, NU rate and dual
+value, and the primal recovery the allocation.  An SU at ``mu_k = 0``
+never wins a column, so no probe prices its columns.
 
 Every solve starts cold, from a calibrated ``mu``, and the dual is then
-minimized over ``mu`` in one loop: ``lam`` is eliminated exactly at
-every iterate by bisection on the spent power, which is non-increasing
-in ``lam``, and ``mu`` takes a projected subgradient step.  Both power
+minimized over ``mu`` in one loop: ``lam`` is eliminated at every
+iterate by bisection on the spent power, which is non-increasing in
+``lam``, and ``mu`` takes a projected subgradient step.  Both power
 modes run the same loop; only the ``lam`` search differs.  The ``lam``
 search (over just the open frames in peak mode), the ITP ``mu``
-calibration and the peak trim and refill all call the one vectorized
-primitive, ``_search.bracket`` and ``_search.bisect``.
+calibration and the peak trim all call the one vectorized primitive,
+``_search.bracket`` and ``_search.bisect``; the peak refill needs no
+search, as its water level is exact.
 """
 
 from __future__ import annotations
@@ -32,12 +35,15 @@ from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
-from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core
+from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core, _su_terms
 
 _STEP_SCALE = 0.5      # 'a' in the a/sqrt(t) subgradient step on mu
 _LAMBDA_FLOOR = 1e-12  # the smallest power price a search returns
 _MAX_ITERATIONS = 5000  # outer-loop iterates before an unconverged stop
 _MU_CEILING = 1e6      # a still-violated SU whose mu passes this is infeasible
+# the relative width at which a frame's price stops short of its budget:
+# the exact refill pours what the frame's bracket leaves unspent
+_LAMBDA_RTOL = 1e-6
 
 
 class _Prepared:
@@ -45,11 +51,13 @@ class _Prepared:
 
     The auction is pruned here, once.  An SU can be paid only where it
     holds the column maximum, so the SU side keeps just those columns:
-    ``su_idx`` (flat t*N + n index), ``su_t``, ``su_k`` (the SU), and
-    ``su_nu1``/``su_nu2``.  On the NU side only the strongest NU of each
-    weight class can win, so ``nu`` keeps one candidate per class and
-    column; its (T, G, N) arrays are also exposed as ``ln_wa`` and
-    ``inv_alpha_nu``, the names of the full per-NU caches they replace.
+    ``su_idx`` (flat t*N + n index), ``su_t``, ``su_k`` (the SU), and in
+    the rows of ``su_cols`` their top two CNRs and the price-free terms of
+    the SU closed form; ``su_nu`` holds the NU candidates of those columns
+    alone.  On the NU side only the strongest NU of each weight class can
+    win, so ``nu`` keeps one candidate per class and column; its
+    (T, G, N) arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``,
+    the names of the full per-NU caches they replace.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -60,15 +68,17 @@ class _Prepared:
         self.k1 = config.n_secure
         self.nu1, self.nu2, self.kmax = ensemble.order_stats
         self.is_su_col = self.kmax < self.k1
-        self.su_idx, self.su_k, self.su_nu1, self.su_nu2 = ensemble.su_columns(self.k1)
-        self.su_t = self.su_idx // self.n
+        self.su_idx, su_k, su_nu1, su_nu2 = ensemble.su_columns(self.k1)
+        # an index array of the platform's width gathers without a cast
+        self.su_k = su_k.astype(np.intp)
+        self.su_t, su_n = np.divmod(self.su_idx, self.n)
+        self.su_cols = np.stack([su_nu1, su_nu2, *_su_terms(su_nu1, su_nu2)])
         # per-SU ensemble-average secrecy at unbounded power (upper limit)
-        self.su_caps = secrecy_limit(
-            self.su_nu1, self.su_nu2, self.su_k, self.k1, self.t_count
-        )
+        self.su_caps = secrecy_limit(su_nu1, su_nu2, self.su_k, self.k1, self.t_count)
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
         self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
         self.nu = _NuCandidates(alpha[:, self.k1:, :], config.weights)
+        self.su_nu = self.nu.columns(self.su_t, su_n)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
 
@@ -89,23 +99,38 @@ class _Auction:
     """The per-subcarrier auction at dual prices (mu, lam), priced once.
 
     ``lam`` is a scalar (average mode) or a length-T vector (peak mode).
-    Construction prices the pruned bidders of ``prep`` (the NU candidates
-    on every column, the SU closed form on the SU-max columns) and sets
-    ``p_win``, ``power_t`` and ``power_mean``; the SU results are scattered
-    into (T, N) arrays before any per-frame sum, so all is bit-identical to
-    pricing every user everywhere.  The reductions ``secrecy``,
-    ``r_nu_total``, ``dual_value`` and ``owner`` are computed on first
-    read.  ``frames`` (ascending, one price in ``lam`` each) prices just
-    those frames' ``power_t``; reading a reduction of it raises ValueError.
+    An SU at ``mu_k = 0`` earns nothing and never wins a column, so only
+    the SU-max columns of SUs with ``mu_k > 0`` get the SU closed form.
+    Construction prices the NU candidates on every column and those SU
+    columns, and sets ``p_win``, ``power_t`` and ``power_mean``; the SU
+    results are scattered into (T, N) arrays before any per-frame sum, so
+    all is bit-identical to pricing every user everywhere.  The
+    reductions ``secrecy``, ``r_nu_total``, ``dual_value`` and ``owner``
+    are computed on first read.
+
+    Two narrow probes price less.  ``frames`` (ascending, one price in
+    ``lam`` each) prices just those frames' ``power_t``.  ``sus``
+    (ascending SU indices) prices just those SUs' columns, the NU payoff
+    only there, and reads ``secrecy[sus]`` alone.  Reading anything a
+    narrow probe did not price raises ValueError.
     """
 
-    def __init__(self, prep: _Prepared, mu, lam, frames=None):
-        nu = prep.nu
+    def __init__(self, prep: _Prepared, mu, lam, frames=None, sus=None):
         # copies: a reduction read later must not see the caller's updates
         mu, lam_arr = np.array(mu, float), np.array(lam, float)
-        self.prep, self.frames, self._mu, self._lam = prep, frames, mu, lam_arr
-        rows, su_at, su_t, su_idx = slice(None), slice(None), prep.su_t, prep.su_idx
-        keep = slice(None)
+        self.prep, self.frames, self.sus, self._mu, self._lam = (
+            prep, frames, sus, mu, lam_arr)
+        bids = mu > 0
+        if sus is not None:
+            if frames is not None:
+                raise ValueError("an SU subset prices every frame")
+            asked = np.zeros(prep.k1, bool)
+            asked[sus] = True
+            bids &= asked
+        # the priced SU-max columns: their positions in the su_* arrays, the
+        # row of their price in lam and their flat index into the priced rows
+        rows, keep = slice(None), slice(None)
+        su_at, su_row, su_idx = slice(None), prep.su_t, prep.su_idx
         if frames is not None:
             if lam_arr.ndim != 1:
                 raise ValueError("a frame subset needs one price per frame")
@@ -116,49 +141,86 @@ class _Auction:
                 lam_arr[frames] = lam
             else:
                 rows = frames
-                su_at, su_t, su_idx = prep.su_in_frames(frames)
+                su_at, su_row, su_idx = prep.su_in_frames(frames)
+        if not bids.all():
+            # drop the columns of the SUs that bid nothing, keeping the order
+            sel = np.flatnonzero(bids[prep.su_k[su_at]])
+            su_at = np.arange(prep.su_k.size)[su_at][sel]
+            su_row, su_idx = su_row[sel], su_idx[sel]
         if lam_arr.ndim == 1:
             lam_n = lam_arr[:, None]
             ln_lam_n = np.log(lam_arr)[:, None]
             lam_g, ln_lam_g = lam_n[:, :, None], ln_lam_n[:, :, None]
-            lam_su = lam_arr[su_t]
+            lam_su = lam_arr[su_row]
         else:
             lam_n = lam_g = lam_su = float(lam_arr)
             ln_lam_n = ln_lam_g = math.log(lam_n)
 
-        h_nu_best, g = nu.auction(ln_lam_g, lam_g, rows=rows)
+        su_k = prep.su_k[su_at]
+        cols = prep.su_cols[:, su_at] if isinstance(su_at, slice) \
+            else prep.su_cols.take(su_at, axis=1)
+        h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu[su_k], lam_su, cols[2:])
+        if sus is not None:
+            # the NU payoff on the priced columns alone
+            if lam_arr.ndim == 1:
+                lam_g, ln_lam_g = lam_su[:, None, None], ln_lam_n[su_row][:, :, None]
+            h_nu_su = prep.su_nu.auction(ln_lam_g, lam_g, rows=su_at)[0][:, 0]
+        else:
+            nu = prep.nu
+            h_nu_best, g = nu.auction(ln_lam_g, lam_g, rows=rows)
+            h_nu_su = h_nu_best.ravel()[su_idx]
+        su_wins = h_su > h_nu_su
+        self._su_k, self._rs, self._su_wins = su_k, rs, su_wins
+        if sus is not None:
+            return
+
         p_nu_best = np.maximum(
             nu.weight(g) / lam_n - nu.take(nu.inv_alpha, g, rows=rows), 0.0
         )
-        h_su, p_su, rs = _h_su_core(
-            prep.su_nu1[su_at], prep.su_nu2[su_at], mu[prep.su_k[su_at]], lam_su
-        )
-        h_nu_su = h_nu_best.ravel()[su_idx]
-        su_wins = h_su > h_nu_su
         su_won = su_idx[su_wins]
-
         # the scatter targets are fresh C-ordered arrays, so ravel() is a view
         nu_pos = h_nu_best > 0.0
-        self.p_win = np.where(nu_pos, p_nu_best, 0.0)
-        self.p_win.ravel()[su_won] = p_su[su_wins]
-        self.power_t = self.p_win.sum(axis=1)[keep]
-        self.power_mean = float(self.power_t.mean())
+        p_win = np.where(nu_pos, p_nu_best, 0.0)
+        p_win.ravel()[su_won] = p_su[su_wins]
+        power_t = p_win.sum(axis=1)[keep]
+        self._spend = p_win, power_t, float(power_t.mean())
         self._ln_lam_n, self._h_nu_best, self._g, self._nu_pos = (
             ln_lam_n, h_nu_best, g, nu_pos)
-        self._h_su, self._h_nu_su, self._rs, self._su_wins, self._su_won = (
-            h_su, h_nu_su, rs, su_wins, su_won)
+        self._h_su, self._h_nu_su, self._su_idx, self._su_won = (
+            h_su, h_nu_su, su_idx, su_won)
+
+    def _spent(self):
+        """``(p_win, power_t, power_mean)``; an SU subset has no spend."""
+        if self.sus is not None:
+            raise ValueError("an SU subset prices its secrecy only")
+        return self._spend
+
+    @property
+    def p_win(self) -> np.ndarray:
+        return self._spent()[0]
+
+    @property
+    def power_t(self) -> np.ndarray:
+        return self._spent()[1]
+
+    @property
+    def power_mean(self) -> float:
+        return self._spent()[2]
 
     def _whole(self) -> _Prepared:
-        """``prep`` for a reduction; an auction on a frame subset has none."""
+        """``prep`` for a reduction; a narrow probe has none."""
         if self.frames is not None:
             raise ValueError("a frame subset prices the per-frame spend only")
+        self._spent()
         return self.prep
 
     @cached_property
     def secrecy(self) -> np.ndarray:
-        prep, wins = self._whole(), self._su_wins
-        return np.bincount(prep.su_k[wins], weights=self._rs[wins],
-                           minlength=prep.k1) / prep.t_count
+        prep = self.prep if self.sus is not None else self._whole()
+        wins = self._su_wins
+        secrecy = np.bincount(self._su_k[wins], weights=self._rs[wins],
+                              minlength=prep.k1) / prep.t_count
+        return secrecy if self.sus is None else secrecy[self.sus]
 
     @cached_property
     def _nu_winners(self):
@@ -180,7 +242,7 @@ class _Auction:
     def dual_value(self) -> float:
         prep = self._whole()
         h_col = self._h_nu_best.copy()
-        h_col.ravel()[prep.su_idx] = np.maximum(self._h_su, self._h_nu_su)
+        h_col.ravel()[self._su_idx] = np.maximum(self._h_su, self._h_nu_su)
         return float(h_col.sum(axis=1).mean() + (self._lam * prep.config.power).mean()
                      - self._mu @ prep.config.secrecy_targets)
 
@@ -188,13 +250,13 @@ class _Auction:
     def owner(self) -> np.ndarray:
         nu_wins, j_best = self._nu_winners
         owner = np.where(nu_wins, self.prep.k1 + j_best, UNASSIGNED).astype(np.int64)
-        owner.ravel()[self._su_won] = self.prep.su_k[self._su_wins]
+        owner.ravel()[self._su_won] = self._su_k[self._su_wins]
         return owner
 
 
-def _eval_point(prep: _Prepared, mu, lam, frames=None) -> _Auction:
+def _eval_point(prep: _Prepared, mu, lam, frames=None, sus=None) -> _Auction:
     """The auction at (mu, lam); every stage prices through this rebindable name."""
-    return _Auction(prep, mu, lam, frames)
+    return _Auction(prep, mu, lam, frames, sus)
 
 
 def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
@@ -281,11 +343,11 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
         ok = (power_t(lo_try) >= target) & ~at_floor
         lo = np.where(ok, lo_try, lo)
     # frames whose budget sits inside an assignment discontinuity cannot
-    # meet the tolerance; they stop once the bracket pins the kink.  Only
-    # the frames still open are priced.
+    # meet the tolerance; they stop once the bracket is _LAMBDA_RTOL wide,
+    # and the refill spends what they leave.  Only the open frames are priced.
     _, lam, _ = bisect(
         probe, lo, np.where(at_floor, lam_floor, hi), geometric=True,
-        rtol=1e-12, max_steps=max_iter, done=at_floor, open_only=True,
+        rtol=_LAMBDA_RTOL, max_steps=max_iter, done=at_floor, open_only=True,
     )
     return lam
 
@@ -351,17 +413,55 @@ def _trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
     owner[t[dead], n[dead]] = UNASSIGNED
 
 
+def _water_level(candidate, w, inv_a, budget):
+    """Per row, the level ``theta`` at which the open columns spend ``budget``.
+
+    Column ``n`` of a row takes ``max(theta * w - inv_a, 0)`` if it is a
+    ``candidate``.  The spend is piecewise linear in ``theta``, with a
+    kink at each column's breakpoint ``inv_a / w``, so the breakpoints
+    are sorted, those at which the spend is still under the budget open
+    the active set, and its linear piece is solved for ``theta``
+    (Palomar & Fonollosa, "Practical algorithms for a family of
+    waterfilling solutions", IEEE TSP 53(2), 2005).
+    """
+    # the other columns' breakpoints sort last, at infinity, and never open
+    kink = np.where(candidate, inv_a / w, np.inf)
+    order = np.argsort(kink, axis=1)
+    kink = np.take_along_axis(kink, order, axis=1)
+    shut = kink == np.inf
+
+    def opened(x):
+        """The running sum of ``x`` over the columns in breakpoint order."""
+        run = np.take_along_axis(x, order, axis=1)
+        run[shut] = 0.0
+        return np.cumsum(run, axis=1, out=run)
+
+    w_cum, a_cum = opened(w), opened(inv_a)
+    # the spend where each column opens; the last one under the budget
+    # closes the active set
+    kink *= w_cum
+    kink -= a_cum
+    last = np.maximum((kink < budget[:, None]).sum(axis=1), 1) - 1
+    rows = np.arange(budget.size)
+    return (budget + a_cum[rows, last]) / w_cum[rows, last]
+
+
 def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     """Primal recovery: spend leftover per-frame budget on NU water levels.
 
     The auction at the resolved per-frame price can undershoot the budget
-    when the budget falls inside an ownership-switch discontinuity.  The
-    leftover is poured onto the non-SU-owned columns of those frames by
-    raising the (weight-proportional) water level, keeping ownership and
-    all SU powers fixed.  Each column's bidder is the NU auction winner at
-    the frame's price; where no NU is profitable that is the strongest NU
+    when the budget falls inside an ownership-switch discontinuity, or by
+    what the price search's width leaves.  The leftover is poured onto the
+    non-SU-owned columns of those frames by raising the
+    (weight-proportional) water level, keeping ownership and all SU
+    powers fixed.  Each column's bidder is the NU auction winner at the
+    frame's price; where no NU is profitable that is the strongest NU
     candidate, the first to open as the water level rises.  Frames whose
     price sits at the floor legitimately underspend and are left alone.
+    The level is exact (``_water_level``), not searched; one at which a
+    frame's total, summed over its columns as every reader sums it,
+    rounds over the budget steps down one ulp at a time, so a frame never
+    exceeds its cap.
     """
     cfg = prep.config
     k1 = prep.k1
@@ -378,25 +478,27 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     nu = prep.nu
     lam_i = lam_t[idx][:, None, None]
     _, g = nu.auction(np.log(lam_i), lam_i, rows=idx)
-    j_best = nu.take(nu.index, g, rows=idx)
     inv_a = nu.take(nu.inv_alpha, g, rows=idx)
-    w = nu.weight(g)
+    w = np.broadcast_to(nu.weight(g), inv_a.shape)
     su_spend = np.where(candidate, 0.0, p_win[idx]).sum(axis=1)
     budget = cfg.power - su_spend
 
-    def levels(theta):
-        return np.where(candidate, np.maximum(theta[:, None] * w - inv_a, 0.0), 0.0)
+    p_kept = p_win[idx]
 
-    def probe(theta):
-        return levels(theta).sum(axis=1) < budget, False
+    def refilled(theta):
+        """The frames' powers with their NU columns poured to ``theta``."""
+        return np.where(candidate, np.maximum(theta[:, None] * w - inv_a, 0.0), p_kept)
 
-    lo = np.zeros(idx.size)
-    _, hi = bracket(probe, lo, np.maximum(1.0 / lam_t[idx], 1.0), 2.0)
-    # the under-budget end: the frame never exceeds its cap
-    theta, _, _ = bisect(probe, lo, hi, max_steps=70)
-    p_new = levels(theta)
+    theta = _water_level(candidate, w, inv_a, budget)
+    # at theta = 0 a frame spends less than before, so the steps end
+    over = refilled(theta).sum(axis=1) > cfg.power
+    while over.any():
+        theta[over] = np.nextafter(theta[over], 0.0)
+        over = refilled(theta).sum(axis=1) > cfg.power
+    p_new = refilled(theta)
+    j_best = nu.take(nu.index, g, rows=idx)
     owner[idx] = np.where(candidate & (p_new > 0), k1 + j_best, owner[idx])
-    p_win[idx] = np.where(candidate, p_new, p_win[idx])
+    p_win[idx] = p_new
 
 
 def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
@@ -419,10 +521,11 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     mu = np.zeros(prep.k1)   # every SU's last probe
 
     def probe(x, idx=None):
-        at = slice(None) if idx is None else idx
-        mu[at] = x
-        gap = _eval_point(prep, mu, lam0).secrecy[at] - targets[at]
-        return gap < 0, (-below[at] <= gap) & (gap <= above[at]), gap
+        # each probe prices only the SUs it moves
+        idx = np.arange(prep.k1) if idx is None else idx
+        mu[idx] = x
+        gap = _eval_point(prep, mu, lam0, sus=idx).secrecy - targets[idx]
+        return gap < 0, (-below[idx] <= gap) & (gap <= above[idx]), gap
 
     # no secrecy at mu = 0: the residual there is -C_k without an auction
     lo, hi, f_lo, f_hi = bracket(probe, np.zeros(prep.k1), np.ones(prep.k1), 4.0,
@@ -547,6 +650,7 @@ def _primal(prep, mu, lam, eps):
     """The auction's ``(owner, p_win)`` at (mu, lam); peak mode trims and refills it."""
     final = _eval_point(prep, mu, lam)
     owner, p_win = final.owner, final.p_win
+    del final   # the recovery needs none of the auction's other arrays
     if prep.config.mode == "peak":
         _trim_su_surplus(prep, owner, p_win, mu, lam, eps)
         residual = prep.config.power - p_win.sum(axis=1)

@@ -70,16 +70,26 @@ def info_rate(p, alpha):
     return _maybe_scalar(np.log1p(np.asarray(p, float) * np.asarray(alpha, float)))
 
 
-def _su_power_core(alpha, beta, mu, lam):
+def _su_terms(alpha, beta):
+    """The price-free terms of the SU closed form: a - b, d**2, -d, 1/a + 1/b.
+
+    ``d = 1/a - 1/b``; a solver that prices the same columns at many
+    prices computes these once.
+    """
     inv_a = 1.0 / alpha
     inv_b = 1.0 / beta
+    d = inv_a - inv_b
+    return alpha - beta, d * d, inv_b - inv_a, inv_a + inv_b
+
+
+def _su_power_core(alpha, beta, mu, lam, terms=None):
+    gap, d2, neg_d, inv_sum = _su_terms(alpha, beta) if terms is None else terms
     # positivity threshold alpha - beta > lam/mu, written division-free so
     # mu == 0 is handled uniformly
-    active = mu * (alpha - beta) > lam
-    d = inv_a - inv_b
-    disc = d * d + (4.0 * mu / lam) * (inv_b - inv_a)
+    active = mu * gap > lam
+    disc = d2 + (4.0 * mu / lam) * neg_d
     root = np.sqrt(np.where(active, disc, 1.0))
-    p = 0.5 * (root - (inv_a + inv_b))
+    p = 0.5 * (root - inv_sum)
     # the optimum is strictly positive on the active side; keep that true
     # even when the closed form underflows right at the boundary
     return np.where(active, np.maximum(p, np.finfo(float).tiny), 0.0)
@@ -118,8 +128,8 @@ def nu_power(alpha, omega_k, lam):
     return _maybe_scalar(out)
 
 
-def _h_su_core(alpha, beta, mu, lam):
-    p = _su_power_core(alpha, beta, mu, lam)
+def _h_su_core(alpha, beta, mu, lam, terms=None):
+    p = _su_power_core(alpha, beta, mu, lam, terms)
     rs = np.where(p > 0, np.log1p(p * alpha) - np.log1p(p * beta), 0.0)
     return np.maximum(mu * rs - lam * p, 0.0), p, rs
 
@@ -203,6 +213,18 @@ class _NuCandidates:
             return h[:, 0, :], None
         g = np.argmax(h, axis=1)
         return self.take(h, g), g
+
+    def columns(self, t, n):
+        """The bids on the columns ``(t[i], n[i])``, each as a frame of one.
+
+        Its ``ln_wa`` and ``inv_alpha`` have shape (M, G, 1), so ``rows``
+        picks columns; it keeps no ``index``, since it only prices.
+        """
+        out = object.__new__(_NuCandidates)
+        out.weights, out.index = self.weights, None
+        out.ln_wa, out.inv_alpha = (a[t, :, n][:, :, None]
+                                    for a in (self.ln_wa, self.inv_alpha))
+        return out
 
     def take(self, arr, g, rows=slice(None)):
         """The (T', N) slice of a (T, G, N) candidate array at classes ``g``."""

@@ -16,10 +16,12 @@ loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
 (T, N) array reductions; they take the dense (T, K, N) power tensor.
 
 The ``looped_*`` functions are the dual solver's hand-rolled bracket and
-bisection loops (lambda resolution in both modes, the peak trim and
-refill, the mu calibration) that ``_search.bracket``/``_search.bisect``
-replaced.  They call the library's auction through this module's
-``_eval_point`` name, so a test can record their probes.
+bisection loops (lambda resolution in both modes, the peak trim, the mu
+calibration) that ``_search.bracket``/``_search.bisect`` replaced.  They
+call the library's auction through this module's ``_eval_point`` name,
+so a test can record their probes.  ``looped_refill_nu_water`` refills
+frame by frame at the level ``exact_refill_levels`` finds by trying
+every active-set size.
 ``looped_su_phase`` is the two-phase allocator's per-SU threshold
 search, one ``ThresholdCurve`` and one scalar bisection per SU, that the
 single elementwise ``_search.search_threshold`` replaced.
@@ -461,12 +463,14 @@ def looped_solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=
     return lam, p, False
 
 
-def looped_solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
+def looped_solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90,
+                             *, rtol):
     """Per-realization power multipliers hitting the budget frame by frame.
 
     Vectorized synchronized bisection; realizations whose spend at the
-    floor is already below budget keep ``lam = lam_floor``.  Returns
-    ``(lam_t, at_floor_mask)`` with spend <= budget at the returned prices.
+    floor is already below budget keep ``lam = lam_floor``, and a frame
+    stops once its bracket is ``rtol`` wide.  Returns ``(lam_t,
+    at_floor_mask)`` with spend <= budget at the returned prices.
     """
     target = prep.config.power
     t_count = prep.t_count
@@ -509,7 +513,7 @@ def looped_solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter
         done |= active & ~over & (target - pm <= tol_power)
         # frames whose budget sits inside an assignment discontinuity
         # cannot meet the tolerance; stop once the bracket pins the kink
-        done |= active & (hi - lo <= 1e-12 * hi)
+        done |= active & (hi - lo <= rtol * hi)
     return lam, at_floor
 
 
@@ -574,63 +578,59 @@ def looped_trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
                 owner[t, cols[dead]] = UNASSIGNED
 
 
+def exact_refill_levels(w, inv_a, budget):
+    """The water level that spends ``budget`` on one frame, by enumeration.
+
+    ``w`` and ``inv_a`` are the weights and inverse CNRs of the columns
+    that may take power, where a column at level ``theta`` takes
+    ``max(theta * w - inv_a, 0)``.  Every active-set size m is tried: the
+    m columns with the smallest breakpoints ``inv_a / w`` open, the linear
+    piece gives ``theta``, and the m that keeps exactly those columns open
+    wins.  Returns ``theta``.
+    """
+    kinks = sorted(zip((a / x for a, x in zip(inv_a, w)), w, inv_a))
+    for m in range(len(kinks), 0, -1):
+        w_sum = math.fsum(x for _, x, _ in kinks[:m])
+        a_sum = math.fsum(a for _, _, a in kinks[:m])
+        theta = (budget + a_sum) / w_sum
+        if theta >= kinks[m - 1][0]:
+            return theta
+    raise AssertionError("a positive budget always opens the first column")
+
+
 def looped_refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     """Primal recovery: spend leftover per-frame budget on NU water levels.
 
-    The auction at the resolved per-frame price can undershoot the budget
-    when the budget falls inside an ownership-switch discontinuity.  The
-    leftover is poured onto the non-SU-owned columns of those frames by
-    raising the (weight-proportional) water level, keeping ownership and
-    all SU powers fixed.  Each column's bidder is the NU auction winner at
-    the frame's price; where no NU is profitable that is the strongest NU
-    candidate, the first to open as the water level rises.  Frames whose
-    price sits at the floor legitimately underspend and are left alone.
+    The leftover of each frame that needs one is poured, frame by frame,
+    onto its non-SU-owned columns at the level ``exact_refill_levels``
+    finds, keeping ownership and all SU powers fixed.  Each column's
+    bidder is the NU auction winner at the frame's price; where no NU is
+    profitable that is the strongest NU candidate.  Frames whose price
+    sits at the floor are left alone.  Returns each refilled frame's NU
+    budget, keyed by frame.
     """
     cfg = prep.config
     k1 = prep.k1
-    needs = (residual > 1e-9 * max(cfg.power, 1.0)) & (lam_t > lam_floor * 1.001)
-    if not needs.any():
-        return
-    idx = np.flatnonzero(needs)
     nu = prep.nu
-    lam_i = lam_t[idx][:, None, None]
-    _, g = nu.auction(np.log(lam_i), lam_i, rows=idx)
-    j_best = nu.take(nu.index, g, rows=idx)
-    inv_a = nu.take(nu.inv_alpha, g, rows=idx)
-    w = nu.weight(g)
-    candidate = ~((owner[idx] >= 0) & (owner[idx] < k1))  # non-SU columns
-    if not candidate.any():
-        return
-    su_spend = np.where(candidate, 0.0, p_win[idx]).sum(axis=1)
-    budget = cfg.power - su_spend
-
-    def spend(theta):
-        p = np.maximum(theta[:, None] * w - inv_a, 0.0)
-        return np.where(candidate, p, 0.0).sum(axis=1)
-
-    lo = np.full(idx.size, 0.0)
-    hi = np.maximum(1.0 / lam_t[idx], 1.0)
-    for _ in range(200):
-        short = spend(hi) < budget
-        if not short.any():
-            break
-        hi[short] *= 2.0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        s = spend(mid)
-        under = s < budget
-        lo = np.where(under, mid, lo)
-        hi = np.where(under, hi, mid)
-    theta = lo  # under-budget side: the frame never exceeds its cap
-    p_new = np.maximum(theta[:, None] * w - inv_a, 0.0)
-    p_new = np.where(candidate, p_new, 0.0)
-    opened = candidate & (p_new > 0)
-    sub_owner = owner[idx]
-    sub_owner[opened] = k1 + j_best[opened]
-    owner[idx] = sub_owner
-    sub_p = p_win[idx]
-    sub_p[candidate] = p_new[candidate]
-    p_win[idx] = sub_p
+    budgets = {}
+    for t in range(prep.t_count):
+        if residual[t] <= 1e-9 * max(cfg.power, 1.0) or lam_t[t] <= lam_floor * 1.001:
+            continue
+        cols = np.flatnonzero(~((owner[t] >= 0) & (owner[t] < k1)))
+        if cols.size == 0:
+            continue
+        lam = lam_t[t:t + 1][:, None, None]
+        _, g = nu.auction(np.log(lam), lam, rows=[t])
+        j_best = nu.take(nu.index, g, rows=[t])[0]
+        inv_a = nu.take(nu.inv_alpha, g, rows=[t])[0]
+        w = np.broadcast_to(nu.weight(g), (1, prep.n))[0]
+        budget = cfg.power - math.fsum(np.delete(p_win[t], cols))
+        theta = exact_refill_levels(w[cols], inv_a[cols], budget)
+        p_new = np.maximum(theta * w[cols] - inv_a[cols], 0.0)
+        p_win[t, cols] = p_new
+        owner[t, cols[p_new > 0]] = k1 + j_best[cols[p_new > 0]]
+        budgets[t] = budget
+    return budgets
 
 
 def looped_initial_mu(prep, lam0, *, rounds=28) -> np.ndarray:

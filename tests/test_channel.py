@@ -59,8 +59,9 @@ def test_sample_mean_and_variance_match_the_distribution():
 
 def test_generate_rejects_bad_arguments():
     cfg = make_config()
-    with pytest.raises(ValueError):
-        generate_ensemble(cfg, 0, seed=1)
+    for bad in (0, 2.5, np.nan):
+        with pytest.raises(ValueError, match="count must be a whole number"):
+            generate_ensemble(cfg, bad, seed=1)
     with pytest.raises(ValueError):
         make_config(rho=-1.0)
     # the file header packs the seed as int64, and Philox needs a key >= 0
@@ -70,6 +71,15 @@ def test_generate_rejects_bad_arguments():
     top = generate_ensemble(make_config(n=1, k=2, k1=1), 1, seed=2**63 - 1)
     assert ensemble_hash(top) and top.seed == 2**63 - 1
     assert generate_ensemble(cfg, 1, seed=np.int64(4)).seed == 4
+
+
+def test_ensemble_rejects_a_seed_the_file_cannot_hold():
+    alpha = np.ones((1, 2, 3))
+    for bad in (2**63, -1, 2.5):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            ChannelEnsemble(alpha=alpha, seed=bad, rho=1.0)
+    top = ChannelEnsemble(alpha=alpha, seed=np.int64(2**63 - 1), rho=1.0)
+    assert type(top.seed) is int and ensemble_hash(top)
 
 
 def test_order_stats_examples():

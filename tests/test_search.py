@@ -292,15 +292,25 @@ def assert_mu_contract(log, prep, lam0, eps, mu, rounds=28):
     clear(log)
 
 
-def random_problem(rng, k, k1, n, t, zero_target, power):
+def random_instance(rng, k, k1, n, t, zero_target, power, weights="unit"):
+    """A random peak-mode ``(ensemble, config)``; NU weights by kind."""
     n_nu = k - k1
     targets = rng.uniform(0.05, 1.5, size=k1)
     if zero_target:
         targets[rng.integers(k1)] = 0.0
-    cfg = make_config(n=n, k=k, k1=k1, c=targets, omega=np.ones(n_nu),
+    omega = {
+        "unit": np.ones(n_nu),
+        "distinct": rng.permutation(np.arange(1.0, n_nu + 1.0) / 2.0),
+        "repeated": rng.choice([0.5, 1.0, 3.0], size=n_nu),
+    }[weights]
+    cfg = make_config(n=n, k=k, k1=k1, c=targets, omega=omega,
                       power=power, mode="peak")
     alpha = rng.exponential(size=(t, k, n)) + 1e-3
-    return _Prepared(ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg)
+    return ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg
+
+
+def random_problem(rng, k, k1, n, t, zero_target, power, weights="unit"):
+    return _Prepared(*random_instance(rng, k, k1, n, t, zero_target, power, weights))
 
 
 def test_frame_subset_spend_is_the_whole_auction_row():
@@ -318,6 +328,49 @@ def test_frame_subset_spend_is_the_whole_auction_row():
                 getattr(got, reduction)
     with pytest.raises(ValueError, match="one price per frame"):
         _eval_point(prep, mu, 1.0, frames=np.arange(2))
+
+
+@given(
+    k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 8), t=st.integers(1, 6),
+    weights=st.sampled_from(["unit", "distinct", "repeated"]),
+    lam_kind=st.sampled_from(["scalar", "vector"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_narrow_probes_and_idle_sus_price_as_the_whole_auction(
+    k, k1_frac, n, t, weights, lam_kind, seed,
+):
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)   # K1 = K-1 included
+    ens, cfg = random_instance(rng, k, k1, n, t, False, 20.0, weights)
+    prep = _Prepared(ens, cfg)
+    mu = rng.uniform(0.0, 4.0, size=k1) * (rng.random(k1) < 0.7)
+    mu[rng.integers(k1)] = 0.0     # an SU at mu = 0 is never priced
+    lam = np.exp(rng.uniform(-4.0, 1.0, size=t if lam_kind == "vector" else None))
+
+    whole = _eval_point(prep, mu, lam)
+    want = oracles.unpruned_auction(ens.alpha, cfg, mu, lam)
+    for name in ("owner", "p_win", "power_t", "secrecy", "r_nu_total", "dual_value"):
+        assert np.array_equal(getattr(whole, name), want[name]), name
+    assert not np.isin(whole.owner, np.flatnonzero(mu == 0)).any()
+
+    # an SU subset prices its own secrecy, bit for bit, and nothing else
+    for size in range(1, k1 + 1):
+        subset = np.sort(rng.choice(k1, size, replace=False))
+        narrow = _eval_point(prep, mu, lam, sus=subset)
+        assert np.array_equal(narrow.secrecy, whole.secrecy[subset])
+        for name in ("p_win", "power_t", "power_mean", "r_nu_total",
+                     "dual_value", "owner"):
+            with pytest.raises(ValueError, match="SU subset"):
+                getattr(narrow, name)
+    if lam_kind == "vector":
+        # the idle SUs are skipped on a frame subset too
+        frames = np.sort(rng.choice(t, rng.integers(1, t + 1), replace=False))
+        got = _eval_point(prep, mu, lam[frames], frames=frames)
+        assert np.array_equal(got.power_t, whole.power_t[frames])
+        with pytest.raises(ValueError, match="every frame"):
+            _eval_point(prep, mu, lam[frames], frames=frames, sus=np.arange(k1))
 
 
 class TestStagesMatchLoops:
@@ -375,7 +428,7 @@ class TestStagesMatchLoops:
                 log["lib"].clear()
             got_t = _solve_lambda_peak(prep, mu, tol, floor, warm_t)
             want_t, want_floor = oracles.looped_solve_lambda_peak(
-                prep, mu, tol, floor, warm_t
+                prep, mu, tol, floor, warm_t, rtol=dual_solver._LAMBDA_RTOL
             )
             assert np.array_equal(got_t, want_t)
             # a frame is at the floor exactly when its price is the floor
@@ -436,9 +489,19 @@ class TestStagesMatchLoops:
         residual = power - p_ref.sum(axis=1)
         o_lib, p_lib = o_ref.copy(), p_ref.copy()
         _refill_nu_water(prep, o_lib, p_lib, lam_vec, residual, 1e-12)
-        oracles.looped_refill_nu_water(prep, o_ref, p_ref, lam_vec, residual, 1e-12)
+        budgets = oracles.looped_refill_nu_water(
+            prep, o_ref, p_ref, lam_vec, residual, 1e-12)
         assert np.array_equal(o_lib, o_ref)
-        assert np.array_equal(p_lib, p_ref)
+        np.testing.assert_allclose(p_lib, p_ref, rtol=0.0, atol=1e-12 * power)
+        for frame, budget in budgets.items():
+            # the NU spend meets the NU budget to rounding, and the frame's
+            # total, summed as an Allocation sums it, never exceeds the cap
+            su = (o_lib[frame] >= 0) & (o_lib[frame] < k1)
+            nu_budget = power - np.where(su, p_lib[frame], 0.0).sum()
+            nu_spend = np.where(su, 0.0, p_lib[frame]).sum()
+            assert abs(nu_budget - budget) <= 1e-12 * power
+            assert abs(nu_spend - nu_budget) <= 1e-12 * power
+            assert p_lib[frame].sum() <= power
 
     def test_trim_drop_path_unassigns_the_group(self):
         # SU 0 owns every column of two frames; frame 1's columns carry no
