@@ -13,6 +13,10 @@ at the bracket ends, and ``bisect`` replaces the midpoint by an ITP step
 (Oliveira & Takahashi, "An Enhancement of the Bisection Method Average
 Performance Preserving Minmax Optimality", ACM TOMS 47(1), 2021)
 wherever both are known.
+
+``search_threshold`` is the gap-threshold search built on ``bisect``.
+The two-phase allocator, the fixed-assignment baselines and the dual
+solver's peak trim all tune their thresholds through it.
 """
 
 from __future__ import annotations
@@ -178,13 +182,14 @@ def bisect_monotone(
 
 
 def threshold_stats(a, b, su, x, t_count):
-    """Mean secrecy rate and power per SU at CNR-gap thresholds ``x``.
+    """Mean secrecy rate and power per group at CNR-gap thresholds ``x``.
 
     ``a``, ``b`` and ``su`` are the flattened candidate columns: the top
-    CNR, the runner-up and the SU holding the top.  SU ``k`` is active
-    where ``a - b > x[k]``, with the closed-form power at the price pair
-    (1/x[k], 1), which keeps that rule exactly; only active columns are
-    priced.  Returns the (K1,) means, the active indices and their powers.
+    CNR, the runner-up and the group of the SU holding the top.  Group
+    ``g`` is active where ``a - b > x[g]``, with the closed-form power at
+    the price pair (1/x[g], 1), which keeps that rule exactly; only active
+    columns are priced.  Returns the per-group means, the active indices
+    and their powers.
     """
     thr = x[su]
     on = np.flatnonzero(a - b > thr)
@@ -196,49 +201,36 @@ def threshold_stats(a, b, su, x, t_count):
     return rate, power, on, p
 
 
-def search_threshold(a, b, su, targets, eps, t_count):
-    """Tune every SU's gap threshold until |mean rate - C_k| <= eps*C_k.
+def search_threshold(a, b, su, targets, rtol, t_count):
+    """Tune every group's gap threshold until |mean rate - C_g| <= rtol*C_g.
 
-    Each SU's rate is continuous and non-increasing in its own threshold
-    alone, so the K1 searches are one elementwise bracket and bisection
-    whose probes price only the open SUs.  SU k's bracket starts at its
-    99.9th gap percentile and doubles, capped just above its largest gap
-    (rate 0 there).  Returns each SU's last probe and bisection steps; a
-    zero target gives ``inf`` and 0 steps, a positive one needs a column.
+    ``su`` labels each column with its group, an index into ``targets``:
+    an SU, or a (frame, SU) pair.  Each group's rate is continuous and
+    non-increasing in its own threshold alone, so the searches are one
+    elementwise bisection whose probes price only the open groups.  Group
+    g's bracket runs from 0 to just above its largest gap, where its rate
+    is 0.  Returns each group's last probe and bisection steps; a zero
+    target gives ``inf`` and 0 steps, a positive one needs a column.
     """
     thresholds = np.full(targets.size, np.inf)
     steps = np.zeros(targets.size, dtype=int)
     live = np.flatnonzero(targets > 0)
     if not live.size:
         return thresholds, steps
-    gaps = [(a - b)[su == k] for k in live]
-    cap = np.array([g.max() for g in gaps]) * (1 + 1e-9) + 1e-9
-    hi = np.minimum(np.maximum([np.percentile(g, 99.9) for g in gaps], 1e-12), cap)
+    cap = np.zeros(targets.size)
+    np.maximum.at(cap, su, a - b)
+    cap = cap[live] * (1 + 1e-9) + 1e-9
     c = targets[live]
-    tol = eps * c
-
-    def rate(x, idx=slice(None)):
-        at = np.full(targets.size, np.inf)
-        at[live[idx]] = x
-        return threshold_stats(a, b, su, at, t_count)[0][live[idx]]
-
-    def top(x):
-        fx = rate(x)
-        return fx > c, False, c - fx
-
-    # each top is priced once; one capped unprobed has rate 0 (no gap above)
-    _, hi, _, f_hi = bracket(top, 0.0, hi, 2.0, limit=cap, max_steps=60,
-                             f_lo=np.nan)
-    f_hi = np.where(np.isnan(f_hi), c, f_hi)
-    thresholds[live] = hi
+    tol = rtol * c
 
     def probe(x, idx):
         idx = slice(None) if idx is None else idx
-        fx = rate(x, idx)
+        at = np.full(targets.size, np.inf)
+        at[live[idx]] = x
+        fx = threshold_stats(a, b, su, at, t_count)[0][live[idx]]
         thresholds[live[idx]] = x
         steps[live[idx]] += 1
         return fx > c[idx], np.abs(fx - c[idx]) <= tol[idx]
 
-    bisect(probe, 0.0, hi, xtol=1e-12 * np.maximum(hi, 1.0),
-           done=np.abs(f_hi) <= tol, open_only=True)
+    bisect(probe, 0.0, cap, xtol=1e-12 * np.maximum(cap, 1.0), open_only=True)
     return thresholds, steps

@@ -17,10 +17,11 @@ minimized over ``mu`` in one loop: ``lam`` is eliminated at every
 iterate by bisection on the spent power, which is non-increasing in
 ``lam``, and ``mu`` takes a projected subgradient step.  Both power
 modes run the same loop; only the ``lam`` search differs.  The ``lam``
-search (over just the open frames in peak mode), the ITP ``mu``
-calibration and the peak trim all call the one vectorized primitive,
-``_search.bracket`` and ``_search.bisect``; the peak refill needs no
-search, as its water level is exact.
+search (over just the open frames in peak mode) and the ITP ``mu``
+calibration call the one vectorized primitive, ``_search.bracket`` and
+``_search.bisect``.  The peak trim tunes gap thresholds with
+``_search.search_threshold``, the search the two-phase allocator uses;
+the peak refill needs no search, as its water level is exact.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from functools import cached_property
 
 import numpy as np
 
-from ._search import bisect, bracket
+from ._search import bisect, bracket, search_threshold, threshold_stats
 from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
-from .rates import DualState, _h_su_core, _NuCandidates, _su_power_core, _su_terms
+from .rates import DualState, _h_su_core, _NuCandidates, _su_terms
 
 _STEP_SCALE = 0.5      # 'a' in the a/sqrt(t) subgradient step on mu
 _LAMBDA_FLOOR = 1e-12  # the smallest power price a search returns
@@ -110,9 +111,9 @@ class _Auction:
 
     Two narrow probes price less.  ``frames`` (ascending, one price in
     ``lam`` each) prices just those frames' ``power_t``.  ``sus``
-    (ascending SU indices) prices just those SUs' columns, the NU payoff
-    only there, and reads ``secrecy[sus]`` alone.  Reading anything a
-    narrow probe did not price raises ValueError.
+    (ascending SU indices, one scalar price) prices just those SUs'
+    columns, the NU payoff only there, and reads ``secrecy[sus]`` alone.
+    Reading anything a narrow probe did not price raises ValueError.
     """
 
     def __init__(self, prep: _Prepared, mu, lam, frames=None, sus=None):
@@ -124,6 +125,8 @@ class _Auction:
         if sus is not None:
             if frames is not None:
                 raise ValueError("an SU subset prices every frame")
+            if lam_arr.ndim:
+                raise ValueError("an SU subset needs one scalar price")
             asked = np.zeros(prep.k1, bool)
             asked[sus] = True
             bids &= asked
@@ -162,8 +165,6 @@ class _Auction:
         h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu[su_k], lam_su, cols[2:])
         if sus is not None:
             # the NU payoff on the priced columns alone
-            if lam_arr.ndim == 1:
-                lam_g, ln_lam_g = lam_su[:, None, None], ln_lam_n[su_row][:, :, None]
             h_nu_su = prep.su_nu.auction(ln_lam_g, lam_g, rows=su_at)[0][:, 0]
         else:
             nu = prep.nu
@@ -352,7 +353,7 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
     return lam
 
 
-def _trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
+def _trim_su_surplus(prep, owner, p_win, eps):
     """Primal recovery: shave secrecy overshoot back to the targets.
 
     Assignment granularity can leave an SU above its average target (the
@@ -360,7 +361,8 @@ def _trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
     each frame's contribution is scaled down by re-tuning the per-set gap
     threshold, releasing power for the NU refill.  Per-frame targets are
     proportional to the frame's contribution, so the ensemble average
-    lands on the target exactly.  All (frame, SU) groups share one bisection.
+    lands within 1e-6 of the target.  ``search_threshold`` tunes all the
+    (frame, SU) groups at once.
     """
     k1 = prep.k1
     targets = prep.config.secrecy_targets
@@ -374,40 +376,20 @@ def _trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
         owner[su_owned], weights=rs[su_owned], minlength=k1
     )[:k1] / prep.t_count
     # overshoot already inside the tolerance band is left alone
-    trim = (targets > 0) & (s_mean > targets * (1 + eps / 4)) & (mu > 0)
+    trim = (targets > 0) & (s_mean > targets * (1 + eps / 4))
     if not trim.any():
         return
     scale = np.where(trim, targets / np.maximum(s_mean, 1e-300), 1.0)
-    lam_t = np.broadcast_to(np.asarray(lam_t, float), (prep.t_count,))
 
     # the columns of trimmed SUs and their (frame, SU) group
     t, n = np.nonzero(su_owned & trim[np.where(su_owned, owner, 0)])
     keys, group = np.unique(t * k1 + owner[t, n], return_inverse=True)
-    g_t, g_k = np.divmod(keys, k1)
     a, b = prep.nu1[t, n], prep.nu2[t, n]
-    g_gap = np.zeros(keys.size)
-    np.maximum.at(g_gap, group, a - b)
-
-    def group_sum(x):
-        return np.bincount(group, weights=x, minlength=keys.size)
-
-    target_g = group_sum(rs[t, n]) * scale[g_k]
-    drop = target_g <= 0
-
-    def powers(ratio):
-        return _su_power_core(a, b, 1.0 / ratio[group], 1.0)
-
-    def probe(ratio):
-        p = powers(ratio)
-        r = group_sum(np.where(p > 0, np.log1p(p * a) - np.log1p(p * b), 0.0))
-        above = r >= target_g
-        return above, above & (r - target_g <= 1e-6 * target_g)
-
-    lo0 = lam_t[g_t] / mu[g_k]       # current ratio: rate >= target
-    lo, _, _ = bisect(probe, lo0, g_gap, max_steps=60, done=drop)
-    # a group the bisection never moved keeps its auction powers
-    p_new = np.where((lo != lo0)[group], powers(lo), p_win[t, n])
-    p_new[drop[group]] = 0.0
+    target_g = np.bincount(group, weights=rs[t, n]) * scale[keys % k1]
+    x, _ = search_threshold(a, b, group, target_g, 1e-6, 1)
+    _, _, on, p = threshold_stats(a, b, group, x, 1)
+    p_new = np.zeros(a.size)
+    p_new[on] = p
     p_win[t, n] = p_new
     dead = p_new <= 0
     owner[t[dead], n[dead]] = UNASSIGNED
@@ -652,7 +634,7 @@ def _primal(prep, mu, lam, eps):
     owner, p_win = final.owner, final.p_win
     del final   # the recovery needs none of the auction's other arrays
     if prep.config.mode == "peak":
-        _trim_su_surplus(prep, owner, p_win, mu, lam, eps)
+        _trim_su_surplus(prep, owner, p_win, eps)
         residual = prep.config.power - p_win.sum(axis=1)
         _refill_nu_water(prep, owner, p_win, lam, residual, _LAMBDA_FLOOR)
     return owner, p_win

@@ -174,8 +174,6 @@ def nu_phase(
         return 0.0, _idle_nu(config, t_count, False)
 
     def spend(level):
-        if level <= 0:
-            return 0.0
         _, inv_a, _, w = assignment(level)
         p = np.maximum(w * level - inv_a, 0.0)
         return float(np.where(free, p, 0.0).sum() / t_count)

@@ -16,15 +16,16 @@ loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
 (T, N) array reductions; they take the dense (T, K, N) power tensor.
 
 The ``looped_*`` functions are the dual solver's hand-rolled bracket and
-bisection loops (lambda resolution in both modes, the peak trim, the mu
-calibration) that ``_search.bracket``/``_search.bisect`` replaced.  They
-call the library's auction through this module's ``_eval_point`` name,
-so a test can record their probes.  ``looped_refill_nu_water`` refills
-frame by frame at the level ``exact_refill_levels`` finds by trying
-every active-set size.
-``looped_su_phase`` is the two-phase allocator's per-SU threshold
-search, one ``ThresholdCurve`` and one scalar bisection per SU, that the
-single elementwise ``_search.search_threshold`` replaced.
+bisection loops (lambda resolution in both modes, the mu calibration)
+that ``_search.bracket``/``_search.bisect`` replaced.  They call the
+library's auction through this module's ``_eval_point`` name, so a test
+can record their probes.  ``looped_refill_nu_water`` refills frame by
+frame at the level ``exact_refill_levels`` finds by trying every
+active-set size.
+``looped_su_phase`` and ``looped_trim_su_surplus`` tune gap thresholds
+with one ``ThresholdCurve`` and one scalar bisection per SU, or per
+(frame, SU) group of the peak trim, where the library runs the single
+elementwise ``_search.search_threshold``.
 """
 
 import itertools
@@ -33,7 +34,7 @@ import math
 import numpy as np
 from scipy import optimize
 
-from secure_ofdma._search import SearchOutcome, bisect_monotone, bracket
+from secure_ofdma._search import SearchOutcome, bisect_monotone
 from secure_ofdma.allocation import UNASSIGNED, AllocationDecision
 from secure_ofdma.channel import column_order_stats
 from secure_ofdma.dual_solver import _eval_point
@@ -517,15 +518,15 @@ def looped_solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter
     return lam, at_floor
 
 
-def looped_trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
+def looped_trim_su_surplus(prep, owner, p_win, eps):
     """Primal recovery: shave secrecy overshoot back to the targets.
 
     Assignment granularity can leave an SU above its average target (the
     marginal column is won whole or not at all).  With ownership fixed,
     each frame's contribution is scaled down by re-tuning the per-set gap
     threshold, releasing power for the NU refill.  Per-frame targets are
-    proportional to the frame's contribution, so the ensemble average
-    lands on the target exactly.
+    proportional to the frame's contribution; each (frame, SU) group gets
+    its own ``ThresholdCurve`` and ``looped_search_threshold`` to 1e-6.
     """
     k1 = prep.k1
     targets = prep.config.secrecy_targets
@@ -539,43 +540,20 @@ def looped_trim_su_surplus(prep, owner, p_win, mu, lam_t, eps):
         owner[su_owned], weights=rs[su_owned], minlength=k1
     )[:k1] / prep.t_count
     # overshoot already inside the tolerance band is left alone
-    trim = (targets > 0) & (s_mean > targets * (1 + eps / 4)) & (mu > 0)
+    trim = (targets > 0) & (s_mean > targets * (1 + eps / 4))
     if not trim.any():
         return
     scale = np.where(trim, targets / np.maximum(s_mean, 1e-300), 1.0)
-    lam_t = np.broadcast_to(np.asarray(lam_t, float), (prep.t_count,))
     for t in range(prep.t_count):
         for k in np.flatnonzero(trim):
             cols = np.flatnonzero(owner[t] == k)
             if cols.size == 0:
                 continue
-            a = prep.nu1[t, cols]
-            b = prep.nu2[t, cols]
+            curve = ThresholdCurve(prep.nu1[t, cols], prep.nu2[t, cols], 1)
             target_t = rs[t, cols].sum() * scale[k]
-            if target_t <= 0:
-                owner[t, cols] = UNASSIGNED
-                p_win[t, cols] = 0.0
-                continue
-            lo = lam_t[t] / mu[k]          # current ratio: rate >= target
-            hi = float((a - b).max())
-            best_p = p_win[t, cols].copy()
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                p_mid = _su_power_core(a, b, 1.0 / mid, 1.0)
-                r_mid = float(np.where(
-                    p_mid > 0, np.log1p(p_mid * a) - np.log1p(p_mid * b), 0.0
-                ).sum())
-                if r_mid >= target_t:
-                    lo = mid
-                    best_p = p_mid
-                    if r_mid - target_t <= 1e-6 * target_t:
-                        break
-                else:
-                    hi = mid
-            p_win[t, cols] = best_p
-            dead = best_p <= 0
-            if dead.any():
-                owner[t, cols[dead]] = UNASSIGNED
+            p = curve.powers(looped_search_threshold(curve, target_t, 1e-6).value)
+            p_win[t, cols] = p
+            owner[t, cols[p <= 0]] = UNASSIGNED
 
 
 def exact_refill_levels(w, inv_a, budget):
@@ -728,19 +706,13 @@ def looped_search_threshold(curve: ThresholdCurve, target: float, eps: float) ->
     """Shrink the threshold bracket until |mean rate - target| <= eps*target.
 
     The rate is continuous and non-increasing in the threshold, so plain
-    bisection with a bracket that caps at just above the largest observed
-    gap (where the rate is exactly zero) always terminates.
+    bisection from 0 to just above the largest observed gap (where the
+    rate is exactly zero) always terminates.
     """
     if target <= 0:
         return SearchOutcome(np.inf, 0)
-    hi = float(np.percentile(curve.gap, 99.9)) if curve.gap.size else 0.0
-    hard_cap = curve.max_gap * (1 + 1e-9) + 1e-9
-    hi = min(max(hi, 1e-12), hard_cap)
-    _, hi = bracket(lambda x: (curve.rate(float(x)) > target, False), 0.0, hi, 2.0,
-                    limit=hard_cap, max_steps=60)
-    return bisect_monotone(
-        curve.rate, target, 0.0, float(hi), eps * target, increasing=False,
-    )
+    cap = curve.max_gap * (1 + 1e-9) + 1e-9
+    return bisect_monotone(curve.rate, target, 0.0, cap, eps * target, increasing=False)
 
 
 def looped_su_phase(ensemble, config, eps, candidate_sets=None):

@@ -81,6 +81,13 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
             "dual_solver.outer", "dual_solver.finish"} <= parents
     steps = [s[6]["steps"] for s in spans.spans if s[1] == "search.bisect_monotone"]
     assert steps and all(n > 0 for n in steps)
+    # the peak trim tunes its thresholds through the shared search, inside
+    # its own span, so dual_solver.trim.s covers the search
+    trims = {s[0]: s for s in spans.spans if s[1] == "dual_solver.trim"}
+    searches = [s for s in spans.spans
+                if s[1] == "search.search_threshold" and s[4] in trims]
+    assert searches
+    assert all(trims[s[4]][2] <= s[2] <= s[3] <= trims[s[4]][3] for s in searches)
 
 
 def test_two_phase_solves_never_enter_the_dual_solver(tracer):

@@ -157,8 +157,19 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"not an ensemble file at all....")
-    with pytest.raises(ValueError):
+    path.write_bytes(b"not an ensemble file at all....")   # 31 bytes: no header
+    with pytest.raises(ValueError, match="not an ensemble file"):
+        load_ensemble(path)
+    saved = tmp_path / "saved.bin"
+    save_ensemble(generate_ensemble(make_config(n=4, k=3, k1=1), 2, seed=1), saved)
+    data = saved.read_bytes()
+    # a full 32-byte header whose magic is wrong
+    path.write_bytes(b"CNR0" + data[4:])
+    with pytest.raises(ValueError, match="not an ensemble file"):
+        load_ensemble(path)
+    # a saved file cut short by one float
+    path.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match="truncated ensemble payload"):
         load_ensemble(path)
 
 

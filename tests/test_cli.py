@@ -38,6 +38,12 @@ def test_solve_optimal_prints_and_dumps(tmp_path, capsys):
     assert payload["report"]["avg_power"] <= 100.0 * 1.01
 
 
+def test_solve_optimal_runs_the_peak_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path, mode="peak", realizations=50)
+    assert main(["solve-optimal", "--config", str(cfg)]) == 0
+    assert "[optimal/peak] converged" in capsys.readouterr().out
+
+
 def test_solve_optimal_reuses_ensemble_file(tmp_path, capsys):
     cfg = write_config(tmp_path)
     ens_path = tmp_path / "channels.bin"

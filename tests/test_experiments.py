@@ -127,6 +127,18 @@ class TestRun:
         assert meta1["csv_sha256"] == meta2["csv_sha256"]
         assert meta1["ensemble_sha256"] == meta2["ensemble_sha256"]
 
+    def test_peak_sweep_runs_the_peak_solver(self, tmp_path):
+        def run():
+            rows = run_experiment(small_spec(
+                tmp_path=tmp_path, solvers=["optimal"], realizations=40,
+                config=make_config(n=16, k=4, k1=2, power=100.0, mode="peak"),
+            ))
+            return rows, (tmp_path / "rows.csv").read_bytes()
+
+        rows, first = run()
+        assert [(r["mode"], r["status"]) for r in rows] == [("peak", "ok")] * 2
+        assert run()[1] == first
+
     def test_csv_columns_documented_order(self, tmp_path):
         spec = small_spec(tmp_path=tmp_path)
         run_experiment(spec)

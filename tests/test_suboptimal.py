@@ -95,14 +95,12 @@ class TestSuPhase:
         assert np.all(np.abs(rep.secrecy - target) <= 1e-2 * target)
 
     def test_every_rate_is_priced_by_a_probe(self, ens300, monkeypatch):
-        # the bracket carries the rate at each top, so the search prices no
-        # rate outside a bracket or bisection probe; SU 2's tiny target
-        # takes its top to the cap, which is accepted without a probe
+        # every bracket runs from 0 to its group's cap, where the rate is
+        # 0, so the search grows no bracket and prices no rate outside a
+        # bisection probe; SU 2's tiny target stops high in its bracket
         cfg = make_config(c=[1.0, 0.6, 1e-3, 1.4])
         calls = {"stats": 0, "probes": 0}
-        tops = []
-        stats, bracket, bisect = (_search.threshold_stats, _search.bracket,
-                                  _search.bisect)
+        stats, bisect = _search.threshold_stats, _search.bisect
 
         def counted(fn):
             def probe(*args):
@@ -114,13 +112,11 @@ class TestSuPhase:
             calls["stats"] += 1
             return stats(*args)
 
-        def recording_bracket(probe, *args, **kw):
-            out = bracket(counted(probe), *args, **kw)
-            tops.append(out)
-            return out
+        def no_bracket(*args, **kw):
+            raise AssertionError("the threshold search grows no bracket")
 
         monkeypatch.setattr(_search, "threshold_stats", counting_stats)
-        monkeypatch.setattr(_search, "bracket", recording_bracket)
+        monkeypatch.setattr(_search, "bracket", no_bracket)
         monkeypatch.setattr(_search, "bisect",
                             lambda probe, *a, **kw: bisect(counted(probe), *a, **kw))
         nu1, nu2, kmax = (s.ravel() for s in column_order_stats(ens300.alpha))
@@ -129,9 +125,7 @@ class TestSuPhase:
         thresholds, steps = _search.search_threshold(
             a, b, su, cfg.secrecy_targets, 1e-2, ens300.count
         )
-        assert calls["stats"] == calls["probes"]
-        f_hi = tops[0][3]
-        assert np.isnan(f_hi[2]) and not np.isnan(f_hi[[0, 1, 3]]).any()
+        assert calls["stats"] == calls["probes"] == steps.max()
         want = looped_su_phase(ens300, cfg, 1e-2)
         assert np.array_equal(thresholds, want[0])
         assert np.array_equal(steps, want[3])
