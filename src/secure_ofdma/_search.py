@@ -14,9 +14,11 @@ at the bracket ends, and ``bisect`` replaces the midpoint by an ITP step
 Performance Preserving Minmax Optimality", ACM TOMS 47(1), 2021)
 wherever both are known.
 
-``search_threshold`` is the gap-threshold search built on ``bisect``.
-The two-phase allocator, the fixed-assignment baselines and the dual
-solver's peak trim all tune their thresholds through it.
+With ownership fixed, both solver families share two kernels: the
+gap-threshold search ``search_threshold``, built on ``bisect``, and the
+exact NU water level ``water_level``, which needs no search.  The
+two-phase allocator and its baselines apply them to the whole ensemble,
+the dual solver's peak trim and refill frame by frame.
 """
 
 from __future__ import annotations
@@ -234,3 +236,36 @@ def search_threshold(a, b, su, targets, rtol, t_count):
 
     bisect(probe, 0.0, cap, xtol=1e-12 * np.maximum(cap, 1.0), open_only=True)
     return thresholds, steps
+
+
+def water_level(candidate, w, inv_a, budget):
+    """Per row, the level ``theta`` at which the open columns spend ``budget``.
+
+    Column ``n`` of a row takes ``max(theta * w - inv_a, 0)`` if it is a
+    ``candidate``.  The spend is piecewise linear in ``theta``, with a
+    kink at each column's breakpoint ``inv_a / w``, so the breakpoints
+    are sorted, those at which the spend is still under the budget open
+    the active set, and its linear piece is solved for ``theta``
+    (Palomar & Fonollosa, "Practical algorithms for a family of
+    waterfilling solutions", IEEE TSP 53(2), 2005).
+    """
+    # the other columns' breakpoints sort last, at infinity, and never open
+    kink = np.where(candidate, inv_a / w, np.inf)
+    order = np.argsort(kink, axis=1)
+    kink = np.take_along_axis(kink, order, axis=1)
+    shut = kink == np.inf
+
+    def opened(x):
+        """The running sum of ``x`` over the columns in breakpoint order."""
+        run = np.take_along_axis(x, order, axis=1)
+        run[shut] = 0.0
+        return np.cumsum(run, axis=1, out=run)
+
+    w_cum, a_cum = opened(w), opened(inv_a)
+    # the spend where each column opens; the last one under the budget
+    # closes the active set
+    kink *= w_cum
+    kink -= a_cum
+    last = np.maximum((kink < budget[:, None]).sum(axis=1), 1) - 1
+    rows = np.arange(budget.size)
+    return (budget + a_cum[rows, last]) / w_cum[rows, last]

@@ -101,6 +101,8 @@ def _cmd_feasibility(args) -> int:
             raise SystemExit("need --config or both --n and --k")
         n, k, rho = args.n, args.k, args.rho
         targets = np.asarray(args.targets or [], dtype=float)
+        if not np.all((targets >= 0) & (targets < np.inf)):
+            raise ValueError("secrecy targets must be finite and >= 0")
     bound = secrecy_rate_upper_bound(n, k, rho)
     print(f"secrecy-rate upper bound: {bound:.6f} nat/OFDM symbol "
           f"(N={n}, K={k}, rho={rho})")

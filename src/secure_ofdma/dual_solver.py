@@ -20,8 +20,8 @@ modes run the same loop; only the ``lam`` search differs.  The ``lam``
 search (over just the open frames in peak mode) and the ITP ``mu``
 calibration call the one vectorized primitive, ``_search.bracket`` and
 ``_search.bisect``.  The peak trim tunes gap thresholds with
-``_search.search_threshold``, the search the two-phase allocator uses;
-the peak refill needs no search, as its water level is exact.
+``_search.search_threshold`` and the peak refill pours the exact
+``_search.water_level``, the two kernels the two-phase allocator uses.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._search import bisect, bracket, search_threshold, threshold_stats
+from ._search import bisect, bracket, search_threshold, threshold_stats, water_level
 from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
@@ -395,39 +395,6 @@ def _trim_su_surplus(prep, owner, p_win, eps):
     owner[t[dead], n[dead]] = UNASSIGNED
 
 
-def _water_level(candidate, w, inv_a, budget):
-    """Per row, the level ``theta`` at which the open columns spend ``budget``.
-
-    Column ``n`` of a row takes ``max(theta * w - inv_a, 0)`` if it is a
-    ``candidate``.  The spend is piecewise linear in ``theta``, with a
-    kink at each column's breakpoint ``inv_a / w``, so the breakpoints
-    are sorted, those at which the spend is still under the budget open
-    the active set, and its linear piece is solved for ``theta``
-    (Palomar & Fonollosa, "Practical algorithms for a family of
-    waterfilling solutions", IEEE TSP 53(2), 2005).
-    """
-    # the other columns' breakpoints sort last, at infinity, and never open
-    kink = np.where(candidate, inv_a / w, np.inf)
-    order = np.argsort(kink, axis=1)
-    kink = np.take_along_axis(kink, order, axis=1)
-    shut = kink == np.inf
-
-    def opened(x):
-        """The running sum of ``x`` over the columns in breakpoint order."""
-        run = np.take_along_axis(x, order, axis=1)
-        run[shut] = 0.0
-        return np.cumsum(run, axis=1, out=run)
-
-    w_cum, a_cum = opened(w), opened(inv_a)
-    # the spend where each column opens; the last one under the budget
-    # closes the active set
-    kink *= w_cum
-    kink -= a_cum
-    last = np.maximum((kink < budget[:, None]).sum(axis=1), 1) - 1
-    rows = np.arange(budget.size)
-    return (budget + a_cum[rows, last]) / w_cum[rows, last]
-
-
 def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     """Primal recovery: spend leftover per-frame budget on NU water levels.
 
@@ -440,10 +407,10 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     frame's price; where no NU is profitable that is the strongest NU
     candidate, the first to open as the water level rises.  Frames whose
     price sits at the floor legitimately underspend and are left alone.
-    The level is exact (``_water_level``), not searched; one at which a
-    frame's total, summed over its columns as every reader sums it,
-    rounds over the budget steps down one ulp at a time, so a frame never
-    exceeds its cap.
+    The level is exact (``_search.water_level``), not searched; one at
+    which a frame's total, summed over its columns as every reader sums
+    it, rounds over the budget steps down one ulp at a time, so a frame
+    never exceeds its cap.
     """
     cfg = prep.config
     k1 = prep.k1
@@ -471,7 +438,7 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
         """The frames' powers with their NU columns poured to ``theta``."""
         return np.where(candidate, np.maximum(theta[:, None] * w - inv_a, 0.0), p_kept)
 
-    theta = _water_level(candidate, w, inv_a, budget)
+    theta = water_level(candidate, w, inv_a, budget)
     # at theta = 0 a frame spends less than before, so the steps end
     over = refilled(theta).sum(axis=1) > cfg.power
     while over.any():

@@ -5,10 +5,11 @@ as a pure eavesdropper: SU k claims the subcarriers where its CNR beats
 the best other CNR by more than a per-user gap threshold, and one
 elementwise bisection tunes the K1 independent thresholds until each
 average secrecy target is met.  Phase 2 distributes the leftover
-subcarriers and power among the normal users by searching a single
-water level with per-user levels proportional to the weights.  The two
-phases decouple the multiplier updates, so the whole run needs
-O((K1+1) log(1/eps)) bisection steps.
+subcarriers and power among the normal users at a single water level,
+with per-user levels proportional to the weights.  The two phases
+decouple the multiplier updates, so the whole run needs K1 threshold
+bisections of O(log(1/eps)) steps each plus one exact water level
+(``_search.water_level``), which unequal NU weights re-solve a few times.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_monotone, bracket, search_threshold, threshold_stats
+from ._search import search_threshold, threshold_stats, water_level
 from .allocation import SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
 from .evaluate import evaluate
 from .rates import DualState, _NuCandidates
+
+# a backstop on the NU level solves: unequal weights' winners repeat in a few
+_MAX_LEVEL_ROUNDS = 50
 
 
 class SecrecyInfeasibleError(RuntimeError):
@@ -42,7 +46,7 @@ class SecrecyInfeasibleError(RuntimeError):
 class SuPhaseReport:
     secrecy: np.ndarray          # (K1,) achieved average secrecy rates
     power: np.ndarray            # (K1,) average power spent per SU
-    iterations: np.ndarray       # (K1,) bisection steps per SU
+    iterations: np.ndarray       # (K1,) threshold bisection steps per SU
     owner: np.ndarray            # (T, N) SU holding the subcarrier or -1
     p_win: np.ndarray            # (T, N) SU powers
 
@@ -53,9 +57,8 @@ class SuPhaseReport:
 
 @dataclass
 class NuPhaseReport:
-    nu_rate: np.ndarray          # (K-K1,) average information rate per NU
     power: float                 # average NU power
-    iterations: int
+    iterations: int              # exact water-level solves (1 unless G > 1)
     budget_exhausted: bool
     owner_nu: np.ndarray         # (T, N) NU winner or -1
     power_nu: np.ndarray         # (T, N) NU powers
@@ -65,9 +68,8 @@ def _idle_nu(config, t_count, exhausted):
     """The NU phase that spends nothing."""
     shape = (t_count, config.n_subcarriers)
     return NuPhaseReport(
-        nu_rate=np.zeros(config.n_normal), power=0.0, iterations=0,
-        budget_exhausted=exhausted, owner_nu=np.full(shape, -1),
-        power_nu=np.zeros(shape),
+        power=0.0, iterations=0, budget_exhausted=exhausted,
+        owner_nu=np.full(shape, -1), power_nu=np.zeros(shape),
     )
 
 
@@ -86,6 +88,7 @@ def su_phase(
     unbounded-power limit cannot reach.  Returns
     ``(nu_thresholds, SuPhaseReport, total SU power)``.
     """
+    check_dimensions(ensemble, config)
     k1, n, t_count = config.n_secure, config.n_subcarriers, ensemble.count
     cols, su, a, b = ensemble.su_columns(k1)
     if candidate_sets is not None:
@@ -118,98 +121,88 @@ def nu_phase(
     config: ProblemConfig,
     p_residual: float,
     occupied: np.ndarray,
-    eps: float,
     fixed_sets: list[np.ndarray] | None = None,
 ):
-    """Search the NU water level that spends the residual power.
+    """Pour the residual power onto the free subcarriers at one NU water level.
 
     On each free subcarrier the NU with the largest priced payoff at power
-    price ``1/level`` wins.  Only the strongest NU of each weight class
-    bids: this is the dual solver's pruned auction (``_NuCandidates``).
-    With ``fixed_sets`` the owner is predetermined instead.  Average NU
-    power is non-decreasing in the water level, so bisection stops when
-    the total spend matches the budget within ``eps * power``.  A
+    price ``1/level`` wins and takes ``(w * level - 1/alpha)+``.  Only the
+    strongest NU of each weight class bids: this is the dual solver's
+    pruned auction (``_NuCandidates``).  With ``fixed_sets`` the owner is
+    predetermined instead.  With the bidders fixed, ``water_level`` solves
+    the level exactly on one row of all T*N columns.  With several weight
+    classes the winners depend on the level, so it is re-solved at the
+    previous level's winners until they repeat; if two winner sets
+    alternate, the lower of their levels, which underspends, is kept.  A
     non-positive residual short-circuits to an all-zero allocation with
     ``budget_exhausted`` set; so does a phase with no free subcarrier, at
     level 0 without the flag.  Returns ``(water_level, NuPhaseReport)``.
     """
-    t_count = ensemble.count
-    n = config.n_subcarriers
-    k1 = config.n_secure
-    omega = config.weights
-
+    check_dimensions(ensemble, config)
+    t_count, n, k1 = ensemble.count, config.n_subcarriers, config.n_secure
+    if np.shape(occupied) != (t_count, n):
+        raise ValueError(f"occupied must have shape {(t_count, n)}")
     if p_residual <= 0:
         return 0.0, _idle_nu(config, t_count, True)
 
     alpha_nu = ensemble.alpha[:, k1:, :]
+    g = None    # the bidders' classes, while they depend on the level
     if fixed_sets is not None:
         owner = np.full(n, -1)
         for j, subs in enumerate(fixed_sets):
             owner[subs] = j
-        owner_nu = np.broadcast_to(owner, (t_count, n))
-        free = owner_nu >= 0
-        idx = np.where(free, owner_nu, 0)
-        a_win = np.take_along_axis(alpha_nu, idx[:, None, :], axis=1)[:, 0, :]
-        inv_a_win = 1.0 / a_win
-        w_win = omega[idx]
-        ln_wa_win = np.log(w_win * a_win)
+        free = np.broadcast_to(owner >= 0, (t_count, n))
+        idx = np.maximum(owner, 0)
+        fixed = idx, 1.0 / alpha_nu[:, idx, np.arange(n)], config.weights[idx]
 
-        def assignment(level):
-            return owner_nu, inv_a_win, ln_wa_win, w_win
+        def bids(_):
+            return fixed
     else:
         free = ~occupied
-        nu = _NuCandidates(alpha_nu, omega)
+        nu = _NuCandidates(alpha_nu, config.weights)
 
-        def assignment(level):
-            _, g = nu.auction(-np.log(level), 1.0 / level)
-            return (
-                np.where(free, nu.take(nu.index, g), -1),
-                nu.take(nu.inv_alpha, g),
-                nu.take(nu.ln_wa, g),
-                nu.weight(g),
-            )
+        def bids(g):
+            """The bidders of the classes ``g``: NU index, 1/alpha and weight."""
+            return nu.take(nu.index, g), nu.take(nu.inv_alpha, g), nu.weight(g)
 
+        if nu.weights.size > 1:
+            # a high level starts it: there the heaviest class wins everywhere
+            g = np.full(free.shape, nu.weights.size - 1)
     if not free.any():
         # every subcarrier is taken, so no water level spends anything
         return 0.0, _idle_nu(config, t_count, False)
 
-    def spend(level):
-        _, inv_a, _, w = assignment(level)
-        p = np.maximum(w * level - inv_a, 0.0)
-        return float(np.where(free, p, 0.0).sum() / t_count)
+    row, budget, back = free.reshape(1, -1), np.array([p_residual * t_count]), None
+    for rounds in range(1, _MAX_LEVEL_ROUNDS + 1):
+        _, inv_a, w = bids(g)
+        w = np.broadcast_to(w, inv_a.shape).reshape(1, -1)
+        level = float(water_level(row, w, inv_a.reshape(1, -1), budget)[0])
+        if g is None:
+            break
+        won = nu.auction(-np.log(level), 1.0 / level)[1]
+        if not ((won != g) & free).any():
+            break
+        if back is not None and not ((won != back[1]) & free).any():
+            # the budget sits on a jump of the spend: keep the side below it
+            level, g = (level, won) if level < back[0] else (back[0], g)
+            break
+        back, g = (level, g), won
 
-    _, hi = bracket(lambda x: (spend(float(x)) < p_residual, False),
-                    0.0, max(config.power, 1e-12), 2.0)
-    out = bisect_monotone(
-        spend, p_residual, 0.0, float(hi), eps * config.power, increasing=True,
+    index, inv_a, w = bids(g)
+    p = np.where(free, np.maximum(w * level - inv_a, 0.0), 0.0)
+    return level, NuPhaseReport(
+        power=float(p.sum() / t_count), iterations=rounds, budget_exhausted=False,
+        owner_nu=np.where(p > 0, index, -1), power_nu=p,
     )
-    level = out.value
-
-    owner_nu, inv_a, ln_wa_win, w_win = assignment(level)
-    p = np.where(free & (owner_nu >= 0), np.maximum(w_win * level - inv_a, 0.0), 0.0)
-    rate = np.where(p > 0, np.maximum(ln_wa_win + np.log(level), 0.0), 0.0)
-    nu_rate = np.zeros(config.n_normal)
-    won = p > 0
-    np.add.at(nu_rate, owner_nu[won], rate[won])
-    nu_rate /= t_count
-
-    report = NuPhaseReport(
-        nu_rate=nu_rate,
-        power=float(p.sum() / t_count),
-        iterations=out.iterations,
-        budget_exhausted=False,
-        owner_nu=np.where(won, owner_nu, -1),
-        power_nu=p,
-    )
-    return level, report
 
 
-def _assemble_result(ensemble, config, thresholds, su_rep, nu_rep,
+def _assemble_result(ensemble, config, thresholds, su_owner, su_p, nu_rep,
                      level, iterations, converged, infeasible, message):
+    """The SU phase's (T, N) owners and powers merged with the NU phase's."""
     k1 = config.n_secure
     nu_cols = nu_rep.owner_nu >= 0
-    owner = np.where(nu_cols, k1 + nu_rep.owner_nu, su_rep.owner)
-    p_win = np.where(nu_cols, nu_rep.power_nu, su_rep.p_win)
+    owner = np.where(nu_cols, k1 + nu_rep.owner_nu, su_owner)
+    p_win = np.where(nu_cols, nu_rep.power_nu, su_p)
 
     decisions = decisions_from_arrays(owner, p_win, ensemble, config)
     lam = 1.0 / level if level > 0 else None
@@ -234,33 +227,26 @@ def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
     ``candidate_sets`` and ``fixed_sets`` go to ``su_phase`` and
     ``nu_phase``; ``prefix`` leads every failure message.
     """
-    check_dimensions(ensemble, config)
     eps = opts.epsilon
     try:
         thresholds, su_rep, p_su = su_phase(ensemble, config, eps, candidate_sets)
     except SecrecyInfeasibleError as err:
-        k1, nu_rep = config.n_secure, _idle_nu(config, ensemble.count, False)
+        idle = _idle_nu(config, ensemble.count, False)
         # every column free: the idle NU phase's arrays serve the SUs too
-        su_rep = SuPhaseReport(
-            secrecy=np.zeros(k1), power=np.zeros(k1),
-            iterations=np.zeros(k1, dtype=int),
-            owner=nu_rep.owner_nu, p_win=nu_rep.power_nu,
-        )
         return _assemble_result(
-            ensemble, config, np.full(k1, np.inf), su_rep, nu_rep, 0.0, 0,
-            converged=False, infeasible=True, message=f"{prefix}{err}",
+            ensemble, config, np.full(config.n_secure, np.inf), idle.owner_nu,
+            idle.power_nu, idle, 0.0, 0, converged=False, infeasible=True,
+            message=f"{prefix}{err}",
         )
 
     residual = config.power - p_su
-    level, nu_rep = nu_phase(
-        ensemble, config, residual, su_rep.occupied, eps, fixed_sets
-    )
+    level, nu_rep = nu_phase(ensemble, config, residual, su_rep.occupied, fixed_sets)
     iterations = int(su_rep.iterations.sum()) + nu_rep.iterations
 
     if nu_rep.budget_exhausted:
         return _assemble_result(
-            ensemble, config, thresholds, su_rep, nu_rep, 0.0,
-            iterations, converged=False, infeasible=True,
+            ensemble, config, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
+            0.0, iterations, converged=False, infeasible=True,
             message=(
                 f"{prefix}secrecy targets consume {p_su:.4g} of the "
                 f"{config.power:.4g} power budget; nothing left for normal users"
@@ -273,9 +259,9 @@ def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
     )
     power_ok = abs(p_su + nu_rep.power - config.power) < eps * config.power
     return _assemble_result(
-        ensemble, config, thresholds, su_rep, nu_rep, level,
-        iterations, converged=bool(secrecy_ok and power_ok), infeasible=False,
-        message="",
+        ensemble, config, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
+        level, iterations, converged=bool(secrecy_ok and power_ok),
+        infeasible=False, message="",
     )
 
 

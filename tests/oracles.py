@@ -557,14 +557,15 @@ def looped_trim_su_surplus(prep, owner, p_win, eps):
 
 
 def exact_refill_levels(w, inv_a, budget):
-    """The water level that spends ``budget`` on one frame, by enumeration.
+    """The water level that spends ``budget`` on one row, by enumeration.
 
-    ``w`` and ``inv_a`` are the weights and inverse CNRs of the columns
-    that may take power, where a column at level ``theta`` takes
-    ``max(theta * w - inv_a, 0)``.  Every active-set size m is tried: the
-    m columns with the smallest breakpoints ``inv_a / w`` open, the linear
-    piece gives ``theta``, and the m that keeps exactly those columns open
-    wins.  Returns ``theta``.
+    A row is one frame of the peak refill, or every free column of the
+    two-phase NU phase.  ``w`` and ``inv_a`` are the weights and inverse
+    CNRs of the columns that may take power, where a column at level
+    ``theta`` takes ``max(theta * w - inv_a, 0)``.  Every active-set size
+    m is tried: the m columns with the smallest breakpoints ``inv_a / w``
+    open, the linear piece gives ``theta``, and the m that keeps exactly
+    those columns open wins.  Returns ``theta``.
     """
     kinks = sorted(zip((a / x for a, x in zip(inv_a, w)), w, inv_a))
     for m in range(len(kinks), 0, -1):

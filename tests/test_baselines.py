@@ -63,6 +63,8 @@ class TestSolveFsa:
         res = solve_fsa(ens300, cfg, "fsa2")
         assert res.converged
         assert np.all(np.abs(res.report.r_su - 0.3) <= 1e-2 * 0.3)
+        # the NU blocks are poured to the budget's exact water level
+        assert abs(res.report.avg_power - cfg.power) <= 1e-12 * cfg.power
         for d in res.decisions:
             validate_exclusivity(d)
 

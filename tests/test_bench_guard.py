@@ -79,8 +79,11 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
     }
     assert {"dual_solver.lambda_peak", "dual_solver.initial_mu",
             "dual_solver.outer", "dual_solver.finish"} <= parents
-    steps = [s[6]["steps"] for s in spans.spans if s[1] == "search.bisect_monotone"]
-    assert steps and all(n > 0 for n in steps)
+    # the two-phase NU level is solved exactly, not bisected: one NU phase
+    # span counts its level solves, and no bisect_monotone span opens
+    steps = [s[6]["steps"] for s in spans.spans if s[1] == "suboptimal.nu_phase"]
+    assert len(steps) == 1 and steps[0] >= 1
+    assert not [s for s in spans.spans if s[1] == "search.bisect_monotone"]
     # the peak trim tunes its thresholds through the shared search, inside
     # its own span, so dual_solver.trim.s covers the search
     trims = {s[0]: s for s in spans.spans if s[1] == "dual_solver.trim"}

@@ -125,6 +125,13 @@ def test_feasibility_bound_subcommand(capsys):
     assert "feasible" in out
 
 
+@pytest.mark.parametrize("target", ["-1", "nan"])
+def test_feasibility_bound_rejects_bad_targets(target):
+    with pytest.raises(SystemExit) as err:
+        main(["feasibility-bound", "--n", "64", "--k", "8", "--targets", "0.5", target])
+    assert err.value.code == "secrecy targets must be finite and >= 0"
+
+
 def test_feasibility_bound_from_config(tmp_path, capsys):
     cfg = write_config(tmp_path, C=[0.1, 0.2])
     assert main(["feasibility-bound", "--config", str(cfg)]) == 0

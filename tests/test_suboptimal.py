@@ -7,6 +7,7 @@ from scipy import optimize
 from secure_ofdma import (
     ChannelEnsemble,
     SecrecyInfeasibleError,
+    fsa_partition,
     generate_ensemble,
     nu_phase,
     solve_average,
@@ -14,14 +15,15 @@ from secure_ofdma import (
     solve_suboptimal,
     su_phase,
 )
-from secure_ofdma import _search
+from secure_ofdma import _search, suboptimal
 from secure_ofdma._search import threshold_stats
 from secure_ofdma.allocation import validate_exclusivity
 from secure_ofdma.channel import column_order_stats
 from secure_ofdma.dual_solver import _Prepared
+from secure_ofdma.rates import _NuCandidates
 
 from conftest import make_config
-from oracles import ThresholdCurve, looped_su_phase
+from oracles import ThresholdCurve, exact_refill_levels, looped_su_phase
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,12 @@ class TestSuPhase:
         thresholds, rep, _ = su_phase(ens, cfg2, eps=1e-2)
         assert thresholds[0] < np.median(curve.gap)
         assert abs(rep.secrecy[0] - limit * 0.995) <= 1e-2 * limit
+
+    def test_rejects_an_ensemble_of_other_dimensions(self):
+        ens = generate_ensemble(make_config(n=16, k=4, k1=2), 20, seed=2)
+        for cfg in (make_config(n=16, k=5, k1=2), make_config(n=8, k=4, k1=2)):
+            with pytest.raises(ValueError, match="ensemble dimensions do not match"):
+                su_phase(ens, cfg, eps=1e-2)
 
     def test_unreachable_target_raises_with_su_identity(self, ens300):
         cfg = make_config(c=[0.5, 4.5, 0.5, 0.5])
@@ -255,15 +263,16 @@ class TestNuPhase:
     def test_zero_residual_flags_exhausted(self, ens300):
         cfg = make_config()
         occupied = np.zeros((300, 64), dtype=bool)
-        level, rep = nu_phase(ens300, cfg, 0.0, occupied, eps=1e-2)
+        level, rep = nu_phase(ens300, cfg, 0.0, occupied)
         assert level == 0.0
         assert rep.budget_exhausted
-        assert np.all(rep.nu_rate == 0.0) and rep.power == 0.0
+        assert np.all(rep.power_nu == 0.0) and np.all(rep.owner_nu == -1)
+        assert rep.power == 0.0
 
     def test_no_free_subcarrier_spends_nothing(self):
         cfg = make_config(n=4, k=3, k1=1, power=10.0)
         ens = generate_ensemble(cfg, 5, seed=1)
-        level, rep = nu_phase(ens, cfg, 5.0, np.ones((5, 4), bool), 1e-2)
+        level, rep = nu_phase(ens, cfg, 5.0, np.ones((5, 4), bool))
         assert level == 0.0 and rep.power == 0.0 and rep.iterations == 0
         assert not rep.budget_exhausted and np.all(rep.owner_nu == -1)
 
@@ -274,20 +283,61 @@ class TestNuPhase:
         ens = generate_ensemble(cfg, 400, seed=23)
         occupied = np.zeros((400, 4), dtype=bool)
         residual = 30.0
-        level, rep = nu_phase(ens, cfg, residual, occupied, eps=1e-3)
+        level, rep = nu_phase(ens, cfg, residual, occupied)
         inv = 1.0 / ens.alpha[:, 1, :]
 
         def spend(l0):
             return np.maximum(l0 - inv, 0.0).sum() / 400 - residual
 
         root = optimize.brentq(spend, 0.0, 1e4, xtol=1e-10)
-        assert abs(level - root) <= 2e-3 * root
+        assert abs(level - root) <= 1e-9 * root
+        assert rep.iterations == 1
+
+    @pytest.mark.parametrize("scheme", [None, "fsa2"])
+    def test_level_matches_enumerated_water_level(self, scheme):
+        # one weight class, or fixed sets: each free column has one bidder,
+        # so the level is one water level over the free columns of all frames
+        cfg = make_config(n=16, k=6, k1=2, c=0.1, power=40.0)
+        ens = generate_ensemble(cfg, 40, seed=4)
+        alpha_nu = ens.alpha[:, 2:, :]
+        if scheme is None:
+            sets = None
+            _, su_rep, p_su = su_phase(ens, cfg, 1e-2)
+            free, a = ~su_rep.occupied, alpha_nu.max(axis=1)
+        else:
+            sets = fsa_partition(scheme, cfg)
+            # NU j alone holds column 12 + j
+            assert [list(s) for s in sets[2:]] == [[12], [13], [14], [15]]
+            _, su_rep, p_su = su_phase(ens, cfg, 1e-2, sets[:2])
+            free, a = np.zeros((40, 16), bool), np.ones((40, 16))
+            free[:, 12:] = True
+            a[:, 12:] = alpha_nu[:, np.arange(4), np.arange(12, 16)]
+            sets = sets[2:]
+        residual = cfg.power - p_su
+        level, rep = nu_phase(ens, cfg, residual, su_rep.occupied, sets)
+        m = int(free.sum())
+        want = exact_refill_levels(np.ones(m), 1.0 / a[free], residual * 40)
+        np.testing.assert_allclose(level, want, rtol=1e-12, atol=0)
+        assert rep.iterations == 1 and not rep.power_nu[~free].any()
+        np.testing.assert_array_equal(
+            rep.power_nu[free], np.maximum(level - 1.0 / a[free], 0.0)
+        )
+
+    def test_rejects_bad_dimensions_and_masks(self, ens300):
+        cfg = make_config()
+        occupied = np.zeros((300, 64), dtype=bool)
+        with pytest.raises(ValueError, match="ensemble dimensions do not match"):
+            nu_phase(ens300, make_config(k=9, k1=4), 100.0, occupied)
+        # a per-subcarrier mask is not broadcast to every frame
+        for bad in (occupied[0], occupied[:, :32], occupied[:10]):
+            with pytest.raises(ValueError, match="occupied must have shape"):
+                nu_phase(ens300, cfg, 100.0, bad)
 
     def test_power_nondecreasing_in_level(self, ens300):
         cfg = make_config()
         occupied = np.zeros((300, 64), dtype=bool)
-        _, rep_small = nu_phase(ens300, cfg, 50.0, occupied, eps=1e-2)
-        _, rep_large = nu_phase(ens300, cfg, 500.0, occupied, eps=1e-2)
+        _, rep_small = nu_phase(ens300, cfg, 50.0, occupied)
+        _, rep_large = nu_phase(ens300, cfg, 500.0, occupied)
         assert rep_large.power >= rep_small.power
 
 
@@ -297,7 +347,8 @@ class TestSolveSuboptimal:
         res = solve_suboptimal(ens300, cfg)
         assert res.converged and not res.infeasible
         assert np.all(np.abs(res.report.r_su - 1.2) <= 1e-2 * 1.2)
-        assert abs(res.report.avg_power - cfg.power) < 1e-2 * cfg.power
+        # the NU phase pours the residual at its exact water level
+        assert abs(res.report.avg_power - cfg.power) <= 1e-12 * cfg.power
         for d in res.decisions:
             validate_exclusivity(d)
 
@@ -306,14 +357,18 @@ class TestSolveSuboptimal:
         res = solve_suboptimal(ens300, cfg)
         assert res.converged
         occupied = np.zeros((300, 64), dtype=bool)
-        level, rep = nu_phase(ens300, cfg, cfg.power, occupied, eps=1e-2)
+        level, rep = nu_phase(ens300, cfg, cfg.power, occupied)
         assert np.allclose(res.report.r_su, 0.0)
-        assert np.isclose(res.report.r_nu_total, float(rep.nu_rate.sum()))
+        # the solve's allocation is the NU phase's, column for column
+        owner = np.where(rep.owner_nu >= 0, cfg.n_secure + rep.owner_nu, -1)
+        assert np.array_equal(res.decisions.owner, owner)
+        assert np.array_equal(res.decisions.power, rep.power_nu)
+        assert res.duals.lam == 1.0 / level
 
     def test_iteration_count_within_bisection_budget(self, ens300):
         cfg = make_config(c=1.0)
         res = solve_suboptimal(ens300, cfg)
-        # K1 threshold searches plus one water-level search, each O(log(1/eps))
+        # K1 threshold searches, each O(log(1/eps)), plus one exact water level
         per_search = int(np.ceil(np.log2(1e12))) + 2
         assert res.iterations <= (cfg.n_secure + 1) * per_search
 
@@ -336,8 +391,69 @@ class TestSolveSuboptimal:
     def test_state_invariants(self, ens300):
         cfg = make_config(c=0.9)
         thresholds, rep, p_su = su_phase(ens300, cfg, eps=1e-2)
-        level, _ = nu_phase(
-            ens300, cfg, cfg.power - p_su, rep.occupied, eps=1e-2
-        )
+        level, _ = nu_phase(ens300, cfg, cfg.power - p_su, rep.occupied)
         assert np.all(thresholds >= 0)
         assert level >= 0
+
+
+def _weighted_instance(seed):
+    """A small seeded instance with two or three NU weight classes."""
+    weights = [[1.0, 2.0], [0.5, 1.0, 3.0], [1.0, 1.0, 2.5]][seed % 3]
+    k1 = 1 + seed % 2
+    cfg = make_config(n=8, k=k1 + len(weights), k1=k1, c=0.3, omega=weights,
+                      power=20.0)
+    return cfg, generate_ensemble(cfg, 30, seed=seed)
+
+
+class TestUnequalWeights:
+    """The NU phase when a column's winning class depends on the level."""
+
+    @pytest.mark.parametrize("seed, exact", [
+        (0, True), (1, True), (7, True), (16, False), (44, False),
+    ])
+    def test_level_is_exact_or_on_a_jump_of_the_spend(self, seed, exact):
+        cfg, ens = _weighted_instance(seed)
+        res = solve_suboptimal(ens, cfg)
+        assert res.converged and not res.infeasible
+        k1, t = cfg.n_secure, ens.count
+        _, su_rep, p_su = su_phase(ens, cfg, 1e-2)
+        residual = cfg.power - p_su
+        level, rep = nu_phase(ens, cfg, residual, su_rep.occupied)
+        assert 2 <= rep.iterations < suboptimal._MAX_LEVEL_ROUNDS
+        assert res.duals.lam == 1.0 / level
+        nu = _NuCandidates(ens.alpha[:, k1:, :], cfg.weights)
+        free = ~su_rep.occupied
+
+        def auction(x):
+            """The winners at price 1/x and their powers on the free columns."""
+            _, g = nu.auction(-np.log(x), 1.0 / x)
+            p = np.maximum(nu.weight(g) * x - nu.take(nu.inv_alpha, g), 0.0)
+            return nu.take(nu.index, g), np.where(free, p, 0.0)
+
+        # every powered free column goes to the auction's winner at 1/level
+        index, p = auction(level)
+        assert np.array_equal(rep.power_nu, p)
+        assert np.array_equal(rep.owner_nu, np.where(p > 0, index, -1))
+        nu_cols = res.decisions.owner >= k1
+        assert np.array_equal(nu_cols, rep.owner_nu >= 0)
+        assert np.array_equal(res.decisions.power[nu_cols], rep.power_nu[nu_cols])
+
+        gap = res.report.avg_power - cfg.power
+        assert (abs(gap) <= 1e-12 * cfg.power) == exact
+        if exact:
+            return
+        # under the budget only where no level spends it: the auction's
+        # spend, non-decreasing in the level, jumps over the budget
+        assert gap < 0
+
+        def spend(x):
+            return auction(x)[1].sum() / t
+
+        lo, hi = level, 2.0 * level
+        while spend(hi) < residual:
+            hi *= 2.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if spend(mid) < residual else (lo, mid)
+        assert spend(lo) < residual < spend(hi)
+        assert spend(hi) - spend(lo) > 1e-6 * cfg.power
