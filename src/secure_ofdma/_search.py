@@ -3,16 +3,18 @@
 ``bracket`` grows the upper ends, ``bisect`` then halves the brackets,
 elementwise over an array of independent brackets (a scalar is the 0-d
 case) with one probe call per step for all of them.  A probe
-``probe(x) -> (up, hit)`` returns booleans shaped like ``x``: ``up``
-where the sought point lies above ``x``, ``hit`` where ``x`` is close
-enough for that element to stop.
+``probe(x, idx) -> (up, hit, ...)`` gets the points ``x`` of the
+elements ``idx``, or of every element when ``idx`` is ``None``, and
+returns booleans shaped like ``x``: ``up`` where the sought point lies
+above ``x``, ``hit`` where ``x`` is close enough for that element to
+stop.
 
 A probe may also return a third array, a signed residual that is
-negative exactly where ``up``.  Both functions then carry the residuals
-at the bracket ends, and ``bisect`` replaces the midpoint by an ITP step
-(Oliveira & Takahashi, "An Enhancement of the Bisection Method Average
-Performance Preserving Minmax Optimality", ACM TOMS 47(1), 2021)
-wherever both are known.
+negative exactly where ``up``.  ``bracket`` always carries the residuals
+at the bracket ends, and ``bisect``, given them, replaces the midpoint
+by an ITP step (Oliveira & Takahashi, "An Enhancement of the Bisection
+Method Average Performance Preserving Minmax Optimality", ACM TOMS
+47(1), 2021) wherever both are known.
 
 With ownership fixed, both solver families share two kernels: the
 gap-threshold search ``search_threshold``, built on ``bisect``, and the
@@ -35,32 +37,28 @@ _ITP_KAPPA = 0.2
 _ITP_SLACK = 1
 
 
-def bracket(probe, lo, hi, factor, *, limit=np.inf, max_steps=200, f_lo=None):
+def bracket(probe, lo, hi, factor, *, f_lo, limit=np.inf, max_steps=200):
     """Grow ``hi`` by ``factor`` until the sought point is at or below it.
 
-    Where ``probe(hi)`` is ``up``, ``lo`` moves to ``hi`` and ``hi`` grows,
-    capped at ``limit``, which is accepted without a probe.  Returns
-    ``(lo, hi)``; raises ``RuntimeError`` after ``max_steps`` probes.
-    Given ``f_lo``, the residuals at ``lo``, the probe must return
-    residuals too, and ``(lo, hi, f_lo, f_hi)`` is returned, with NaN
-    where ``hi`` was not probed.
+    Every element is probed at its ``hi``.  Where that is ``up``, ``lo``
+    moves to ``hi`` and ``hi`` grows, capped at ``limit``, which is
+    accepted without a probe.  ``f_lo`` holds the residuals at ``lo``;
+    returns ``(lo, hi, f_lo, f_hi)``, with ``f_hi`` NaN where ``hi`` was
+    not probed.  Raises ``RuntimeError`` after ``max_steps`` probes.
     """
     lo, hi = np.array(lo, float), np.array(hi, float)
-    carry = f_lo is not None
-    if carry:
-        f_lo = np.array(np.broadcast_to(f_lo, lo.shape), float)
+    f_lo = np.array(np.broadcast_to(f_lo, lo.shape), float)
     for _ in range(max_steps):
-        out = probe(hi)
+        out = probe(hi, None)
         up = np.asarray(out[0], bool)
-        if carry:
-            f_lo = np.where(up, out[2], f_lo)
-            f_hi = np.where(up, np.nan, out[2])
+        f_lo = np.where(up, out[2], f_lo)
+        f_hi = np.where(up, np.nan, out[2])
         if not up.any():
-            return (lo, hi, f_lo, f_hi) if carry else (lo, hi)
+            return lo, hi, f_lo, f_hi
         lo = np.where(up, hi, lo)
         hi = np.where(up, np.minimum(hi * factor, limit), hi)
         if np.all((hi >= limit)[up]):
-            return (lo, hi, f_lo, f_hi) if carry else (lo, hi)
+            return lo, hi, f_lo, f_hi
     raise RuntimeError("failed to bracket a monotone search")
 
 
@@ -84,7 +82,7 @@ def _itp_point(lo, hi, f_lo, f_hi, radius, kappa):
 
 
 def _probe_open(probe, x, done):
-    """Call an open-only probe on the open elements; scatter its answers."""
+    """Probe the elements not ``done``; scatter the answers over ``x``'s shape."""
     if not done.any():
         return probe(x, None)
     idx = np.flatnonzero(~done)
@@ -97,17 +95,15 @@ def _probe_open(probe, x, done):
 
 
 def bisect(probe, lo, hi, *, geometric=False, xtol=0.0, rtol=0.0,
-           max_steps=200, done=None, open_only=False, f_lo=None, f_hi=None):
+           max_steps=200, done=None, f_lo=None, f_hi=None):
     """Halve every bracket ``[lo, hi]`` until each element stops.
 
-    Each step probes the arithmetic (or geometric) midpoint and moves
-    ``lo`` there where it is ``up``, ``hi`` elsewhere.  An element stops
-    on a ``hit``, once ``hi - lo <= xtol + rtol * hi``, or from the start
-    if ``done``; stopped elements never move.  They are probed at ``hi``,
-    unless ``open_only``: then the call is ``probe(x, idx)`` with the
-    points of the open elements only and ``idx`` their indices, or
-    ``None`` while every element is open.  Returns ``(lo, hi, steps)``
-    after at most ``max_steps`` probes.
+    Each step probes the open elements at their arithmetic (or geometric)
+    midpoint and moves ``lo`` there where it is ``up``, ``hi`` elsewhere.
+    An element stops on a ``hit``, once ``hi - lo <= xtol + rtol * hi``,
+    or from the start if ``done``; stopped elements are neither probed
+    nor moved.  Returns ``(lo, hi, steps)`` after at most ``max_steps``
+    probes.
 
     Given ``f_lo`` (and ``f_hi``, NaN where unknown), the residuals at
     the ends, the probe must return residuals too.  An arithmetic
@@ -136,10 +132,7 @@ def bisect(probe, lo, hi, *, geometric=False, xtol=0.0, rtol=0.0,
             mid = _itp_point(lo, hi, f_lo, f_hi, radius, kappa)
         else:
             mid = 0.5 * (lo + hi)
-        if open_only:
-            out = _probe_open(probe, mid, done)
-        else:
-            out = probe(np.where(done, hi, mid))
+        out = _probe_open(probe, mid, done)
         up, hit = np.asarray(out[0], bool), out[1]
         moved_lo, moved_hi = up & ~done, ~(up | done)
         lo = np.where(moved_lo, mid, lo)
@@ -171,7 +164,7 @@ def bisect_monotone(
         return SearchOutcome(hi, 0)
     last = [hi]
 
-    def probe(x):
+    def probe(x, _idx):
         last[0] = float(x)
         fx = fn(last[0])
         up = fx < target if increasing else fx > target
@@ -234,7 +227,7 @@ def search_threshold(a, b, su, targets, rtol, t_count):
         steps[live[idx]] += 1
         return fx > c[idx], np.abs(fx - c[idx]) <= tol[idx]
 
-    bisect(probe, 0.0, cap, xtol=1e-12 * np.maximum(cap, 1.0), open_only=True)
+    bisect(probe, 0.0, cap, xtol=1e-12 * np.maximum(cap, 1.0))
     return thresholds, steps
 
 

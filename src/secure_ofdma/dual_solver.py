@@ -16,9 +16,10 @@ Every solve starts cold, from a calibrated ``mu``, and the dual is then
 minimized over ``mu`` in one loop: ``lam`` is eliminated at every
 iterate by bisection on the spent power, which is non-increasing in
 ``lam``, and ``mu`` takes a projected subgradient step.  Both power
-modes run the same loop; only the ``lam`` search differs.  The ``lam``
-search (over just the open frames in peak mode) and the ITP ``mu``
-calibration call the one vectorized primitive, ``_search.bracket`` and
+modes run the same loop and the same ``lam`` search, ``_price``; only
+its spend probe differs, the mean spend at a scalar price or the spend
+of the open frames.  The ``lam`` search and the ITP ``mu`` calibration
+call the one vectorized primitive, ``_search.bracket`` and
 ``_search.bisect``.  The peak trim tunes gap thresholds with
 ``_search.search_threshold`` and the peak refill pours the exact
 ``_search.water_level``, the two kernels the two-phase allocator uses.
@@ -31,7 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._search import bisect, bracket, search_threshold, threshold_stats, water_level
+from ._search import (
+    _probe_open, bisect, bracket, search_threshold, threshold_stats, water_level,
+)
 from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
@@ -272,85 +275,64 @@ def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
     return st.dual_value, dmu, dlam
 
 
-def _solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=200):
-    """Scalar power multiplier meeting the mean budget, or the floor.
+def _price(spend, target, tol_power, lam_floor, warm, shape):
+    """Power prices of the given ``shape`` at which each spend meets ``target``.
 
-    Spent power is non-increasing in ``lam`` (each candidate's power level
-    falls and auction switches always move to the lower-power bidder), so
-    geometric bisection applies; the budget is approached from the
-    under-spending end of the bracket.
+    ``spend(lam, idx)`` is the spend of the elements ``idx`` (every one
+    when ``None``) at their prices ``lam``.  It is non-increasing in each
+    element's own price (each candidate's power level falls and auction
+    switches always move to the lower-power bidder), so one geometric
+    bisection serves all elements.  An element that underspends at
+    ``lam_floor`` keeps it.  The others are bracketed upward from
+    ``2 * warm``, or from 1e-3 on a cold start (never below
+    ``4 * lam_floor``); an open element whose bracket starts below
+    ``warm / 2`` has its lower end lifted there if that still overspends.
+    Each approaches its budget from the under-spending end, so no
+    returned price overspends, and stops within ``tol_power`` of the
+    target or once its bracket is ``_LAMBDA_RTOL`` wide: a budget inside
+    an assignment discontinuity is never met, and the peak refill pours
+    what such a frame leaves.
     """
-    target = prep.config.power
+    floor = np.full(shape, lam_floor)
+    at_floor = np.less_equal(spend(floor, None), target)
+    if at_floor.all():
+        return floor
 
-    def power_at(lam):
+    def probe(lam, idx):
+        unspent = target - spend(lam, idx)
+        return unspent < 0, (0 <= unspent) & (unspent <= tol_power), unspent
+
+    start = np.maximum(4.0 * lam_floor, 1e-3 if warm is None else 2.0 * warm)
+    lo, hi, _, unspent = bracket(probe, floor, np.broadcast_to(start, shape), 4.0,
+                                 f_lo=np.nan)
+    done = at_floor | (unspent <= tol_power)
+    if warm is not None:
+        half = np.maximum(warm / 2.0, lam_floor)
+        lift = (half > lo) & ~done
+        if lift.any():
+            over = _probe_open(probe, half, ~lift)[0]
+            lo = np.where(lift & over, half, lo)
+    _, lam, _ = bisect(probe, lo, hi, geometric=True, rtol=_LAMBDA_RTOL, done=done)
+    return np.where(at_floor, lam_floor, lam)
+
+
+def _solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None):
+    """The scalar power price meeting the mean budget, or the floor."""
+    def spend(lam, _idx):
         return _eval_point(prep, mu, float(lam)).power_mean
 
-    def probe(lam):
-        unspent = target - power_at(lam)
-        return unspent < 0, 0 <= unspent <= tol_power, unspent
-
-    if power_at(lam_floor) <= target:
-        return lam_floor
-
-    # the spend at hi is carried from the probe that placed hi there
-    lo, hi = lam_floor, None
-    if warm is not None and warm > lam_floor:
-        w_lo, w_hi = warm / 2.0, warm * 2.0
-        unspent = target - power_at(w_hi)
-        if unspent >= 0:
-            hi = w_hi
-            if power_at(w_lo) > target:
-                lo = w_lo
-        elif power_at(w_lo) > target:
-            lo = w_hi
-    if hi is None:
-        lo, hi, _, unspent = bracket(probe, lo, max(lo * 4.0, 1e-3), 4.0, f_lo=np.nan)
-    if unspent <= tol_power:
-        return float(hi)
-    _, hi, _ = bisect(probe, lo, hi, geometric=True, rtol=1e-14, max_steps=max_iter)
-    return float(hi)
+    return float(_price(spend, prep.config.power, tol_power, lam_floor, warm, ()))
 
 
-def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90):
-    """Per-realization power multipliers hitting the budget frame by frame.
+def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None):
+    """One power price per frame meeting that frame's budget, or the floor.
 
-    One synchronized bisection over all frames, approaching each budget
-    from the under-spending end so a frame's spend never exceeds it; the
-    final refill tops up the leftover.  Realizations whose spend at the
-    floor is already below budget keep ``lam = lam_floor``, and only they
-    do.  Returns ``lam_t`` with spend <= budget at the returned prices.
+    The bracket prices every frame; the probes after it only the open ones.
     """
-    target = prep.config.power
-    t_count = prep.t_count
+    def spend(lam, frames):
+        return _eval_point(prep, mu, lam, frames=frames).power_t
 
-    def power_t(lam_vec, frames=None):
-        return _eval_point(prep, mu, lam_vec, frames=frames).power_t
-
-    lo = np.full(t_count, lam_floor)
-    at_floor = power_t(lo) <= target
-
-    # a frame at the floor underspends at every higher price too, so it
-    # never grows its bracket; the bisection starts it done
-    def probe(lam_vec, frames=None):
-        pm = power_t(lam_vec, frames)
-        over = pm > target
-        return over, ~over & (target - pm <= tol_power)
-
-    hi = np.maximum(warm if warm is not None else np.ones(t_count), lam_floor * 4)
-    _, hi = bracket(probe, lo, hi, 4.0)
-    if warm is not None:
-        # pull the lower bracket up near last iteration's multipliers
-        lo_try = np.maximum(warm / 4.0, lam_floor)
-        ok = (power_t(lo_try) >= target) & ~at_floor
-        lo = np.where(ok, lo_try, lo)
-    # frames whose budget sits inside an assignment discontinuity cannot
-    # meet the tolerance; they stop once the bracket is _LAMBDA_RTOL wide,
-    # and the refill spends what they leave.  Only the open frames are priced.
-    _, lam, _ = bisect(
-        probe, lo, np.where(at_floor, lam_floor, hi), geometric=True,
-        rtol=_LAMBDA_RTOL, max_steps=max_iter, done=at_floor, open_only=True,
-    )
-    return lam
+    return _price(spend, prep.config.power, tol_power, lam_floor, warm, prep.t_count)
 
 
 def _trim_su_surplus(prep, owner, p_win, eps):
@@ -469,7 +451,7 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     below, above = eps * targets / 4.0, eps * np.maximum(targets, 1.0) / 4.0
     mu = np.zeros(prep.k1)   # every SU's last probe
 
-    def probe(x, idx=None):
+    def probe(x, idx):
         # each probe prices only the SUs it moves
         idx = np.arange(prep.k1) if idx is None else idx
         mu[idx] = x
@@ -480,7 +462,7 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     lo, hi, f_lo, f_hi = bracket(probe, np.zeros(prep.k1), np.ones(prep.k1), 4.0,
                                  limit=4.0**40, f_lo=-targets)
     bisect(probe, lo, hi, f_lo=f_lo, f_hi=f_hi, max_steps=rounds,
-           done=~want | (f_hi <= above), open_only=True)
+           done=~want | (f_hi <= above))
     return np.where(want, mu, 0.0)
 
 

@@ -83,12 +83,15 @@ def su_phase(
 
     ``candidate_sets`` restricts SU k to a fixed subcarrier set (used by
     the fixed-assignment baselines); by default every subcarrier where the
-    SU has the largest CNR is a candidate.  Raises
-    ``SecrecyInfeasibleError`` for the lowest-indexed SU whose target its
-    unbounded-power limit cannot reach.  Returns
-    ``(nu_thresholds, SuPhaseReport, total SU power)``.
+    SU has the largest CNR is a candidate.  ``eps`` must lie in (0, 1),
+    as ``SolverOptions.epsilon`` does.  Raises ``SecrecyInfeasibleError``
+    for the lowest-indexed SU whose target its unbounded-power limit
+    cannot reach.  Returns ``(nu_thresholds, SuPhaseReport, total SU
+    power)``.
     """
     check_dimensions(ensemble, config)
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
     k1, n, t_count = config.n_secure, config.n_subcarriers, ensemble.count
     cols, su, a, b = ensemble.su_columns(k1)
     if candidate_sets is not None:
@@ -134,14 +137,17 @@ def nu_phase(
     classes the winners depend on the level, so it is re-solved at the
     previous level's winners until they repeat; if two winner sets
     alternate, the lower of their levels, which underspends, is kept.  A
-    non-positive residual short-circuits to an all-zero allocation with
-    ``budget_exhausted`` set; so does a phase with no free subcarrier, at
-    level 0 without the flag.  Returns ``(water_level, NuPhaseReport)``.
+    non-finite residual raises ``ValueError``; a non-positive one
+    short-circuits to an all-zero allocation with ``budget_exhausted``
+    set; so does a phase with no free subcarrier, at level 0 without the
+    flag.  Returns ``(water_level, NuPhaseReport)``.
     """
     check_dimensions(ensemble, config)
     t_count, n, k1 = ensemble.count, config.n_subcarriers, config.n_secure
     if np.shape(occupied) != (t_count, n):
         raise ValueError(f"occupied must have shape {(t_count, n)}")
+    if not np.isfinite(p_residual):
+        raise ValueError("p_residual must be finite")
     if p_residual <= 0:
         return 0.0, _idle_nu(config, t_count, True)
 

@@ -15,13 +15,14 @@ order statistics from the scalar ``order_stats``.
 loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
 (T, N) array reductions; they take the dense (T, K, N) power tensor.
 
-The ``looped_*`` functions are the dual solver's hand-rolled bracket and
-bisection loops (lambda resolution in both modes, the mu calibration)
-that ``_search.bracket``/``_search.bisect`` replaced.  They call the
-library's auction through this module's ``_eval_point`` name, so a test
-can record their probes.  ``looped_refill_nu_water`` refills frame by
-frame at the level ``exact_refill_levels`` finds by trying every
-active-set size.
+The ``looped_*`` functions are the dual solver's searches as plain
+Python loops: ``looped_price`` the power-price search of both modes,
+one element at a time, and ``looped_initial_mu`` the hand-rolled mu
+calibration that ``_search.bracket``/``_search.bisect`` replaced.  They
+call the library's auction through this module's ``_eval_point`` name,
+so a test can record their probes.  ``looped_refill_nu_water`` refills
+frame by frame at the level ``exact_refill_levels`` finds by trying
+every active-set size.
 ``looped_su_phase`` and ``looped_trim_su_surplus`` tune gap thresholds
 with one ``ThresholdCurve`` and one scalar bisection per SU, or per
 (frame, SU) group of the peak trim, where the library runs the single
@@ -414,108 +415,70 @@ def per_frame_evaluate(decisions, ensemble, config):
     )
 
 
-def looped_solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None, max_iter=200):
-    """Scalar power multiplier meeting the mean budget, or the floor.
+def looped_price(prep, mu, tol_power, lam_floor, warm=None, *, peak, rtol):
+    """The power-price search of both modes, element by element in Python.
 
-    Spent power is non-increasing in ``lam`` (each candidate's power level
-    falls and auction switches always move to the lower-power bidder), so
-    geometric bisection applies.  Returns ``(lam, power_mean, at_floor)``.
+    The elements are the scalar price (average mode) or one price per
+    frame (peak mode).  Every step makes one auction, at Python-float
+    prices, for the elements it moves: the floor, then the upward
+    bracket from ``2 * warm`` (cold: 1e-3) at every element's upper end,
+    one probe at ``warm / 2`` where that could lift a lower end, then
+    geometric bisection of the open elements.  An element stops within
+    ``tol_power`` of the budget or once its bracket is ``rtol`` wide.
+    Returns the scalar price, or the (T,) frame prices.
     """
     target = prep.config.power
+    count = prep.t_count if peak else 1
+    every = list(range(count))
 
-    def power_at(lam):
-        return _eval_point(prep, mu, lam).power_mean
-
-    p_floor = power_at(lam_floor)
-    if p_floor <= target:
-        return lam_floor, p_floor, True
-
-    lo, hi = lam_floor, None
-    if warm is not None and warm > lam_floor:
-        w_lo, w_hi = warm / 2.0, warm * 2.0
-        if power_at(w_hi) <= target:
-            hi = w_hi
-            if power_at(w_lo) > target:
-                lo = w_lo
-        elif power_at(w_lo) > target:
-            lo = w_hi
-    if hi is None:
-        hi = max(lo * 4.0, 1e-3)
-        for _ in range(200):
-            if power_at(hi) <= target:
-                break
-            lo, hi = hi, hi * 4.0
+    def unspent(points, idx):
+        """The unspent budget of the elements ``idx`` at their ``points``."""
+        if peak:
+            frames = None if len(idx) == count else np.array(idx)
+            spend = _eval_point(prep, mu, np.array(points), frames=frames).power_t
         else:
-            raise RuntimeError("failed to bracket the power multiplier")
+            spend = [_eval_point(prep, mu, points[0]).power_mean]
+        return [target - float(s) for s in spend]
 
-    lam, p = hi, power_at(hi)
-    for _ in range(max_iter):
-        if abs(p - target) <= tol_power:
-            break
-        mid = math.sqrt(lo * hi)
-        pm = power_at(mid)
-        if pm > target:
-            lo = mid
-        else:
-            hi = mid
-            lam, p = mid, pm
-        if hi - lo <= 1e-14 * hi:
-            break
-    return lam, p, False
-
-
-def looped_solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None, max_iter=90,
-                             *, rtol):
-    """Per-realization power multipliers hitting the budget frame by frame.
-
-    Vectorized synchronized bisection; realizations whose spend at the
-    floor is already below budget keep ``lam = lam_floor``, and a frame
-    stops once its bracket is ``rtol`` wide.  Returns ``(lam_t,
-    at_floor_mask)`` with spend <= budget at the returned prices.
-    """
-    target = prep.config.power
-    t_count = prep.t_count
-
-    def power_t(lam_vec):
-        return _eval_point(prep, mu, lam_vec).power_t
-
-    lo = np.full(t_count, lam_floor)
-    at_floor = power_t(lo) <= target
-
-    hi = np.maximum(warm if warm is not None else np.ones(t_count), lam_floor * 4)
-    for _ in range(200):
-        need = (power_t(hi) > target) & ~at_floor
-        if not need.any():
-            break
-        hi[need] *= 4.0
+    at_floor = [r >= 0 for r in unspent([lam_floor] * count, every)]
+    lo = [lam_floor] * count
+    if all(at_floor):
+        return np.array(lo) if peak else lam_floor
+    warm = None if warm is None else [float(v) for v in np.atleast_1d(warm)]
+    if warm is None:
+        hi = [max(4.0 * lam_floor, 1e-3)] * count
     else:
-        raise RuntimeError("failed to bracket per-realization multipliers")
-    if warm is not None:
-        # pull the lower bracket up near last iteration's multipliers
-        lo_try = np.maximum(warm / 4.0, lam_floor)
-        ok = (power_t(lo_try) >= target) & ~at_floor
-        lo = np.where(ok, lo_try, lo)
-
-    # close in on the budget strictly from the under-spending side so a
-    # frame's spend never exceeds it; the final refill tops up the leftover
-    done = at_floor.copy()
-    lam = np.where(at_floor, lam_floor, hi)
-    for _ in range(max_iter):
-        if done.all():
+        hi = [max(2.0 * w, 4.0 * lam_floor) for w in warm]
+    for _ in range(200):
+        r_hi = unspent(hi, every)
+        if all(r >= 0 for r in r_hi):
             break
-        mid = np.sqrt(lo * hi)
-        probe = np.where(done, lam, mid)
-        pm = power_t(probe)
-        active = ~done
-        over = pm > target
-        lo = np.where(active & over, mid, lo)
-        hi = np.where(active & ~over, mid, hi)
-        lam = np.where(active & ~over, mid, lam)
-        done |= active & ~over & (target - pm <= tol_power)
-        # frames whose budget sits inside an assignment discontinuity
-        # cannot meet the tolerance; stop once the bracket pins the kink
-        done |= active & (hi - lo <= rtol * hi)
-    return lam, at_floor
+        for i in every:
+            if r_hi[i] < 0:
+                lo[i], hi[i] = hi[i], hi[i] * 4.0
+    else:
+        raise RuntimeError("failed to bracket the power price")
+    done = [at_floor[i] or r_hi[i] <= tol_power for i in every]
+    if warm is not None:
+        half = [max(w / 2.0, lam_floor) for w in warm]
+        lift = [i for i in every if half[i] > lo[i] and not done[i]]
+        if lift:
+            for i, r in zip(lift, unspent([half[i] for i in lift], lift)):
+                if r < 0:
+                    lo[i] = half[i]
+    for _ in range(200):
+        open_ = [i for i in every if not done[i]]
+        if not open_:
+            break
+        mid = {i: math.sqrt(lo[i] * hi[i]) for i in open_}
+        for i, r in zip(open_, unspent([mid[i] for i in open_], open_)):
+            if r < 0:
+                lo[i] = mid[i]
+            else:
+                hi[i] = mid[i]
+            done[i] = 0 <= r <= tol_power or hi[i] - lo[i] <= rtol * hi[i]
+    lam = [lam_floor if at_floor[i] else hi[i] for i in every]
+    return np.array(lam) if peak else lam[0]
 
 
 def looped_trim_su_surplus(prep, owner, p_win, eps):

@@ -67,18 +67,23 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
     # lambda and mu auctions are counted from spans whose direct parent
     # is the stage, so no traced function may sit between them
     cfg = make_config(n=8, k=4, k1=2, c=0.4, power=50.0, mode="peak")
+    cfg_avg = make_config(n=8, k=4, k1=2, c=0.4, power=50.0)
     ens = generate_ensemble(cfg, 20, seed=3)
     spans = tracer.Tracer()
     with spans.installed():
         solve_peak(ens, cfg)
-        solve_suboptimal(ens, make_config(n=8, k=4, k1=2, c=0.4, power=50.0))
+        solve_suboptimal(ens, cfg_avg)
+        solve_average(ens, cfg_avg)
     name = {s[0]: s[1] for s in spans.spans}
     parents = {
         name[s[4]] for s in spans.spans
         if s[1] == "dual_solver.eval_point" and s[4] is not None
     }
-    assert {"dual_solver.lambda_peak", "dual_solver.initial_mu",
-            "dual_solver.outer", "dual_solver.finish"} <= parents
+    # both power modes' price searches share one untraced body, so the
+    # dual_solver.lambda.* metrics count the auctions of either mode
+    assert {"dual_solver.lambda_peak", "dual_solver.lambda_avg",
+            "dual_solver.initial_mu", "dual_solver.outer",
+            "dual_solver.finish"} <= parents
     # the two-phase NU level is solved exactly, not bisected: one NU phase
     # span counts its level solves, and no bisect_monotone span opens
     steps = [s[6]["steps"] for s in spans.spans if s[1] == "suboptimal.nu_phase"]

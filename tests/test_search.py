@@ -26,7 +26,7 @@ from conftest import make_config
 
 class TestPrimitive:
     def test_scalar_bisection_is_the_size_one_case(self):
-        def probe(x):
+        def probe(x, _idx):
             return x * x < 2.0, abs(x * x - 2.0) <= 1e-12
 
         lo, hi, steps = bisect(probe, 0.0, 2.0)
@@ -36,21 +36,24 @@ class TestPrimitive:
 
     def test_elements_stop_on_their_own(self):
         roots = np.array([0.3, 3.1, 7.3])
-        calls = []
+        seen = []
 
-        def probe(x):
-            calls.append(x.copy())
-            return x < roots, np.abs(x - roots) <= np.array([1e-3, 1e-9, 1.0])
+        def probe(x, idx):
+            at = slice(None) if idx is None else idx
+            seen.append(np.arange(3) if idx is None else idx)
+            return x < roots[at], np.abs(x - roots[at]) <= np.array([1e-3, 1e-9, 1.0])[at]
 
         lo, hi, steps = bisect(probe, np.zeros(3), np.full(3, 8.0))
         assert np.all((lo <= roots) & (roots <= hi))
-        assert steps == len(calls) > 20
+        assert steps == len(seen) > 20
         # the loosest tolerance stops within a few steps; from then on the
-        # element is probed at its hi and no longer moves
-        assert calls[-1][2] == calls[-2][2] == calls[5][2] == hi[2]
+        # element is no longer probed
+        first_out = next(i for i, idx in enumerate(seen) if 2 not in idx)
+        assert 0 < first_out <= 5
+        assert all(2 not in idx for idx in seen[first_out:])
 
     def test_width_stop_and_step_cap(self):
-        def probe(x):
+        def probe(x, _idx):
             return np.ones(np.shape(x), bool), False
 
         lo, hi, steps = bisect(probe, 0.0, 1.0, xtol=0.25)
@@ -60,7 +63,7 @@ class TestPrimitive:
         assert steps == 3 and float(lo) == pytest.approx(1024.0 ** (7 / 8))
 
     def test_done_elements_never_move(self):
-        def probe(x):
+        def probe(x, _idx):
             return x < 0.3, False
 
         lo, hi, _ = bisect(probe, np.zeros(2), np.ones(2), max_steps=30,
@@ -71,50 +74,56 @@ class TestPrimitive:
     def test_bracket_grows_and_carries_lo(self):
         probes = []
 
-        def probe(x):
+        def probe(x, idx):
+            assert idx is None     # every element is probed at its hi
             probes.append(x.copy())
-            return x < np.array([5.0, 0.5]), False
+            r = x - np.array([5.0, 0.5])
+            return r < 0, False, r
 
-        lo, hi = bracket(probe, np.zeros(2), np.ones(2), 2.0)
+        lo, hi, f_lo, f_hi = bracket(probe, np.zeros(2), np.ones(2), 2.0, f_lo=-1.0)
         assert hi.tolist() == [8.0, 1.0] and lo.tolist() == [4.0, 0.0]
+        assert f_lo.tolist() == [-1.0, -1.0] and f_hi.tolist() == [3.0, 0.5]
         assert len(probes) == 4
 
     def test_bracket_limit_is_not_probed(self):
         probes = []
 
-        def probe(x):
+        def probe(x, _idx):
             probes.append(float(x))
-            return True, False
+            return True, False, -1.0
 
-        lo, hi = bracket(probe, 0.0, 1.0, 4.0, limit=4.0**3)
+        lo, hi, _, f_hi = bracket(probe, 0.0, 1.0, 4.0, f_lo=-1.0, limit=4.0**3)
         assert probes == [1.0, 4.0, 16.0]
-        assert (float(lo), float(hi)) == (16.0, 64.0)
+        assert (float(lo), float(hi)) == (16.0, 64.0) and np.isnan(f_hi)
 
     def test_bracket_raises_when_it_cannot(self):
         with pytest.raises(RuntimeError):
-            bracket(lambda x: (True, False), 0.0, 1.0, 2.0, max_steps=5)
+            bracket(lambda x, _idx: (True, False, -1.0), 0.0, 1.0, 2.0, f_lo=-1.0,
+                    max_steps=5)
 
     def test_open_only_probes_see_just_the_open_elements(self):
+        # the vector bisection is the per-element bisections side by side
         roots = np.array([0.3, 3.1, 7.3, 5.0])
         tol = np.array([1e-3, 1e-9, 1.0, 0.0])
         seen = []
 
-        def open_probe(x, idx):
+        def probe(x, idx):
             at = slice(None) if idx is None else idx
             seen.append(idx)
             assert x.shape == roots[at].shape
             return x < roots[at], np.abs(x - roots[at]) <= tol[at]
 
-        def probe(x):
-            return x < roots, np.abs(x - roots) <= tol
-
         start = (np.zeros(4), np.full(4, 8.0))
         for done in (None, np.array([False, False, False, True])):
             seen.clear()
-            got = bisect(open_probe, *start, done=done, open_only=True)
-            want = bisect(probe, *start, done=done)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+            got = bisect(probe, *start, done=done)
+            for k in range(4):
+                def alone(x, _idx, k=k):
+                    return x < roots[k], abs(x - roots[k]) <= tol[k]
+
+                lo, hi, _ = bisect(alone, 0.0, 8.0,
+                                   done=None if done is None else done[k])
+                assert (got[0][k], got[1][k]) == (lo, hi)
             if done is None:
                 # every element is open until the loosest one stops
                 assert seen[0] is None and seen[-1].tolist() == [1]
@@ -130,9 +139,10 @@ class TestPrimitive:
         # a lopsided jump drags regula falsi to one end of the bracket
         xtol = 1e-9
         for root in np.random.default_rng(1).uniform(0.0, 1.0, size=40):
-            _, _, plain = bisect(lambda x: (x < root, False), 0.0, 1.0, xtol=xtol)
+            _, _, plain = bisect(lambda x, _idx: (x < root, False), 0.0, 1.0,
+                                 xtol=xtol)
 
-            def residual(x):
+            def residual(x, _idx):
                 r = -1.0 if x < root else jump
                 return r < 0, False, r
 
@@ -152,7 +162,7 @@ class TestPrimitive:
             return r < 0, np.abs(r) <= 1e-9, r
 
         lo, hi, steps = bisect(residual, np.zeros(4), np.full(4, 3.0),
-                               f_lo=np.full(4, -2.0), open_only=True)
+                               f_lo=np.full(4, -2.0))
         roots = np.log(3.0) / scale
         assert np.all((lo <= roots) & (roots <= hi))
         # bisection needs about 31 probes for the same residual tolerance
@@ -160,11 +170,11 @@ class TestPrimitive:
 
     def test_residuals_need_an_arithmetic_bracket(self):
         with pytest.raises(ValueError):
-            bisect(lambda x: (x < 2, False, x - 2), 1.0, 4.0, geometric=True,
+            bisect(lambda x, _idx: (x < 2, False, x - 2), 1.0, 4.0, geometric=True,
                    f_lo=-1.0)
 
     def test_bracket_carries_the_residuals_at_its_ends(self):
-        def residual(x):
+        def residual(x, _idx):
             r = x - np.array([5.0, 0.5, 1e9])
             return r < 0, False, r
 
@@ -176,10 +186,14 @@ class TestPrimitive:
 
     def test_bracket_caps_each_element_at_its_own_limit(self):
         # two of three elements still up against per-element limits
-        lo, hi = bracket(lambda x: (x < np.array([5.0, 100.0, 0.5]), False),
-                         np.zeros(3), np.ones(3), 2.0,
-                         limit=np.array([64.0, 8.0, 4.0]))
+        def residual(x, _idx):
+            r = x - np.array([5.0, 100.0, 0.5])
+            return r < 0, False, r
+
+        lo, hi, _, f_hi = bracket(residual, np.zeros(3), np.ones(3), 2.0, f_lo=-1.0,
+                                  limit=np.array([64.0, 8.0, 4.0]))
         assert lo.tolist() == [4.0, 8.0, 0.0] and hi.tolist() == [8.0, 8.0, 1.0]
+        assert f_hi[0] == 3.0 and np.isnan(f_hi[1]) and f_hi[2] == 0.5
 
     def test_bisect_monotone_returns_last_probe(self):
         probes = []
@@ -218,41 +232,18 @@ def clear(log):
     log["oracle"].clear()
 
 
-def assert_avg_probes_drop_only_repeats(log):
-    """The oracle's probes minus some that repeat an earlier point."""
-    lib = iter(log["lib"])
-    want = next(lib, None)
-    seen = []
-    for mu_b, lam_b, kw_b in log["oracle"]:
-        if want is not None and np.array_equal(mu_b, want[0]) and (
-                lam_b == want[1] and kw_b == want[2]):
-            # a size-1 array would switch the auction to per-frame prices
-            assert isinstance(want[1], float)
-            want = next(lib, None)
-        else:
-            assert lam_b in seen, "the library skipped a probe at a new point"
-        seen.append(lam_b)
-    assert want is None, "the library made a probe the oracle did not"
-    clear(log)
-
-
-def assert_peak_probes_on_open_frames(log):
-    """The oracle's probes, each on a shrinking set of open frames."""
+def assert_same_probes(log):
+    """The library made the oracle's auctions, in order, at the same points."""
     assert len(log["lib"]) == len(log["oracle"])
-    open_frames = None
     for (mu_a, lam_a, kw_a), (mu_b, lam_b, kw_b) in zip(log["lib"], log["oracle"]):
         assert np.array_equal(mu_a, mu_b)
-        frames = kw_a.pop("frames", None)
-        assert kw_a == kw_b
-        if frames is None:
-            assert open_frames is None, "an open set never grows back"
-            assert np.array_equal(lam_a, lam_b)
-            continue
-        assert np.all(np.diff(frames) > 0)
-        if open_frames is not None:
-            assert np.all(np.isin(frames, open_frames))
-        open_frames = frames
-        assert np.array_equal(lam_a, lam_b[frames])
+        # a size-1 array would switch the auction to per-frame prices
+        assert isinstance(lam_a, float) == isinstance(lam_b, float)
+        assert np.array_equal(lam_a, lam_b)
+        assert kw_a.keys() == kw_b.keys()
+        for key, frames in kw_a.items():
+            assert (frames is None) == (kw_b[key] is None)
+            assert frames is None or np.array_equal(frames, kw_b[key])
     clear(log)
 
 
@@ -379,14 +370,13 @@ def test_narrow_probes_and_idle_sus_price_as_the_whole_auction(
 
 
 class TestStagesMatchLoops:
-    """Each stage against the hand-rolled loop it replaced.
+    """Each stage against the plain loop it must reproduce.
 
-    The lambda searches return the loops' prices bit for bit.  The
-    average-mode search skips the loop's re-probes of a bracket end, and
-    the peak search prices only the frames still open, so their probes
-    are the loops' probes minus those.  The mu calibration stops each SU
-    at its own tolerance and steps by ITP, so it is held to the contract
-    of ``assert_mu_contract`` instead of the loop's probes.
+    The power-price searches return the prices of ``oracles.looped_price``
+    bit for bit and make its auctions, in the same order, on the same
+    frames.  The mu calibration stops each SU at its own tolerance and
+    steps by ITP, so it is held to the contract of ``assert_mu_contract``
+    instead of the loop's probes.
     """
 
     @given(
@@ -415,32 +405,34 @@ class TestStagesMatchLoops:
             # frames (or the scalar price) to it
             lam_t = _solve_lambda_peak(prep, mu, tol, floor)
             floor = float(np.quantile(lam_t, 0.5)) * 1.01
+        rtol = dual_solver._LAMBDA_RTOL
 
         with recorded_auctions() as log:
             warm_avg = None
             if warm:
                 warm_avg = _solve_lambda_avg(prep, mu, tol, 1e-12) * rng.uniform(0.3, 3)
-                log["lib"].clear()
+                clear(log)
             got = _solve_lambda_avg(prep, mu, tol, floor, warm_avg)
-            want, _, _ = oracles.looped_solve_lambda_avg(prep, mu, tol, floor, warm_avg)
+            want = oracles.looped_price(prep, mu, tol, floor, warm_avg, peak=False,
+                                        rtol=rtol)
             assert isinstance(got, float) and got == want
-            assert_avg_probes_drop_only_repeats(log)
+            assert_same_probes(log)
 
             warm_t = None
             if warm:
                 warm_t = _solve_lambda_peak(prep, mu, tol, 1e-12)
                 warm_t = warm_t * rng.uniform(0.3, 3, size=t)
-                log["lib"].clear()
+                clear(log)
             got_t = _solve_lambda_peak(prep, mu, tol, floor, warm_t)
-            want_t, want_floor = oracles.looped_solve_lambda_peak(
-                prep, mu, tol, floor, warm_t, rtol=dual_solver._LAMBDA_RTOL
-            )
+            want_t = oracles.looped_price(prep, mu, tol, floor, warm_t, peak=True,
+                                          rtol=rtol)
             assert np.array_equal(got_t, want_t)
-            # a frame is at the floor exactly when its price is the floor
-            assert np.array_equal(got_t == floor, want_floor)
+            assert_same_probes(log)
+            # a frame is at the floor exactly when it underspends there
+            spend_floor = _eval_point(prep, mu, np.full(t, floor)).power_t
+            assert np.array_equal(got_t == floor, spend_floor <= power)
             if at_floor and t > 1:
-                assert want_floor.any()
-            assert_peak_probes_on_open_frames(log)
+                assert (got_t == floor).any()
 
             lam0 = float(np.median(got_t)) if warm else got
             mu0 = _initial_mu(prep, lam0, eps)
@@ -539,3 +531,82 @@ def test_initial_mu_at_a_tight_tolerance_stops_within_its_rounds():
             oracles.looped_initial_mu(prep, lam0, rounds=rounds)
             assert np.all(mu > 0)
             assert_mu_contract(log, prep, lam0, 1e-7, mu, rounds)
+
+
+@given(
+    k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0), n=st.integers(1, 8),
+    zero_mu=st.booleans(), warm=st.booleans(),
+    eps=st.sampled_from([1.0, 1e-2, 1e-6]), power=st.floats(1.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_frame_prices_the_same_in_both_modes(
+    k, k1_frac, n, zero_mu, warm, eps, power, seed,
+):
+    # one power-price search serves both modes: with a single frame the
+    # per-frame price is the scalar one
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    prep = random_problem(rng, k, k1, n, 1, False, power)
+    mu = rng.uniform(0.0, 4.0, size=k1)
+    if zero_mu:
+        mu[rng.integers(k1)] = 0.0
+    tol = eps * power / 4
+    lam_warm = None
+    if warm:
+        lam_warm = _solve_lambda_avg(prep, mu, tol, 1e-12) * rng.uniform(0.3, 3)
+    got = _solve_lambda_peak(prep, mu, tol, 1e-12,
+                             None if lam_warm is None else np.array([lam_warm]))
+    assert got.shape == (1,)
+    assert got[0] == _solve_lambda_avg(prep, mu, tol, 1e-12, lam_warm)
+
+
+@given(
+    k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 8), t=st.integers(1, 8), warm=st.booleans(),
+    eps=st.sampled_from([1.0, 1e-2, 1e-6]), power=st.floats(1.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_frame_prices_meet_their_budget_from_below(
+    k, k1_frac, n, t, warm, eps, power, seed,
+):
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    prep = random_problem(rng, k, k1, n, t, False, power)
+    mu = rng.uniform(0.0, 4.0, size=k1)
+    tol, floor, rtol = eps * power / 4, 1e-12, dual_solver._LAMBDA_RTOL
+    lam_warm = None
+    if warm:
+        lam_warm = _solve_lambda_peak(prep, mu, tol, floor) * rng.uniform(0.3, 3, size=t)
+    lam = _solve_lambda_peak(prep, mu, tol, floor, lam_warm)
+    spend = _eval_point(prep, mu, lam).power_t
+    assert np.all(spend <= power)
+    # each frame is within the tolerance, at the floor, or stopped by the
+    # bracket width: then just below its price it overspends
+    close = power - spend <= tol
+    below = _eval_point(prep, mu, lam * (1 - 2 * rtol)).power_t > power
+    assert np.all(close | (lam == floor) | below)
+
+
+@pytest.mark.parametrize("mode", ["average", "peak"])
+def test_a_warm_start_that_overspends_probes_nothing_below_it(mode):
+    cfg = make_config(n=8, k=4, k1=2, c=[0.4, 0.7], power=50.0, mode=mode)
+    prep = _Prepared(generate_ensemble(cfg, 20, seed=3), cfg)
+    mu, tol = np.array([1.0, 2.0]), 1e-6 * cfg.power
+    search = _solve_lambda_peak if mode == "peak" else _solve_lambda_avg
+    lam = search(prep, mu, tol, 1e-12)
+    # at a quarter of the price, 2 * warm overspends
+    warm = lam / 4.0
+    overspent = _eval_point(prep, mu, 2.0 * warm)
+    if mode == "peak":
+        assert np.all(overspent.power_t > cfg.power)
+    else:
+        assert overspent.power_mean > cfg.power
+    with recorded_auctions() as log:
+        search(prep, mu, tol, 1e-12, warm)
+    (_, first, _), *rest = log["lib"]
+    assert np.all(first == 1e-12)       # the floor settles no element here
+    for _, probe, kw in rest:
+        frames = kw.get("frames")
+        assert np.all(probe >= 2.0 * (warm if frames is None else warm[frames]))

@@ -63,6 +63,12 @@ class TestSuPhase:
             with pytest.raises(ValueError, match="ensemble dimensions do not match"):
                 su_phase(ens, cfg, eps=1e-2)
 
+    @pytest.mark.parametrize("eps", [np.nan, 0.0, -1.0, 1.0])
+    def test_rejects_eps_outside_the_unit_interval(self, ens300, eps):
+        # the SolverOptions rule; a NaN eps would disable the infeasibility check
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+            su_phase(ens300, make_config(c=4.5), eps=eps)
+
     def test_unreachable_target_raises_with_su_identity(self, ens300):
         cfg = make_config(c=[0.5, 4.5, 0.5, 0.5])
         with pytest.raises(SecrecyInfeasibleError) as err:
@@ -332,6 +338,12 @@ class TestNuPhase:
         for bad in (occupied[0], occupied[:, :32], occupied[:10]):
             with pytest.raises(ValueError, match="occupied must have shape"):
                 nu_phase(ens300, cfg, 100.0, bad)
+
+    @pytest.mark.parametrize("residual", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_residual(self, ens300, residual):
+        occupied = np.zeros((300, 64), dtype=bool)
+        with pytest.raises(ValueError, match="p_residual must be finite"):
+            nu_phase(ens300, make_config(), residual, occupied)
 
     def test_power_nondecreasing_in_level(self, ens300):
         cfg = make_config()
