@@ -17,10 +17,11 @@ Method Average Performance Preserving Minmax Optimality", ACM TOMS
 47(1), 2021) wherever both are known.
 
 With ownership fixed, both solver families share two kernels: the
-gap-threshold search ``search_threshold``, built on ``bisect``, and the
-exact NU water level ``water_level``, which needs no search.  The
-two-phase allocator and its baselines apply them to the whole ensemble,
-the dual solver's peak trim and refill frame by frame.
+gap-threshold search ``search_threshold``, built on ``bisect``, with one
+group per SU (the peak trim's on CNRs divided by the frame's price), and
+the exact NU water level ``water_level``, which needs no search: one
+level over all free columns in the two-phase NU phase, one per frame in
+the peak refill.
 """
 
 from __future__ import annotations
@@ -200,12 +201,12 @@ def search_threshold(a, b, su, targets, rtol, t_count):
     """Tune every group's gap threshold until |mean rate - C_g| <= rtol*C_g.
 
     ``su`` labels each column with its group, an index into ``targets``:
-    an SU, or a (frame, SU) pair.  Each group's rate is continuous and
-    non-increasing in its own threshold alone, so the searches are one
-    elementwise bisection whose probes price only the open groups.  Group
-    g's bracket runs from 0 to just above its largest gap, where its rate
-    is 0.  Returns each group's last probe and bisection steps; a zero
-    target gives ``inf`` and 0 steps, a positive one needs a column.
+    its SU.  Each group's rate is continuous and non-increasing in its own
+    threshold alone, so the searches are one elementwise bisection whose
+    probes price only the open groups.  Group g's bracket runs from 0 to
+    just above its largest gap, where its rate is 0.  Returns each group's
+    last probe and bisection steps; a zero target gives ``inf`` and 0
+    steps, a positive one needs a column.
     """
     thresholds = np.full(targets.size, np.inf)
     steps = np.zeros(targets.size, dtype=int)

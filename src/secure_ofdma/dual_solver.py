@@ -20,8 +20,9 @@ modes run the same loop and the same ``lam`` search, ``_price``; only
 its spend probe differs, the mean spend at a scalar price or the spend
 of the open frames.  The ``lam`` search and the ITP ``mu`` calibration
 call the one vectorized primitive, ``_search.bracket`` and
-``_search.bisect``.  The peak trim tunes gap thresholds with
-``_search.search_threshold`` and the peak refill pours the exact
+``_search.bisect``.  The peak trim lowers each over-target SU's one
+secrecy price with ``_search.search_threshold``, on CNRs divided by
+each frame's price, and the peak refill pours the exact
 ``_search.water_level``, the two kernels the two-phase allocator uses.
 """
 
@@ -275,7 +276,7 @@ def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
     return st.dual_value, dmu, dlam
 
 
-def _price(spend, target, tol_power, lam_floor, warm, shape):
+def _price(spend, target, tol_power, warm, shape):
     """Power prices of the given ``shape`` at which each spend meets ``target``.
 
     ``spend(lam, idx)`` is the spend of the elements ``idx`` (every one
@@ -283,9 +284,9 @@ def _price(spend, target, tol_power, lam_floor, warm, shape):
     element's own price (each candidate's power level falls and auction
     switches always move to the lower-power bidder), so one geometric
     bisection serves all elements.  An element that underspends at
-    ``lam_floor`` keeps it.  The others are bracketed upward from
+    ``_LAMBDA_FLOOR`` keeps it.  The others are bracketed upward from
     ``2 * warm``, or from 1e-3 on a cold start (never below
-    ``4 * lam_floor``); an open element whose bracket starts below
+    ``4 * _LAMBDA_FLOOR``); an open element whose bracket starts below
     ``warm / 2`` has its lower end lifted there if that still overspends.
     Each approaches its budget from the under-spending end, so no
     returned price overspends, and stops within ``tol_power`` of the
@@ -293,7 +294,7 @@ def _price(spend, target, tol_power, lam_floor, warm, shape):
     an assignment discontinuity is never met, and the peak refill pours
     what such a frame leaves.
     """
-    floor = np.full(shape, lam_floor)
+    floor = np.full(shape, _LAMBDA_FLOOR)
     at_floor = np.less_equal(spend(floor, None), target)
     if at_floor.all():
         return floor
@@ -302,29 +303,29 @@ def _price(spend, target, tol_power, lam_floor, warm, shape):
         unspent = target - spend(lam, idx)
         return unspent < 0, (0 <= unspent) & (unspent <= tol_power), unspent
 
-    start = np.maximum(4.0 * lam_floor, 1e-3 if warm is None else 2.0 * warm)
+    start = np.maximum(4.0 * _LAMBDA_FLOOR, 1e-3 if warm is None else 2.0 * warm)
     lo, hi, _, unspent = bracket(probe, floor, np.broadcast_to(start, shape), 4.0,
                                  f_lo=np.nan)
     done = at_floor | (unspent <= tol_power)
     if warm is not None:
-        half = np.maximum(warm / 2.0, lam_floor)
+        half = np.maximum(warm / 2.0, _LAMBDA_FLOOR)
         lift = (half > lo) & ~done
         if lift.any():
             over = _probe_open(probe, half, ~lift)[0]
             lo = np.where(lift & over, half, lo)
     _, lam, _ = bisect(probe, lo, hi, geometric=True, rtol=_LAMBDA_RTOL, done=done)
-    return np.where(at_floor, lam_floor, lam)
+    return np.where(at_floor, _LAMBDA_FLOOR, lam)
 
 
-def _solve_lambda_avg(prep, mu, tol_power, lam_floor, warm=None):
+def _solve_lambda_avg(prep, mu, tol_power, warm=None):
     """The scalar power price meeting the mean budget, or the floor."""
     def spend(lam, _idx):
         return _eval_point(prep, mu, float(lam)).power_mean
 
-    return float(_price(spend, prep.config.power, tol_power, lam_floor, warm, ()))
+    return float(_price(spend, prep.config.power, tol_power, warm, ()))
 
 
-def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None):
+def _solve_lambda_peak(prep, mu, tol_power, warm=None):
     """One power price per frame meeting that frame's budget, or the floor.
 
     The bracket prices every frame; the probes after it only the open ones.
@@ -332,52 +333,47 @@ def _solve_lambda_peak(prep, mu, tol_power, lam_floor, warm=None):
     def spend(lam, frames):
         return _eval_point(prep, mu, lam, frames=frames).power_t
 
-    return _price(spend, prep.config.power, tol_power, lam_floor, warm, prep.t_count)
+    return _price(spend, prep.config.power, tol_power, warm, prep.t_count)
 
 
-def _trim_su_surplus(prep, owner, p_win, eps):
+def _trim_su_surplus(prep, owner, p_win, lam_t):
     """Primal recovery: shave secrecy overshoot back to the targets.
 
     Assignment granularity can leave an SU above its average target (the
     marginal column is won whole or not at all).  With ownership fixed,
-    each frame's contribution is scaled down by re-tuning the per-set gap
-    threshold, releasing power for the NU refill.  Per-frame targets are
-    proportional to the frame's contribution, so the ensemble average
-    lands within 1e-6 of the target.  ``search_threshold`` tunes all the
-    (frame, SU) groups at once.
+    each SU above ``C_k (1 + 1e-6)`` gets one lower secrecy price, which
+    frees power for the NU refill.  As p(a, b; mu, lam) = p(a/lam, b/lam;
+    mu, 1) / lam at the same rate, the auction's power is the gap-threshold
+    power at x = 1/mu_k on the CNRs divided by the frame's price, so
+    ``search_threshold`` raises one x per SU, on its powered columns, to
+    within 1e-6 of the target: no column gains power, and the SU's columns
+    left without any are released.
     """
     k1 = prep.k1
     targets = prep.config.secrecy_targets
-    su_owned = (owner >= 0) & (owner < k1)
-    if not su_owned.any():
-        return
-    rs = np.zeros_like(p_win)
-    rs[su_owned] = np.log1p(p_win[su_owned] * prep.nu1[su_owned]) \
-        - np.log1p(p_win[su_owned] * prep.nu2[su_owned])
-    s_mean = np.bincount(
-        owner[su_owned], weights=rs[su_owned], minlength=k1
-    )[:k1] / prep.t_count
-    # overshoot already inside the tolerance band is left alone
-    trim = (targets > 0) & (s_mean > targets * (1 + eps / 4))
+    t, n = np.nonzero((owner >= 0) & (owner < k1))
+    su, p = owner[t, n], p_win[t, n]
+    a, b = prep.nu1[t, n], prep.nu2[t, n]
+    rs = np.log1p(p * a) - np.log1p(p * b)
+    s_mean = np.bincount(su, weights=rs, minlength=k1) / prep.t_count
+    trim = (targets > 0) & (s_mean > targets * (1 + 1e-6))
     if not trim.any():
         return
-    scale = np.where(trim, targets / np.maximum(s_mean, 1e-300), 1.0)
-
-    # the columns of trimmed SUs and their (frame, SU) group
-    t, n = np.nonzero(su_owned & trim[np.where(su_owned, owner, 0)])
-    keys, group = np.unique(t * k1 + owner[t, n], return_inverse=True)
-    a, b = prep.nu1[t, n], prep.nu2[t, n]
-    target_g = np.bincount(group, weights=rs[t, n]) * scale[keys % k1]
-    x, _ = search_threshold(a, b, group, target_g, 1e-6, 1)
-    _, _, on, p = threshold_stats(a, b, group, x, 1)
-    p_new = np.zeros(a.size)
-    p_new[on] = p
-    p_win[t, n] = p_new
-    dead = p_new <= 0
+    mine = trim[su]
+    on = np.flatnonzero(mine & (p > 0))
+    lam = lam_t[t[on]]
+    a, b = a[on] / lam, b[on] / lam
+    x, _ = search_threshold(a, b, su[on], np.where(trim, targets, 0.0), 1e-6,
+                            prep.t_count)
+    _, _, active, p_on = threshold_stats(a, b, su[on], x, prep.t_count)
+    p[mine] = 0.0
+    p[on[active]] = p_on / lam[active]
+    p_win[t, n] = p
+    dead = mine & (p <= 0)
     owner[t[dead], n[dead]] = UNASSIGNED
 
 
-def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
+def _refill_nu_water(prep, owner, p_win, lam_t):
     """Primal recovery: spend leftover per-frame budget on NU water levels.
 
     The auction at the resolved per-frame price can undershoot the budget
@@ -396,7 +392,8 @@ def _refill_nu_water(prep, owner, p_win, lam_t, residual, lam_floor):
     """
     cfg = prep.config
     k1 = prep.k1
-    needs = (residual > 1e-9 * max(cfg.power, 1.0)) & (lam_t > lam_floor * 1.001)
+    residual = cfg.power - p_win.sum(axis=1)
+    needs = (residual > 1e-9 * max(cfg.power, 1.0)) & (lam_t > _LAMBDA_FLOOR * 1.001)
     if not needs.any():
         return
     idx = np.flatnonzero(needs)
@@ -486,7 +483,7 @@ def _power_side_ok(lam, st, cfg, eps) -> bool:
 def _solve_lambda(prep, mu, eps, warm=None):
     """The power price at ``mu``: one scalar, or one per frame in peak mode."""
     search = _solve_lambda_peak if prep.config.mode == "peak" else _solve_lambda_avg
-    return search(prep, mu, eps * prep.config.power / 4.0, _LAMBDA_FLOOR, warm)
+    return search(prep, mu, eps * prep.config.power / 4.0, warm)
 
 
 _OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"
@@ -577,22 +574,21 @@ def _dual_outer_loop(prep, eps):
     return (mu_best, lam_best, iters, trace, converged, infeasible, message), ""
 
 
-def _primal(prep, mu, lam, eps):
+def _primal(prep, mu, lam):
     """The auction's ``(owner, p_win)`` at (mu, lam); peak mode trims and refills it."""
     final = _eval_point(prep, mu, lam)
     owner, p_win = final.owner, final.p_win
     del final   # the recovery needs none of the auction's other arrays
     if prep.config.mode == "peak":
-        _trim_su_surplus(prep, owner, p_win, eps)
-        residual = prep.config.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, lam, residual, _LAMBDA_FLOOR)
+        _trim_su_surplus(prep, owner, p_win, lam)
+        _refill_nu_water(prep, owner, p_win, lam)
     return owner, p_win
 
 
 def _finish(prep, ensemble, eps, mu, lam, iters, trace, converged, infeasible,
             message):
     cfg = prep.config
-    owner, p_win = _primal(prep, mu, lam, eps)
+    owner, p_win = _primal(prep, mu, lam)
     res = _result(
         prep, ensemble, mu, lam, owner, p_win, iterations=iters,
         converged=converged, infeasible=infeasible,
@@ -686,5 +682,5 @@ def apply_policy(ensemble: ChannelEnsemble, duals: DualState, config: ProblemCon
         raise ValueError("average-mode allocation needs duals.lam > 0")
     else:
         lam = duals.lam
-    owner, p_win = _primal(prep, duals.mu, lam, opts.epsilon)
+    owner, p_win = _primal(prep, duals.mu, lam)
     return decisions_from_arrays(owner, p_win, ensemble, config), lam

@@ -24,9 +24,10 @@ so a test can record their probes.  ``looped_refill_nu_water`` refills
 frame by frame at the level ``exact_refill_levels`` finds by trying
 every active-set size.
 ``looped_su_phase`` and ``looped_trim_su_surplus`` tune gap thresholds
-with one ``ThresholdCurve`` and one scalar bisection per SU, or per
-(frame, SU) group of the peak trim, where the library runs the single
-elementwise ``_search.search_threshold``.
+with one ``ThresholdCurve`` and one scalar bisection per SU (the peak
+trim's on the powered columns, with CNRs divided by the frame's price),
+where the library runs the single elementwise
+``_search.search_threshold``.
 """
 
 import itertools
@@ -481,42 +482,32 @@ def looped_price(prep, mu, tol_power, lam_floor, warm=None, *, peak, rtol):
     return np.array(lam) if peak else lam[0]
 
 
-def looped_trim_su_surplus(prep, owner, p_win, eps):
+def looped_trim_su_surplus(prep, owner, p_win, lam_t):
     """Primal recovery: shave secrecy overshoot back to the targets.
 
-    Assignment granularity can leave an SU above its average target (the
-    marginal column is won whole or not at all).  With ownership fixed,
-    each frame's contribution is scaled down by re-tuning the per-set gap
-    threshold, releasing power for the NU refill.  Per-frame targets are
-    proportional to the frame's contribution; each (frame, SU) group gets
-    its own ``ThresholdCurve`` and ``looped_search_threshold`` to 1e-6.
+    Each SU whose mean secrecy exceeds ``C_k (1 + 1e-6)`` gets one
+    ``ThresholdCurve`` over its powered columns, with each column's CNRs
+    divided by its frame's price ``lam_t[t]``, and one
+    ``looped_search_threshold`` to 1e-6; the curve's powers, divided by
+    the frame's price again, replace the SU's, and its columns left
+    without power are released.
     """
-    k1 = prep.k1
     targets = prep.config.secrecy_targets
-    su_owned = (owner >= 0) & (owner < k1)
-    if not su_owned.any():
-        return
-    rs = np.zeros_like(p_win)
-    rs[su_owned] = np.log1p(p_win[su_owned] * prep.nu1[su_owned]) \
-        - np.log1p(p_win[su_owned] * prep.nu2[su_owned])
-    s_mean = np.bincount(
-        owner[su_owned], weights=rs[su_owned], minlength=k1
-    )[:k1] / prep.t_count
-    # overshoot already inside the tolerance band is left alone
-    trim = (targets > 0) & (s_mean > targets * (1 + eps / 4))
-    if not trim.any():
-        return
-    scale = np.where(trim, targets / np.maximum(s_mean, 1e-300), 1.0)
-    for t in range(prep.t_count):
-        for k in np.flatnonzero(trim):
-            cols = np.flatnonzero(owner[t] == k)
-            if cols.size == 0:
-                continue
-            curve = ThresholdCurve(prep.nu1[t, cols], prep.nu2[t, cols], 1)
-            target_t = rs[t, cols].sum() * scale[k]
-            p = curve.powers(looped_search_threshold(curve, target_t, 1e-6).value)
-            p_win[t, cols] = p
-            owner[t, cols[p <= 0]] = UNASSIGNED
+    frame_lam = np.broadcast_to(np.asarray(lam_t, float)[:, None], owner.shape)
+    for k in range(prep.k1):
+        mine = owner == k
+        p = p_win[mine]
+        rs = np.log1p(p * prep.nu1[mine]) - np.log1p(p * prep.nu2[mine])
+        if targets[k] <= 0 or math.fsum(rs) / prep.t_count <= targets[k] * (1 + 1e-6):
+            continue
+        powered = mine & (p_win > 0)
+        lam = frame_lam[powered]
+        curve = ThresholdCurve(prep.nu1[powered] / lam, prep.nu2[powered] / lam,
+                               prep.t_count)
+        threshold = looped_search_threshold(curve, targets[k], 1e-6).value
+        p_win[mine] = 0.0
+        p_win[powered] = curve.powers(threshold) / lam
+        owner[mine & (p_win <= 0)] = UNASSIGNED
 
 
 def exact_refill_levels(w, inv_a, budget):

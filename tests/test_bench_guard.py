@@ -90,12 +90,15 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
     assert len(steps) == 1 and steps[0] >= 1
     assert not [s for s in spans.spans if s[1] == "search.bisect_monotone"]
     # the peak trim tunes its thresholds through the shared search, inside
-    # its own span, so dual_solver.trim.s covers the search
+    # its own span, so dual_solver.trim.s covers the search; a trim that
+    # searches makes one per-SU search, with no per-frame loop around it
     trims = {s[0]: s for s in spans.spans if s[1] == "dual_solver.trim"}
     searches = [s for s in spans.spans
                 if s[1] == "search.search_threshold" and s[4] in trims]
     assert searches
     assert all(trims[s[4]][2] <= s[2] <= s[3] <= trims[s[4]][3] for s in searches)
+    per_trim = [s[4] for s in searches]
+    assert all(per_trim.count(i) == 1 for i in set(per_trim))
 
 
 def test_two_phase_solves_never_enter_the_dual_solver(tracer):

@@ -411,8 +411,7 @@ class TestPrunedAuction:
         lam_t = np.array([5.0])
         owner = np.array([[-1, 2]])
         p_win = np.array([[0.0, 1.0 / 5.0 - 1.0 / 100.0]])
-        residual = cfg.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, lam_t, residual, 1e-12)
+        _refill_nu_water(prep, owner, p_win, lam_t)
 
         assert owner.tolist() == [[2, 2]]
         # one water level theta across both columns spends the budget
@@ -430,8 +429,7 @@ class TestPrunedAuction:
         prep = _Prepared(ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg)
         owner = np.array([[0], [1]])
         p_win = np.array([[2.0], [1.0]])
-        residual = cfg.power - p_win.sum(axis=1)
-        _refill_nu_water(prep, owner, p_win, np.ones(2), residual, 1e-12)
+        _refill_nu_water(prep, owner, p_win, np.ones(2))
 
         assert owner.tolist() == [[0], [1]]
         assert p_win[0, 0] == 2.0

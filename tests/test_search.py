@@ -1,6 +1,7 @@
 """The bracket-and-bisect primitive and the dual-solver stages built on it."""
 
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -399,20 +400,21 @@ class TestStagesMatchLoops:
         if zero_mu:
             mu[rng.integers(k1)] = 0.0
         tol = eps * power / 4
-        floor = 1e-12
+        floor = dual_solver._LAMBDA_FLOOR
         if at_floor:
             # a floor inside the spread of the resolved prices pins some
             # frames (or the scalar price) to it
-            lam_t = _solve_lambda_peak(prep, mu, tol, floor)
+            lam_t = _solve_lambda_peak(prep, mu, tol)
             floor = float(np.quantile(lam_t, 0.5)) * 1.01
         rtol = dual_solver._LAMBDA_RTOL
 
         with recorded_auctions() as log:
             warm_avg = None
             if warm:
-                warm_avg = _solve_lambda_avg(prep, mu, tol, 1e-12) * rng.uniform(0.3, 3)
+                warm_avg = _solve_lambda_avg(prep, mu, tol) * rng.uniform(0.3, 3)
                 clear(log)
-            got = _solve_lambda_avg(prep, mu, tol, floor, warm_avg)
+            with mock.patch.object(dual_solver, "_LAMBDA_FLOOR", floor):
+                got = _solve_lambda_avg(prep, mu, tol, warm_avg)
             want = oracles.looped_price(prep, mu, tol, floor, warm_avg, peak=False,
                                         rtol=rtol)
             assert isinstance(got, float) and got == want
@@ -420,10 +422,11 @@ class TestStagesMatchLoops:
 
             warm_t = None
             if warm:
-                warm_t = _solve_lambda_peak(prep, mu, tol, 1e-12)
+                warm_t = _solve_lambda_peak(prep, mu, tol)
                 warm_t = warm_t * rng.uniform(0.3, 3, size=t)
                 clear(log)
-            got_t = _solve_lambda_peak(prep, mu, tol, floor, warm_t)
+            with mock.patch.object(dual_solver, "_LAMBDA_FLOOR", floor):
+                got_t = _solve_lambda_peak(prep, mu, tol, warm_t)
             want_t = oracles.looped_price(prep, mu, tol, floor, warm_t, peak=True,
                                           rtol=rtol)
             assert np.array_equal(got_t, want_t)
@@ -455,7 +458,7 @@ class TestStagesMatchLoops:
         mu = rng.uniform(0.5, 6.0, size=k1)
         if zero_mu:
             mu[rng.integers(k1)] = 0.0
-        lam_t = _solve_lambda_peak(prep, mu, eps * power / 4, 1e-12)
+        lam_t = _solve_lambda_peak(prep, mu, eps * power / 4)
         lam = float(np.median(lam_t)) if scalar_lam else lam_t
         st_ = _eval_point(prep, mu, lam)
         owner, p_win = st_.owner, st_.p_win
@@ -471,22 +474,23 @@ class TestStagesMatchLoops:
         )
         su_cols = np.argwhere((owner >= 0) & (owner < k1))
         if drop and su_cols.size:
-            # a (frame, SU) group with zero power has a zero frame target
+            # an SU's columns of one frame carry no power: the trim leaves
+            # them out of its search and releases them
             t0, n0 = su_cols[rng.integers(len(su_cols))]
             p_win[t0, owner[t0] == owner[t0, n0]] = 0.0
 
+        lam_vec = np.broadcast_to(np.asarray(lam, float), (t,)).copy()
         o_lib, p_lib = owner.copy(), p_win.copy()
         o_ref, p_ref = owner.copy(), p_win.copy()
-        _trim_su_surplus(prep, o_lib, p_lib, eps)
-        oracles.looped_trim_su_surplus(prep, o_ref, p_ref, eps)
+        _trim_su_surplus(prep, o_lib, p_lib, lam_vec)
+        oracles.looped_trim_su_surplus(prep, o_ref, p_ref, lam_vec)
         assert np.array_equal(o_lib, o_ref) and np.array_equal(p_lib, p_ref)
 
-        lam_vec = np.broadcast_to(np.asarray(lam, float), (t,)).copy()
         residual = power - p_ref.sum(axis=1)
         o_lib, p_lib = o_ref.copy(), p_ref.copy()
-        _refill_nu_water(prep, o_lib, p_lib, lam_vec, residual, 1e-12)
+        _refill_nu_water(prep, o_lib, p_lib, lam_vec)
         budgets = oracles.looped_refill_nu_water(
-            prep, o_ref, p_ref, lam_vec, residual, 1e-12)
+            prep, o_ref, p_ref, lam_vec, residual, dual_solver._LAMBDA_FLOOR)
         assert np.array_equal(o_lib, o_ref)
         np.testing.assert_allclose(p_lib, p_ref, rtol=0.0, atol=1e-12 * power)
         for frame, budget in budgets.items():
@@ -501,8 +505,8 @@ class TestStagesMatchLoops:
 
     def test_trim_drop_path_unassigns_the_group(self):
         # SU 0 owns every column of two frames; frame 1's columns carry no
-        # power, so that frame's share of the target is 0 and its columns
-        # are released, while frame 0 is trimmed by the threshold search
+        # power, so the threshold search leaves them out and they are
+        # released, while frame 0's are trimmed
         cfg = make_config(n=2, k=3, k1=1, c=0.1, power=10.0, mode="peak")
         alpha = np.array([[[5.0, 4.0], [0.1, 0.2], [0.2, 0.1]],
                           [[3.0, 6.0], [0.1, 0.3], [0.2, 0.2]]])
@@ -512,19 +516,71 @@ class TestStagesMatchLoops:
         owner, p_win = st_.owner, st_.p_win
         assert np.all(owner == 0)
         p_before = p_win[0].sum()
-        p_win[1] = 0.0      # frame 1's group has no secrecy: target_t = 0
+        p_win[1] = 0.0      # frame 1's columns carry no power
         o_ref, p_ref = owner.copy(), p_win.copy()
-        _trim_su_surplus(prep, owner, p_win, 1e-2)
-        oracles.looped_trim_su_surplus(prep, o_ref, p_ref, 1e-2)
+        _trim_su_surplus(prep, owner, p_win, lam)
+        oracles.looped_trim_su_surplus(prep, o_ref, p_ref, lam)
         assert owner[1].tolist() == [-1, -1] and owner[0, 0] == 0
         assert np.array_equal(owner, o_ref) and np.array_equal(p_win, p_ref)
         assert 0 < p_win[0].sum() < p_before
 
 
+@given(
+    k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 8), t=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(["trim", "keep", "zero"]), min_size=5, max_size=5),
+    power=st.floats(1.0, 50.0), seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_trim_lowers_each_su_to_its_target_and_refill_keeps_the_cap(
+    k, k1_frac, n, t, kinds, power, seed,
+):
+    # the peak recovery on the auction at its own frame prices: one lower
+    # secrecy price per trimmed SU, so no column gains power, the trimmed
+    # SUs land on their targets, the others are not touched, and the
+    # refill keeps every frame within its budget
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    prep = random_problem(rng, k, k1, n, t, False, power)
+    mu = rng.uniform(0.5, 6.0, size=k1)
+    lam_t = _solve_lambda_peak(prep, mu, 1e-2 * power / 4)
+    st_ = _eval_point(prep, mu, lam_t)
+    owner, p_win = st_.owner, st_.p_win
+    achieved = st_.secrecy
+    kind = np.array(kinds[:k1])
+    trim = (kind == "trim") & (achieved > 0)
+    targets = np.where(trim, achieved * rng.uniform(0.2, 0.95, size=k1),
+                       achieved * rng.uniform(1.001, 2.0, size=k1) + 0.1)
+    targets[kind == "zero"] = 0.0
+    prep.config = make_config(
+        n=n, k=k, k1=k1, c=targets, omega=np.ones(k - k1), power=power, mode="peak",
+    )
+    o_new, p_new = owner.copy(), p_win.copy()
+    _trim_su_surplus(prep, o_new, p_new, lam_t)
+
+    assert np.all(p_new <= p_win)
+    su = (owner >= 0) & (owner < k1)
+    mine = su & trim[np.where(su, owner, 0)]
+    assert np.array_equal(o_new[~mine], owner[~mine])
+    assert np.array_equal(p_new[~mine], p_win[~mine])
+    # a trimmed SU keeps only powered columns
+    assert np.all((o_new[mine] == owner[mine]) == (p_new[mine] > 0))
+    kept = mine & (o_new >= 0)
+    a, b, p = prep.nu1[kept], prep.nu2[kept], p_new[kept]
+    r_su = np.bincount(o_new[kept], np.log1p(p * a) - np.log1p(p * b),
+                       minlength=k1) / t
+    # the search's band, with room for the rounding of p'/lam_t
+    band = 1e-6 * targets * (1 + 1e-9)
+    assert np.all(np.abs(r_su - targets)[trim] <= band[trim])
+
+    _refill_nu_water(prep, o_new, p_new, lam_t)
+    assert np.all(p_new.sum(axis=1) <= power)
+
+
 def test_initial_mu_at_a_tight_tolerance_stops_within_its_rounds():
     cfg = make_config(n=8, k=4, k1=2, c=[0.4, 0.7], power=50.0)
     prep = _Prepared(generate_ensemble(cfg, 20, seed=3), cfg)
-    lam0 = _solve_lambda_avg(prep, np.zeros(2), 1e-3, 1e-12)
+    lam0 = _solve_lambda_avg(prep, np.zeros(2), 1e-3)
     for rounds in (6, 28):
         with recorded_auctions() as log:
             mu = _initial_mu(prep, lam0, 1e-7, rounds=rounds)
@@ -554,11 +610,11 @@ def test_one_frame_prices_the_same_in_both_modes(
     tol = eps * power / 4
     lam_warm = None
     if warm:
-        lam_warm = _solve_lambda_avg(prep, mu, tol, 1e-12) * rng.uniform(0.3, 3)
-    got = _solve_lambda_peak(prep, mu, tol, 1e-12,
+        lam_warm = _solve_lambda_avg(prep, mu, tol) * rng.uniform(0.3, 3)
+    got = _solve_lambda_peak(prep, mu, tol,
                              None if lam_warm is None else np.array([lam_warm]))
     assert got.shape == (1,)
-    assert got[0] == _solve_lambda_avg(prep, mu, tol, 1e-12, lam_warm)
+    assert got[0] == _solve_lambda_avg(prep, mu, tol, lam_warm)
 
 
 @given(
@@ -575,11 +631,11 @@ def test_frame_prices_meet_their_budget_from_below(
     k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
     prep = random_problem(rng, k, k1, n, t, False, power)
     mu = rng.uniform(0.0, 4.0, size=k1)
-    tol, floor, rtol = eps * power / 4, 1e-12, dual_solver._LAMBDA_RTOL
+    tol, floor, rtol = eps * power / 4, dual_solver._LAMBDA_FLOOR, dual_solver._LAMBDA_RTOL
     lam_warm = None
     if warm:
-        lam_warm = _solve_lambda_peak(prep, mu, tol, floor) * rng.uniform(0.3, 3, size=t)
-    lam = _solve_lambda_peak(prep, mu, tol, floor, lam_warm)
+        lam_warm = _solve_lambda_peak(prep, mu, tol) * rng.uniform(0.3, 3, size=t)
+    lam = _solve_lambda_peak(prep, mu, tol, lam_warm)
     spend = _eval_point(prep, mu, lam).power_t
     assert np.all(spend <= power)
     # each frame is within the tolerance, at the floor, or stopped by the
@@ -595,7 +651,7 @@ def test_a_warm_start_that_overspends_probes_nothing_below_it(mode):
     prep = _Prepared(generate_ensemble(cfg, 20, seed=3), cfg)
     mu, tol = np.array([1.0, 2.0]), 1e-6 * cfg.power
     search = _solve_lambda_peak if mode == "peak" else _solve_lambda_avg
-    lam = search(prep, mu, tol, 1e-12)
+    lam = search(prep, mu, tol)
     # at a quarter of the price, 2 * warm overspends
     warm = lam / 4.0
     overspent = _eval_point(prep, mu, 2.0 * warm)
@@ -604,9 +660,9 @@ def test_a_warm_start_that_overspends_probes_nothing_below_it(mode):
     else:
         assert overspent.power_mean > cfg.power
     with recorded_auctions() as log:
-        search(prep, mu, tol, 1e-12, warm)
+        search(prep, mu, tol, warm)
     (_, first, _), *rest = log["lib"]
-    assert np.all(first == 1e-12)       # the floor settles no element here
+    assert np.all(first == dual_solver._LAMBDA_FLOOR)   # the floor settles no element here
     for _, probe, kw in rest:
         frames = kw.get("frames")
         assert np.all(probe >= 2.0 * (warm if frames is None else warm[frames]))
