@@ -73,6 +73,12 @@ class ChannelEnsemble:
             s.flags.writeable = False
         return stats
 
+    @cached_property
+    def price_memo(self) -> dict:
+        """Power prices solved on this ensemble, keyed by the inputs they
+        depend on; the dual solver memoizes its no-secrecy price here."""
+        return {}
+
     def su_columns(self, k1: int):
         """The columns whose largest CNR belongs to one of the ``k1`` SUs.
 
@@ -105,23 +111,28 @@ def check_dimensions(ensemble: ChannelEnsemble, config: ProblemConfig) -> None:
         raise ValueError("ensemble dimensions do not match the config")
 
 
-def _draw_realization(seed: int, index: int, k: int, n: int, rho: float) -> np.ndarray:
-    # Distinct 256-bit counter block per realization; 2**128 draws of room.
-    bits = np.random.Philox(key=seed, counter=index << 128)
-    u = np.random.Generator(bits).random((k, n))
-    x = -rho * np.log1p(-u)
-    # u == 0 happens with probability 2**-53 per draw; keep alpha > 0 strict
-    return np.maximum(x, np.finfo(float).tiny)
-
-
 def generate_ensemble(config: ProblemConfig, count: int, seed: int) -> ChannelEnsemble:
     """Draw ``count`` i.i.d. exponential CNR matrices with mean ``config.rho``."""
     count = whole_number("count", count, 1)
     seed = _checked_seed(seed)  # before the draw, which needs a valid key
     k, n = config.n_users, config.n_subcarriers
     alpha = np.empty((count, k, n), dtype=float)
+    # one generator, reset before each draw to realization i's own 256-bit
+    # counter block (2**128 draws of room): the stream of a fresh
+    # Philox(key=seed, counter=i << 128), without building one per draw
+    bits = np.random.Philox(key=seed)
+    draw = np.random.Generator(bits).random
+    fresh = bits.state
     for i in range(count):
-        alpha[i] = _draw_realization(seed, i, k, n, config.rho)
+        fresh["state"]["counter"][2] = i
+        bits.state = fresh
+        draw(out=alpha[i])
+    # alpha = -rho * log1p(-u), in place
+    np.negative(alpha, out=alpha)
+    np.log1p(alpha, out=alpha)
+    np.multiply(-config.rho, alpha, out=alpha)
+    # u == 0 happens with probability 2**-53 per draw; keep alpha > 0 strict
+    np.maximum(alpha, np.finfo(float).tiny, out=alpha)
     return ChannelEnsemble(alpha=alpha, seed=seed, rho=float(config.rho))
 
 

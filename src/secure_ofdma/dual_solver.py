@@ -12,6 +12,18 @@ their columns alone), the outer loop the secrecy, NU rate and dual
 value, and the primal recovery the allocation.  An SU at ``mu_k = 0``
 never wins a column, so no probe prices its columns.
 
+The searches also price only contested columns.  An SU competes for a
+column only where it holds the largest CNR and beats the runner-up by
+``lam / mu_k`` (the paper's candidate condition); its payoff there stays
+below ``mu_k * ln(nu1/nu2)`` at any finite power, and the NU payoff
+``h_NU`` does not fall as ``lam`` falls.  So after its bracket a search
+prices ``_Prepared.contested``, a view without the columns where
+``mu_k * ln(nu1/nu2) <= h_NU`` at the bracket's top, and gets the whole
+auction's answer bit for bit (safe screening, El Ghaoui, Viallon &
+Rabbani, Pacific J. Optim. 2012, on the dual auction of Yu & Lui, IEEE
+Trans. Commun. 2006).  The price at ``mu = 0`` does not depend on the
+targets, so it is solved once per ensemble and memoized on it.
+
 Every solve starts cold, from a calibrated ``mu``, and the dual is then
 minimized over ``mu`` in one loop: ``lam`` is eliminated at every
 iterate by bisection on the spent power, which is non-increasing in
@@ -62,7 +74,8 @@ class _Prepared:
     alone.  On the NU side only the strongest NU of each weight class can
     win, so ``nu`` keeps one candidate per class and column; its
     (T, G, N) arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``,
-    the names of the full per-NU caches they replace.
+    the names of the full per-NU caches they replace.  ``contested``
+    narrows the SU side further, to a view for a search's later probes.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -78,6 +91,8 @@ class _Prepared:
         self.su_k = su_k.astype(np.intp)
         self.su_t, su_n = np.divmod(self.su_idx, self.n)
         self.su_cols = np.stack([su_nu1, su_nu2, *_su_terms(su_nu1, su_nu2)])
+        # an SU's payoff on a column stays below mu_k * ln(nu1/nu2)
+        self.su_ln_ratio = np.log(su_nu1 / su_nu2)
         # per-SU ensemble-average secrecy at unbounded power (upper limit)
         self.su_caps = secrecy_limit(su_nu1, su_nu2, self.su_k, self.k1, self.t_count)
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
@@ -86,6 +101,8 @@ class _Prepared:
         self.su_nu = self.nu.columns(self.su_t, su_n)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
+        self.price_memo = ensemble.price_memo
+        self._su_nu_paid = None   # (scalar price, NU payoff on the su_* columns)
 
     def su_in_frames(self, frames):
         """The SU-max columns of ascending ``frames``.
@@ -98,6 +115,49 @@ class _Prepared:
         row = np.repeat(np.arange(frames.size), count)
         at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
         return at, row, row * self.n + self.su_idx[at] % self.n
+
+    def su_nu_payoff(self, lam):
+        """The NU payoff on the SU-max columns at ``lam``.
+
+        ``lam`` is a scalar, whose payoff is kept for the next call at the
+        same price, or one price per frame.
+        """
+        if np.ndim(lam):
+            lam_c = np.asarray(lam, float)[self.su_t][:, None, None]
+            return self.su_nu.auction(np.log(lam_c), lam_c)[0][:, 0]
+        lam = float(lam)
+        if self._su_nu_paid is None or self._su_nu_paid[0] != lam:
+            h = self.su_nu.auction(math.log(lam), lam)[0][:, 0]
+            self._su_nu_paid = lam, h
+        return self._su_nu_paid[1]
+
+    def contested(self, mu, lam) -> _Prepared:
+        """A view keeping the SU-max columns an SU can win at prices <= ``lam``.
+
+        A column with ``mu_k * ln(nu1/nu2) <= h_NU(lam)`` goes to the NUs
+        at every power price ``lam' <= lam`` and secrecy price
+        ``mu'_k <= mu_k`` (see the module docstring), so each auction
+        priced on the view at such prices has the winners, ``p_win`` and
+        secrecy of the whole ``prep``, bit for bit.  ``lam`` is a scalar
+        or one price per frame; a margin of 1e-9 relative and 1e-12
+        absolute absorbs rounding.  The view shares every other array and
+        is built without ``__init__``.
+        """
+        h_nu = self.su_nu_payoff(lam)
+        bound = np.asarray(mu, float)[self.su_k] * self.su_ln_ratio
+        # gathering by index beats masking on a scattered selection
+        at = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 > h_nu)
+        view = object.__new__(_Prepared)
+        view.__dict__.update(self.__dict__)
+        view.su_idx, view.su_k, view.su_t, view.su_ln_ratio = (
+            a.take(at) for a in (self.su_idx, self.su_k, self.su_t, self.su_ln_ratio))
+        view.su_cols = self.su_cols.take(at, axis=1)
+        view.su_ptr = np.searchsorted(view.su_t, np.arange(self.t_count + 1))
+        # su_nu holds each column as a frame of one: its rows are (at, 0)
+        view.su_nu = self.su_nu.columns(at, 0)
+        if self._su_nu_paid is not None:
+            view._su_nu_paid = self._su_nu_paid[0], self._su_nu_paid[1].take(at)
+        return view
 
 
 class _Auction:
@@ -169,7 +229,7 @@ class _Auction:
         h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu[su_k], lam_su, cols[2:])
         if sus is not None:
             # the NU payoff on the priced columns alone
-            h_nu_su = prep.su_nu.auction(ln_lam_g, lam_g, rows=su_at)[0][:, 0]
+            h_nu_su = prep.su_nu_payoff(lam_n)[su_at]
         else:
             nu = prep.nu
             h_nu_best, g = nu.auction(ln_lam_g, lam_g, rows=rows)
@@ -276,53 +336,61 @@ def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
     return st.dual_value, dmu, dlam
 
 
-def _price(spend, target, tol_power, warm, shape):
+def _price(prep, mu, spend, target, tol_power, warm, shape):
     """Power prices of the given ``shape`` at which each spend meets ``target``.
 
-    ``spend(lam, idx)`` is the spend of the elements ``idx`` (every one
-    when ``None``) at their prices ``lam``.  It is non-increasing in each
-    element's own price (each candidate's power level falls and auction
-    switches always move to the lower-power bidder), so one geometric
-    bisection serves all elements.  An element that underspends at
-    ``_LAMBDA_FLOOR`` keeps it.  The others are bracketed upward from
-    ``2 * warm``, or from 1e-3 on a cold start (never below
-    ``4 * _LAMBDA_FLOOR``); an open element whose bracket starts below
-    ``warm / 2`` has its lower end lifted there if that still overspends.
-    Each approaches its budget from the under-spending end, so no
+    ``spend(view, lam, idx)`` is the spend at ``mu`` of the elements
+    ``idx`` (every one when ``None``) at their prices ``lam``, priced on
+    ``view``.  It is non-increasing in each element's own price (each
+    candidate's power level falls and auction switches always move to the
+    lower-power bidder), so one geometric bisection serves all elements.
+    They are bracketed upward from ``2 * warm``, or from 1e-3 on a cold
+    start (never below ``4 * _LAMBDA_FLOOR``), on ``prep``; every later
+    probe prices at or below the bracket's top, so it prices the view
+    ``prep.contested(mu, hi)``.  An open element whose bracket starts
+    below ``warm / 2`` has its lower end lifted there if that still
+    overspends.  Only an element whose lower end is still the floor is
+    then probed at ``_LAMBDA_FLOOR``, and keeps it if it underspends
+    there.  Each approaches its budget from the under-spending end, so no
     returned price overspends, and stops within ``tol_power`` of the
     target or once its bracket is ``_LAMBDA_RTOL`` wide: a budget inside
     an assignment discontinuity is never met, and the peak refill pours
     what such a frame leaves.
     """
-    floor = np.full(shape, _LAMBDA_FLOOR)
-    at_floor = np.less_equal(spend(floor, None), target)
-    if at_floor.all():
-        return floor
+    view = prep
 
     def probe(lam, idx):
-        unspent = target - spend(lam, idx)
+        unspent = target - spend(view, lam, idx)
         return unspent < 0, (0 <= unspent) & (unspent <= tol_power), unspent
 
+    floor = np.full(shape, _LAMBDA_FLOOR)
     start = np.maximum(4.0 * _LAMBDA_FLOOR, 1e-3 if warm is None else 2.0 * warm)
     lo, hi, _, unspent = bracket(probe, floor, np.broadcast_to(start, shape), 4.0,
                                  f_lo=np.nan)
-    done = at_floor | (unspent <= tol_power)
+    view = prep.contested(mu, hi)
+    done = unspent <= tol_power
     if warm is not None:
         half = np.maximum(warm / 2.0, _LAMBDA_FLOOR)
         lift = (half > lo) & ~done
         if lift.any():
             over = _probe_open(probe, half, ~lift)[0]
             lo = np.where(lift & over, half, lo)
-    _, lam, _ = bisect(probe, lo, hi, geometric=True, rtol=_LAMBDA_RTOL, done=done)
+    # an element bracketed above the floor overspends there
+    unpriced = lo == floor
+    at_floor = np.zeros(shape, bool)
+    if unpriced.any():
+        at_floor = unpriced & ~np.asarray(_probe_open(probe, floor, ~unpriced)[0])
+    _, lam, _ = bisect(probe, lo, hi, geometric=True, rtol=_LAMBDA_RTOL,
+                       done=done | at_floor)
     return np.where(at_floor, _LAMBDA_FLOOR, lam)
 
 
 def _solve_lambda_avg(prep, mu, tol_power, warm=None):
     """The scalar power price meeting the mean budget, or the floor."""
-    def spend(lam, _idx):
-        return _eval_point(prep, mu, float(lam)).power_mean
+    def spend(view, lam, _idx):
+        return _eval_point(view, mu, float(lam)).power_mean
 
-    return float(_price(spend, prep.config.power, tol_power, warm, ()))
+    return float(_price(prep, mu, spend, prep.config.power, tol_power, warm, ()))
 
 
 def _solve_lambda_peak(prep, mu, tol_power, warm=None):
@@ -330,10 +398,10 @@ def _solve_lambda_peak(prep, mu, tol_power, warm=None):
 
     The bracket prices every frame; the probes after it only the open ones.
     """
-    def spend(lam, frames):
-        return _eval_point(prep, mu, lam, frames=frames).power_t
+    def spend(view, lam, frames):
+        return _eval_point(view, mu, lam, frames=frames).power_t
 
-    return _price(spend, prep.config.power, tol_power, warm, prep.t_count)
+    return _price(prep, mu, spend, prep.config.power, tol_power, warm, prep.t_count)
 
 
 def _trim_su_surplus(prep, owner, p_win, lam_t):
@@ -440,6 +508,9 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     a quarter of the outer loop's convergence band, or after ``rounds``
     ITP steps, and keeps the multiplier it was last probed at.  The dual
     iteration then only has to absorb the feedback of the power price.
+    The NU payoff at ``lam0`` is priced once; after the bracket every
+    probe bids at or below its top, so it prices the view
+    ``prep.contested`` keeps there for the SUs still open.
     """
     targets = prep.config.secrecy_targets
     want = targets > 0
@@ -447,19 +518,21 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
         return np.zeros(prep.k1)
     below, above = eps * targets / 4.0, eps * np.maximum(targets, 1.0) / 4.0
     mu = np.zeros(prep.k1)   # every SU's last probe
+    view = prep
 
     def probe(x, idx):
         # each probe prices only the SUs it moves
         idx = np.arange(prep.k1) if idx is None else idx
         mu[idx] = x
-        gap = _eval_point(prep, mu, lam0, sus=idx).secrecy - targets[idx]
+        gap = _eval_point(view, mu, lam0, sus=idx).secrecy - targets[idx]
         return gap < 0, (-below[idx] <= gap) & (gap <= above[idx]), gap
 
     # no secrecy at mu = 0: the residual there is -C_k without an auction
     lo, hi, f_lo, f_hi = bracket(probe, np.zeros(prep.k1), np.ones(prep.k1), 4.0,
                                  limit=4.0**40, f_lo=-targets)
-    bisect(probe, lo, hi, f_lo=f_lo, f_hi=f_hi, max_steps=rounds,
-           done=~want | (f_hi <= above))
+    done = ~want | (f_hi <= above)
+    view = prep.contested(np.where(done, 0.0, hi), lam0)
+    bisect(probe, lo, hi, f_lo=f_lo, f_hi=f_hi, max_steps=rounds, done=done)
     return np.where(want, mu, 0.0)
 
 
@@ -484,6 +557,24 @@ def _solve_lambda(prep, mu, eps, warm=None):
     """The power price at ``mu``: one scalar, or one per frame in peak mode."""
     search = _solve_lambda_peak if prep.config.mode == "peak" else _solve_lambda_avg
     return search(prep, mu, eps * prep.config.power / 4.0, warm)
+
+
+def _no_secrecy_price(prep, eps):
+    """The power price at ``mu = 0``, solved once per ensemble.
+
+    No SU bids at ``mu = 0``, so the price depends on the ensemble, K1,
+    the NU weights, the budget, the mode and ``eps``, not on the targets;
+    it is memoized on the ensemble under those keys.
+    """
+    cfg = prep.config
+    key = (cfg.mode, prep.k1, cfg.weights.tobytes(), cfg.power, eps)
+    lam = prep.price_memo.get(key)
+    if lam is None:
+        lam = _solve_lambda(prep, np.zeros(prep.k1), eps)
+        if isinstance(lam, np.ndarray):
+            lam.flags.writeable = False   # shared by every solve on the ensemble
+        prep.price_memo[key] = lam
+    return lam
 
 
 _OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"
@@ -511,7 +602,7 @@ def _dual_outer_loop(prep, eps):
             f"ensemble's unbounded-power limit {caps[k_bad]:.4g}"
         )
 
-    lam = _solve_lambda(prep, np.zeros(prep.k1), eps)
+    lam = _no_secrecy_price(prep, eps)
     mu = _initial_mu(prep, float(np.median(lam)), eps)
     lam = _solve_lambda(prep, mu, eps, lam)
     mu = _initial_mu(prep, float(np.median(lam)), eps)
@@ -608,7 +699,7 @@ def _finish(prep, ensemble, eps, mu, lam, iters, trace, converged, infeasible,
 def _infeasible_result(prep, ensemble, eps, message) -> SolveResult:
     """Diagnostic result: the no-secrecy allocation plus the failure note."""
     mu0 = np.zeros(prep.k1)
-    lam = _solve_lambda(prep, mu0, eps)
+    lam = _no_secrecy_price(prep, eps)
     st = _eval_point(prep, mu0, lam)
     return _result(
         prep, ensemble, mu0, lam, st.owner, st.p_win, iterations=0,

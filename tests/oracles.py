@@ -421,12 +421,14 @@ def looped_price(prep, mu, tol_power, lam_floor, warm=None, *, peak, rtol):
 
     The elements are the scalar price (average mode) or one price per
     frame (peak mode).  Every step makes one auction, at Python-float
-    prices, for the elements it moves: the floor, then the upward
-    bracket from ``2 * warm`` (cold: 1e-3) at every element's upper end,
-    one probe at ``warm / 2`` where that could lift a lower end, then
-    geometric bisection of the open elements.  An element stops within
-    ``tol_power`` of the budget or once its bracket is ``rtol`` wide.
-    Returns the scalar price, or the (T,) frame prices.
+    prices, for the elements it moves: the upward bracket from
+    ``2 * warm`` (cold: 1e-3) at every element's upper end, one probe at
+    ``warm / 2`` where that could lift a lower end, one at the floor for
+    the elements whose lower end is still there (an element that
+    underspends at the floor keeps it), then geometric bisection of the
+    open elements.  An element stops within ``tol_power`` of the budget
+    or once its bracket is ``rtol`` wide.  Returns the scalar price, or
+    the (T,) frame prices.
     """
     target = prep.config.power
     count = prep.t_count if peak else 1
@@ -441,10 +443,7 @@ def looped_price(prep, mu, tol_power, lam_floor, warm=None, *, peak, rtol):
             spend = [_eval_point(prep, mu, points[0]).power_mean]
         return [target - float(s) for s in spend]
 
-    at_floor = [r >= 0 for r in unspent([lam_floor] * count, every)]
     lo = [lam_floor] * count
-    if all(at_floor):
-        return np.array(lo) if peak else lam_floor
     warm = None if warm is None else [float(v) for v in np.atleast_1d(warm)]
     if warm is None:
         hi = [max(4.0 * lam_floor, 1e-3)] * count
@@ -459,7 +458,7 @@ def looped_price(prep, mu, tol_power, lam_floor, warm=None, *, peak, rtol):
                 lo[i], hi[i] = hi[i], hi[i] * 4.0
     else:
         raise RuntimeError("failed to bracket the power price")
-    done = [at_floor[i] or r_hi[i] <= tol_power for i in every]
+    done = [r_hi[i] <= tol_power for i in every]
     if warm is not None:
         half = [max(w / 2.0, lam_floor) for w in warm]
         lift = [i for i in every if half[i] > lo[i] and not done[i]]
@@ -467,6 +466,12 @@ def looped_price(prep, mu, tol_power, lam_floor, warm=None, *, peak, rtol):
             for i, r in zip(lift, unspent([half[i] for i in lift], lift)):
                 if r < 0:
                     lo[i] = half[i]
+    at_floor = [False] * count
+    unpriced = [i for i in every if lo[i] == lam_floor]
+    if unpriced:
+        for i, r in zip(unpriced, unspent([lam_floor] * len(unpriced), unpriced)):
+            at_floor[i] = r >= 0
+            done[i] = done[i] or at_floor[i]
     for _ in range(200):
         open_ = [i for i in every if not done[i]]
         if not open_:

@@ -101,6 +101,48 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
     assert all(per_trim.count(i) == 1 for i in set(per_trim))
 
 
+def test_screened_auctions_keep_their_stage_and_one_prepare_span(
+    tracer, monkeypatch,
+):
+    # the searches price views of the prepared ensemble, built without
+    # its constructor: a traced solve still opens one prepare span, and
+    # every auction on a view is a lambda or mu auction of its stage
+    from secure_ofdma import dual_solver
+
+    views = []
+    contested = dual_solver._Prepared.contested
+
+    def keep(self, mu, lam):
+        views.append(contested(self, mu, lam))
+        return views[-1]
+
+    on_view = []
+    eval_point = dual_solver._eval_point
+
+    def note(prep, *args, **kwargs):
+        on_view.append(any(prep is v for v in views))
+        return eval_point(prep, *args, **kwargs)
+
+    monkeypatch.setattr(dual_solver._Prepared, "contested", keep)
+    monkeypatch.setattr(dual_solver, "_eval_point", note)
+    cfg = make_config(n=16, k=4, k1=2, c=0.4, power=50.0)
+    ens = generate_ensemble(cfg, 40, seed=4)
+    spans = tracer.Tracer()
+    with spans.installed():
+        # looked up on the module, where the tracer rebinds them as roots
+        dual_solver.solve_average(ens, cfg)
+        dual_solver.solve_peak(ens, make_config(n=16, k=4, k1=2, c=0.4,
+                                                power=50.0, mode="peak"))
+    name = {s[0]: s[1] for s in spans.spans}
+    prepares = [s[5] for s in spans.spans if s[1] == "dual_solver.prepare"]
+    assert sorted(prepares) == [0, 1]
+    evals = [s for s in spans.spans if s[1] == "dual_solver.eval_point"]
+    assert len(evals) == len(on_view)
+    parents = [name[s[4]] for s, v in zip(evals, on_view) if v]
+    assert set(parents) == {"dual_solver.lambda_avg", "dual_solver.lambda_peak",
+                            "dual_solver.initial_mu"}
+
+
 def test_two_phase_solves_never_enter_the_dual_solver(tracer):
     # the twophase workload is the benchmark's bypass: a dual-solver
     # change must not move it, so its solvers may open no dual_solver span

@@ -126,6 +126,56 @@ def test_apply_policy_recovers_the_solves_primal():
     assert abs(r_nu - res.report.r_nu_total) <= eps * res.report.r_nu_total
 
 
+def assert_same_result(got, want):
+    """Two solve results equal field by field, every array bit for bit."""
+    for name in ("owner", "power", "rate"):
+        assert np.array_equal(getattr(got.decisions, name),
+                              getattr(want.decisions, name)), name
+    assert np.array_equal(got.duals.mu, want.duals.mu)
+    assert got.duals.lam == want.duals.lam
+    lam_got, lam_want = got.lambda_per_realization, want.lambda_per_realization
+    assert (lam_got is None) == (lam_want is None)
+    assert lam_got is None or np.array_equal(lam_got, lam_want)
+    assert got.report.to_dict() == want.report.to_dict()
+    for name in ("iterations", "converged", "infeasible", "dual_trace", "message"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.dual_value == want.dual_value or (
+        np.isnan(got.dual_value) and np.isnan(want.dual_value))
+
+
+def test_no_secrecy_price_is_memoized_per_ensemble_and_inputs():
+    # the price at mu = 0 is solved once per ensemble and input set; a
+    # solve that reads it equals a solve on a fresh copy of the ensemble,
+    # and solves that differ in P, mode, eps, K1 or the NU weights each
+    # get their own entry
+    base = dict(n=16, k=5, k1=2, c=0.3, power=60.0)
+    ens = generate_ensemble(make_config(**base), 60, seed=21)
+    variants = [
+        (make_config(**base), None),
+        (make_config(**base), SolverOptions(epsilon=0.05)),
+        (make_config(**{**base, "power": 90.0}), None),
+        (make_config(**{**base, "mode": "peak"}), None),
+        (make_config(**{**base, "k1": 3}), None),
+        (make_config(**base, omega=[1.0, 2.0, 0.5]), None),
+        # a target above every SU's limit takes the infeasible path
+        (make_config(**{**base, "c": 50.0}), None),
+    ]
+    for round_ in range(2):
+        for cfg, opts in variants:
+            solve = solve_peak if cfg.mode == "peak" else solve_average
+            # other targets: a hit on the entry their first solve made
+            if round_:
+                cfg = cfg.with_targets(cfg.secrecy_targets * 0.5)
+            got = solve(ens, cfg, opts)
+            fresh = ChannelEnsemble(alpha=np.array(ens.alpha), seed=ens.seed,
+                                    rho=ens.rho)
+            assert_same_result(got, solve(fresh, cfg, opts))
+        # the infeasible variant shares the first variant's inputs
+        assert len(ens.price_memo) == len(variants) - 1
+    peak = [lam for lam in ens.price_memo.values() if np.ndim(lam)]
+    assert len(peak) == 1 and not peak[0].flags.writeable
+
+
 class TestSolveAverage:
     def test_zero_targets_match_waterfilling_oracle(self):
         cfg = make_config(n=32, k=6, k1=2, c=0.0, power=200.0)

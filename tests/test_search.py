@@ -370,6 +370,68 @@ def test_narrow_probes_and_idle_sus_price_as_the_whole_auction(
             _eval_point(prep, mu, lam[frames], frames=frames, sus=np.arange(k1))
 
 
+@given(
+    k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 8), t=st.integers(1, 6),
+    weights=st.sampled_from(["unit", "distinct", "repeated"]),
+    lam_kind=st.sampled_from(["scalar", "vector"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_contested_view_prices_as_the_whole_auction_below_its_prices(
+    k, k1_frac, n, t, weights, lam_kind, seed,
+):
+    # the screen is safe: at any power price at or below the one it was
+    # built at, or any secrecy price at or below its own, the view keeps
+    # every column an SU can win, so the spend and the secrecy it prices
+    # are the whole auction's bit for bit
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    prep = _Prepared(*random_instance(rng, k, k1, n, t, False, 20.0, weights))
+    # prices over many decades, so some SU payoffs come near their bound
+    mu_hi = np.exp(rng.uniform(-3.0, 7.0, size=k1)) * (rng.random(k1) < 0.8)
+    lam_hi = np.exp(rng.uniform(-12.0, 1.0, size=t if lam_kind == "vector" else None))
+    view = prep.contested(mu_hi, lam_hi)
+    assert view.su_k.size <= prep.su_k.size
+
+    floor = dual_solver._LAMBDA_FLOOR
+    below = lam_hi * np.exp(-rng.uniform(0.0, 8.0, size=(4, *np.shape(lam_hi))))
+    for lam in (lam_hi, *below, np.full(np.shape(lam_hi), floor)):
+        lam = float(lam) if lam_kind == "scalar" else lam
+        whole, got = _eval_point(prep, mu_hi, lam), _eval_point(view, mu_hi, lam)
+        for name in ("power_mean", "power_t", "p_win", "owner", "secrecy"):
+            assert np.array_equal(getattr(got, name), getattr(whole, name)), name
+        if lam_kind == "vector":
+            frames = np.sort(rng.choice(t, rng.integers(1, t + 1), replace=False))
+            narrow = _eval_point(view, mu_hi, lam[frames], frames=frames)
+            assert np.array_equal(narrow.power_t, whole.power_t[frames])
+
+    # the calibration's screen, at one fixed scalar price
+    lam0 = float(np.median(lam_hi))
+    view = prep.contested(mu_hi, lam0)
+    for mu in (mu_hi, *(mu_hi * rng.uniform(0.0, 1.0, size=(3, k1)))):
+        whole = _eval_point(prep, mu, lam0).secrecy
+        for size in range(1, k1 + 1):
+            subset = np.sort(rng.choice(k1, size, replace=False))
+            got = _eval_point(view, mu, lam0, sus=subset).secrecy
+            assert np.array_equal(got, whole[subset])
+
+
+def test_contested_view_drops_columns_at_a_solves_prices():
+    # at the converged prices of a headline-size solve the screen rules
+    # out most SU-max columns; a higher power price (a lower NU payoff)
+    # or a higher secrecy price keeps more
+    cfg = make_config(c=1.2)
+    ens = generate_ensemble(cfg, 100, seed=12)
+    res = dual_solver.solve_average(ens, cfg)
+    prep = _Prepared(ens, cfg)
+    mu, lam = res.duals.mu, res.duals.lam
+    kept = prep.contested(mu, lam).su_k.size
+    assert 0 < kept < 0.5 * prep.su_k.size
+    assert prep.contested(mu, 4 * lam).su_k.size > kept
+    assert prep.contested(4 * mu, lam).su_k.size > kept
+
+
 class TestStagesMatchLoops:
     """Each stage against the plain loop it must reproduce.
 
@@ -661,8 +723,9 @@ def test_a_warm_start_that_overspends_probes_nothing_below_it(mode):
         assert overspent.power_mean > cfg.power
     with recorded_auctions() as log:
         search(prep, mu, tol, warm)
-    (_, first, _), *rest = log["lib"]
-    assert np.all(first == dual_solver._LAMBDA_FLOOR)   # the floor settles no element here
-    for _, probe, kw in rest:
+    # every lower end moves off the floor in the bracket, so the floor is
+    # never probed
+    assert log["lib"]
+    for _, probe, kw in log["lib"]:
         frames = kw.get("frames")
         assert np.all(probe >= 2.0 * (warm if frames is None else warm[frames]))
