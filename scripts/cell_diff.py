@@ -1,0 +1,99 @@
+"""Compare every benchmark cell of two checkouts, field by field.
+
+    python scripts/cell_diff.py PARENT CHANGE [--seeds 1 2] [--frames N] [--out FILE]
+
+Each checkout runs the three ``perfbench/workloads.py`` workloads in a
+subprocess on its own ``src/``.  Cells are compared on their owners and
+powers (by digest), prices, dual trace, iterations, flags, message, R_NU
+and per-SU secrecy.  Each differing cell is printed with the largest
+change of each numeric field, and ``--out`` gets a JSON summary.  Exits 1
+when a cell differs.
+"""
+
+import argparse
+import json
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CHILD = r"""
+import hashlib, pickle, sys, tempfile
+from pathlib import Path
+root, out, frames, seeds = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import numpy as np
+import workloads
+
+def fields(r):
+    digest = lambda a: hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
+    return {"owner": digest(r.decisions.owner), "power": digest(r.decisions.power),
+            "mu": r.duals.mu, "lam": r.duals.lam, "frame_prices": r.lambda_per_realization,
+            "dual_trace": np.asarray(r.dual_trace, float), "iterations": r.iterations,
+            "converged": r.converged, "infeasible": r.infeasible, "message": r.message,
+            "r_nu": r.report.r_nu_total, "r_su": r.report.r_su}
+
+cells = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, w in workloads.WORKLOADS.items():
+        for seed in map(int, seeds):
+            ens = workloads.make_inputs(w, seed, frames or None)
+            for c in workloads.run_workload(name, ens, Path(tmp))[1]:
+                key = f"{name} seed={seed} ens={c.ensemble_index} {c.label}"
+                cells[key] = {"error": c.error, **(fields(c.result) if c.result else {})}
+Path(out).write_bytes(pickle.dumps(cells))
+"""
+
+
+def change(a, b):
+    """``None`` when equal; else the largest numeric change, or ``"differs"``."""
+    try:
+        if np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True):
+            return None
+        return float(np.max(np.abs(np.subtract(a, b, dtype=float))))
+    except (TypeError, ValueError):   # a digest, message, error or None
+        same = a is b or isinstance(a, str) and isinstance(b, str) and a == b
+        return None if same else "differs"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--frames", type=int, default=0, help="0: each workload's own")
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+    sides = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, root in enumerate((args.parent, args.change)):
+            out = Path(tmp) / f"{i}.pkl"
+            subprocess.run([sys.executable, "-c", CHILD, str(Path(root).resolve()),
+                            str(out), str(args.frames), *map(str, args.seeds)], check=True)
+            sides.append(pickle.loads(out.read_bytes()))
+    old, new = sides
+    diffs, counts = [], {}
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key, {}), new.get(key, {})
+        moved = {f: change(a.get(f), b.get(f)) for f in sorted(a.keys() | b.keys())}
+        moved = {f: d for f, d in moved.items() if d is not None}
+        tally = counts.setdefault(key.split()[0], {"cells": 0, "differing": 0})
+        tally["cells"] += 1
+        if moved:
+            tally["differing"] += 1
+            diffs.append({"cell": key, "fields": moved})
+            print(key, json.dumps(moved))
+    print(json.dumps(counts))
+    if args.out:
+        Path(args.out).write_text(json.dumps(
+            {"parent": args.parent, "change": args.change, "seeds": args.seeds,
+             "frames": args.frames or "workload default", "workloads": counts,
+             "differing": diffs}, indent=1) + "\n")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

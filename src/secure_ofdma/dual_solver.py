@@ -51,7 +51,7 @@ from ._search import (
 from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
-from .evaluate import evaluate
+from .evaluate import solve_result, unmet
 from .rates import DualState, _h_su_core, _NuCandidates, _su_terms
 
 _STEP_SCALE = 0.5      # 'a' in the a/sqrt(t) subgradient step on mu
@@ -70,12 +70,12 @@ class _Prepared:
     holds the column maximum, so the SU side keeps just those columns:
     ``su_idx`` (flat t*N + n index), ``su_t``, ``su_k`` (the SU), and in
     the rows of ``su_cols`` their top two CNRs and the price-free terms of
-    the SU closed form; ``su_nu`` holds the NU candidates of those columns
-    alone.  On the NU side only the strongest NU of each weight class can
-    win, so ``nu`` keeps one candidate per class and column; its
-    (T, G, N) arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``,
-    the names of the full per-NU caches they replace.  ``contested``
-    narrows the SU side further, to a view for a search's later probes.
+    the SU closed form.  On the NU side only the strongest NU of each
+    weight class can win, so ``nu`` keeps one candidate per class and
+    column; its (T, G, N) arrays are also exposed as ``ln_wa`` and
+    ``inv_alpha_nu``, the names of the full per-NU caches they replace.
+    ``contested`` narrows the SU side further, to a view for a search's
+    later probes.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -85,11 +85,10 @@ class _Prepared:
         self.t_count, _, self.n = alpha.shape
         self.k1 = config.n_secure
         self.nu1, self.nu2, self.kmax = ensemble.order_stats
-        self.is_su_col = self.kmax < self.k1
         self.su_idx, su_k, su_nu1, su_nu2 = ensemble.su_columns(self.k1)
         # an index array of the platform's width gathers without a cast
         self.su_k = su_k.astype(np.intp)
-        self.su_t, su_n = np.divmod(self.su_idx, self.n)
+        self.su_t = self.su_idx // self.n
         self.su_cols = np.stack([su_nu1, su_nu2, *_su_terms(su_nu1, su_nu2)])
         # an SU's payoff on a column stays below mu_k * ln(nu1/nu2)
         self.su_ln_ratio = np.log(su_nu1 / su_nu2)
@@ -98,11 +97,13 @@ class _Prepared:
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
         self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
         self.nu = _NuCandidates(alpha[:, self.k1:, :], config.weights)
-        self.su_nu = self.nu.columns(self.su_t, su_n)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
         self.price_memo = ensemble.price_memo
         self._su_nu_paid = None   # (scalar price, NU payoff on the su_* columns)
+
+    # the (T, N) SU-max column mask: only the tracer reads it, so built on demand
+    is_su_col = cached_property(lambda self: self.kmax < self.k1)
 
     def su_in_frames(self, frames):
         """The SU-max columns of ascending ``frames``.
@@ -120,14 +121,15 @@ class _Prepared:
         """The NU payoff on the SU-max columns at ``lam``.
 
         ``lam`` is a scalar, whose payoff is kept for the next call at the
-        same price, or one price per frame.
+        same price, or one price per frame.  The NU auction is priced on
+        every column and read at ``su_idx``.
         """
         if np.ndim(lam):
-            lam_c = np.asarray(lam, float)[self.su_t][:, None, None]
-            return self.su_nu.auction(np.log(lam_c), lam_c)[0][:, 0]
+            lam_t = np.asarray(lam, float)[:, None, None]
+            return self.nu.auction(np.log(lam_t), lam_t)[0].ravel()[self.su_idx]
         lam = float(lam)
         if self._su_nu_paid is None or self._su_nu_paid[0] != lam:
-            h = self.su_nu.auction(math.log(lam), lam)[0][:, 0]
+            h = self.nu.auction(math.log(lam), lam)[0].ravel()[self.su_idx]
             self._su_nu_paid = lam, h
         return self._su_nu_paid[1]
 
@@ -153,8 +155,6 @@ class _Prepared:
             a.take(at) for a in (self.su_idx, self.su_k, self.su_t, self.su_ln_ratio))
         view.su_cols = self.su_cols.take(at, axis=1)
         view.su_ptr = np.searchsorted(view.su_t, np.arange(self.t_count + 1))
-        # su_nu holds each column as a frame of one: its rows are (at, 0)
-        view.su_nu = self.su_nu.columns(at, 0)
         if self._su_nu_paid is not None:
             view._su_nu_paid = self._su_nu_paid[0], self._su_nu_paid[1].take(at)
         return view
@@ -176,7 +176,8 @@ class _Auction:
     Two narrow probes price less.  ``frames`` (ascending, one price in
     ``lam`` each) prices just those frames' ``power_t``.  ``sus``
     (ascending SU indices, one scalar price) prices just those SUs'
-    columns, the NU payoff only there, and reads ``secrecy[sus]`` alone.
+    columns against ``su_nu_payoff``, which it shares with every probe at
+    the same price, and reads ``secrecy[sus]`` alone.
     Reading anything a narrow probe did not price raises ValueError.
     """
 
@@ -536,23 +537,6 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     return np.where(want, mu, 0.0)
 
 
-def _converged_mu(dmu, secrecy, cfg, eps) -> bool:
-    tol = eps * np.maximum(cfg.secrecy_targets, 1.0)
-    if np.any(np.abs(dmu) > tol):
-        return False
-    return bool(np.all(secrecy >= cfg.secrecy_targets * (1.0 - eps)))
-
-
-def _power_side_ok(lam, st, cfg, eps) -> bool:
-    """Budget met within tolerance, or underspent with the price at its floor."""
-    if cfg.mode == "peak":
-        # bisection leaves every frame at the budget or at the floor
-        return bool(np.all(st.power_t <= cfg.power * (1 + eps)))
-    if lam <= 1.001 * _LAMBDA_FLOOR:
-        return st.power_mean <= cfg.power * (1 + eps)
-    return abs(cfg.power - st.power_mean) <= eps * cfg.power
-
-
 def _solve_lambda(prep, mu, eps, warm=None):
     """The power price at ``mu``: one scalar, or one per frame in peak mode."""
     search = _solve_lambda_peak if prep.config.mode == "peak" else _solve_lambda_avg
@@ -587,8 +571,10 @@ def _dual_outer_loop(prep, eps):
     calibrate again.  Each iterate solves the power side of the dual
     exactly, warm-started from the last price, then is evaluated, scored
     and tested, and ``mu`` takes a projected subgradient step scaled by
-    the larger of itself and the (median) power price.  An unconverged
-    exit says why in its message.
+    the larger of itself and the (median) power price.  It stops once
+    ``unmet`` passes the auction and, in average mode, the mean spend is
+    within ``eps * P`` of the budget or the price is at the floor; an
+    earlier exit says why in its message.
     """
     cfg = prep.config
     targets = cfg.secrecy_targets
@@ -609,7 +595,7 @@ def _dual_outer_loop(prep, eps):
 
     trace = []
     best = None
-    converged = infeasible = False
+    infeasible = False
     message = _OUT_OF_ITERATIONS.format(_MAX_ITERATIONS)
     stall = 0
     stall_limit = 150
@@ -620,9 +606,10 @@ def _dual_outer_loop(prep, eps):
         g = st.secrecy - targets  # subgradient of the reduced dual
         viol = np.maximum(targets * (1 - eps) - st.secrecy, 0.0)
         score = float(viol.max())
-        converged = _converged_mu(g, st.secrecy, cfg, eps) and _power_side_ok(
-            lam, st, cfg, eps
-        )
+        # bisection leaves every peak frame at the budget or at the floor
+        converged = unmet(st.secrecy, st.power_t, cfg, eps) == "" and (
+            cfg.mode == "peak" or lam <= 1.001 * _LAMBDA_FLOOR
+            or abs(cfg.power - st.power_mean) <= eps * cfg.power)
         if converged or best is None or score < best[0] - 1e-15 or (
             score <= best[0] + 1e-15 and st.r_nu_total > best[4]
         ):
@@ -639,19 +626,15 @@ def _dual_outer_loop(prep, eps):
         if over_ceiling.any():
             k_bad = int(np.flatnonzero(over_ceiling)[0])
             infeasible = True
-            message = (
-                f"multiplier for SU {k_bad} exceeded the ceiling with its "
-                f"secrecy constraint still violated"
-            )
+            message = (f"multiplier for SU {k_bad} exceeded the ceiling with its "
+                       "secrecy constraint still violated")
             break
 
         if stall >= stall_limit:
             # finite-ensemble granularity: the achievable secrecy values
             # jump across the tolerance window, no point grinding on
-            message = (
-                f"stalled: the secrecy violation did not improve in "
-                f"{stall_limit} iterations"
-            )
+            message = ("stalled: the secrecy violation did not improve in "
+                       f"{stall_limit} iterations")
             break
 
         step = _STEP_SCALE / math.sqrt(t)
@@ -662,7 +645,7 @@ def _dual_outer_loop(prep, eps):
 
     # the loop evaluates at least one iterate, so best is always set
     _, mu_best, lam_best, iters, _ = best
-    return (mu_best, lam_best, iters, trace, converged, infeasible, message), ""
+    return (mu_best, lam_best, iters, trace, infeasible, message), ""
 
 
 def _primal(prep, mu, lam):
@@ -676,24 +659,14 @@ def _primal(prep, mu, lam):
     return owner, p_win
 
 
-def _finish(prep, ensemble, eps, mu, lam, iters, trace, converged, infeasible,
-            message):
-    cfg = prep.config
+def _finish(prep, ensemble, eps, mu, lam, iters, trace, infeasible, message):
+    """The recovered primal at the loop's best prices, judged by ``unmet``."""
     owner, p_win = _primal(prep, mu, lam)
-    res = _result(
-        prep, ensemble, mu, lam, owner, p_win, iterations=iters,
-        converged=converged, infeasible=infeasible,
-        dual_value=float(np.min(trace)) if trace else np.nan,
-        dual_trace=trace, message=message,
+    return solve_result(
+        owner, p_win, ensemble, prep.config, eps, mu, lam, infeasible=infeasible,
+        message=message, iterations=iters, dual_value=float(np.min(trace)),
+        dual_trace=trace,
     )
-    if cfg.mode == "peak" and not converged and not infeasible:
-        # granularity can block the dual loop's tolerance test while the
-        # recovered primal still meets every constraint; judge the output
-        r_su = res.report.r_su
-        sec_ok = _converged_mu(r_su - cfg.secrecy_targets, r_su, cfg, eps)
-        if sec_ok and res.report.avg_power <= cfg.power * (1 + eps):
-            res.converged, res.message = True, ""
-    return res
 
 
 def _infeasible_result(prep, ensemble, eps, message) -> SolveResult:
@@ -701,23 +674,10 @@ def _infeasible_result(prep, ensemble, eps, message) -> SolveResult:
     mu0 = np.zeros(prep.k1)
     lam = _no_secrecy_price(prep, eps)
     st = _eval_point(prep, mu0, lam)
-    return _result(
-        prep, ensemble, mu0, lam, st.owner, st.p_win, iterations=0,
-        converged=False, infeasible=True, dual_value=st.dual_value,
-        dual_trace=[st.dual_value], message=message,
-    )
-
-
-def _result(prep, ensemble, mu, lam, owner, p_win, **fields) -> SolveResult:
-    """An allocation packaged with its evaluated report and its prices."""
-    lam_arr = np.asarray(lam, float)
-    decisions = decisions_from_arrays(owner, p_win, ensemble, prep.config)
-    return SolveResult(
-        duals=DualState(mu=mu, lam=float(lam_arr) if lam_arr.ndim == 0 else None),
-        report=evaluate(decisions, ensemble, prep.config),
-        decisions=decisions,
-        lambda_per_realization=lam_arr.copy() if lam_arr.ndim == 1 else None,
-        **fields,
+    return solve_result(
+        st.owner, st.p_win, ensemble, prep.config, eps, mu0, lam, infeasible=True,
+        message=message, iterations=0, dual_value=st.dual_value,
+        dual_trace=[st.dual_value],
     )
 
 

@@ -1,4 +1,5 @@
-"""Ensemble-average evaluation of allocation policies."""
+"""Ensemble-average evaluation of allocation policies, and the one verdict
+every solver's result is judged by."""
 
 from __future__ import annotations
 
@@ -6,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Allocation
+from .allocation import Allocation, SolveResult, decisions_from_arrays
 from .channel import ChannelEnsemble
 from .config import ProblemConfig
+from .rates import DualState
 
 
 @dataclass
@@ -62,4 +64,52 @@ def evaluate(
         su_power=float(power[su].sum()) / t_count,
         su_subcarriers=int(su.sum()) / t_count,
         realizations_used=t_count,
+    )
+
+
+def unmet(secrecy, power, config: ProblemConfig, eps: float) -> str:
+    """The first constraint that ``secrecy`` and ``power`` break, or ``""``.
+
+    SU k's average secrecy must lie within ``eps * max(C_k, 1)`` of its
+    target and at or above ``C_k (1 - eps)``.  ``power`` holds the (T,)
+    frame spends: their mean, in average mode, or each frame, in peak
+    mode, must stay at or below ``P (1 + eps)``.  Each test fails on NaN.
+    """
+    targets = config.secrecy_targets
+    missed = ~((np.abs(secrecy - targets) <= eps * np.maximum(targets, 1.0))
+               & (secrecy >= targets * (1.0 - eps)))
+    if missed.any():
+        k = int(np.argmax(missed))
+        return (f"SU {k} secrecy {secrecy[k]:.6g} is outside the eps={eps:g} "
+                f"band around its target {targets[k]:.6g}")
+    peak = config.mode == "peak"
+    spend = np.asarray(power, float) if peak else np.array([np.mean(power)])
+    over = ~(spend <= config.power * (1.0 + eps))
+    if over.any():
+        t = int(np.argmax(over))
+        return (f"{f'frame {t}' if peak else 'the mean'} spends {spend[t]:.6g}, "
+                f"over the budget {config.power:.6g}")
+    return ""
+
+
+def solve_result(owner, power, ensemble: ChannelEnsemble, config: ProblemConfig,
+                 eps: float, mu, lam, *, infeasible: bool, message: str,
+                 **fields) -> SolveResult:
+    """The (T, N) allocation ``(owner, power)`` at prices ``(mu, lam)``, judged.
+
+    It is converged when not ``infeasible`` and nothing is ``unmet``; else
+    it keeps the solver's ``message``, or says what is unmet.  ``lam`` is a
+    scalar, one price per frame, or ``None``.  ``fields`` go to ``SolveResult``.
+    """
+    allocation = decisions_from_arrays(owner, power, ensemble, config)
+    report = evaluate(allocation, ensemble, config)
+    verdict = unmet(report.r_su, allocation.power.sum(axis=1), config, eps)
+    converged = not infeasible and verdict == ""
+    per_frame = np.ndim(lam) == 1
+    return SolveResult(
+        duals=DualState(mu=mu, lam=None if per_frame or lam is None else float(lam)),
+        report=report, decisions=allocation,
+        lambda_per_realization=np.array(lam, float) if per_frame else None,
+        converged=converged, infeasible=infeasible,
+        message="" if converged else message or verdict, **fields,
     )

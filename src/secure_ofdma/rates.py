@@ -214,18 +214,6 @@ class _NuCandidates:
         g = np.argmax(h, axis=1)
         return self.take(h, g), g
 
-    def columns(self, t, n):
-        """The bids on the columns ``(t[i], n[i])``, each as a frame of one.
-
-        Its ``ln_wa`` and ``inv_alpha`` have shape (M, G, 1), so ``rows``
-        picks columns; it keeps no ``index``, since it only prices.
-        """
-        out = object.__new__(_NuCandidates)
-        out.weights, out.index = self.weights, None
-        out.ln_wa, out.inv_alpha = (a[t, :, n][:, :, None]
-                                    for a in (self.ln_wa, self.inv_alpha))
-        return out
-
     def take(self, arr, g, rows=slice(None)):
         """The (T', N) slice of a (T, G, N) candidate array at classes ``g``."""
         if g is None:

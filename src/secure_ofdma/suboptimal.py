@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import search_threshold, threshold_stats, water_level
-from .allocation import SolveResult, decisions_from_arrays
+from .allocation import SolveResult
 from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
 from .config import ProblemConfig, SolverOptions
-from .evaluate import evaluate
-from .rates import DualState, _NuCandidates
+from .evaluate import solve_result
+from .rates import _NuCandidates
 
 # a backstop on the NU level solves: unequal weights' winners repeat in a few
 _MAX_LEVEL_ROUNDS = 50
@@ -202,28 +202,20 @@ def nu_phase(
     )
 
 
-def _assemble_result(ensemble, config, thresholds, su_owner, su_p, nu_rep,
-                     level, iterations, converged, infeasible, message):
-    """The SU phase's (T, N) owners and powers merged with the NU phase's."""
+def _assemble_result(ensemble, config, eps, thresholds, su_owner, su_p, nu_rep,
+                     level, iterations, infeasible, message=""):
+    """The SU phase's (T, N) owners and powers merged with the NU phase's, judged."""
     k1 = config.n_secure
     nu_cols = nu_rep.owner_nu >= 0
     owner = np.where(nu_cols, k1 + nu_rep.owner_nu, su_owner)
     p_win = np.where(nu_cols, nu_rep.power_nu, su_p)
-
-    decisions = decisions_from_arrays(owner, p_win, ensemble, config)
     lam = 1.0 / level if level > 0 else None
     mu = np.zeros(k1)
     finite = np.isfinite(thresholds) & (thresholds > 0)
     mu[finite] = (lam if lam is not None else 1.0) / thresholds[finite]
-    return SolveResult(
-        duals=DualState(mu=mu, lam=lam),
-        report=evaluate(decisions, ensemble, config),
-        decisions=decisions,
-        iterations=int(iterations),
-        converged=converged,
-        infeasible=infeasible,
-        message=message,
-    )
+    return solve_result(owner, p_win, ensemble, config, eps, mu, lam,
+                        infeasible=infeasible, message=message,
+                        iterations=int(iterations))
 
 
 def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
@@ -240,9 +232,8 @@ def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
         idle = _idle_nu(config, ensemble.count, False)
         # every column free: the idle NU phase's arrays serve the SUs too
         return _assemble_result(
-            ensemble, config, np.full(config.n_secure, np.inf), idle.owner_nu,
-            idle.power_nu, idle, 0.0, 0, converged=False, infeasible=True,
-            message=f"{prefix}{err}",
+            ensemble, config, eps, np.full(config.n_secure, np.inf), idle.owner_nu,
+            idle.power_nu, idle, 0.0, 0, infeasible=True, message=f"{prefix}{err}",
         )
 
     residual = config.power - p_su
@@ -251,23 +242,16 @@ def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
 
     if nu_rep.budget_exhausted:
         return _assemble_result(
-            ensemble, config, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
-            0.0, iterations, converged=False, infeasible=True,
-            message=(
+            ensemble, config, eps, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
+            0.0, iterations, infeasible=True, message=(
                 f"{prefix}secrecy targets consume {p_su:.4g} of the "
                 f"{config.power:.4g} power budget; nothing left for normal users"
             ),
         )
 
-    targets = config.secrecy_targets
-    secrecy_ok = np.all(
-        (targets <= 0) | (np.abs(su_rep.secrecy - targets) <= eps * np.maximum(targets, 1e-300))
-    )
-    power_ok = abs(p_su + nu_rep.power - config.power) < eps * config.power
     return _assemble_result(
-        ensemble, config, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
-        level, iterations, converged=bool(secrecy_ok and power_ok),
-        infeasible=False, message="",
+        ensemble, config, eps, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
+        level, iterations, infeasible=False,
     )
 
 

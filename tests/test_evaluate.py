@@ -1,21 +1,25 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secure_ofdma import evaluate, generate_ensemble, secrecy_rate, info_rate
+from secure_ofdma import dual_solver, evaluate, generate_ensemble, secrecy_rate, info_rate
+from secure_ofdma import SolverOptions, solve_average, solve_peak, solve_suboptimal
+from secure_ofdma.baselines import SCHEMES, fsa_partition, solve_fsa
 from secure_ofdma.allocation import (
     AllocationDecision,
     decisions_from_arrays,
     validate_exclusivity,
 )
 from secure_ofdma.channel import ChannelEnsemble, column_order_stats
-from secure_ofdma.evaluate import EvaluationReport
+from secure_ofdma.evaluate import EvaluationReport, solve_result, unmet
 
 from conftest import make_config
 from oracles import per_frame_decisions, per_frame_evaluate
+from test_search import random_instance
 
 
 def _random_arrays(rng, t, k, n):
@@ -224,3 +228,78 @@ def test_matches_per_frame_oracle(k, k1_frac, n, t, unequal, free, zero_power,
             getattr(rep, field.name), getattr(ref_rep, field.name),
             rtol=1e-12, atol=0, err_msg=field.name,
         )
+
+
+def _judged(owner, power, c=0.0, cap=10.0, mode="average", **kw):
+    """``solve_result`` on a hand-built 2-frame allocation; SU 0 leads column 0."""
+    cfg = make_config(n=2, k=3, k1=1, c=c, power=cap, mode=mode)
+    alpha = np.tile(np.array([[4.0, 0.5], [1.0, 1.0], [0.5, 2.0]]), (2, 1, 1))
+    ens = ChannelEnsemble(alpha=alpha, seed=0, rho=1.0)
+    kw = {"infeasible": False, "message": "", **kw}
+    return cfg, solve_result(np.array(owner), np.array(power, float), ens, cfg, 1e-2,
+                             np.zeros(1), 1.0, iterations=0, **kw)
+
+
+def test_solve_result_judges_the_allocation_it_returns():
+    # SU 0 owns column 0 in both frames; user 2 (an NU) owns column 1
+    owner, power = [[0, 2], [0, 2]], [[1.0, 2.0], [1.0, 2.0]]
+    cfg, res = _judged(owner, power, c=np.log(5 / 2))
+    assert res.converged and res.message == "" and res.duals.lam == 1.0
+    # a stopped solver's note goes when its allocation meets every constraint
+    assert _judged(owner, power, c=np.log(5 / 2), message="stalled")[1].converged
+    _, res = _judged(owner, power, c=1.2, message="")
+    assert not res.converged and res.message.startswith("SU 0 secrecy 0.916")
+    # a solver's own message wins over the verdict's
+    assert _judged(owner, power, c=1.2, message="stalled")[1].message == "stalled"
+    _, res = _judged(owner, power, infeasible=True, message="out of reach")
+    assert not res.converged and res.infeasible and res.message == "out of reach"
+
+
+def test_solve_result_judges_each_peak_frame():
+    owner = [[1, 2], [1, 2]]
+    power = [[4.0, 5.0], [4.0, 7.0]]   # frame 1 spends 11 > 10 * (1 + 1e-2)
+    _, res = _judged(owner, power, mode="peak")
+    assert not res.converged and res.message.startswith("frame 1 spends 11")
+    # the mean of 10 meets the average budget
+    assert _judged(owner, power)[1].converged
+
+
+def test_unmet_fails_on_nan():
+    cfg = make_config(n=2, k=3, k1=2, c=0.5, power=10.0, mode="peak")
+    assert unmet(np.array([0.5, 0.5]), np.full(3, 10.0), cfg, 1e-2) == ""
+    assert unmet(np.array([0.5, np.nan]), np.full(3, 10.0), cfg, 1e-2).startswith(
+        "SU 1 secrecy nan")
+    assert unmet(np.array([0.5, 0.5]), np.array([1.0, np.nan, 1.0]), cfg,
+                 1e-2).startswith("frame 1 spends nan")
+    avg = dataclasses.replace(cfg, mode="average")
+    assert unmet(np.array([0.5, 0.5]), np.array([1.0, np.nan]), avg,
+                 1e-2).startswith("the mean spends nan")
+
+
+@given(
+    k=st.integers(2, 5), k1_frac=st.floats(0.0, 1.0), n=st.integers(1, 8),
+    t=st.integers(1, 6), zero_target=st.booleans(),
+    weights=st.sampled_from(["unit", "distinct", "repeated"]),
+    eps=st.sampled_from([1e-2, 1e-3, 1e-7]), seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_solver_reports_the_one_verdict(k, k1_frac, n, t, zero_target, weights,
+                                              eps, seed):
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    ens, peak = random_instance(rng, k, k1, n, t, zero_target, 20.0, weights)
+    avg, opts = dataclasses.replace(peak, mode="average"), SolverOptions(epsilon=eps)
+    # a short loop leaves some dual solves unconverged
+    with mock.patch.object(dual_solver, "_MAX_ITERATIONS", 3):
+        runs = [(peak, solve_peak(ens, peak, opts)), (avg, solve_average(ens, avg, opts))]
+    runs.append((avg, solve_suboptimal(ens, avg, opts)))
+    for scheme in SCHEMES:
+        try:
+            fsa_partition(scheme, avg)
+        except ValueError:
+            continue   # the blocks do not come out whole for this config
+        runs.append((avg, solve_fsa(ens, avg, scheme, opts)))
+    for cfg, res in runs:
+        verdict = unmet(res.report.r_su, res.decisions.power.sum(axis=1), cfg, eps)
+        assert res.converged == (not res.infeasible and verdict == "")
+        assert res.converged or res.message

@@ -1,3 +1,4 @@
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -21,3 +22,16 @@ def test_feasibility_map_prints_the_bound_table(monkeypatch, capsys):
         for cell, k in zip(cells[1:], (2, 4)):
             assert float(cell) == pytest.approx(secrecy_rate_upper_bound(n, k), abs=5e-5)
     assert "independent of the fading mean" in lines[-1]
+
+
+def test_cell_diff_finds_no_difference_between_a_checkout_and_itself(tmp_path, capsys):
+    root = str(SCRIPTS.parent)
+    main = runpy.run_path(str(SCRIPTS / "cell_diff.py"))["main"]
+    out = tmp_path / "verdict.json"
+    # 100 frames keep every dual solve short; 10 frames run the loop for seconds
+    assert main([root, root, "--seeds", "1", "--frames", "100", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["differing"] == []
+    assert {name: w["cells"] for name, w in summary["workloads"].items()} == {
+        "sweep_avg": 24, "peak_cold": 16, "twophase": 60}
+    assert capsys.readouterr().out.splitlines() == [json.dumps(summary["workloads"])]
