@@ -12,7 +12,8 @@ prefix-stable when the count grows, and safe to parallelize.
 Both solver families read the per-subcarrier order statistics from
 here: an ensemble's ``alpha`` is read-only, so ``ensemble.order_stats``
 is computed once per ensemble, ``ensemble.su_columns(k1)`` are the
-columns an SU can win, and ``secrecy_limit`` its cap on them.
+columns an SU can win, ``secrecy_limit`` its cap on them, and
+``check_reachable`` the one test of the targets against that cap.
 """
 
 from __future__ import annotations
@@ -160,6 +161,26 @@ def secrecy_limit(nu1, nu2, su, k1: int, t_count: int) -> np.ndarray:
     """
     pos = nu1 > nu2
     return np.bincount(su[pos], np.log(nu1[pos] / nu2[pos]), minlength=k1) / t_count
+
+
+class SecrecyInfeasibleError(RuntimeError):
+    """A secrecy target at or above its SU's unbounded-power limit."""
+
+    def __init__(self, su_index: int, achievable: float, target: float):
+        self.su_index, self.achievable, self.target = su_index, achievable, target
+        super().__init__(
+            f"SU {su_index}: secrecy target {target:.4g} is not below the "
+            f"ensemble's unbounded-power limit {achievable:.4g}"
+        )
+
+
+def check_reachable(targets, limit) -> None:
+    """Raise ``SecrecyInfeasibleError`` for the first SU with 0 < C_k >= limit_k:
+    the rate reaches ``secrecy_limit`` only at unbounded power."""
+    out = np.flatnonzero((targets > 0) & (targets >= limit))
+    if out.size:
+        k = out[0]
+        raise SecrecyInfeasibleError(int(k), float(limit[k]), float(targets[k]))
 
 
 def _encode(ensemble: ChannelEnsemble):

@@ -49,7 +49,8 @@ from ._search import (
     _probe_open, bisect, bracket, search_threshold, threshold_stats, water_level,
 )
 from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
-from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
+from .channel import (ChannelEnsemble, SecrecyInfeasibleError, check_dimensions,
+                      check_reachable, secrecy_limit)
 from .config import ProblemConfig, SolverOptions
 from .evaluate import solve_result, unmet
 from .rates import DualState, _h_su_core, _NuCandidates, _su_terms
@@ -574,19 +575,17 @@ def _dual_outer_loop(prep, eps):
     the larger of itself and the (median) power price.  It stops once
     ``unmet`` passes the auction and, in average mode, the mean spend is
     within ``eps * P`` of the budget or the price is at the floor; an
-    earlier exit says why in its message.
+    earlier exit says why in its message.  Returns ``(mu, lam, iterations,
+    trace, message)`` at the best iterate, or ``mu = None`` on an
+    infeasible exit: after 0 iterations when ``check_reachable`` rejects a
+    target, or when a violated SU's multiplier passes ``_MU_CEILING``.
     """
     cfg = prep.config
     targets = cfg.secrecy_targets
-
-    caps = prep.su_caps
-    hopeless = (targets > 0) & (targets >= caps)
-    if hopeless.any():
-        k_bad = int(np.flatnonzero(hopeless)[0])
-        return None, (
-            f"secrecy target {targets[k_bad]:.4g} for SU {k_bad} exceeds the "
-            f"ensemble's unbounded-power limit {caps[k_bad]:.4g}"
-        )
+    try:
+        check_reachable(targets, prep.su_caps)
+    except SecrecyInfeasibleError as err:
+        return None, None, 0, [], str(err)
 
     lam = _no_secrecy_price(prep, eps)
     mu = _initial_mu(prep, float(np.median(lam)), eps)
@@ -595,7 +594,6 @@ def _dual_outer_loop(prep, eps):
 
     trace = []
     best = None
-    infeasible = False
     message = _OUT_OF_ITERATIONS.format(_MAX_ITERATIONS)
     stall = 0
     stall_limit = 150
@@ -625,10 +623,9 @@ def _dual_outer_loop(prep, eps):
         over_ceiling = (mu > _MU_CEILING) & (viol > 0)
         if over_ceiling.any():
             k_bad = int(np.flatnonzero(over_ceiling)[0])
-            infeasible = True
-            message = (f"multiplier for SU {k_bad} exceeded the ceiling with its "
-                       "secrecy constraint still violated")
-            break
+            return None, None, t, trace, (
+                f"multiplier for SU {k_bad} exceeded the ceiling with its "
+                "secrecy constraint still violated")
 
         if stall >= stall_limit:
             # finite-ensemble granularity: the achievable secrecy values
@@ -645,7 +642,7 @@ def _dual_outer_loop(prep, eps):
 
     # the loop evaluates at least one iterate, so best is always set
     _, mu_best, lam_best, iters, _ = best
-    return (mu_best, lam_best, iters, trace, infeasible, message), ""
+    return mu_best, lam_best, iters, trace, message
 
 
 def _primal(prep, mu, lam):
@@ -659,24 +656,26 @@ def _primal(prep, mu, lam):
     return owner, p_win
 
 
-def _finish(prep, ensemble, eps, mu, lam, iters, trace, infeasible, message):
+def _finish(prep, ensemble, eps, mu, lam, iters, trace, message):
     """The recovered primal at the loop's best prices, judged by ``unmet``."""
     owner, p_win = _primal(prep, mu, lam)
     return solve_result(
-        owner, p_win, ensemble, prep.config, eps, mu, lam, infeasible=infeasible,
+        owner, p_win, ensemble, prep.config, eps, mu, lam, infeasible=False,
         message=message, iterations=iters, dual_value=float(np.min(trace)),
         dual_trace=trace,
     )
 
 
-def _infeasible_result(prep, ensemble, eps, message) -> SolveResult:
-    """Diagnostic result: the no-secrecy allocation plus the failure note."""
+def _infeasible_result(prep, ensemble, eps, message, iters) -> SolveResult:
+    """Every infeasible exit's result, after ``iters`` outer iterations: the
+    auction at ``mu = 0`` and the no-secrecy price, which gives no SU a
+    column and spends within the budget, with the failure note."""
     mu0 = np.zeros(prep.k1)
     lam = _no_secrecy_price(prep, eps)
     st = _eval_point(prep, mu0, lam)
     return solve_result(
         st.owner, st.p_win, ensemble, prep.config, eps, mu0, lam, infeasible=True,
-        message=message, iterations=0, dual_value=st.dual_value,
+        message=message, iterations=iters, dual_value=st.dual_value,
         dual_trace=[st.dual_value],
     )
 
@@ -685,10 +684,10 @@ def _solve(ensemble, config, opts) -> SolveResult:
     """The dual solve shared by both power modes."""
     eps = (opts or SolverOptions()).epsilon
     prep = _Prepared(ensemble, config)
-    out, msg = _dual_outer_loop(prep, eps)
-    if out is None:
-        return _infeasible_result(prep, ensemble, eps, msg)
-    return _finish(prep, ensemble, eps, *out)
+    mu, lam, iters, trace, message = _dual_outer_loop(prep, eps)
+    if mu is None:
+        return _infeasible_result(prep, ensemble, eps, message, iters)
+    return _finish(prep, ensemble, eps, mu, lam, iters, trace, message)
 
 
 def solve_average(

@@ -20,26 +20,14 @@ import numpy as np
 
 from ._search import search_threshold, threshold_stats, water_level
 from .allocation import SolveResult
-from .channel import ChannelEnsemble, check_dimensions, secrecy_limit
+from .channel import (ChannelEnsemble, SecrecyInfeasibleError, check_dimensions,
+                      check_reachable, secrecy_limit)
 from .config import ProblemConfig, SolverOptions
 from .evaluate import solve_result
 from .rates import _NuCandidates
 
 # a backstop on the NU level solves: unequal weights' winners repeat in a few
 _MAX_LEVEL_ROUNDS = 50
-
-
-class SecrecyInfeasibleError(RuntimeError):
-    """A secrecy target is unreachable even with a vanishing gap threshold."""
-
-    def __init__(self, su_index: int, achievable: float, target: float):
-        self.su_index = su_index
-        self.achievable = achievable
-        self.target = target
-        super().__init__(
-            f"SU {su_index}: target {target:.4g} exceeds the achievable "
-            f"average secrecy rate {achievable:.4g} on this ensemble"
-        )
 
 
 @dataclass
@@ -59,18 +47,25 @@ class SuPhaseReport:
 class NuPhaseReport:
     power: float                 # average NU power
     iterations: int              # exact water-level solves (1 unless G > 1)
-    budget_exhausted: bool
     owner_nu: np.ndarray         # (T, N) NU winner or -1
     power_nu: np.ndarray         # (T, N) NU powers
 
 
-def _idle_nu(config, t_count, exhausted):
-    """The NU phase that spends nothing."""
-    shape = (t_count, config.n_subcarriers)
-    return NuPhaseReport(
-        power=0.0, iterations=0, budget_exhausted=exhausted,
-        owner_nu=np.full(shape, -1), power_nu=np.zeros(shape),
-    )
+def _column_owner(sets, users, n, name):
+    """Which of the ``users`` index sets holds each of ``n`` columns, or -1;
+    ``ValueError`` names ``name`` unless they hold disjoint integer indices
+    in [0, n).  An empty list reads as an empty integer set."""
+    if len(sets) != users:
+        raise ValueError(f"{name} must hold {users} subcarrier sets, not {len(sets)}")
+    owner = np.full(n, -1)
+    for j, subs in enumerate(sets):
+        subs = np.asarray(subs, dtype=np.intp if np.size(subs) == 0 else None)
+        if subs.dtype.kind not in "iu" or ((subs < 0) | (subs >= n)).any() \
+                or (owner[subs] >= 0).any():
+            raise ValueError(f"{name}[{j}] must hold integer indices in [0, {n}) "
+                             "that no other set holds")
+        owner[subs] = j
+    return owner
 
 
 def su_phase(
@@ -82,12 +77,13 @@ def su_phase(
     """Tune per-SU gap thresholds to the secrecy targets.
 
     ``candidate_sets`` restricts SU k to a fixed subcarrier set (used by
-    the fixed-assignment baselines); by default every subcarrier where the
-    SU has the largest CNR is a candidate.  ``eps`` must lie in (0, 1),
-    as ``SolverOptions.epsilon`` does.  Raises ``SecrecyInfeasibleError``
-    for the lowest-indexed SU whose target its unbounded-power limit
-    cannot reach.  Returns ``(nu_thresholds, SuPhaseReport, total SU
-    power)``.
+    the fixed-assignment baselines): K1 disjoint sets of indices in
+    [0, N), else ``ValueError``.  By default every subcarrier where the SU
+    has the largest CNR is a candidate.  ``eps`` must lie in (0, 1), as
+    ``SolverOptions.epsilon`` does.  ``channel.check_reachable`` raises
+    ``SecrecyInfeasibleError`` for the lowest-indexed SU whose target is
+    at or above its unbounded-power limit on its candidates.  Returns
+    ``(nu_thresholds, SuPhaseReport, total SU power)``.
     """
     check_dimensions(ensemble, config)
     if not 0 < eps < 1:
@@ -95,18 +91,10 @@ def su_phase(
     k1, n, t_count = config.n_secure, config.n_subcarriers, ensemble.count
     cols, su, a, b = ensemble.su_columns(k1)
     if candidate_sets is not None:
-        in_set = np.zeros((k1, n), dtype=bool)
-        for k, subs in enumerate(candidate_sets):
-            in_set[k, subs] = True
-        keep = in_set[su, cols % n]
+        keep = _column_owner(candidate_sets, k1, n, "candidate_sets")[cols % n] == su
         cols, su, a, b = cols[keep], su[keep], a[keep], b[keep]
     targets = config.secrecy_targets
-
-    limit = secrecy_limit(a, b, su, k1, t_count)
-    short = np.flatnonzero((targets > 0) & (limit <= targets * (1 - eps)))
-    if short.size:
-        k = short[0]
-        raise SecrecyInfeasibleError(int(k), float(limit[k]), float(targets[k]))
+    check_reachable(targets, secrecy_limit(a, b, su, k1, t_count))
 
     thresholds, iterations = search_threshold(a, b, su, targets, eps, t_count)
     secrecy, power, on, p = threshold_stats(a, b, su, thresholds, t_count)
@@ -132,31 +120,27 @@ def nu_phase(
     price ``1/level`` wins and takes ``(w * level - 1/alpha)+``.  Only the
     strongest NU of each weight class bids: this is the dual solver's
     pruned auction (``_NuCandidates``).  With ``fixed_sets`` the owner is
-    predetermined instead.  With the bidders fixed, ``water_level`` solves
+    predetermined instead: one set per NU, checked as ``su_phase`` checks
+    ``candidate_sets``.  With the bidders fixed, ``water_level`` solves
     the level exactly on one row of all T*N columns.  With several weight
     classes the winners depend on the level, so it is re-solved at the
     previous level's winners until they repeat; if two winner sets
     alternate, the lower of their levels, which underspends, is kept.  A
-    non-finite residual raises ``ValueError``; a non-positive one
-    short-circuits to an all-zero allocation with ``budget_exhausted``
-    set; so does a phase with no free subcarrier, at level 0 without the
-    flag.  Returns ``(water_level, NuPhaseReport)``.
+    residual that is not finite and positive raises ``ValueError``; a
+    phase with no free subcarrier spends nothing, at level 0.  Returns
+    ``(water_level, NuPhaseReport)``.
     """
     check_dimensions(ensemble, config)
     t_count, n, k1 = ensemble.count, config.n_subcarriers, config.n_secure
     if np.shape(occupied) != (t_count, n):
         raise ValueError(f"occupied must have shape {(t_count, n)}")
-    if not np.isfinite(p_residual):
-        raise ValueError("p_residual must be finite")
-    if p_residual <= 0:
-        return 0.0, _idle_nu(config, t_count, True)
+    if not 0 < p_residual < np.inf:
+        raise ValueError("p_residual must be finite and positive")
 
     alpha_nu = ensemble.alpha[:, k1:, :]
     g = None    # the bidders' classes, while they depend on the level
     if fixed_sets is not None:
-        owner = np.full(n, -1)
-        for j, subs in enumerate(fixed_sets):
-            owner[subs] = j
+        owner = _column_owner(fixed_sets, config.n_normal, n, "fixed_sets")
         free = np.broadcast_to(owner >= 0, (t_count, n))
         idx = np.maximum(owner, 0)
         fixed = idx, 1.0 / alpha_nu[:, idx, np.arange(n)], config.weights[idx]
@@ -176,7 +160,7 @@ def nu_phase(
             g = np.full(free.shape, nu.weights.size - 1)
     if not free.any():
         # every subcarrier is taken, so no water level spends anything
-        return 0.0, _idle_nu(config, t_count, False)
+        return 0.0, NuPhaseReport(0.0, 0, np.full(free.shape, -1), np.zeros(free.shape))
 
     row, budget, back = free.reshape(1, -1), np.array([p_residual * t_count]), None
     for rounds in range(1, _MAX_LEVEL_ROUNDS + 1):
@@ -197,14 +181,15 @@ def nu_phase(
     index, inv_a, w = bids(g)
     p = np.where(free, np.maximum(w * level - inv_a, 0.0), 0.0)
     return level, NuPhaseReport(
-        power=float(p.sum() / t_count), iterations=rounds, budget_exhausted=False,
+        power=float(p.sum() / t_count), iterations=rounds,
         owner_nu=np.where(p > 0, index, -1), power_nu=p,
     )
 
 
 def _assemble_result(ensemble, config, eps, thresholds, su_owner, su_p, nu_rep,
-                     level, iterations, infeasible, message=""):
-    """The SU phase's (T, N) owners and powers merged with the NU phase's, judged."""
+                     level, iterations, message):
+    """The SU phase's (T, N) owners and powers merged with the NU phase's,
+    judged; a ``message`` marks it infeasible."""
     k1 = config.n_secure
     nu_cols = nu_rep.owner_nu >= 0
     owner = np.where(nu_cols, k1 + nu_rep.owner_nu, su_owner)
@@ -214,7 +199,7 @@ def _assemble_result(ensemble, config, eps, thresholds, su_owner, su_p, nu_rep,
     finite = np.isfinite(thresholds) & (thresholds > 0)
     mu[finite] = (lam if lam is not None else 1.0) / thresholds[finite]
     return solve_result(owner, p_win, ensemble, config, eps, mu, lam,
-                        infeasible=infeasible, message=message,
+                        infeasible=bool(message), message=message,
                         iterations=int(iterations))
 
 
@@ -223,36 +208,28 @@ def _two_phase(ensemble, config, opts, candidate_sets=None, fixed_sets=None,
     """Both phases, optionally on fixed subcarrier sets, packaged as a result.
 
     ``candidate_sets`` and ``fixed_sets`` go to ``su_phase`` and
-    ``nu_phase``; ``prefix`` leads every failure message.
+    ``nu_phase``; ``prefix`` leads every failure message.  A target that
+    ``su_phase`` finds out of reach, or an SU phase that spends the whole
+    budget P, makes the result infeasible.  Both exits give the one
+    infeasible result: the no-secrecy allocation, the NU phase pouring P
+    onto every column (its fixed sets, with ``fixed_sets``), at mu = 0.
     """
-    eps = opts.epsilon
+    eps, shape = opts.epsilon, (ensemble.count, config.n_subcarriers)
     try:
         thresholds, su_rep, p_su = su_phase(ensemble, config, eps, candidate_sets)
+        steps, su_owner, su_p = int(su_rep.iterations.sum()), su_rep.owner, su_rep.p_win
+        message = "" if p_su < config.power else (
+            f"{prefix}secrecy targets consume {p_su:.4g} of the {config.power:.4g} "
+            "power budget; nothing left for normal users")
     except SecrecyInfeasibleError as err:
-        idle = _idle_nu(config, ensemble.count, False)
-        # every column free: the idle NU phase's arrays serve the SUs too
-        return _assemble_result(
-            ensemble, config, eps, np.full(config.n_secure, np.inf), idle.owner_nu,
-            idle.power_nu, idle, 0.0, 0, infeasible=True, message=f"{prefix}{err}",
-        )
-
-    residual = config.power - p_su
-    level, nu_rep = nu_phase(ensemble, config, residual, su_rep.occupied, fixed_sets)
-    iterations = int(su_rep.iterations.sum()) + nu_rep.iterations
-
-    if nu_rep.budget_exhausted:
-        return _assemble_result(
-            ensemble, config, eps, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
-            0.0, iterations, infeasible=True, message=(
-                f"{prefix}secrecy targets consume {p_su:.4g} of the "
-                f"{config.power:.4g} power budget; nothing left for normal users"
-            ),
-        )
-
-    return _assemble_result(
-        ensemble, config, eps, thresholds, su_rep.owner, su_rep.p_win, nu_rep,
-        level, iterations, infeasible=False,
-    )
+        steps, message = 0, f"{prefix}{err}"
+    if message:
+        thresholds, p_su = np.full(config.n_secure, np.inf), 0.0
+        su_owner, su_p = np.full(shape, -1), np.zeros(shape)
+    level, nu_rep = nu_phase(ensemble, config, config.power - p_su, su_owner >= 0,
+                             fixed_sets)
+    return _assemble_result(ensemble, config, eps, thresholds, su_owner, su_p, nu_rep,
+                            level, steps + nu_rep.iterations, message)
 
 
 def solve_suboptimal(

@@ -703,7 +703,7 @@ def looped_su_phase(ensemble, config, eps, candidate_sets=None):
         target = float(config.secrecy_targets[k])
         if target > 0:
             achievable = curve.limit_rate()
-            if achievable <= target * (1 - eps):
+            if achievable <= target:
                 raise SecrecyInfeasibleError(k, achievable, target)
             out = looped_search_threshold(curve, target, eps)
             thresholds[k] = out.value

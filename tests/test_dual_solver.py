@@ -308,12 +308,19 @@ class TestOuterLoopExits:
         res = solve_average(*problem, SolverOptions(epsilon=1e-7))
         assert res.infeasible and not res.converged
         assert "exceeded the ceiling" in res.message
+        # the ceiling exit gives the precheck's result, after the loop's iterations
+        assert res.iterations >= 1 and np.all(res.duals.mu == 0.0)
 
     def test_precheck_infeasible(self, problem):
+        # the one infeasible result: the no-secrecy allocation within the
+        # budget, at mu = 0, before any outer iteration
         ens, cfg = problem
         res = solve_average(ens, cfg.with_targets(10.0))
         assert res.infeasible and not res.converged and res.iterations == 0
         assert "unbounded-power limit" in res.message
+        assert np.all(res.duals.mu == 0.0) and res.duals.lam > 0
+        assert not (res.decisions.owner[res.decisions.owner >= 0] < cfg.n_secure).any()
+        assert res.report.avg_power <= cfg.power
 
 
 class TestSubgradientInequality:
@@ -382,8 +389,8 @@ class TestPeakMode:
         monkeypatch.setattr(dual_solver, "_MAX_ITERATIONS", 1)
         res = solve_peak(ens, cfg)
         # the loop says why it stopped early; its result is judged anyway
-        *_, loop_infeasible, loop_message = seen[0][0]
-        assert not loop_infeasible and loop_message
+        loop_mu, *_, loop_message = seen[0]
+        assert loop_mu is not None and loop_message
         assert res.converged and not res.infeasible and res.message == ""
 
     def test_zero_targets_fill_budget_every_frame(self):

@@ -303,3 +303,41 @@ def test_every_solver_reports_the_one_verdict(k, k1_frac, n, t, zero_target, wei
         verdict = unmet(res.report.r_su, res.decisions.power.sum(axis=1), cfg, eps)
         assert res.converged == (not res.infeasible and verdict == "")
         assert res.converged or res.message
+
+
+@given(
+    k=st.integers(3, 5), k1_frac=st.floats(0.0, 1.0), n=st.sampled_from([4, 8]),
+    t=st.integers(1, 8), power=st.sampled_from([0.5, 3.0, 30.0]),
+    near=st.lists(st.sampled_from([0.5, 0.9, 0.99, 1.0, 1.2]), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_infeasible_result_is_the_no_secrecy_allocation(k, k1_frac, n, t, power,
+                                                             near, seed):
+    # targets around each SU's unbounded-power cap and budgets the SU phase
+    # can exhaust; a short loop with a low multiplier ceiling makes the dual
+    # loop's ceiling exit fire as well as its precheck
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    ens, peak = random_instance(rng, k, k1, n, t, False, power)
+    peak = peak.with_targets(dual_solver._Prepared(ens, peak).su_caps * near[:k1])
+    avg = dataclasses.replace(peak, mode="average")
+    with mock.patch.object(dual_solver, "_MAX_ITERATIONS", 40), \
+            mock.patch.object(dual_solver, "_MU_CEILING", 10.0):
+        runs = [(peak, solve_peak(ens, peak)), (avg, solve_average(ens, avg))]
+    runs.append((avg, solve_suboptimal(ens, avg)))
+    for scheme in SCHEMES:
+        try:
+            fsa_partition(scheme, avg)
+        except ValueError:
+            continue   # the blocks do not come out whole for this config
+        runs.append((avg, solve_fsa(ens, avg, scheme)))
+    for cfg, res in runs:
+        if not res.infeasible:
+            continue
+        owner, spend = res.decisions.owner, res.decisions.power.sum(axis=1)
+        assert not ((owner >= 0) & (owner < k1)).any()
+        assert np.all(res.duals.mu == 0.0)
+        assert np.all((spend if cfg.mode == "peak" else spend.mean())
+                      <= cfg.power * (1 + 1e-9))
+        assert res.message

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,17 +199,43 @@ FRACTIONS = (0.0, 0.3, 0.7, 0.995, 1.2)
 
 @pytest.mark.parametrize("seed", range(5))
 def test_both_prechecks_share_one_unbounded_power_limit(seed):
-    # the dual solver's precheck and su_phase's compare against one limit,
-    # so they cannot disagree about a target at its boundary
+    # the dual solver's precheck and su_phase's make one comparison with one
+    # limit, so they cannot disagree about a target at its boundary, nor
+    # inside the eps band above it, and they say so in one message
     cfg = make_config()
     ens = generate_ensemble(cfg, 100, seed=seed)
     caps = _Prepared(ens, cfg).su_caps
     for k in range(cfg.n_secure):
-        targets = np.zeros(cfg.n_secure)
-        targets[k] = caps[k] * 1.02
-        with pytest.raises(SecrecyInfeasibleError) as err:
-            su_phase(ens, cfg.with_targets(targets), eps=1e-2)
-        assert err.value.su_index == k and err.value.achievable == caps[k]
+        for factor in (1.0, 1.0 / (1.0 - 1e-2 / 2), 1.02):
+            targets = np.zeros(cfg.n_secure)
+            targets[k] = caps[k] * factor
+            with pytest.raises(SecrecyInfeasibleError) as err:
+                su_phase(ens, cfg.with_targets(targets), eps=1e-2)
+            assert err.value.su_index == k and err.value.achievable == caps[k]
+            res = solve_average(ens, cfg.with_targets(targets))
+            assert res.infeasible and res.iterations == 0
+            assert res.message == str(err.value)
+
+
+@pytest.mark.parametrize("arg", ["candidate_sets", "fixed_sets"])
+@pytest.mark.parametrize("sets, what", [
+    ([[-1, -2], [4, 5]], "[0] must hold integer indices in [0, 8)"),
+    ([[0, 1, 2], [2, 3]], "[1] must hold integer indices in [0, 8)"),
+    ([[0, 1], [4.0, 5.5]], "[1] must hold integer indices in [0, 8)"),
+    ([[0, 1]], " must hold 2 subcarrier sets, not 1"),
+    ([[0], [1], [2]], " must hold 2 subcarrier sets, not 3"),
+])
+def test_subcarrier_sets_are_checked_at_the_boundary(arg, sets, what):
+    # a negative index would wrap to the band's top, a shared column would
+    # go to the later set, a float index or a short or long list would fail
+    # inside the phase; each names the argument instead
+    cfg = make_config(n=8, k=4, k1=2, c=0.1, power=10.0)
+    ens = generate_ensemble(cfg, 10, seed=1)
+    with pytest.raises(ValueError, match=re.escape(arg + what)):
+        if arg == "candidate_sets":
+            su_phase(ens, cfg, 1e-2, sets)
+        else:
+            nu_phase(ens, cfg, 5.0, np.zeros((10, 8), bool), sets)
 
 
 class TestSuPhaseMatchesLoop:
@@ -266,21 +294,20 @@ class TestSuPhaseMatchesLoop:
 
 
 class TestNuPhase:
-    def test_zero_residual_flags_exhausted(self, ens300):
-        cfg = make_config()
+    def test_rejects_a_non_positive_residual(self, ens300):
+        # the two-phase allocator calls the NU phase only with budget left;
+        # an SU phase that spends it all returns the no-secrecy allocation
         occupied = np.zeros((300, 64), dtype=bool)
-        level, rep = nu_phase(ens300, cfg, 0.0, occupied)
-        assert level == 0.0
-        assert rep.budget_exhausted
-        assert np.all(rep.power_nu == 0.0) and np.all(rep.owner_nu == -1)
-        assert rep.power == 0.0
+        for residual in (0.0, -1.0):
+            with pytest.raises(ValueError, match="p_residual must be finite and positive"):
+                nu_phase(ens300, make_config(), residual, occupied)
 
     def test_no_free_subcarrier_spends_nothing(self):
         cfg = make_config(n=4, k=3, k1=1, power=10.0)
         ens = generate_ensemble(cfg, 5, seed=1)
         level, rep = nu_phase(ens, cfg, 5.0, np.ones((5, 4), bool))
         assert level == 0.0 and rep.power == 0.0 and rep.iterations == 0
-        assert not rep.budget_exhausted and np.all(rep.owner_nu == -1)
+        assert np.all(rep.owner_nu == -1) and not rep.power_nu.any()
 
     def test_single_nu_level_matches_scalar_root(self):
         # one NU, every subcarrier free: the level solves
@@ -385,14 +412,25 @@ class TestSolveSuboptimal:
         assert res.iterations <= (cfg.n_secure + 1) * per_search
 
     def test_infeasible_secrecy_propagates(self, ens300):
+        # an unreachable target gives the no-secrecy allocation: the NU
+        # phase pours the whole budget onto every column (fsa1: onto the
+        # NUs' fixed sets) at mu = 0
         cfg = make_config(c=4.2)
-        for res, prefix in ((solve_suboptimal(ens300, cfg), ""),
-                            (solve_fsa(ens300, cfg, "fsa1"), "fsa1: ")):
+        free = np.zeros((300, 64), dtype=bool)
+        for res, prefix, sets in (
+            (solve_suboptimal(ens300, cfg), "", None),
+            (solve_fsa(ens300, cfg, "fsa1"), "fsa1: ", fsa_partition("fsa1", cfg)[4:]),
+        ):
             assert res.infeasible and not res.converged
-            assert res.message.startswith(f"{prefix}SU 0: target 4.2 exceeds")
-            assert res.iterations == 0 and res.duals.lam is None
+            assert res.message.startswith(f"{prefix}SU 0: secrecy target 4.2 is not "
+                                          "below the ensemble's unbounded-power limit")
+            level, rep = nu_phase(ens300, cfg, cfg.power, free, sets)
+            assert res.iterations == rep.iterations and res.duals.lam == 1.0 / level
             assert np.array_equal(res.duals.mu, np.zeros(4))
-            assert np.all(res.decisions.owner == -1) and res.report.avg_power == 0.0
+            assert np.array_equal(res.decisions.owner, np.where(
+                rep.owner_nu >= 0, cfg.n_secure + rep.owner_nu, -1))
+            assert np.array_equal(res.decisions.power, rep.power_nu)
+            assert abs(res.report.avg_power - cfg.power) <= 1e-12 * cfg.power
 
     def test_dominated_by_optimal(self, ens300):
         cfg = make_config(c=1.6)
