@@ -3,11 +3,12 @@
     python scripts/cell_diff.py PARENT CHANGE [--seeds 1 2] [--frames N] [--out FILE]
 
 Each checkout runs the three ``perfbench/workloads.py`` workloads in a
-subprocess on its own ``src/``.  Cells are compared on their owners and
-powers (by digest), prices, dual trace, iterations, flags, message, R_NU
-and per-SU secrecy.  Each differing cell is printed with the largest
-change of each numeric field, and ``--out`` gets a JSON summary.  Exits 1
-when a cell differs.
+subprocess on its own ``src/``.  Cells are compared on their owners,
+powers and per-column rates (by digest), prices, dual trace, iterations,
+flags, message, R_NU, per-SU secrecy, mean power, SU power and SU
+subcarrier count.  Each differing cell is printed with the largest
+change of each numeric field, and ``--out`` gets a JSON summary that
+also names every compared field.  Exits 1 when a cell differs.
 """
 
 import argparse
@@ -30,11 +31,14 @@ import workloads
 
 def fields(r):
     digest = lambda a: hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
+    rep = r.report
     return {"owner": digest(r.decisions.owner), "power": digest(r.decisions.power),
-            "mu": r.duals.mu, "lam": r.duals.lam, "frame_prices": r.lambda_per_realization,
+            "rate": digest(r.decisions.rate), "mu": r.duals.mu, "lam": r.duals.lam,
+            "frame_prices": r.lambda_per_realization,
             "dual_trace": np.asarray(r.dual_trace, float), "iterations": r.iterations,
             "converged": r.converged, "infeasible": r.infeasible, "message": r.message,
-            "r_nu": r.report.r_nu_total, "r_su": r.report.r_su}
+            "r_nu": rep.r_nu_total, "r_su": rep.r_su, "avg_power": rep.avg_power,
+            "su_power": rep.su_power, "su_subcarriers": rep.su_subcarriers}
 
 cells = {}
 with tempfile.TemporaryDirectory() as tmp:
@@ -75,9 +79,10 @@ def main(argv=None) -> int:
                             str(out), str(args.frames), *map(str, args.seeds)], check=True)
             sides.append(pickle.loads(out.read_bytes()))
     old, new = sides
-    diffs, counts = [], {}
+    diffs, counts, compared = [], {}, set()
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, {}), new.get(key, {})
+        compared |= a.keys() | b.keys()
         moved = {f: change(a.get(f), b.get(f)) for f in sorted(a.keys() | b.keys())}
         moved = {f: d for f, d in moved.items() if d is not None}
         tally = counts.setdefault(key.split()[0], {"cells": 0, "differing": 0})
@@ -91,7 +96,7 @@ def main(argv=None) -> int:
         Path(args.out).write_text(json.dumps(
             {"parent": args.parent, "change": args.change, "seeds": args.seeds,
              "frames": args.frames or "workload default", "workloads": counts,
-             "differing": diffs}, indent=1) + "\n")
+             "fields": sorted(compared), "differing": diffs}, indent=1) + "\n")
     return 1 if diffs else 0
 
 

@@ -21,7 +21,8 @@ gap-threshold search ``search_threshold``, built on ``bisect``, with one
 group per SU (the peak trim's on CNRs divided by the frame's price), and
 the exact NU water level ``water_level``, which needs no search: one
 level over all free columns in the two-phase NU phase, one per frame in
-the peak refill.
+the peak refill.  ``sorted_level`` is its second step, for a caller that
+keeps its columns in breakpoint order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import _su_power_core
+from .rates import _su_power_core, _su_terms
 
 # ITP's truncation and projection constants: kappa_1 = _ITP_KAPPA / w0
 # with kappa_2 = 2, and n_0 = _ITP_SLACK extra probes over bisection
@@ -177,20 +178,23 @@ def bisect_monotone(
     return SearchOutcome(last[0], steps)
 
 
-def threshold_stats(a, b, su, x, t_count):
+def threshold_stats(a, b, su, x, t_count, terms=None):
     """Mean secrecy rate and power per group at CNR-gap thresholds ``x``.
 
     ``a``, ``b`` and ``su`` are the flattened candidate columns: the top
     CNR, the runner-up and the group of the SU holding the top.  Group
     ``g`` is active where ``a - b > x[g]``, with the closed-form power at
     the price pair (1/x[g], 1), which keeps that rule exactly; only active
-    columns are priced.  Returns the per-group means, the active indices
-    and their powers.
+    columns are priced.  ``terms`` is ``_su_terms(a, b)``, which a caller
+    pricing the same columns at many thresholds passes in.  Returns the
+    per-group means, the active indices and their powers.
     """
+    if terms is None:
+        terms = _su_terms(a, b)
     thr = x[su]
-    on = np.flatnonzero(a - b > thr)
+    on = np.flatnonzero(terms[0] > thr)
     a_on, b_on, su_on = a[on], b[on], su[on]
-    p = _su_power_core(a_on, b_on, 1.0 / thr[on], 1.0)
+    p = _su_power_core(a_on, b_on, 1.0 / thr[on], 1.0, [t[on] for t in terms])
     rs = np.log1p(p * a_on) - np.log1p(p * b_on)
     rate = np.bincount(su_on, rs, minlength=x.size) / t_count
     power = np.bincount(su_on, p, minlength=x.size) / t_count
@@ -203,18 +207,21 @@ def search_threshold(a, b, su, targets, rtol, t_count):
     ``su`` labels each column with its group, an index into ``targets``:
     its SU.  Each group's rate is continuous and non-increasing in its own
     threshold alone, so the searches are one elementwise bisection whose
-    probes price only the open groups.  Group g's bracket runs from 0 to
-    just above its largest gap, where its rate is 0.  Returns each group's
-    last probe and bisection steps; a zero target gives ``inf`` and 0
-    steps, a positive one needs a column.
+    probes price only the open groups, on price-free terms and group
+    labels computed once.  Group g's bracket runs from 0 to just above its
+    largest gap, where its rate is 0.  Returns each group's last probe and
+    bisection steps; a zero target gives ``inf`` and 0 steps, a positive
+    one needs a column.
     """
     thresholds = np.full(targets.size, np.inf)
     steps = np.zeros(targets.size, dtype=int)
     live = np.flatnonzero(targets > 0)
     if not live.size:
         return thresholds, steps
+    su = su.astype(np.intp)
+    terms = _su_terms(a, b)
     cap = np.zeros(targets.size)
-    np.maximum.at(cap, su, a - b)
+    np.maximum.at(cap, su, terms[0])
     cap = cap[live] * (1 + 1e-9) + 1e-9
     c = targets[live]
     tol = rtol * c
@@ -223,7 +230,7 @@ def search_threshold(a, b, su, targets, rtol, t_count):
         idx = slice(None) if idx is None else idx
         at = np.full(targets.size, np.inf)
         at[live[idx]] = x
-        fx = threshold_stats(a, b, su, at, t_count)[0][live[idx]]
+        fx = threshold_stats(a, b, su, at, t_count, terms)[0][live[idx]]
         thresholds[live[idx]] = x
         steps[live[idx]] += 1
         return fx > c[idx], np.abs(fx - c[idx]) <= tol[idx]
@@ -236,12 +243,11 @@ def water_level(candidate, w, inv_a, budget):
     """Per row, the level ``theta`` at which the open columns spend ``budget``.
 
     Column ``n`` of a row takes ``max(theta * w - inv_a, 0)`` if it is a
-    ``candidate``.  The spend is piecewise linear in ``theta``, with a
-    kink at each column's breakpoint ``inv_a / w``, so the breakpoints
-    are sorted, those at which the spend is still under the budget open
-    the active set, and its linear piece is solved for ``theta``
-    (Palomar & Fonollosa, "Practical algorithms for a family of
-    waterfilling solutions", IEEE TSP 53(2), 2005).
+    ``candidate`` (a mask broadcast against ``w``).  The spend is
+    piecewise linear in ``theta``, with a kink at each column's breakpoint
+    ``inv_a / w``, so the breakpoints are sorted and ``sorted_level``
+    solves the level (Palomar & Fonollosa, "Practical algorithms for a
+    family of waterfilling solutions", IEEE TSP 53(2), 2005).
     """
     # the other columns' breakpoints sort last, at infinity, and never open
     kink = np.where(candidate, inv_a / w, np.inf)
@@ -250,12 +256,25 @@ def water_level(candidate, w, inv_a, budget):
     shut = kink == np.inf
 
     def opened(x):
-        """The running sum of ``x`` over the columns in breakpoint order."""
+        """``x`` in breakpoint order, 0 on the columns that never open."""
         run = np.take_along_axis(x, order, axis=1)
         run[shut] = 0.0
-        return np.cumsum(run, axis=1, out=run)
+        return run
 
-    w_cum, a_cum = opened(w), opened(inv_a)
+    return sorted_level(kink, opened(w), opened(inv_a), budget)
+
+
+def sorted_level(kink, w, inv_a, budget):
+    """``water_level`` on rows already in ascending breakpoint order.
+
+    ``kink`` holds each row's sorted breakpoints ``inv_a / w``, with
+    ``inf`` on trailing columns that never open, where ``w`` and
+    ``inv_a`` are 0.  The breakpoints at which the spend is still under
+    the budget open the active set, and its linear piece is solved for
+    the level.  It overwrites all three arrays.
+    """
+    w_cum = np.cumsum(w, axis=1, out=w)
+    a_cum = np.cumsum(inv_a, axis=1, out=inv_a)
     # the spend where each column opens; the last one under the budget
     # closes the active set
     kink *= w_cum

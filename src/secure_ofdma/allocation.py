@@ -86,7 +86,7 @@ def decisions_from_arrays(
     if np.shape(owner) != shape or np.shape(power) != shape:
         raise ValueError("owner and power must be (realizations, subcarriers)")
     owner = np.asarray(owner)
-    if not (np.array_equal(np.trunc(owner), owner)
+    if not ((owner.dtype.kind in "iu" or np.array_equal(np.trunc(owner), owner))
             and owner.min() >= UNASSIGNED and owner.max() < config.n_users):
         raise ValueError(f"owners must be whole numbers in [-1, {config.n_users})")
     owner = owner.astype(np.int64)
@@ -96,13 +96,18 @@ def decisions_from_arrays(
     owned = owner >= 0
     power = np.where(owned, power, 0.0)
     nu1, nu2, kmax = ensemble.order_stats
-    a = np.take_along_axis(
-        ensemble.alpha, np.where(owned, owner, 0)[:, None, :], axis=1
-    )[:, 0, :]
+    # each owner's CNR, by one flat gather; an unowned column reads user 0
+    t_count, k, n = ensemble.alpha.shape
+    flat = np.maximum(owner, 0)
+    flat += np.arange(t_count)[:, None] * k
+    flat *= n
+    flat += np.arange(n)
+    a = np.take(ensemble.alpha, flat)
+    # an unowned column has power 0, so both of its rates are already 0
     info = np.log1p(power * a)
     beta = np.where(kmax == owner, nu2, nu1)
     secrecy = np.maximum(info - np.log1p(power * beta), 0.0)
-    rate = np.where(owned, np.where(owner < config.n_secure, secrecy, info), 0.0)
+    rate = np.where(owner < config.n_secure, secrecy, info)
     return Allocation(
         owner=owner, power=power, rate=rate,
         n_users=config.n_users, n_secure=config.n_secure,

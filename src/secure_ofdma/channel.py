@@ -11,7 +11,8 @@ prefix-stable when the count grows, and safe to parallelize.
 
 Both solver families read the per-subcarrier order statistics from
 here: an ensemble's ``alpha`` is read-only, so ``ensemble.order_stats``
-is computed once per ensemble, ``ensemble.su_columns(k1)`` are the
+is computed once per ensemble, as are the strongest-NU tables in
+``ensemble.nu_tables``; ``ensemble.su_columns(k1)`` are the
 columns an SU can win, ``secrecy_limit`` its cap on them, and
 ``check_reachable`` the one test of the targets against that cap.
 """
@@ -78,6 +79,13 @@ class ChannelEnsemble:
     def price_memo(self) -> dict:
         """Power prices solved on this ensemble, keyed by the inputs they
         depend on; the dual solver memoizes its no-secrecy price here."""
+        return {}
+
+    @cached_property
+    def nu_tables(self) -> dict:
+        """Strongest-NU tables of this ensemble, keyed by (K1, weights):
+        ``rates._NuCandidates`` keeps each read-only index here, and its
+        breakpoint order once the two-phase NU phase first reads it."""
         return {}
 
     def su_columns(self, k1: int):

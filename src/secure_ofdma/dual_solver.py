@@ -73,17 +73,16 @@ class _Prepared:
     the rows of ``su_cols`` their top two CNRs and the price-free terms of
     the SU closed form.  On the NU side only the strongest NU of each
     weight class can win, so ``nu`` keeps one candidate per class and
-    column; its (T, G, N) arrays are also exposed as ``ln_wa`` and
-    ``inv_alpha_nu``, the names of the full per-NU caches they replace.
-    ``contested`` narrows the SU side further, to a view for a search's
-    later probes.
+    column, read from the ensemble's strongest-NU table; its (T, G, N)
+    arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``, the names
+    of the full per-NU caches they replace.  ``contested`` narrows the SU
+    side further, to a view for a search's later probes.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
         check_dimensions(ensemble, config)
         self.config = config
-        alpha = ensemble.alpha
-        self.t_count, _, self.n = alpha.shape
+        self.t_count, _, self.n = ensemble.alpha.shape
         self.k1 = config.n_secure
         self.nu1, self.nu2, self.kmax = ensemble.order_stats
         self.su_idx, su_k, su_nu1, su_nu2 = ensemble.su_columns(self.k1)
@@ -97,7 +96,7 @@ class _Prepared:
         self.su_caps = secrecy_limit(su_nu1, su_nu2, self.su_k, self.k1, self.t_count)
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
         self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
-        self.nu = _NuCandidates(alpha[:, self.k1:, :], config.weights)
+        self.nu = _NuCandidates(ensemble, self.k1, config.weights)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
         self.price_memo = ensemble.price_memo
@@ -669,14 +668,20 @@ def _finish(prep, ensemble, eps, mu, lam, iters, trace, message):
 def _infeasible_result(prep, ensemble, eps, message, iters) -> SolveResult:
     """Every infeasible exit's result, after ``iters`` outer iterations: the
     auction at ``mu = 0`` and the no-secrecy price, which gives no SU a
-    column and spends within the budget, with the failure note."""
+    column and spends within the budget, with the failure note.  Peak mode
+    refills it, as ``_primal`` refills every peak allocation, so it is the
+    allocation ``solve_peak`` returns at zero targets; the dual value is
+    the auction's."""
     mu0 = np.zeros(prep.k1)
     lam = _no_secrecy_price(prep, eps)
     st = _eval_point(prep, mu0, lam)
+    owner, p_win, dual = st.owner, st.p_win, st.dual_value
+    del st   # the refill needs none of the auction's other arrays
+    if prep.config.mode == "peak":
+        _refill_nu_water(prep, owner, p_win, lam)
     return solve_result(
-        st.owner, st.p_win, ensemble, prep.config, eps, mu0, lam, infeasible=True,
-        message=message, iterations=iters, dual_value=st.dual_value,
-        dual_trace=[st.dual_value],
+        owner, p_win, ensemble, prep.config, eps, mu0, lam, infeasible=True,
+        message=message, iterations=iters, dual_value=dual, dual_trace=[dual],
     )
 
 

@@ -54,15 +54,17 @@ def evaluate(
     k1 = config.n_secure
     owner, power, rate = allocation.owner, allocation.power, allocation.rate
     su = (owner >= 0) & (owner < k1)
-    nu = owner >= k1
-    r_su = np.bincount(owner[su], weights=rate[su], minlength=k1)
-    nu_rate = np.bincount(owner[nu] - k1, weights=rate[nu], minlength=config.n_normal)
+    # one pass sums every user's rate, each bin in the owners' order; bin 0
+    # holds the unowned columns, whose rate is 0
+    rates = np.bincount((owner + 1).ravel(), weights=rate.ravel(),
+                        minlength=config.n_users + 1)
+    r_su, nu_rate = rates[1:k1 + 1], rates[k1 + 1:]
     return EvaluationReport(
         r_nu_total=float(config.weights @ nu_rate) / t_count,
         r_su=r_su / t_count,
         avg_power=float(power.sum()) / t_count,
         su_power=float(power[su].sum()) / t_count,
-        su_subcarriers=int(su.sum()) / t_count,
+        su_subcarriers=np.count_nonzero(su) / t_count,
         realizations_used=t_count,
     )
 

@@ -187,6 +187,10 @@ def write_results(spec: ExperimentSpec, ensemble: ChannelEnsemble, rows) -> None
         "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
         "columns": list(BASE_COLUMNS)
         + [f"r_su_{i + 1}" for i in range(spec.config.n_secure)],
+        "infeasible_rows": (
+            "a row with status infeasible holds its solver family's no-secrecy "
+            "allocation at mu = 0 (no SU owns a subcarrier): its r_nu_total, "
+            "powers and r_su columns are not a point of the secrecy-rate frontier"),
     }
     out.with_suffix(out.suffix + ".meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n"

@@ -16,6 +16,7 @@ analogous ``omega_k * info_rate(p) - lam * p`` maximum for a normal user.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,26 +174,60 @@ class _NuCandidates:
 
     At a fixed weight the priced NU payoff is non-decreasing in the CNR,
     so only these candidates can win a column's NU auction.  ``index``
-    (NU index), ``ln_wa`` (``ln(omega*alpha)``) and ``inv_alpha`` have
-    shape (T, G, N), with G the number of distinct weights (1 for equal
+    (NU index), ``alpha()`` (its CNR, gathered on each call), ``ln_wa``
+    (``ln(omega*alpha)``, on first read) and ``inv_alpha`` have shape
+    (T, G, N), with G the number of distinct weights (1 for equal
     weights) and ``weights`` the (G,) sorted class weights.  CNR ties go
     to the lowest NU index.  This is the one priced NU auction: the dual
     solver, its primal refill and the two-phase NU phase all bid here.
+
+    No price changes which NU is strongest, so the index is found once
+    per ensemble and (K1, weights) and kept, read-only, in
+    ``ensemble.nu_tables``, together with ``order`` once it is first read.
     """
 
-    def __init__(self, alpha_nu: np.ndarray, weights: np.ndarray):
+    def __init__(self, ensemble, k1: int, weights: np.ndarray):
+        weights = np.asarray(weights, float)
         self.weights = np.unique(weights)
+        self._cnr, self._k1 = ensemble.alpha, k1
+        key = (k1, weights.tobytes())
+        table = ensemble.nu_tables.get(key)
+        if table is None:
+            table = ensemble.nu_tables[key] = {"index": _strongest_nu(
+                ensemble.alpha[:, k1:, :], weights, self.weights)}
+        self._table = table
+        # gathered as the platform's index width: owners are built from it
+        self.index = table["index"].astype(np.intp)
+        self.inv_alpha = 1.0 / self.alpha()
+
+    def alpha(self) -> np.ndarray:
+        """The candidates' (T, G, N) CNRs: with one class, each column's
+        largest NU CNR, else one flat gather at ``index``."""
         if self.weights.size == 1:
-            index = np.argmax(alpha_nu, axis=1)[:, None, :]
-        else:
-            members = [np.flatnonzero(weights == w) for w in self.weights]
-            index = np.stack([
-                m[np.argmax(alpha_nu[:, m, :], axis=1)] for m in members
-            ], axis=1)
-        alpha = np.take_along_axis(alpha_nu, index, axis=1)
-        self.index = index
-        self.ln_wa = np.log(self.weights[:, None] * alpha)
-        self.inv_alpha = 1.0 / alpha
+            return self._cnr[:, self._k1:, :].max(axis=1)[:, None, :]
+        t_count, k, n = self._cnr.shape
+        frame = np.arange(t_count)[:, None, None] * k + self._k1
+        return np.take(self._cnr, (frame + self.index) * n + np.arange(n))
+
+    @cached_property
+    def ln_wa(self) -> np.ndarray:
+        return np.log(self.weights[:, None] * self.alpha())
+
+    @property
+    def order(self) -> np.ndarray:
+        """The flat (T, G, N) positions by ascending breakpoint ``inv_alpha / w``.
+
+        Sorted on first read and kept with the index, read-only, as int32
+        (the platform's index width past 2**31 entries).
+        """
+        order = self._table.get("order")
+        if order is None:
+            kink = (self.inv_alpha / self.weights[:, None]).ravel()
+            order = np.argsort(kink).astype(
+                np.int32 if kink.size <= np.iinfo(np.int32).max else np.intp)
+            order.flags.writeable = False
+            self._table["order"] = order
+        return order
 
     def auction(self, ln_lam, lam, rows=slice(None)):
         """Winning candidate per column at power price ``lam``.
@@ -223,6 +258,21 @@ class _NuCandidates:
     def weight(self, g):
         """Weight of the chosen candidates: a scalar for a single class."""
         return self.weights[0] if g is None else self.weights[g]
+
+
+def _strongest_nu(alpha_nu, weights, classes):
+    """The (T, G, N) index of the strongest NU of each of the weight
+    ``classes``, read-only, in the smallest unsigned type that holds it."""
+    if classes.size == 1:
+        index = np.argmax(alpha_nu, axis=1)[:, None, :]
+    else:
+        members = [np.flatnonzero(weights == w) for w in classes]
+        index = np.stack([
+            m[np.argmax(alpha_nu[:, m, :], axis=1)] for m in members
+        ], axis=1)
+    index = index.astype(np.min_scalar_type(weights.size - 1))
+    index.flags.writeable = False
+    return index
 
 
 __all__ = [

@@ -9,7 +9,11 @@ subcarriers and power among the normal users at a single water level,
 with per-user levels proportional to the weights.  The two phases
 decouple the multiplier updates, so the whole run needs K1 threshold
 bisections of O(log(1/eps)) steps each plus one exact water level
-(``_search.water_level``), which unequal NU weights re-solve a few times.
+(``_search.sorted_level``), which unequal NU weights re-solve a few
+times.  Nothing in either phase's price-free work is repeated: the
+threshold search computes the closed form's price-free terms once, and
+the NU phase reads the strongest NUs and their sorted breakpoints from
+tables kept on the ensemble.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import search_threshold, threshold_stats, water_level
+from ._search import search_threshold, sorted_level, threshold_stats, water_level
 from .allocation import SolveResult
 from .channel import (ChannelEnsemble, SecrecyInfeasibleError, check_dimensions,
                       check_reachable, secrecy_limit)
@@ -99,12 +103,34 @@ def su_phase(
     thresholds, iterations = search_threshold(a, b, su, targets, eps, t_count)
     secrecy, power, on, p = threshold_stats(a, b, su, thresholds, t_count)
     owner, p_win = np.full((t_count, n), -1), np.zeros((t_count, n))
-    owner.flat[cols[on]], p_win.flat[cols[on]] = su[on], p
+    # fresh C-ordered arrays, so ravel() is a view
+    owner.ravel()[cols[on]], p_win.ravel()[cols[on]] = su[on], p
     report = SuPhaseReport(
         secrecy=secrecy, power=power, iterations=iterations,
         owner=owner, p_win=p_win,
     )
     return thresholds, report, float(power.sum())
+
+
+def _presorted_level(nu, free, g, budget):
+    """The one water level of the free columns' bidders of the classes ``g``
+    (``None`` for a single class), spending ``budget[0]``.
+
+    The bidders are picked from the ensemble's breakpoint order
+    ``nu.order``, so they arrive sorted and ``sorted_level`` solves the
+    level without a sort.
+    """
+    order, classes = nu.order, nu.weights.size
+    if g is None:
+        picked = free.ravel()
+    else:
+        picked = ((g[:, None, :] == np.arange(classes)[:, None])
+                  & free[:, None, :]).ravel()
+    at = order[picked[order]]
+    inv_a = nu.inv_alpha.ravel()[at]
+    w = (np.full(at.size, nu.weights[0]) if g is None
+         else nu.weights[at // free.shape[1] % classes])
+    return sorted_level((inv_a / w)[None, :], w[None, :], inv_a[None, :], budget)
 
 
 def nu_phase(
@@ -121,14 +147,16 @@ def nu_phase(
     strongest NU of each weight class bids: this is the dual solver's
     pruned auction (``_NuCandidates``).  With ``fixed_sets`` the owner is
     predetermined instead: one set per NU, checked as ``su_phase`` checks
-    ``candidate_sets``.  With the bidders fixed, ``water_level`` solves
-    the level exactly on one row of all T*N columns.  With several weight
-    classes the winners depend on the level, so it is re-solved at the
-    previous level's winners until they repeat; if two winner sets
-    alternate, the lower of their levels, which underspends, is kept.  A
-    residual that is not finite and positive raises ``ValueError``; a
-    phase with no free subcarrier spends nothing, at level 0.  Returns
-    ``(water_level, NuPhaseReport)``.
+    ``candidate_sets``.  With the bidders fixed, the level is exact: one
+    water level over the free columns of all frames, read in the
+    ensemble's breakpoint order (``_presorted_level``), or, on fixed sets,
+    sorted by ``water_level``.  With several weight classes the winners
+    depend on the level, so it is re-solved at the previous level's
+    winners until they repeat; if two winner sets alternate, the lower of
+    their levels, which underspends, is kept.  A residual that is not
+    finite and positive raises ``ValueError``; a phase with no free
+    subcarrier spends nothing, at level 0.  Returns ``(water_level,
+    NuPhaseReport)``.
     """
     check_dimensions(ensemble, config)
     t_count, n, k1 = ensemble.count, config.n_subcarriers, config.n_secure
@@ -137,23 +165,31 @@ def nu_phase(
     if not 0 < p_residual < np.inf:
         raise ValueError("p_residual must be finite and positive")
 
-    alpha_nu = ensemble.alpha[:, k1:, :]
+    budget = np.array([p_residual * t_count])
     g = None    # the bidders' classes, while they depend on the level
     if fixed_sets is not None:
         owner = _column_owner(fixed_sets, config.n_normal, n, "fixed_sets")
         free = np.broadcast_to(owner >= 0, (t_count, n))
         idx = np.maximum(owner, 0)
-        fixed = idx, 1.0 / alpha_nu[:, idx, np.arange(n)], config.weights[idx]
+        fixed = (idx, 1.0 / ensemble.alpha[:, k1 + idx, np.arange(n)],
+                 config.weights[idx])
 
         def bids(_):
             return fixed
+
+        def level_at(_):
+            w = np.broadcast_to(fixed[2], free.shape)[free]
+            return water_level(True, w[None, :], fixed[1][free][None, :], budget)
     else:
         free = ~occupied
-        nu = _NuCandidates(alpha_nu, config.weights)
+        nu = _NuCandidates(ensemble, k1, config.weights)
 
         def bids(g):
             """The bidders of the classes ``g``: NU index, 1/alpha and weight."""
             return nu.take(nu.index, g), nu.take(nu.inv_alpha, g), nu.weight(g)
+
+        def level_at(g):
+            return _presorted_level(nu, free, g, budget)
 
         if nu.weights.size > 1:
             # a high level starts it: there the heaviest class wins everywhere
@@ -162,11 +198,9 @@ def nu_phase(
         # every subcarrier is taken, so no water level spends anything
         return 0.0, NuPhaseReport(0.0, 0, np.full(free.shape, -1), np.zeros(free.shape))
 
-    row, budget, back = free.reshape(1, -1), np.array([p_residual * t_count]), None
+    back = None
     for rounds in range(1, _MAX_LEVEL_ROUNDS + 1):
-        _, inv_a, w = bids(g)
-        w = np.broadcast_to(w, inv_a.shape).reshape(1, -1)
-        level = float(water_level(row, w, inv_a.reshape(1, -1), budget)[0])
+        level = float(level_at(g)[0])
         if g is None:
             break
         won = nu.auction(-np.log(level), 1.0 / level)[1]

@@ -14,6 +14,9 @@ order statistics from the scalar ``order_stats``.
 ``per_frame_decisions`` and ``per_frame_evaluate`` are the per-frame
 loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
 (T, N) array reductions; they take the dense (T, K, N) power tensor.
+``masked_rates`` and ``masked_evaluate`` are the (T, N) formulas that
+the one-pass judge replaced: a ``take_along_axis`` gather, masked rates
+and one masked ``bincount`` per user kind.
 
 The ``looped_*`` functions are the dual solver's searches as plain
 Python loops: ``looped_price`` the power-price search of both modes,
@@ -412,6 +415,43 @@ def per_frame_evaluate(decisions, ensemble, config):
         avg_power=power / t_count,
         su_power=su_power / t_count,
         su_subcarriers=su_count / t_count,
+        realizations_used=t_count,
+    )
+
+
+def masked_rates(owner, power, ensemble, config):
+    """``decisions_from_arrays``' checked ``(owner, power, rate)``, by masks.
+
+    ``owner`` holds whole numbers in [-1, K) and ``power`` finite values
+    >= 0, as ``decisions_from_arrays`` checks them.
+    """
+    owner = np.asarray(owner).astype(np.int64)
+    owned = owner >= 0
+    power = np.where(owned, power, 0.0)
+    nu1, nu2, kmax = ensemble.order_stats
+    a = np.take_along_axis(
+        ensemble.alpha, np.where(owned, owner, 0)[:, None, :], axis=1
+    )[:, 0, :]
+    info = np.log1p(power * a)
+    beta = np.where(kmax == owner, nu2, nu1)
+    secrecy = np.maximum(info - np.log1p(power * beta), 0.0)
+    rate = np.where(owned, np.where(owner < config.n_secure, secrecy, info), 0.0)
+    return owner, power, rate
+
+
+def masked_evaluate(owner, power, rate, config):
+    """``evaluate``'s report from (T, N) arrays, one masked sum per kind."""
+    t_count, k1 = owner.shape[0], config.n_secure
+    su = (owner >= 0) & (owner < k1)
+    nu = owner >= k1
+    r_su = np.bincount(owner[su], weights=rate[su], minlength=k1)
+    nu_rate = np.bincount(owner[nu] - k1, weights=rate[nu], minlength=config.n_normal)
+    return EvaluationReport(
+        r_nu_total=float(config.weights @ nu_rate) / t_count,
+        r_su=r_su / t_count,
+        avg_power=float(power.sum()) / t_count,
+        su_power=float(power[su].sum()) / t_count,
+        su_subcarriers=int(su.sum()) / t_count,
         realizations_used=t_count,
     )
 

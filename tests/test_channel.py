@@ -16,7 +16,9 @@ from secure_ofdma import (
     solve_peak,
     solve_suboptimal,
 )
+from secure_ofdma import nu_phase, rates
 from secure_ofdma.channel import column_order_stats
+from secure_ofdma.dual_solver import _Prepared
 
 from conftest import make_config
 from oracles import order_stats
@@ -194,6 +196,43 @@ def test_ensemble_keeps_a_read_only_view_and_its_order_stats():
     for got, want in zip(stats, column_order_stats(alpha)):
         assert np.array_equal(got, want) and not got.flags.writeable
     assert stats[2].dtype == np.uint8   # a user index, not argmax's int64
+
+
+def test_ensemble_builds_each_strongest_nu_table_once(monkeypatch):
+    # two weight classes: NUs 0 and 2 weigh 1, NUs 1 and 3 weigh 2
+    cfg = make_config(n=8, k=6, k1=2, omega=[1.0, 2.0, 1.0, 2.0], power=20.0)
+    ens = generate_ensemble(cfg, 12, seed=3)
+    built = []
+    strongest = rates._strongest_nu
+
+    def counted(*args):
+        built.append(args)
+        return strongest(*args)
+
+    monkeypatch.setattr(rates, "_strongest_nu", counted)
+    prep = _Prepared(ens, cfg)
+    nu_phase(ens, cfg, 5.0, np.zeros((12, 8), bool))
+    again = rates._NuCandidates(ens, 2, cfg.weights)
+    key = (2, cfg.weights.tobytes())
+    assert len(built) == 1 and list(ens.nu_tables) == [key]
+    table = ens.nu_tables[key]
+    # the NU phase sorted the breakpoints once; later readers share them
+    assert again.order is table["order"] and table["order"].dtype == np.int32
+    # the table is the strongest NU of each class, kept small, gathered wide
+    alpha_nu = ens.alpha[:, 2:, :]
+    want = np.stack([np.array([0, 2])[alpha_nu[:, [0, 2]].argmax(axis=1)],
+                     np.array([1, 3])[alpha_nu[:, [1, 3]].argmax(axis=1)]], axis=1)
+    assert table["index"].dtype == np.uint8 and np.array_equal(table["index"], want)
+    for nu in (prep.nu, again):
+        assert nu.index.dtype == np.intp and np.array_equal(nu.index, want)
+        assert np.array_equal(nu.alpha(), np.take_along_axis(alpha_nu, want, axis=1))
+    # another weight vector, or another K1, gets its own table
+    rates._NuCandidates(ens, 2, np.ones(4))
+    rates._NuCandidates(ens, 3, np.ones(3))
+    assert len(built) == 3 and len(ens.nu_tables) == 3
+    for arr in table.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
 
 
 def test_ensemble_coerces_to_float():

@@ -22,6 +22,7 @@ from secure_ofdma.allocation import validate_exclusivity
 from secure_ofdma.channel import ChannelEnsemble, column_order_stats
 
 from conftest import make_config
+from test_search import random_instance
 from oracles import (
     maximize_power_payoff,
     nu_payoff,
@@ -401,6 +402,28 @@ class TestPeakMode:
         assert np.all(res.duals.mu == 0.0)
         for d in res.decisions:
             assert abs(d.total_power - 80.0) < 80.0 * 1e-6 + 1e-9
+
+    def test_infeasible_result_is_the_zero_target_solve(self):
+        # targets at the SU cap are out of reach; the infeasible result is
+        # the refilled no-secrecy allocation, which spends the frame's whole
+        # budget, as the solve at zero targets does (the auction alone left
+        # 0.49970 of 0.5 unspent)
+        ens, cfg = random_instance(np.random.default_rng(1), 3, 1, 4, 1, False, 0.5)
+        res = solve_peak(ens, cfg.with_targets(dual_solver._Prepared(ens, cfg).su_caps))
+        zero = solve_peak(ens, cfg.with_targets(0.0))
+        assert res.infeasible and res.message.startswith("SU 0: secrecy target")
+        assert zero.converged
+        spend = res.decisions.power.sum(axis=1)
+        assert abs(spend[0] - 0.5) <= 1e-12 and spend[0] <= 0.5
+        assert np.array_equal(res.decisions.owner, zero.decisions.owner)
+        np.testing.assert_allclose(res.decisions.power, zero.decisions.power,
+                                   rtol=1e-12, atol=0)
+        assert res.report.r_nu_total == pytest.approx(zero.report.r_nu_total, rel=1e-12)
+        # the dual value is the auction's at the no-secrecy price
+        prep = dual_solver._Prepared(ens, cfg)
+        lam = dual_solver._no_secrecy_price(prep, SolverOptions().epsilon)
+        dual = dual_solver._eval_point(prep, np.zeros(1), lam).dual_value
+        assert res.dual_value == dual and res.dual_trace == [dual]
 
     def test_average_and_peak_close_at_high_power(self):
         cfg_a = make_config(c=0.4, mode="average")

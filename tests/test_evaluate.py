@@ -18,7 +18,7 @@ from secure_ofdma.channel import ChannelEnsemble, column_order_stats
 from secure_ofdma.evaluate import EvaluationReport, solve_result, unmet
 
 from conftest import make_config
-from oracles import per_frame_decisions, per_frame_evaluate
+from oracles import masked_evaluate, masked_rates, per_frame_decisions, per_frame_evaluate
 from test_search import random_instance
 
 
@@ -228,6 +228,41 @@ def test_matches_per_frame_oracle(k, k1_frac, n, t, unequal, free, zero_power,
             getattr(rep, field.name), getattr(ref_rep, field.name),
             rtol=1e-12, atol=0, err_msg=field.name,
         )
+
+
+@given(
+    k=st.integers(2, 7), k1_frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 9), t=st.integers(1, 7),
+    unequal=st.booleans(), free=st.floats(0.0, 1.0),
+    zero_power=st.floats(0.0, 1.0), as_float=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_pass_judge_is_the_masked_formulas_bit_for_bit(
+        k, k1_frac, n, t, unequal, free, zero_power, as_float, seed):
+    """The flat gather and the single ``bincount`` change no bit.
+
+    Owners are drawn at random: unowned columns, SUs on columns where they
+    are not the strongest user, owned columns at zero power, and owners
+    given as whole-number floats.
+    """
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    omega = rng.uniform(0.5, 3.0, size=k - k1) if unequal else 1.0
+    cfg = make_config(n=n, k=k, k1=k1, omega=omega)
+    ens = ChannelEnsemble(alpha=rng.exponential(size=(t, k, n)), seed=0, rho=1.0)
+    owner = np.where(rng.random((t, n)) < free, -1, rng.integers(0, k, size=(t, n)))
+    power = rng.exponential(size=(t, n)) * (rng.random((t, n)) >= zero_power)
+    given_owner = owner.astype(float) if as_float else owner
+
+    alloc = decisions_from_arrays(given_owner, power, ens, cfg)
+    want = masked_rates(given_owner, power, ens, cfg)
+    for got, ref in zip((alloc.owner, alloc.power, alloc.rate), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    rep, ref_rep = evaluate(alloc, ens, cfg), masked_evaluate(*want, cfg)
+    for field in dataclasses.fields(EvaluationReport):
+        got, ref = getattr(rep, field.name), getattr(ref_rep, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), field.name
 
 
 def _judged(owner, power, c=0.0, cap=10.0, mode="average", **kw):

@@ -127,6 +127,19 @@ class TestRun:
         assert meta1["csv_sha256"] == meta2["csv_sha256"]
         assert meta1["ensemble_sha256"] == meta2["ensemble_sha256"]
 
+    def test_sidecar_says_what_an_infeasible_row_holds(self, tmp_path):
+        # C = 9 is above every SU's unbounded-power limit on 16 columns
+        spec = small_spec(tmp_path=tmp_path, values=[0.2, 9.0])
+        rows = run_experiment(spec)
+        meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
+        assert "no-secrecy allocation at mu = 0" in meta["infeasible_rows"]
+        out = [r for r in rows if r["value"] == 9.0]
+        assert [r["status"] for r in out] == ["infeasible"] * 2
+        # the numbers the note describes: NU rate and power, no SU secrecy
+        for r in out:
+            assert r["r_nu_total"] > 0 and r["su_power"] == r["su_subcarriers"] == 0
+            assert r["r_su_1"] == r["r_su_2"] == 0
+
     def test_peak_sweep_runs_the_peak_solver(self, tmp_path):
         def run():
             rows = run_experiment(small_spec(

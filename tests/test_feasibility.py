@@ -1,12 +1,26 @@
 import pytest
 
-from secure_ofdma import check_feasibility, secrecy_rate_upper_bound
+from secure_ofdma import check_feasibility, feasibility, secrecy_rate_upper_bound
 
 from conftest import make_config
 from oracles import top_two_log_ratio_mc
 
 
 class TestBound:
+    def test_quadrature_is_integrated_once_per_user_count(self):
+        ratio = feasibility.expected_top_two_log_ratio
+        first = ratio(7, rho=2.0)
+        assert feasibility._top_two_log_ratio.cache_info().currsize >= 1
+        # the cached value is the integral itself, for every rho
+        fresh = feasibility._top_two_log_ratio.__wrapped__(7)
+        assert ratio(7, rho=0.5) == first == fresh
+        # the arguments are checked on every call, cached or not
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rho"):
+                ratio(7, rho=bad)
+        with pytest.raises(ValueError, match="at least 2 users"):
+            ratio(1)
+
     def test_headline_configuration(self):
         bound = secrecy_rate_upper_bound(64, 8, rho=1.0)
         assert 3.4 <= bound <= 3.6

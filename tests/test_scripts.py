@@ -32,6 +32,10 @@ def test_cell_diff_finds_no_difference_between_a_checkout_and_itself(tmp_path, c
     assert main([root, root, "--seeds", "1", "--frames", "100", "--out", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["differing"] == []
+    # every field the one-pass judge computes is compared, beside the rest
+    assert {"owner", "power", "rate", "r_nu", "r_su", "avg_power", "su_power",
+            "su_subcarriers", "dual_trace", "iterations", "message"} <= set(
+        summary["fields"])
     assert {name: w["cells"] for name, w in summary["workloads"].items()} == {
         "sweep_avg": 24, "peak_cold": 16, "twophase": 60}
     assert capsys.readouterr().out.splitlines() == [json.dumps(summary["workloads"])]

@@ -18,7 +18,7 @@ from secure_ofdma import (
     su_phase,
 )
 from secure_ofdma import _search, suboptimal
-from secure_ofdma._search import threshold_stats
+from secure_ofdma._search import threshold_stats, water_level
 from secure_ofdma.allocation import validate_exclusivity
 from secure_ofdma.channel import column_order_stats
 from secure_ofdma.dual_solver import _Prepared
@@ -471,7 +471,7 @@ class TestUnequalWeights:
         level, rep = nu_phase(ens, cfg, residual, su_rep.occupied)
         assert 2 <= rep.iterations < suboptimal._MAX_LEVEL_ROUNDS
         assert res.duals.lam == 1.0 / level
-        nu = _NuCandidates(ens.alpha[:, k1:, :], cfg.weights)
+        nu = _NuCandidates(ens, k1, cfg.weights)
         free = ~su_rep.occupied
 
         def auction(x):
@@ -507,3 +507,63 @@ class TestUnequalWeights:
             lo, hi = (mid, hi) if spend(mid) < residual else (lo, mid)
         assert spend(lo) < residual < spend(hi)
         assert spend(hi) - spend(lo) > 1e-6 * cfg.power
+
+
+class TestPresortedLevel:
+    """The NU level read in the ensemble's breakpoint order, or sorted on
+    fixed sets alone, is ``water_level`` on the unsorted row, bit for bit."""
+
+    @staticmethod
+    def _free(kind, rng, shape):
+        if kind == "all":
+            return np.ones(shape, bool)
+        if kind == "one":
+            free = np.zeros(shape, bool)
+            free[rng.integers(shape[0]), rng.integers(shape[1])] = True
+            return free
+        return rng.random(shape) < 0.6
+
+    @pytest.mark.parametrize("kind", ["some", "all", "one"])
+    @pytest.mark.parametrize("omega", [
+        [1.5, 1.5, 1.5], [1.0, 2.0, 1.0], [0.5, 1.0, 3.0],
+    ], ids=["G1", "G2", "G3"])
+    def test_level_from_the_ensemble_order(self, omega, kind):
+        cfg = make_config(n=8, k=5, k1=2, omega=omega, power=20.0)
+        ens = generate_ensemble(cfg, 30, seed=len(set(omega)))
+        rng = np.random.default_rng(len(set(omega)))
+        nu = _NuCandidates(ens, 2, cfg.weights)
+        classes = nu.weights.size
+        for _ in range(5):
+            free = self._free(kind, rng, (30, 8))
+            g = None if classes == 1 else rng.integers(0, classes, size=(30, 8))
+            inv_a = nu.take(nu.inv_alpha, g)
+            w = np.broadcast_to(nu.weight(g), inv_a.shape)
+            for spend in (1e-3, 1.0, 300.0):
+                budget = np.array([spend])
+                want = water_level(free.reshape(1, -1), w.reshape(1, -1),
+                                   inv_a.reshape(1, -1), budget)
+                got = suboptimal._presorted_level(nu, free, g, budget)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sets", [
+        "fsa1", "fsa2", "all", "one",
+    ])
+    def test_level_on_fixed_sets(self, sets):
+        cfg = make_config(n=16, k=4, k1=2, c=0.05, omega=[1.0, 2.5], power=30.0)
+        ens = generate_ensemble(cfg, 25, seed=6)
+        nu_sets = {
+            "fsa1": fsa_partition("fsa1", cfg)[2:], "fsa2": fsa_partition("fsa2", cfg)[2:],
+            "all": [np.arange(0, 16, 2), np.arange(1, 16, 2)], "one": [[], [9]],
+        }[sets]
+        owner = np.full(16, -1)
+        for j, subs in enumerate(nu_sets):
+            owner[np.asarray(subs, int)] = j
+        idx = np.maximum(owner, 0)
+        inv_a = 1.0 / ens.alpha[:, 2 + idx, np.arange(16)]
+        w = np.broadcast_to(cfg.weights[idx], inv_a.shape)
+        free = np.broadcast_to(owner >= 0, inv_a.shape)
+        for residual in (1e-3, 1.0, 30.0):
+            level, _ = nu_phase(ens, cfg, residual, np.zeros((25, 16), bool), nu_sets)
+            want = water_level(free.reshape(1, -1), w.reshape(1, -1),
+                               inv_a.reshape(1, -1), np.array([residual * 25]))
+            assert level == float(want[0])
