@@ -2,13 +2,17 @@
 
     python scripts/cell_diff.py PARENT CHANGE [--seeds 1 2] [--frames N] [--out FILE]
 
-Each checkout runs the three ``perfbench/workloads.py`` workloads in a
-subprocess on its own ``src/``.  Cells are compared on their owners,
-powers and per-column rates (by digest), prices, dual trace, iterations,
-flags, message, R_NU, per-SU secrecy, mean power, SU power and SU
-subcarrier count.  Each differing cell is printed with the largest
-change of each numeric field, and ``--out`` gets a JSON summary that
-also names every compared field.  Exits 1 when a cell differs.
+Each checkout runs the three ``perfbench/workloads.py`` workloads and
+its own ``scripts/*.json`` sweep specs (at ``--frames`` realizations
+when that is given) in a subprocess on its own ``src/``.  Cells are
+compared on their owners, powers and per-column rates (by digest),
+prices, dual trace, iterations, flags, message, R_NU, per-SU secrecy,
+mean power, SU power and SU subcarrier count; each sweep's CSV is
+compared byte for byte.  Each differing cell is printed with the largest
+change of each numeric field, then the verdict on each CSV, and
+``--out`` gets a JSON summary that also names every compared field and
+each checkout's ``src/`` line count.  Exits 1 when a cell or a CSV
+differs.
 """
 
 import argparse
@@ -28,6 +32,7 @@ root, out, frames, seeds = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import numpy as np
 import workloads
+from secure_ofdma.experiments import ExperimentSpec, run_experiment
 
 def fields(r):
     digest = lambda a: hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
@@ -40,7 +45,7 @@ def fields(r):
             "r_nu": rep.r_nu_total, "r_su": rep.r_su, "avg_power": rep.avg_power,
             "su_power": rep.su_power, "su_subcarriers": rep.su_subcarriers}
 
-cells = {}
+cells, csv = {}, {}
 with tempfile.TemporaryDirectory() as tmp:
     for name, w in workloads.WORKLOADS.items():
         for seed in map(int, seeds):
@@ -48,7 +53,15 @@ with tempfile.TemporaryDirectory() as tmp:
             for c in workloads.run_workload(name, ens, Path(tmp))[1]:
                 key = f"{name} seed={seed} ens={c.ensemble_index} {c.label}"
                 cells[key] = {"error": c.error, **(fields(c.result) if c.result else {})}
-Path(out).write_bytes(pickle.dumps(cells))
+    for path in sorted((root / "scripts").glob("*.json")):
+        spec = ExperimentSpec.from_file(path)
+        spec.realizations = frames or spec.realizations
+        spec.output = str(Path(tmp) / f"{path.stem}.csv")
+        run_experiment(spec)
+        csv[path.name] = Path(spec.output).read_bytes()
+package = root / "src" / "secure_ofdma"
+lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
+Path(out).write_bytes(pickle.dumps((cells, csv, lines)))
 """
 
 
@@ -78,7 +91,7 @@ def main(argv=None) -> int:
             subprocess.run([sys.executable, "-c", CHILD, str(Path(root).resolve()),
                             str(out), str(args.frames), *map(str, args.seeds)], check=True)
             sides.append(pickle.loads(out.read_bytes()))
-    old, new = sides
+    (old, old_csv, old_lines), (new, new_csv, new_lines) = sides
     diffs, counts, compared = [], {}, set()
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, {}), new.get(key, {})
@@ -91,13 +104,17 @@ def main(argv=None) -> int:
             tally["differing"] += 1
             diffs.append({"cell": key, "fields": moved})
             print(key, json.dumps(moved))
+    csv = {name: "identical" if old_csv.get(name) == new_csv.get(name) else "differs"
+           for name in sorted(old_csv.keys() | new_csv.keys())}
     print(json.dumps(counts))
+    print(json.dumps(csv))
     if args.out:
         Path(args.out).write_text(json.dumps(
             {"parent": args.parent, "change": args.change, "seeds": args.seeds,
              "frames": args.frames or "workload default", "workloads": counts,
-             "fields": sorted(compared), "differing": diffs}, indent=1) + "\n")
-    return 1 if diffs else 0
+             "fields": sorted(compared), "differing": diffs, "csv": csv,
+             "src_lines": {"parent": old_lines, "change": new_lines}}, indent=1) + "\n")
+    return 1 if diffs or "differs" in csv.values() else 0
 
 
 if __name__ == "__main__":

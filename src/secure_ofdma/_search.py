@@ -178,19 +178,17 @@ def bisect_monotone(
     return SearchOutcome(last[0], steps)
 
 
-def threshold_stats(a, b, su, x, t_count, terms=None):
+def threshold_stats(a, b, su, x, t_count, terms):
     """Mean secrecy rate and power per group at CNR-gap thresholds ``x``.
 
     ``a``, ``b`` and ``su`` are the flattened candidate columns: the top
     CNR, the runner-up and the group of the SU holding the top.  Group
     ``g`` is active where ``a - b > x[g]``, with the closed-form power at
     the price pair (1/x[g], 1), which keeps that rule exactly; only active
-    columns are priced.  ``terms`` is ``_su_terms(a, b)``, which a caller
-    pricing the same columns at many thresholds passes in.  Returns the
-    per-group means, the active indices and their powers.
+    columns are priced.  ``terms`` is ``_su_terms(a, b)``, computed once
+    by a caller that prices the same columns at many thresholds.  Returns
+    the per-group means, the active indices and their powers.
     """
-    if terms is None:
-        terms = _su_terms(a, b)
     thr = x[su]
     on = np.flatnonzero(terms[0] > thr)
     a_on, b_on, su_on = a[on], b[on], su[on]
@@ -209,17 +207,17 @@ def search_threshold(a, b, su, targets, rtol, t_count):
     threshold alone, so the searches are one elementwise bisection whose
     probes price only the open groups, on price-free terms and group
     labels computed once.  Group g's bracket runs from 0 to just above its
-    largest gap, where its rate is 0.  Returns each group's last probe and
-    bisection steps; a zero target gives ``inf`` and 0 steps, a positive
-    one needs a column.
+    largest gap, where its rate is 0.  Returns each group's last probe,
+    its bisection steps and ``threshold_stats`` at those probes; a zero
+    target gives ``inf`` and 0 steps, a positive one needs a column.
     """
     thresholds = np.full(targets.size, np.inf)
     steps = np.zeros(targets.size, dtype=int)
     live = np.flatnonzero(targets > 0)
-    if not live.size:
-        return thresholds, steps
     su = su.astype(np.intp)
     terms = _su_terms(a, b)
+    if not live.size:
+        return thresholds, steps, threshold_stats(a, b, su, thresholds, t_count, terms)
     cap = np.zeros(targets.size)
     np.maximum.at(cap, su, terms[0])
     cap = cap[live] * (1 + 1e-9) + 1e-9
@@ -236,7 +234,7 @@ def search_threshold(a, b, su, targets, rtol, t_count):
         return fx > c[idx], np.abs(fx - c[idx]) <= tol[idx]
 
     bisect(probe, 0.0, cap, xtol=1e-12 * np.maximum(cap, 1.0))
-    return thresholds, steps
+    return thresholds, steps, threshold_stats(a, b, su, thresholds, t_count, terms)
 
 
 def water_level(candidate, w, inv_a, budget):

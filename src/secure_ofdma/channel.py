@@ -10,9 +10,10 @@ the seed and its index: regeneration is bit-identical for any count,
 prefix-stable when the count grows, and safe to parallelize.
 
 Both solver families read the per-subcarrier order statistics from
-here: an ensemble's ``alpha`` is read-only, so ``ensemble.order_stats``
-is computed once per ensemble, as are the strongest-NU tables in
-``ensemble.nu_tables``; ``ensemble.su_columns(k1)`` are the
+here: an ensemble's ``alpha`` is read-only, so what no price changes is
+computed once per ensemble and kept, read-only, by ``ensemble.memo``:
+``order_stats``, the strongest-NU index and its breakpoint order, and
+the dual solver's no-secrecy price.  ``ensemble.su_columns(k1)`` are the
 columns an SU can win, ``secrecy_limit`` its cap on them, and
 ``check_reachable`` the one test of the targets against that cap.
 """
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,18 +42,20 @@ class ChannelEnsemble:
     """Ordered stack of i.i.d. channel realizations.
 
     The ensemble does not copy ``alpha``: it keeps a read-only view, so
-    nothing writes through it under the cached ``order_stats``.  The
-    caller's own array stays writable and must not change under it.
+    nothing writes through it under what ``memo`` keeps.  The caller's
+    own array stays writable and must not change under it.
     """
 
     alpha: np.ndarray  # shape (count, K, N)
     seed: int
     rho: float
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
-        if a.ndim != 3 or a.shape[0] < 1:
-            raise ValueError("alpha must be a nonempty (count, K, N) stack")
+        if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] < 2 or a.shape[2] < 1:
+            raise ValueError("alpha must be a nonempty (count, K, N) stack "
+                             "of K >= 2 users and N >= 1 subcarriers")
         # two reductions and no temporaries; a NaN propagates and fails both
         if not (a.min() > 0 and a.max() < np.inf):
             raise ValueError("alpha entries must be positive and finite")
@@ -62,31 +64,31 @@ class ChannelEnsemble:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "seed", _checked_seed(self.seed))
 
-    @cached_property
+    def memo(self, key, build):
+        """The value kept under ``key``, from ``build()`` on its first lookup.
+
+        Every solve on the ensemble shares it, so each array kept, alone
+        or in a tuple, is made read-only.
+        """
+        if key not in self._kept:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+            self._kept[key] = value
+        return self._kept[key]
+
+    @property
     def order_stats(self):
-        """``column_order_stats(alpha)``, computed once; shared, so read-only.
+        """``column_order_stats(alpha)``, computed once.
 
         ``kmax`` is kept in the smallest unsigned type that holds a user
         index (uint8 up to 256 users), not the int64 ``argmax`` returns.
         """
-        nu1, nu2, kmax = column_order_stats(self.alpha)
-        stats = nu1, nu2, kmax.astype(np.min_scalar_type(self.n_users - 1))
-        for s in stats:
-            s.flags.writeable = False
-        return stats
-
-    @cached_property
-    def price_memo(self) -> dict:
-        """Power prices solved on this ensemble, keyed by the inputs they
-        depend on; the dual solver memoizes its no-secrecy price here."""
-        return {}
-
-    @cached_property
-    def nu_tables(self) -> dict:
-        """Strongest-NU tables of this ensemble, keyed by (K1, weights):
-        ``rates._NuCandidates`` keeps each read-only index here, and its
-        breakpoint order once the two-phase NU phase first reads it."""
-        return {}
+        def build():
+            nu1, nu2, kmax = column_order_stats(self.alpha)
+            return nu1, nu2, kmax.astype(np.min_scalar_type(self.n_users - 1))
+        return self.memo("order_stats", build)
 
     def su_columns(self, k1: int):
         """The columns whose largest CNR belongs to one of the ``k1`` SUs.

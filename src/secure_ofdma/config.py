@@ -22,8 +22,17 @@ RUN_KEYS = CONFIG_KEYS | RUN_FIELD_KEYS
 
 
 def snr_db_to_power(snr_db: float) -> float:
-    """Total transmit SNR in dB -> linear power budget (unit noise)."""
-    return float(10.0 ** (snr_db / 10.0))
+    """Total transmit SNR in dB -> linear power budget (unit noise).
+
+    Raises ``ValueError`` unless the budget is finite and positive.
+    """
+    try:
+        power = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        power = np.inf
+    if not 0 < power < np.inf:
+        raise ValueError(f"snr_db={snr_db} gives no finite positive power budget")
+    return power
 
 
 def power_to_snr_db(power: float) -> float:

@@ -45,9 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._search import (
-    _probe_open, bisect, bracket, search_threshold, threshold_stats, water_level,
-)
+from ._search import _probe_open, bisect, bracket, search_threshold, water_level
 from .allocation import UNASSIGNED, SolveResult, decisions_from_arrays
 from .channel import (ChannelEnsemble, SecrecyInfeasibleError, check_dimensions,
                       check_reachable, secrecy_limit)
@@ -73,10 +71,10 @@ class _Prepared:
     the rows of ``su_cols`` their top two CNRs and the price-free terms of
     the SU closed form.  On the NU side only the strongest NU of each
     weight class can win, so ``nu`` keeps one candidate per class and
-    column, read from the ensemble's strongest-NU table; its (T, G, N)
-    arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``, the names
-    of the full per-NU caches they replace.  ``contested`` narrows the SU
-    side further, to a view for a search's later probes.
+    column, read from the ensemble's strongest-NU index; its (T, G, N)
+    arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``, which the
+    benchmark tracer reads.  ``contested`` narrows the SU side further,
+    to a view for a search's later probes.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -99,7 +97,7 @@ class _Prepared:
         self.nu = _NuCandidates(ensemble, self.k1, config.weights)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
-        self.price_memo = ensemble.price_memo
+        self.memo = ensemble.memo
         self._su_nu_paid = None   # (scalar price, NU payoff on the su_* columns)
 
     # the (T, N) SU-max column mask: only the tracer reads it, so built on demand
@@ -432,9 +430,8 @@ def _trim_su_surplus(prep, owner, p_win, lam_t):
     on = np.flatnonzero(mine & (p > 0))
     lam = lam_t[t[on]]
     a, b = a[on] / lam, b[on] / lam
-    x, _ = search_threshold(a, b, su[on], np.where(trim, targets, 0.0), 1e-6,
-                            prep.t_count)
-    _, _, active, p_on = threshold_stats(a, b, su[on], x, prep.t_count)
+    _, _, (_, _, active, p_on) = search_threshold(
+        a, b, su[on], np.where(trim, targets, 0.0), 1e-6, prep.t_count)
     p[mine] = 0.0
     p[on[active]] = p_on / lam[active]
     p_win[t, n] = p
@@ -548,17 +545,11 @@ def _no_secrecy_price(prep, eps):
 
     No SU bids at ``mu = 0``, so the price depends on the ensemble, K1,
     the NU weights, the budget, the mode and ``eps``, not on the targets;
-    it is memoized on the ensemble under those keys.
+    it is kept by ``ensemble.memo`` under those keys.
     """
     cfg = prep.config
-    key = (cfg.mode, prep.k1, cfg.weights.tobytes(), cfg.power, eps)
-    lam = prep.price_memo.get(key)
-    if lam is None:
-        lam = _solve_lambda(prep, np.zeros(prep.k1), eps)
-        if isinstance(lam, np.ndarray):
-            lam.flags.writeable = False   # shared by every solve on the ensemble
-        prep.price_memo[key] = lam
-    return lam
+    key = ("no_secrecy_price", cfg.mode, prep.k1, cfg.weights.tobytes(), cfg.power, eps)
+    return prep.memo(key, lambda: _solve_lambda(prep, np.zeros(prep.k1), eps))
 
 
 _OUT_OF_ITERATIONS = "reached max_iterations={} before the tolerance test passed"

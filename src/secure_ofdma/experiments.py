@@ -62,6 +62,8 @@ class ExperimentSpec:
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers: {sorted(unknown)}")
+        for value in values:    # a bad point fails here, not mid-sweep
+            _point_config(self, value)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":

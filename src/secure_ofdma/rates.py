@@ -182,32 +182,27 @@ class _NuCandidates:
     solver, its primal refill and the two-phase NU phase all bid here.
 
     No price changes which NU is strongest, so the index is found once
-    per ensemble and (K1, weights) and kept, read-only, in
-    ``ensemble.nu_tables``, together with ``order`` once it is first read.
+    per ensemble and (K1, weights) and kept by ``ensemble.memo``, as is
+    ``order`` once it is first read.
     """
 
     def __init__(self, ensemble, k1: int, weights: np.ndarray):
         weights = np.asarray(weights, float)
         self.weights = np.unique(weights)
-        self._cnr, self._k1 = ensemble.alpha, k1
-        key = (k1, weights.tobytes())
-        table = ensemble.nu_tables.get(key)
-        if table is None:
-            table = ensemble.nu_tables[key] = {"index": _strongest_nu(
-                ensemble.alpha[:, k1:, :], weights, self.weights)}
-        self._table = table
+        self._ensemble, self._k1 = ensemble, k1
+        self._key = (k1, weights.tobytes())
+        index = ensemble.memo(("nu_index", *self._key), lambda: _strongest_nu(
+            ensemble.alpha[:, k1:, :], weights, self.weights))
         # gathered as the platform's index width: owners are built from it
-        self.index = table["index"].astype(np.intp)
+        self.index = index.astype(np.intp)
         self.inv_alpha = 1.0 / self.alpha()
 
     def alpha(self) -> np.ndarray:
-        """The candidates' (T, G, N) CNRs: with one class, each column's
-        largest NU CNR, else one flat gather at ``index``."""
-        if self.weights.size == 1:
-            return self._cnr[:, self._k1:, :].max(axis=1)[:, None, :]
-        t_count, k, n = self._cnr.shape
+        """The candidates' (T, G, N) CNRs, one flat gather at ``index``."""
+        cnr = self._ensemble.alpha
+        t_count, k, n = cnr.shape
         frame = np.arange(t_count)[:, None, None] * k + self._k1
-        return np.take(self._cnr, (frame + self.index) * n + np.arange(n))
+        return np.take(cnr, (frame + self.index) * n + np.arange(n))
 
     @cached_property
     def ln_wa(self) -> np.ndarray:
@@ -217,17 +212,14 @@ class _NuCandidates:
     def order(self) -> np.ndarray:
         """The flat (T, G, N) positions by ascending breakpoint ``inv_alpha / w``.
 
-        Sorted on first read and kept with the index, read-only, as int32
-        (the platform's index width past 2**31 entries).
+        Sorted on first read and kept with the index as int32 (the
+        platform's index width past 2**31 entries).
         """
-        order = self._table.get("order")
-        if order is None:
+        def build():
             kink = (self.inv_alpha / self.weights[:, None]).ravel()
-            order = np.argsort(kink).astype(
+            return np.argsort(kink).astype(
                 np.int32 if kink.size <= np.iinfo(np.int32).max else np.intp)
-            order.flags.writeable = False
-            self._table["order"] = order
-        return order
+        return self._ensemble.memo(("nu_order", *self._key), build)
 
     def auction(self, ln_lam, lam, rows=slice(None)):
         """Winning candidate per column at power price ``lam``.
@@ -262,17 +254,12 @@ class _NuCandidates:
 
 def _strongest_nu(alpha_nu, weights, classes):
     """The (T, G, N) index of the strongest NU of each of the weight
-    ``classes``, read-only, in the smallest unsigned type that holds it."""
-    if classes.size == 1:
-        index = np.argmax(alpha_nu, axis=1)[:, None, :]
-    else:
-        members = [np.flatnonzero(weights == w) for w in classes]
-        index = np.stack([
-            m[np.argmax(alpha_nu[:, m, :], axis=1)] for m in members
-        ], axis=1)
-    index = index.astype(np.min_scalar_type(weights.size - 1))
-    index.flags.writeable = False
-    return index
+    ``classes``, in the smallest unsigned type that holds it."""
+    members = [np.flatnonzero(weights == w) for w in classes]
+    index = np.stack([
+        m[np.argmax(alpha_nu[:, m, :], axis=1)] for m in members
+    ], axis=1)
+    return index.astype(np.min_scalar_type(weights.size - 1))
 
 
 __all__ = [

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import search_threshold, sorted_level, threshold_stats, water_level
+from ._search import search_threshold, sorted_level, water_level
 from .allocation import SolveResult
 from .channel import (ChannelEnsemble, SecrecyInfeasibleError, check_dimensions,
                       check_reachable, secrecy_limit)
@@ -100,8 +100,8 @@ def su_phase(
     targets = config.secrecy_targets
     check_reachable(targets, secrecy_limit(a, b, su, k1, t_count))
 
-    thresholds, iterations = search_threshold(a, b, su, targets, eps, t_count)
-    secrecy, power, on, p = threshold_stats(a, b, su, thresholds, t_count)
+    thresholds, iterations, (secrecy, power, on, p) = search_threshold(
+        a, b, su, targets, eps, t_count)
     owner, p_win = np.full((t_count, n), -1), np.zeros((t_count, n))
     # fresh C-ordered arrays, so ravel() is a view
     owner.ravel()[cols[on]], p_win.ravel()[cols[on]] = su[on], p
@@ -147,10 +147,11 @@ def nu_phase(
     strongest NU of each weight class bids: this is the dual solver's
     pruned auction (``_NuCandidates``).  With ``fixed_sets`` the owner is
     predetermined instead: one set per NU, checked as ``su_phase`` checks
-    ``candidate_sets``.  With the bidders fixed, the level is exact: one
-    water level over the free columns of all frames, read in the
-    ensemble's breakpoint order (``_presorted_level``), or, on fixed sets,
-    sorted by ``water_level``.  With several weight classes the winners
+    ``candidate_sets``; a set's free columns are those not ``occupied``.
+    With the bidders fixed, the level is exact: one water level over the
+    free columns of all frames, read in the ensemble's breakpoint order
+    (``_presorted_level``), or, on fixed sets, sorted by
+    ``water_level``.  With several weight classes the winners
     depend on the level, so it is re-solved at the previous level's
     winners until they repeat; if two winner sets alternate, the lower of
     their levels, which underspends, is kept.  A residual that is not
@@ -169,7 +170,7 @@ def nu_phase(
     g = None    # the bidders' classes, while they depend on the level
     if fixed_sets is not None:
         owner = _column_owner(fixed_sets, config.n_normal, n, "fixed_sets")
-        free = np.broadcast_to(owner >= 0, (t_count, n))
+        free = (owner >= 0) & ~occupied
         idx = np.maximum(owner, 0)
         fixed = (idx, 1.0 / ensemble.alpha[:, k1 + idx, np.arange(n)],
                  config.weights[idx])

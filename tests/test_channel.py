@@ -17,7 +17,7 @@ from secure_ofdma import (
     solve_suboptimal,
 )
 from secure_ofdma import nu_phase, rates
-from secure_ofdma.channel import column_order_stats
+from secure_ofdma.channel import _HEADER, column_order_stats
 from secure_ofdma.dual_solver import _Prepared
 
 from conftest import make_config
@@ -198,6 +198,29 @@ def test_ensemble_keeps_a_read_only_view_and_its_order_stats():
     assert stats[2].dtype == np.uint8   # a user index, not argmax's int64
 
 
+def test_memo_builds_once_and_keeps_every_array_read_only():
+    ens = ChannelEnsemble(alpha=np.ones((2, 3, 4)), seed=0, rho=1.0)
+    built = []
+
+    def build(value):
+        def make():
+            built.append(value)
+            return value
+        return make
+
+    alone, pair, price = np.zeros(3), (np.ones(2), np.arange(3), 0.5), 2.0
+    for key, value in (("alone", alone), ("pair", pair), ("price", price)):
+        assert ens.memo(key, build(value)) is value
+        assert ens.memo(key, lambda: pytest.fail(f"{key} built again")) is value
+    assert built == [alone, pair, price]
+    for arr in (alone, *pair[:2]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # the order statistics are kept there too, under their own key
+    stats = ens.order_stats
+    assert ens.memo("order_stats", lambda: pytest.fail("rebuilt")) is stats
+
+
 def test_ensemble_builds_each_strongest_nu_table_once(monkeypatch):
     # two weight classes: NUs 0 and 2 weigh 1, NUs 1 and 3 weigh 2
     cfg = make_config(n=8, k=6, k1=2, omega=[1.0, 2.0, 1.0, 2.0], power=20.0)
@@ -213,24 +236,27 @@ def test_ensemble_builds_each_strongest_nu_table_once(monkeypatch):
     prep = _Prepared(ens, cfg)
     nu_phase(ens, cfg, 5.0, np.zeros((12, 8), bool))
     again = rates._NuCandidates(ens, 2, cfg.weights)
-    key = (2, cfg.weights.tobytes())
-    assert len(built) == 1 and list(ens.nu_tables) == [key]
-    table = ens.nu_tables[key]
+    assert len(built) == 1
+
+    def kept(kind):
+        return ens.memo((kind, 2, cfg.weights.tobytes()),
+                        lambda: pytest.fail(f"{kind} built again"))
+
+    index, order = kept("nu_index"), kept("nu_order")
     # the NU phase sorted the breakpoints once; later readers share them
-    assert again.order is table["order"] and table["order"].dtype == np.int32
-    # the table is the strongest NU of each class, kept small, gathered wide
+    assert again.order is order and order.dtype == np.int32
+    # the index is the strongest NU of each class, kept small, gathered wide
     alpha_nu = ens.alpha[:, 2:, :]
     want = np.stack([np.array([0, 2])[alpha_nu[:, [0, 2]].argmax(axis=1)],
                      np.array([1, 3])[alpha_nu[:, [1, 3]].argmax(axis=1)]], axis=1)
-    assert table["index"].dtype == np.uint8 and np.array_equal(table["index"], want)
+    assert index.dtype == np.uint8 and np.array_equal(index, want)
     for nu in (prep.nu, again):
         assert nu.index.dtype == np.intp and np.array_equal(nu.index, want)
-        assert np.array_equal(nu.alpha(), np.take_along_axis(alpha_nu, want, axis=1))
-    # another weight vector, or another K1, gets its own table
+    # another weight vector, or another K1, gets its own index
     rates._NuCandidates(ens, 2, np.ones(4))
     rates._NuCandidates(ens, 3, np.ones(3))
-    assert len(built) == 3 and len(ens.nu_tables) == 3
-    for arr in table.values():
+    assert len(built) == 3
+    for arr in (index, order):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
 
@@ -238,6 +264,16 @@ def test_ensemble_builds_each_strongest_nu_table_once(monkeypatch):
 def test_ensemble_coerces_to_float():
     ens = ChannelEnsemble(alpha=np.ones((1, 2, 3), dtype=int), seed=0, rho=1.0)
     assert ens.alpha.dtype == float
+
+
+@pytest.mark.parametrize("k, n", [(0, 4), (1, 4), (3, 0)], ids=["K0", "K1", "N0"])
+def test_load_rejects_a_degenerate_ensemble(tmp_path, k, n):
+    # a well-formed file whose header holds fewer than 2 users or no subcarrier
+    path = tmp_path / "channels.bin"
+    path.write_bytes(_HEADER.pack(b"CNR1", k, n, 2, 1.0, 0)
+                     + np.ones(2 * k * n, "<f8").tobytes())
+    with pytest.raises(ValueError, match="K >= 2 users and N >= 1 subcarriers"):
+        load_ensemble(path)
 
 
 def test_load_rejects_corrupt_payload(tmp_path):

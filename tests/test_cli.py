@@ -116,6 +116,23 @@ def test_bad_input_exits_with_its_message(tmp_path, argv, config, message):
     assert err.value.code == message
 
 
+def test_out_of_range_snr_exits_with_its_message(tmp_path):
+    message = "snr_db=10000.0 gives no finite positive power budget"
+    with pytest.raises(SystemExit) as err:
+        main(["solve-optimal", "--config", str(write_config(tmp_path, snr_db=1e4))])
+    assert err.value.code == message
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "sweep": "snr_db", "values": [10.0, 1e4], "solvers": ["fsa1"],
+        "config": {"N": 16, "K": 4, "K1": 2, "snr_db": 20.0}, "realizations": 5,
+        "output": str(tmp_path / "rows.csv"),
+    }))
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--spec", str(spec)])
+    assert err.value.code == message
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_feasibility_bound_subcommand(capsys):
     assert main(["feasibility-bound", "--n", "64", "--k", "8",
                  "--targets", "0.5", "3.6"]) == 0

@@ -58,6 +58,11 @@ class TestProblemConfig:
         assert snr_db_to_power(30.0) == pytest.approx(1000.0)
         assert power_to_snr_db(snr_db_to_power(17.3)) == pytest.approx(17.3)
 
+    @pytest.mark.parametrize("snr_db", [1e4, -1e4, np.inf, np.nan])
+    def test_snr_without_a_finite_positive_budget_is_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="no finite positive power budget"):
+            snr_db_to_power(snr_db)
+
     def test_from_dict_broadcasts_scalars(self):
         cfg = ProblemConfig.from_dict(
             {"N": 8, "K": 4, "K1": 2, "C": 0.5, "omega": 2.0, "snr_db": 10.0}

@@ -144,13 +144,24 @@ def assert_same_result(got, want):
         np.isnan(got.dual_value) and np.isnan(want.dual_value))
 
 
-def test_no_secrecy_price_is_memoized_per_ensemble_and_inputs():
+def test_no_secrecy_price_is_memoized_per_ensemble_and_inputs(monkeypatch):
     # the price at mu = 0 is solved once per ensemble and input set; a
     # solve that reads it equals a solve on a fresh copy of the ensemble,
     # and solves that differ in P, mode, eps, K1 or the NU weights each
     # get their own entry
     base = dict(n=16, k=5, k1=2, c=0.3, power=60.0)
     ens = generate_ensemble(make_config(**base), 60, seed=21)
+    built = []
+    memo = ChannelEnsemble.memo
+
+    def spied(self, key, build):
+        def counted():
+            if self is ens:
+                built.append(key)
+            return build()
+        return memo(self, key, counted)
+
+    monkeypatch.setattr(ChannelEnsemble, "memo", spied)
     variants = [
         (make_config(**base), None),
         (make_config(**base), SolverOptions(epsilon=0.05)),
@@ -172,9 +183,12 @@ def test_no_secrecy_price_is_memoized_per_ensemble_and_inputs():
                                     rho=ens.rho)
             assert_same_result(got, solve(fresh, cfg, opts))
         # the infeasible variant shares the first variant's inputs
-        assert len(ens.price_memo) == len(variants) - 1
-    peak = [lam for lam in ens.price_memo.values() if np.ndim(lam)]
-    assert len(peak) == 1 and not peak[0].flags.writeable
+        prices = [key for key in built if key[0] == "no_secrecy_price"]
+        assert len(prices) == len(set(prices)) == len(variants) - 1
+    peak = [key for key in prices if key[1] == "peak"]
+    assert len(peak) == 1
+    lam = ens.memo(peak[0], lambda: pytest.fail("the price was solved again"))
+    assert lam.shape == (ens.count,) and not lam.flags.writeable
 
 
 class TestSolveAverage:

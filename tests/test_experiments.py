@@ -48,6 +48,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(values=[])
 
+    @pytest.mark.parametrize("sweep, values, message", [
+        ("C", [0.1, float("nan")], "secrecy targets must be finite"),
+        ("C", [0.1, float("inf")], "secrecy targets must be finite"),
+        ("C", [-0.1, 0.1], "secrecy targets must be finite"),
+        ("snr_db", [10.0, float("nan")], "no finite positive power budget"),
+        ("snr_db", [10.0, 1e4], "no finite positive power budget"),
+    ])
+    def test_bad_point_rejected_at_load(self, sweep, values, message):
+        # each point's config is built at load, before anything is solved
+        with pytest.raises(ValueError, match=message):
+            small_spec(sweep=sweep, values=values)
+
     def test_from_dict_roundtrip(self):
         d = {
             "sweep": "snr_db",

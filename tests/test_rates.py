@@ -9,6 +9,7 @@ from secure_ofdma import (
     ChannelEnsemble,
     DualState,
     apply_policy,
+    generate_ensemble,
     h_nu,
     h_su,
     info_rate,
@@ -16,6 +17,7 @@ from secure_ofdma import (
     secrecy_rate,
     su_power,
 )
+from secure_ofdma.rates import _NuCandidates
 
 from conftest import make_config
 from oracles import nu_power_oracle, su_power_oracle
@@ -146,6 +148,18 @@ class TestPayoffs:
         alphas = sorted(alphas)
         values = [h_nu(a, omega, lam) for a in alphas]
         assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("omega", [1.0, [1.0, 2.0, 1.0, 2.0]], ids=["G1", "G2"])
+def test_nu_candidates_gather_their_cnrs_at_the_index(omega):
+    cfg = make_config(n=8, k=6, k1=2, omega=omega)
+    ens = generate_ensemble(cfg, 12, seed=4)
+    nu = _NuCandidates(ens, 2, cfg.weights)
+    want = np.take_along_axis(ens.alpha[:, 2:, :], nu.index, axis=1)
+    assert want.shape == (12, nu.weights.size, 8)
+    assert np.array_equal(nu.alpha(), want)
+    if nu.weights.size == 1:   # the one candidate is each column's strongest NU
+        assert np.array_equal(want[:, 0], ens.alpha[:, 2:, :].max(axis=1))
 
 
 def auction_column(column, duals, cfg):

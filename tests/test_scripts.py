@@ -38,4 +38,12 @@ def test_cell_diff_finds_no_difference_between_a_checkout_and_itself(tmp_path, c
         summary["fields"])
     assert {name: w["cells"] for name, w in summary["workloads"].items()} == {
         "sweep_avg": 24, "peak_cold": 16, "twophase": 60}
-    assert capsys.readouterr().out.splitlines() == [json.dumps(summary["workloads"])]
+    # each checked-in sweep spec's CSV is compared byte for byte
+    assert summary["csv"] == {p.name: "identical"
+                              for p in sorted(SCRIPTS.glob("*.json"))}
+    assert len(summary["csv"]) == 3
+    src_lines = sum(p.read_bytes().count(b"\n")
+                    for p in (SCRIPTS.parent / "src" / "secure_ofdma").glob("*.py"))
+    assert summary["src_lines"] == {"parent": src_lines, "change": src_lines}
+    assert capsys.readouterr().out.splitlines() == [
+        json.dumps(summary["workloads"]), json.dumps(summary["csv"])]

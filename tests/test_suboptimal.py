@@ -22,7 +22,7 @@ from secure_ofdma._search import threshold_stats, water_level
 from secure_ofdma.allocation import validate_exclusivity
 from secure_ofdma.channel import column_order_stats
 from secure_ofdma.dual_solver import _Prepared
-from secure_ofdma.rates import _NuCandidates
+from secure_ofdma.rates import _NuCandidates, _su_terms
 
 from conftest import make_config
 from oracles import ThresholdCurve, exact_refill_levels, looped_su_phase
@@ -116,7 +116,7 @@ class TestSuPhase:
         # bisection probe; SU 2's tiny target stops high in its bracket
         cfg = make_config(c=[1.0, 0.6, 1e-3, 1.4])
         calls = {"stats": 0, "probes": 0}
-        stats, bisect = _search.threshold_stats, _search.bisect
+        stats_at, bisect = _search.threshold_stats, _search.bisect
 
         def counted(fn):
             def probe(*args):
@@ -126,7 +126,7 @@ class TestSuPhase:
 
         def counting_stats(*args):
             calls["stats"] += 1
-            return stats(*args)
+            return stats_at(*args)
 
         def no_bracket(*args, **kw):
             raise AssertionError("the threshold search grows no bracket")
@@ -138,10 +138,13 @@ class TestSuPhase:
         nu1, nu2, kmax = (s.ravel() for s in column_order_stats(ens300.alpha))
         on = kmax < cfg.n_secure
         a, b, su = nu1[on], nu2[on], kmax[on]
-        thresholds, steps = _search.search_threshold(
+        thresholds, steps, stats = _search.search_threshold(
             a, b, su, cfg.secrecy_targets, 1e-2, ens300.count
         )
-        assert calls["stats"] == calls["probes"] == steps.max()
+        # one more pricing after the last probe, at the returned thresholds
+        assert calls["stats"] == calls["probes"] + 1 == steps.max() + 1
+        want = stats_at(a, b, su, thresholds, ens300.count, _su_terms(a, b))
+        assert all(np.array_equal(got, w) for got, w in zip(stats, want))
         want = looped_su_phase(ens300, cfg, 1e-2)
         assert np.array_equal(thresholds, want[0])
         assert np.array_equal(steps, want[3])
@@ -151,8 +154,10 @@ class TestSuPhase:
         on = kmax < 4
         a, b, su = nu1[on], nu2[on], kmax[on]
         grid = np.linspace(0.05, (a - b)[su == 2].max() * 0.9, 25)
+        terms = _su_terms(a, b)
         stats = [
-            threshold_stats(a, b, su, np.array([np.inf, np.inf, v, np.inf]), ens300.count)
+            threshold_stats(a, b, su, np.array([np.inf, np.inf, v, np.inf]),
+                            ens300.count, terms)
             for v in grid
         ]
         rates = [s[0][2] for s in stats]
@@ -355,6 +360,22 @@ class TestNuPhase:
         np.testing.assert_array_equal(
             rep.power_nu[free], np.maximum(level - 1.0 / a[free], 0.0)
         )
+
+    def test_fixed_sets_leave_occupied_columns_dark(self):
+        # the SUs hold columns 0-3 in every frame, and NU 0's set is exactly
+        # those columns: all the residual goes to NU 1 on columns 4-7
+        cfg = make_config(n=8, k=4, k1=2, power=10.0)
+        ens = generate_ensemble(cfg, 5, seed=1)
+        occupied = np.zeros((5, 8), bool)
+        occupied[:, :4] = True
+        sets = [np.arange(4), np.arange(4, 8)]
+        level, rep = nu_phase(ens, cfg, 10.0, occupied, sets)
+        assert not rep.power_nu[occupied].any()
+        assert np.all(rep.owner_nu[occupied] == -1)
+        assert rep.power == pytest.approx(10.0, rel=1e-12)
+        inv_a = 1.0 / ens.alpha[:, 3, 4:]
+        np.testing.assert_array_equal(rep.power_nu[:, 4:],
+                                      np.maximum(level - inv_a, 0.0))
 
     def test_rejects_bad_dimensions_and_masks(self, ens300):
         cfg = make_config()
