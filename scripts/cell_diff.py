@@ -8,11 +8,15 @@ when that is given) in a subprocess on its own ``src/``.  Cells are
 compared on their owners, powers and per-column rates (by digest),
 prices, dual trace, iterations, flags, message, R_NU, per-SU secrecy,
 mean power, SU power and SU subcarrier count; each sweep's CSV is
-compared byte for byte.  Each differing cell is printed with the largest
-change of each numeric field, then the verdict on each CSV, and
-``--out`` gets a JSON summary that also names every compared field and
-each checkout's ``src/`` line count.  Exits 1 when a cell or a CSV
-differs.
+compared byte for byte.  Each checkout also counts, per workload, its
+dual-solver auctions (``dual_solver._eval_point`` calls), the full-width
+ones among them (neither ``frames`` nor ``sus``) and its NU auctions
+(``_NuCandidates.auction`` calls), on ensembles drawn afresh, so every
+price-free search is counted too.  Each differing cell is printed with
+the largest change of each numeric field, then the verdict on each CSV
+and both checkouts' auction counts, and ``--out`` gets a JSON summary
+that also names every compared field and each checkout's ``src/`` line
+count.  Exits 1 when a cell or a CSV differs.
 """
 
 import argparse
@@ -32,7 +36,21 @@ root, out, frames, seeds = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import numpy as np
 import workloads
+from secure_ofdma import dual_solver, rates
 from secure_ofdma.experiments import ExperimentSpec, run_experiment
+
+# both are looked up at call time: the auction as a module global, the NU
+# auction as a method
+eval_point, nu_auction = dual_solver._eval_point, rates._NuCandidates.auction
+
+def counted_eval_point(prep, mu, lam, frames=None, sus=None):
+    tally["auctions"] += 1
+    tally["full"] += frames is None and sus is None
+    return eval_point(prep, mu, lam, frames, sus)
+
+def counted_nu_auction(self, *args, **kwargs):
+    tally["nu"] += 1
+    return nu_auction(self, *args, **kwargs)
 
 def fields(r):
     digest = lambda a: hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
@@ -45,14 +63,18 @@ def fields(r):
             "r_nu": rep.r_nu_total, "r_su": rep.r_su, "avg_power": rep.avg_power,
             "su_power": rep.su_power, "su_subcarriers": rep.su_subcarriers}
 
-cells, csv = {}, {}
+cells, csv, auctions = {}, {}, {}
+dual_solver._eval_point = counted_eval_point
+rates._NuCandidates.auction = counted_nu_auction
 with tempfile.TemporaryDirectory() as tmp:
     for name, w in workloads.WORKLOADS.items():
+        auctions[name] = tally = {"auctions": 0, "full": 0, "nu": 0}
         for seed in map(int, seeds):
             ens = workloads.make_inputs(w, seed, frames or None)
             for c in workloads.run_workload(name, ens, Path(tmp))[1]:
                 key = f"{name} seed={seed} ens={c.ensemble_index} {c.label}"
                 cells[key] = {"error": c.error, **(fields(c.result) if c.result else {})}
+    dual_solver._eval_point, rates._NuCandidates.auction = eval_point, nu_auction
     for path in sorted((root / "scripts").glob("*.json")):
         spec = ExperimentSpec.from_file(path)
         spec.realizations = frames or spec.realizations
@@ -61,7 +83,7 @@ with tempfile.TemporaryDirectory() as tmp:
         csv[path.name] = Path(spec.output).read_bytes()
 package = root / "src" / "secure_ofdma"
 lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
-Path(out).write_bytes(pickle.dumps((cells, csv, lines)))
+Path(out).write_bytes(pickle.dumps((cells, csv, lines, auctions)))
 """
 
 
@@ -91,7 +113,7 @@ def main(argv=None) -> int:
             subprocess.run([sys.executable, "-c", CHILD, str(Path(root).resolve()),
                             str(out), str(args.frames), *map(str, args.seeds)], check=True)
             sides.append(pickle.loads(out.read_bytes()))
-    (old, old_csv, old_lines), (new, new_csv, new_lines) = sides
+    (old, old_csv, old_lines, old_count), (new, new_csv, new_lines, new_count) = sides
     diffs, counts, compared = [], {}, set()
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, {}), new.get(key, {})
@@ -106,13 +128,16 @@ def main(argv=None) -> int:
             print(key, json.dumps(moved))
     csv = {name: "identical" if old_csv.get(name) == new_csv.get(name) else "differs"
            for name in sorted(old_csv.keys() | new_csv.keys())}
+    auctions = {"parent": old_count, "change": new_count}
     print(json.dumps(counts))
     print(json.dumps(csv))
+    print(json.dumps(auctions))
     if args.out:
         Path(args.out).write_text(json.dumps(
             {"parent": args.parent, "change": args.change, "seeds": args.seeds,
              "frames": args.frames or "workload default", "workloads": counts,
              "fields": sorted(compared), "differing": diffs, "csv": csv,
+             "auctions": auctions,
              "src_lines": {"parent": old_lines, "change": new_lines}}, indent=1) + "\n")
     return 1 if diffs or "differs" in csv.values() else 0
 

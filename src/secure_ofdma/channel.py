@@ -59,6 +59,8 @@ class ChannelEnsemble:
         # two reductions and no temporaries; a NaN propagates and fails both
         if not (a.min() > 0 and a.max() < np.inf):
             raise ValueError("alpha entries must be positive and finite")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be finite and > 0")
         a = a.view()
         a.flags.writeable = False
         object.__setattr__(self, "alpha", a)

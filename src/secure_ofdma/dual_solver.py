@@ -9,8 +9,8 @@ under the peak constraint.  Each probe prices the auction once and only
 what its caller reads: the ``lam`` search the spend (of the open frames
 in peak mode), the ``mu`` calibration the secrecy of the open SUs (on
 their columns alone), the outer loop the secrecy, NU rate and dual
-value, and the primal recovery the allocation.  An SU at ``mu_k = 0``
-never wins a column, so no probe prices its columns.
+value; the primal is read off the loop's best auction, not priced again.
+An SU at ``mu_k = 0`` never wins a column, so no probe prices its columns.
 
 The searches also price only contested columns.  An SU competes for a
 column only where it holds the largest CNR and beats the runner-up by
@@ -32,10 +32,11 @@ modes run the same loop and the same ``lam`` search, ``_price``; only
 its spend probe differs, the mean spend at a scalar price or the spend
 of the open frames.  The ``lam`` search and the ITP ``mu`` calibration
 call the one vectorized primitive, ``_search.bracket`` and
-``_search.bisect``.  The peak trim lowers each over-target SU's one
-secrecy price with ``_search.search_threshold``, on CNRs divided by
-each frame's price, and the peak refill pours the exact
-``_search.water_level``, the two kernels the two-phase allocator uses.
+``_search.bisect``.  The peak recovery of the best auction lowers each
+over-target SU's one secrecy price with ``_search.search_threshold``, on
+CNRs divided by each frame's price, and pours the exact
+``_search.water_level`` onto the NU classes that auction chose: the two
+kernels the two-phase allocator uses.
 """
 
 from __future__ import annotations
@@ -169,7 +170,9 @@ class _Auction:
     results are scattered into (T, N) arrays before any per-frame sum, so
     all is bit-identical to pricing every user everywhere.  The
     reductions ``secrecy``, ``r_nu_total``, ``dual_value`` and ``owner``
-    are computed on first read.
+    are computed on first read.  ``mu`` and ``lam`` are copies of the
+    prices, and ``nu_class`` holds the weight class of each priced
+    column's NU winner (``None`` with one class).
 
     Two narrow probes price less.  ``frames`` (ascending, one price in
     ``lam`` each) prices just those frames' ``power_t``.  ``sus``
@@ -182,7 +185,7 @@ class _Auction:
     def __init__(self, prep: _Prepared, mu, lam, frames=None, sus=None):
         # copies: a reduction read later must not see the caller's updates
         mu, lam_arr = np.array(mu, float), np.array(lam, float)
-        self.prep, self.frames, self.sus, self._mu, self._lam = (
+        self.prep, self.frames, self.sus, self.mu, self.lam = (
             prep, frames, sus, mu, lam_arr)
         bids = mu > 0
         if sus is not None:
@@ -248,7 +251,7 @@ class _Auction:
         p_win.ravel()[su_won] = p_su[su_wins]
         power_t = p_win.sum(axis=1)[keep]
         self._spend = p_win, power_t, float(power_t.mean())
-        self._ln_lam_n, self._h_nu_best, self._g, self._nu_pos = (
+        self._ln_lam_n, self._h_nu_best, self.nu_class, self._nu_pos = (
             ln_lam_n, h_nu_best, g, nu_pos)
         self._h_su, self._h_nu_su, self._su_idx, self._su_won = (
             h_su, h_nu_su, su_idx, su_won)
@@ -291,13 +294,13 @@ class _Auction:
         nu = self._whole().nu
         nu_wins = self._nu_pos.copy()
         nu_wins.ravel()[self._su_won] = False
-        return nu_wins, nu.take(nu.index, self._g)
+        return nu_wins, nu.take(nu.index, self.nu_class)
 
     @cached_property
     def r_nu_total(self) -> float:
         nu_wins, j_best = self._nu_winners
         prep, nu = self.prep, self.prep.nu
-        rate_best = np.maximum(nu.take(nu.ln_wa, self._g) - self._ln_lam_n, 0.0)
+        rate_best = np.maximum(nu.take(nu.ln_wa, self.nu_class) - self._ln_lam_n, 0.0)
         nu_rate = np.bincount(j_best[nu_wins], weights=rate_best[nu_wins],
                               minlength=prep.config.n_normal) / prep.t_count
         return float(prep.config.weights @ nu_rate)
@@ -307,8 +310,8 @@ class _Auction:
         prep = self._whole()
         h_col = self._h_nu_best.copy()
         h_col.ravel()[self._su_idx] = np.maximum(self._h_su, self._h_nu_su)
-        return float(h_col.sum(axis=1).mean() + (self._lam * prep.config.power).mean()
-                     - self._mu @ prep.config.secrecy_targets)
+        return float(h_col.sum(axis=1).mean() + (self.lam * prep.config.power).mean()
+                     - self.mu @ prep.config.secrecy_targets)
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -326,10 +329,17 @@ def _eval_point(prep: _Prepared, mu, lam, frames=None, sus=None) -> _Auction:
 def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
     """Dual value and subgradient at (mu, lam).
 
-    ``lam`` is one scalar (average constraint) or one price per frame
-    (peak constraint).  Returns ``(g, dmu, dlam)`` where ``dmu_k`` is the
-    mean secrecy surplus of SU k and ``dlam`` the mean unspent power.
+    ``mu`` holds K1 finite values >= 0 and ``lam`` one finite price > 0 or,
+    in peak mode, one per frame; other prices raise ``ValueError``.
+    Returns ``(g, dmu, dlam)`` where ``dmu_k`` is the mean secrecy surplus
+    of SU k and ``dlam`` the mean unspent power.
     """
+    mu, lam = np.asarray(mu, float), np.asarray(lam, float)
+    if mu.shape != (config.n_secure,) or not np.all((mu >= 0) & (mu < np.inf)):
+        raise ValueError(f"mu must hold {config.n_secure} finite values >= 0")
+    frames = (ensemble.count,) if config.mode == "peak" else ()
+    if lam.shape not in ((), frames) or not np.all((lam > 0) & (lam < np.inf)):
+        raise ValueError("lam must be finite and > 0: one price, or one per peak frame")
     st = _eval_point(_Prepared(ensemble, config), mu, lam)
     dmu, dlam = st.secrecy - config.secrecy_targets, config.power - st.power_mean
     return st.dual_value, dmu, dlam
@@ -439,7 +449,7 @@ def _trim_su_surplus(prep, owner, p_win, lam_t):
     owner[t[dead], n[dead]] = UNASSIGNED
 
 
-def _refill_nu_water(prep, owner, p_win, lam_t):
+def _refill_nu_water(prep, owner, p_win, lam_t, g):
     """Primal recovery: spend leftover per-frame budget on NU water levels.
 
     The auction at the resolved per-frame price can undershoot the budget
@@ -447,8 +457,9 @@ def _refill_nu_water(prep, owner, p_win, lam_t):
     what the price search's width leaves.  The leftover is poured onto the
     non-SU-owned columns of those frames by raising the
     (weight-proportional) water level, keeping ownership and all SU
-    powers fixed.  Each column's bidder is the NU auction winner at the
-    frame's price; where no NU is profitable that is the strongest NU
+    powers fixed.  Each column's bidder is the candidate of the (T, N)
+    weight class ``g`` (``None`` with one class) that the auction at the
+    frame's price chose; where no NU is profitable that is the strongest
     candidate, the first to open as the water level rises.  Frames whose
     price sits at the floor legitimately underspend and are left alone.
     The level is exact (``_search.water_level``), not searched; one at
@@ -456,8 +467,7 @@ def _refill_nu_water(prep, owner, p_win, lam_t):
     it, rounds over the budget steps down one ulp at a time, so a frame
     never exceeds its cap.
     """
-    cfg = prep.config
-    k1 = prep.k1
+    cfg, k1 = prep.config, prep.k1
     residual = cfg.power - p_win.sum(axis=1)
     needs = (residual > 1e-9 * max(cfg.power, 1.0)) & (lam_t > _LAMBDA_FLOOR * 1.001)
     if not needs.any():
@@ -470,14 +480,11 @@ def _refill_nu_water(prep, owner, p_win, lam_t):
         return
     idx, candidate = idx[poured], candidate[poured]
     nu = prep.nu
-    lam_i = lam_t[idx][:, None, None]
-    _, g = nu.auction(np.log(lam_i), lam_i, rows=idx)
+    g = None if g is None else g[idx]
     inv_a = nu.take(nu.inv_alpha, g, rows=idx)
     w = np.broadcast_to(nu.weight(g), inv_a.shape)
-    su_spend = np.where(candidate, 0.0, p_win[idx]).sum(axis=1)
-    budget = cfg.power - su_spend
-
     p_kept = p_win[idx]
+    budget = cfg.power - np.where(candidate, 0.0, p_kept).sum(axis=1)
 
     def refilled(theta):
         """The frames' powers with their NU columns poured to ``theta``."""
@@ -565,17 +572,18 @@ def _dual_outer_loop(prep, eps):
     the larger of itself and the (median) power price.  It stops once
     ``unmet`` passes the auction and, in average mode, the mean spend is
     within ``eps * P`` of the budget or the price is at the floor; an
-    earlier exit says why in its message.  Returns ``(mu, lam, iterations,
-    trace, message)`` at the best iterate, or ``mu = None`` on an
-    infeasible exit: after 0 iterations when ``check_reachable`` rejects a
-    target, or when a violated SU's multiplier passes ``_MU_CEILING``.
+    earlier exit says why in its message.  Returns ``(auction, iterations,
+    trace, message)`` with the best iterate's auction, or ``auction =
+    None`` on an infeasible exit: after 0 iterations when
+    ``check_reachable`` rejects a target, or when a violated SU's
+    multiplier passes ``_MU_CEILING``.
     """
     cfg = prep.config
     targets = cfg.secrecy_targets
     try:
         check_reachable(targets, prep.su_caps)
     except SecrecyInfeasibleError as err:
-        return None, None, 0, [], str(err)
+        return None, 0, [], str(err)
 
     lam = _no_secrecy_price(prep, eps)
     mu = _initial_mu(prep, float(np.median(lam)), eps)
@@ -599,10 +607,9 @@ def _dual_outer_loop(prep, eps):
             cfg.mode == "peak" or lam <= 1.001 * _LAMBDA_FLOOR
             or abs(cfg.power - st.power_mean) <= eps * cfg.power)
         if converged or best is None or score < best[0] - 1e-15 or (
-            score <= best[0] + 1e-15 and st.r_nu_total > best[4]
+            score <= best[0] + 1e-15 and st.r_nu_total > best[1].r_nu_total
         ):
-            # each search returns a fresh price, so lam needs no copy
-            best = (score, mu.copy(), lam, t, st.r_nu_total)
+            best = (score, st, t)
             stall = 0
         else:
             stall += 1
@@ -613,7 +620,7 @@ def _dual_outer_loop(prep, eps):
         over_ceiling = (mu > _MU_CEILING) & (viol > 0)
         if over_ceiling.any():
             k_bad = int(np.flatnonzero(over_ceiling)[0])
-            return None, None, t, trace, (
+            return None, t, trace, (
                 f"multiplier for SU {k_bad} exceeded the ceiling with its "
                 "secrecy constraint still violated")
 
@@ -631,59 +638,49 @@ def _dual_outer_loop(prep, eps):
         )
 
     # the loop evaluates at least one iterate, so best is always set
-    _, mu_best, lam_best, iters, _ = best
-    return mu_best, lam_best, iters, trace, message
+    _, auction, iters = best
+    return auction, iters, trace, message
 
 
-def _primal(prep, mu, lam):
-    """The auction's ``(owner, p_win)`` at (mu, lam); peak mode trims and refills it."""
-    final = _eval_point(prep, mu, lam)
-    owner, p_win = final.owner, final.p_win
-    del final   # the recovery needs none of the auction's other arrays
+def _primal(prep, auction):
+    """The ``(owner, p_win)`` of an auction priced on every frame; peak mode
+    trims and refills them in place at its frame prices and NU classes."""
+    owner, p_win = auction.owner, auction.p_win
     if prep.config.mode == "peak":
-        _trim_su_surplus(prep, owner, p_win, lam)
-        _refill_nu_water(prep, owner, p_win, lam)
+        _trim_su_surplus(prep, owner, p_win, auction.lam)
+        _refill_nu_water(prep, owner, p_win, auction.lam, auction.nu_class)
     return owner, p_win
 
 
-def _finish(prep, ensemble, eps, mu, lam, iters, trace, message):
-    """The recovered primal at the loop's best prices, judged by ``unmet``."""
-    owner, p_win = _primal(prep, mu, lam)
+def _finish(prep, ensemble, eps, auction, iters, trace, message, infeasible=False):
+    """The primal recovered from ``auction``, judged by ``unmet``."""
+    owner, p_win = _primal(prep, auction)
     return solve_result(
-        owner, p_win, ensemble, prep.config, eps, mu, lam, infeasible=False,
-        message=message, iterations=iters, dual_value=float(np.min(trace)),
-        dual_trace=trace,
+        owner, p_win, ensemble, prep.config, eps, auction.mu, auction.lam,
+        infeasible=infeasible, message=message, iterations=iters,
+        dual_value=float(np.min(trace)), dual_trace=trace,
     )
 
 
 def _infeasible_result(prep, ensemble, eps, message, iters) -> SolveResult:
     """Every infeasible exit's result, after ``iters`` outer iterations: the
     auction at ``mu = 0`` and the no-secrecy price, which gives no SU a
-    column and spends within the budget, with the failure note.  Peak mode
-    refills it, as ``_primal`` refills every peak allocation, so it is the
-    allocation ``solve_peak`` returns at zero targets; the dual value is
-    the auction's."""
-    mu0 = np.zeros(prep.k1)
-    lam = _no_secrecy_price(prep, eps)
-    st = _eval_point(prep, mu0, lam)
-    owner, p_win, dual = st.owner, st.p_win, st.dual_value
-    del st   # the refill needs none of the auction's other arrays
-    if prep.config.mode == "peak":
-        _refill_nu_water(prep, owner, p_win, lam)
-    return solve_result(
-        owner, p_win, ensemble, prep.config, eps, mu0, lam, infeasible=True,
-        message=message, iterations=iters, dual_value=dual, dual_trace=[dual],
-    )
+    column and spends within the budget, with the failure note.  It is
+    recovered as every solve is, so it is the allocation ``solve_peak``
+    returns at zero targets; the dual value is the auction's."""
+    st = _eval_point(prep, np.zeros(prep.k1), _no_secrecy_price(prep, eps))
+    return _finish(prep, ensemble, eps, st, iters, [st.dual_value], message,
+                   infeasible=True)
 
 
 def _solve(ensemble, config, opts) -> SolveResult:
     """The dual solve shared by both power modes."""
     eps = (opts or SolverOptions()).epsilon
     prep = _Prepared(ensemble, config)
-    mu, lam, iters, trace, message = _dual_outer_loop(prep, eps)
-    if mu is None:
+    auction, iters, trace, message = _dual_outer_loop(prep, eps)
+    if auction is None:
         return _infeasible_result(prep, ensemble, eps, message, iters)
-    return _finish(prep, ensemble, eps, mu, lam, iters, trace, message)
+    return _finish(prep, ensemble, eps, auction, iters, trace, message)
 
 
 def solve_average(
@@ -728,5 +725,5 @@ def apply_policy(ensemble: ChannelEnsemble, duals: DualState, config: ProblemCon
         raise ValueError("average-mode allocation needs duals.lam > 0")
     else:
         lam = duals.lam
-    owner, p_win = _primal(prep, duals.mu, lam)
+    owner, p_win = _primal(prep, _eval_point(prep, duals.mu, lam))
     return decisions_from_arrays(owner, p_win, ensemble, config), lam

@@ -179,7 +179,7 @@ class _NuCandidates:
     (T, G, N), with G the number of distinct weights (1 for equal
     weights) and ``weights`` the (G,) sorted class weights.  CNR ties go
     to the lowest NU index.  This is the one priced NU auction: the dual
-    solver, its primal refill and the two-phase NU phase all bid here.
+    solver, whose peak refill reuses its classes, and the NU phase bid here.
 
     No price changes which NU is strongest, so the index is found once
     per ensemble and (K1, weights) and kept by ``ensemble.memo``, as is

@@ -161,8 +161,8 @@ def nu_phase(
     """
     check_dimensions(ensemble, config)
     t_count, n, k1 = ensemble.count, config.n_subcarriers, config.n_secure
-    if np.shape(occupied) != (t_count, n):
-        raise ValueError(f"occupied must have shape {(t_count, n)}")
+    if getattr(occupied, "dtype", None) != bool or np.shape(occupied) != (t_count, n):
+        raise ValueError(f"occupied must have shape {(t_count, n)} and be a bool array")
     if not 0 < p_residual < np.inf:
         raise ValueError("p_residual must be finite and positive")
 

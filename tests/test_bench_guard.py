@@ -80,10 +80,12 @@ def test_traced_solves_attribute_auctions_to_their_stages(tracer):
         if s[1] == "dual_solver.eval_point" and s[4] is not None
     }
     # both power modes' price searches share one untraced body, so the
-    # dual_solver.lambda.* metrics count the auctions of either mode
+    # dual_solver.lambda.* metrics count the auctions of either mode; the
+    # primal is recovered from the loop's best auction, so the finish
+    # stage prices nothing
     assert {"dual_solver.lambda_peak", "dual_solver.lambda_avg",
-            "dual_solver.initial_mu", "dual_solver.outer",
-            "dual_solver.finish"} <= parents
+            "dual_solver.initial_mu", "dual_solver.outer"} <= parents
+    assert "dual_solver.finish" not in parents
     # the two-phase NU level is solved exactly, not bisected: one NU phase
     # span counts its level solves, and no bisect_monotone span opens
     steps = [s[6]["steps"] for s in spans.spans if s[1] == "suboptimal.nu_phase"]

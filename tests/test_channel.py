@@ -276,6 +276,20 @@ def test_load_rejects_a_degenerate_ensemble(tmp_path, k, n):
         load_ensemble(path)
 
 
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+def test_ensemble_rejects_a_bad_rho(tmp_path, rho):
+    # ProblemConfig rejects the same values; a crafted header reaches the
+    # ensemble without one
+    alpha = np.ones((2, 3, 4))
+    with pytest.raises(ValueError, match="rho must be finite and > 0"):
+        ChannelEnsemble(alpha=alpha, seed=0, rho=rho)
+    path = tmp_path / "channels.bin"
+    path.write_bytes(_HEADER.pack(b"CNR1", 3, 4, 2, rho, 0)
+                     + alpha.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="rho must be finite and > 0"):
+        load_ensemble(path)
+
+
 def test_load_rejects_corrupt_payload(tmp_path):
     cfg = make_config(n=4, k=3, k1=1)
     ens = generate_ensemble(cfg, 2, seed=5)

@@ -127,6 +127,32 @@ def test_apply_policy_recovers_the_solves_primal():
     assert abs(r_nu - res.report.r_nu_total) <= eps * res.report.r_nu_total
 
 
+@pytest.mark.parametrize("mode", ["average", "peak"])
+def test_a_converged_solve_prices_its_duals_in_one_auction(mode, monkeypatch):
+    # the primal is recovered from the loop's best auction, so the returned
+    # (mu, lam) is priced once on every column of every frame, not again
+    # for the recovery; a price search's probe there prices a contested view
+    cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0, mode=mode)
+    ens = generate_ensemble(cfg, 100, seed=8)
+    full, views = [], []
+    auction, contested = dual_solver._eval_point, dual_solver._Prepared.contested
+
+    def record(prep, mu, lam, frames=None, sus=None):
+        if frames is None and sus is None and not any(prep is v for v in views):
+            full.append((np.copy(mu), np.copy(lam)))
+        return auction(prep, mu, lam, frames, sus)
+
+    monkeypatch.setattr(dual_solver, "_eval_point", record)
+    monkeypatch.setattr(dual_solver._Prepared, "contested", lambda self, mu, lam:
+                        views.append(contested(self, mu, lam)) or views[-1])
+    res = (solve_peak if mode == "peak" else solve_average)(ens, cfg)
+    assert res.converged
+    lam = res.lambda_per_realization if mode == "peak" else res.duals.lam
+    at_duals = [1 for mu, lam_ in full
+                if np.array_equal(mu, res.duals.mu) and np.array_equal(lam_, lam)]
+    assert len(at_duals) == 1
+
+
 def assert_same_result(got, want):
     """Two solve results equal field by field, every array bit for bit."""
     for name in ("owner", "power", "rate"):
@@ -338,6 +364,44 @@ class TestOuterLoopExits:
         assert res.report.avg_power <= cfg.power
 
 
+class TestDualPointInputs:
+    """``dual_point`` prices only the prices the dual is defined at."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        cfg = make_config(n=8, k=4, k1=2, power=10.0)
+        return generate_ensemble(cfg, 20, seed=1), cfg
+
+    @pytest.mark.parametrize("mu", [[-1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0],
+                                    [1.0], [1.0, 1.0, 1.0]],
+                             ids=["negative", "nan", "inf", "short", "long"])
+    def test_rejects_bad_mu(self, instance, mu):
+        # mu = (-1, -1) returned 11.18; the lengths raised IndexError or a
+        # matmul shape error
+        with pytest.raises(ValueError, match="mu must hold 2 finite values >= 0"):
+            dual_point(*instance, mu, 0.5)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0, np.ones(20)],
+                             ids=["nan", "inf", "zero", "negative", "per-frame"])
+    def test_rejects_bad_average_lam(self, instance, lam):
+        # 0 and -1 raised "math domain error" and NaN returned NaN
+        with pytest.raises(ValueError, match="lam must be finite and > 0"):
+            dual_point(*instance, [1.0, 1.0], lam)
+
+    @pytest.mark.parametrize("lam", [np.ones(5), np.full(20, np.nan),
+                                     np.r_[0.0, np.ones(19)]],
+                             ids=["length-5", "nan", "zero"])
+    def test_rejects_bad_frame_prices(self, instance, lam):
+        ens, cfg = instance
+        peak = make_config(n=8, k=4, k1=2, power=10.0, mode="peak")
+        with pytest.raises(ValueError, match="lam must be finite and > 0"):
+            dual_point(ens, peak, [1.0, 1.0], lam)
+        # one finite positive price, or one per frame, is priced
+        for good in (0.5, np.full(20, 0.5)):
+            g, dmu, dlam = dual_point(ens, peak, [1.0, 1.0], good)
+            assert np.isfinite(g) and dmu.shape == (2,) and np.isfinite(dlam)
+
+
 class TestSubgradientInequality:
     def test_inequality_on_random_dual_pairs(self):
         cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0)
@@ -404,8 +468,8 @@ class TestPeakMode:
         monkeypatch.setattr(dual_solver, "_MAX_ITERATIONS", 1)
         res = solve_peak(ens, cfg)
         # the loop says why it stopped early; its result is judged anyway
-        loop_mu, *_, loop_message = seen[0]
-        assert loop_mu is not None and loop_message
+        loop_best, *_, loop_message = seen[0]
+        assert loop_best is not None and loop_message
         assert res.converged and not res.infeasible and res.message == ""
 
     def test_zero_targets_fill_budget_every_frame(self):
@@ -498,7 +562,7 @@ class TestPrunedAuction:
         # one frame, SU 0 and NUs 1 (weak) and 2 (strong) on column 0.  At
         # lam = 5 no NU is profitable there (omega*alpha <= lam), so the
         # refill must raise the water level for NU 2, not for NU 1.
-        from secure_ofdma.dual_solver import _Prepared, _refill_nu_water
+        from secure_ofdma.dual_solver import _eval_point, _Prepared, _refill_nu_water
 
         cfg = make_config(n=2, k=3, k1=1, c=0.0, power=10.0, mode="peak")
         alpha = np.array([[[0.1, 0.1], [0.5, 1.0], [4.0, 100.0]]])
@@ -506,7 +570,8 @@ class TestPrunedAuction:
         lam_t = np.array([5.0])
         owner = np.array([[-1, 2]])
         p_win = np.array([[0.0, 1.0 / 5.0 - 1.0 / 100.0]])
-        _refill_nu_water(prep, owner, p_win, lam_t)
+        g = _eval_point(prep, np.zeros(1), lam_t).nu_class
+        _refill_nu_water(prep, owner, p_win, lam_t, g)
 
         assert owner.tolist() == [[2, 2]]
         # one water level theta across both columns spends the budget
@@ -517,14 +582,15 @@ class TestPrunedAuction:
     def test_refill_skips_a_frame_without_nu_columns(self):
         # frame 0's only column belongs to the SU, so it has nowhere to
         # pour; frame 1's NU column takes the rest of its budget
-        from secure_ofdma.dual_solver import _Prepared, _refill_nu_water
+        from secure_ofdma.dual_solver import _eval_point, _Prepared, _refill_nu_water
 
         cfg = make_config(n=1, k=2, k1=1, c=0.0, power=10.0, mode="peak")
         alpha = np.array([[[5.0], [1.0]], [[0.5], [2.0]]])
         prep = _Prepared(ChannelEnsemble(alpha=alpha, seed=0, rho=1.0), cfg)
         owner = np.array([[0], [1]])
         p_win = np.array([[2.0], [1.0]])
-        _refill_nu_water(prep, owner, p_win, np.ones(2))
+        g = _eval_point(prep, np.zeros(1), np.ones(2)).nu_class
+        _refill_nu_water(prep, owner, p_win, np.ones(2), g)
 
         assert owner.tolist() == [[0], [1]]
         assert p_win[0, 0] == 2.0

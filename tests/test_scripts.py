@@ -45,5 +45,15 @@ def test_cell_diff_finds_no_difference_between_a_checkout_and_itself(tmp_path, c
     src_lines = sum(p.read_bytes().count(b"\n")
                     for p in (SCRIPTS.parent / "src" / "secure_ofdma").glob("*.py"))
     assert summary["src_lines"] == {"parent": src_lines, "change": src_lines}
+    # each side counts its auctions on freshly drawn ensembles; the
+    # two-phase workload never enters the dual solver
+    auctions = summary["auctions"]
+    assert auctions["parent"] == auctions["change"]
+    assert set(auctions["change"]) == {"sweep_avg", "peak_cold", "twophase"}
+    for name in ("sweep_avg", "peak_cold"):
+        counts = auctions["change"][name]
+        assert counts["auctions"] >= counts["full"] > 0 and counts["nu"] > 0
+    assert auctions["change"]["twophase"] == {"auctions": 0, "full": 0, "nu": 0}
     assert capsys.readouterr().out.splitlines() == [
-        json.dumps(summary["workloads"]), json.dumps(summary["csv"])]
+        json.dumps(summary["workloads"]), json.dumps(summary["csv"]),
+        json.dumps(auctions)]

@@ -509,14 +509,17 @@ class TestStagesMatchLoops:
         n=st.integers(1, 8), t=st.integers(1, 6),
         zero_mu=st.booleans(), scalar_lam=st.booleans(), drop=st.booleans(),
         eps=st.sampled_from([1e-2, 0.2]), power=st.floats(1.0, 50.0),
+        weights=st.sampled_from(["unit", "distinct", "repeated"]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
     def test_trim_and_refill_match(self, k, k1_frac, n, t, zero_mu, scalar_lam,
-                                   drop, eps, power, seed):
+                                   drop, eps, power, weights, seed):
+        # the refill pours onto the NU classes the auction chose, checked
+        # against the oracle's per-frame NU auction with several classes
         rng = np.random.default_rng(seed)
         k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
-        prep = random_problem(rng, k, k1, n, t, False, power)
+        prep = random_problem(rng, k, k1, n, t, False, power, weights)
         mu = rng.uniform(0.5, 6.0, size=k1)
         if zero_mu:
             mu[rng.integers(k1)] = 0.0
@@ -531,7 +534,7 @@ class TestStagesMatchLoops:
         targets = achieved * rng.uniform(0.2, 0.95, size=k1)
         targets[achieved <= 0] = 0.3
         prep.config = make_config(
-            n=n, k=k, k1=k1, c=targets, omega=np.ones(k - k1), power=power,
+            n=n, k=k, k1=k1, c=targets, omega=prep.config.weights, power=power,
             mode="peak",
         )
         su_cols = np.argwhere((owner >= 0) & (owner < k1))
@@ -550,7 +553,7 @@ class TestStagesMatchLoops:
 
         residual = power - p_ref.sum(axis=1)
         o_lib, p_lib = o_ref.copy(), p_ref.copy()
-        _refill_nu_water(prep, o_lib, p_lib, lam_vec)
+        _refill_nu_water(prep, o_lib, p_lib, lam_vec, st_.nu_class)
         budgets = oracles.looped_refill_nu_water(
             prep, o_ref, p_ref, lam_vec, residual, dual_solver._LAMBDA_FLOOR)
         assert np.array_equal(o_lib, o_ref)
@@ -635,7 +638,7 @@ def test_trim_lowers_each_su_to_its_target_and_refill_keeps_the_cap(
     band = 1e-6 * targets * (1 + 1e-9)
     assert np.all(np.abs(r_su - targets)[trim] <= band[trim])
 
-    _refill_nu_water(prep, o_new, p_new, lam_t)
+    _refill_nu_water(prep, o_new, p_new, lam_t, st_.nu_class)
     assert np.all(p_new.sum(axis=1) <= power)
 
 

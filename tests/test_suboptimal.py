@@ -377,6 +377,21 @@ class TestNuPhase:
         np.testing.assert_array_equal(rep.power_nu[:, 4:],
                                       np.maximum(level - inv_a, 0.0))
 
+    def test_rejects_a_mask_that_is_not_a_bool_array(self):
+        # ~ on a 0/1 integer mask is a bitwise NOT, which marks every column
+        # free: the level rose from 2.57 to 10.66 and poured 750.7 units
+        # onto the SUs' columns; a nested list raised TypeError
+        cfg = make_config(n=8, k=4, k1=2, power=10.0)
+        ens = generate_ensemble(cfg, 20, seed=1)
+        occupied = np.zeros((20, 8), bool)
+        occupied[:, :4] = True
+        for bad in (occupied.astype(int), occupied.astype(float), occupied.tolist()):
+            with pytest.raises(ValueError, match="occupied must .* be a bool array"):
+                nu_phase(ens, cfg, 5.0, bad)
+        level, rep = nu_phase(ens, cfg, 5.0, occupied)
+        assert level == pytest.approx(2.5677, abs=1e-4)
+        assert not rep.power_nu[occupied].any()
+
     def test_rejects_bad_dimensions_and_masks(self, ens300):
         cfg = make_config()
         occupied = np.zeros((300, 64), dtype=bool)
