@@ -10,13 +10,15 @@ prices, dual trace, iterations, flags, message, R_NU, per-SU secrecy,
 mean power, SU power and SU subcarrier count; each sweep's CSV is
 compared byte for byte.  Each checkout also counts, per workload, its
 dual-solver auctions (``dual_solver._eval_point`` calls), the full-width
-ones among them (neither ``frames`` nor ``sus``) and its NU auctions
-(``_NuCandidates.auction`` calls), on ensembles drawn afresh, so every
-price-free search is counted too.  Each differing cell is printed with
-the largest change of each numeric field, then the verdict on each CSV
-and both checkouts' auction counts, and ``--out`` gets a JSON summary
-that also names every compared field and each checkout's ``src/`` line
-count.  Exits 1 when a cell or a CSV differs.
+ones among them (neither ``frames`` nor ``sus``), its NU auctions
+(``_NuCandidates.auction`` calls) and its NU water pricings
+(``_NuCandidates.water`` calls, where the checkout has them), on
+ensembles drawn afresh, so every price-free search is counted too.
+Each differing cell is printed with the largest change of each numeric
+field, then the verdict on each CSV and both checkouts' auction counts,
+and ``--out`` gets a JSON summary that also names every compared field
+and each checkout's ``src/`` line count.  Exits 1 when a cell or a CSV
+differs.
 """
 
 import argparse
@@ -39,9 +41,10 @@ import workloads
 from secure_ofdma import dual_solver, rates
 from secure_ofdma.experiments import ExperimentSpec, run_experiment
 
-# both are looked up at call time: the auction as a module global, the NU
-# auction as a method
+# all are looked up at call time: the auction as a module global, the NU
+# auction and water pricing as methods
 eval_point, nu_auction = dual_solver._eval_point, rates._NuCandidates.auction
+nu_water = getattr(rates._NuCandidates, "water", None)
 
 def counted_eval_point(prep, mu, lam, frames=None, sus=None):
     tally["auctions"] += 1
@@ -51,6 +54,10 @@ def counted_eval_point(prep, mu, lam, frames=None, sus=None):
 def counted_nu_auction(self, *args, **kwargs):
     tally["nu"] += 1
     return nu_auction(self, *args, **kwargs)
+
+def counted_nu_water(self, *args, **kwargs):
+    tally["water"] += 1
+    return nu_water(self, *args, **kwargs)
 
 def fields(r):
     digest = lambda a: hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
@@ -66,15 +73,19 @@ def fields(r):
 cells, csv, auctions = {}, {}, {}
 dual_solver._eval_point = counted_eval_point
 rates._NuCandidates.auction = counted_nu_auction
+if nu_water is not None:
+    rates._NuCandidates.water = counted_nu_water
 with tempfile.TemporaryDirectory() as tmp:
     for name, w in workloads.WORKLOADS.items():
-        auctions[name] = tally = {"auctions": 0, "full": 0, "nu": 0}
+        auctions[name] = tally = {"auctions": 0, "full": 0, "nu": 0, "water": 0}
         for seed in map(int, seeds):
             ens = workloads.make_inputs(w, seed, frames or None)
             for c in workloads.run_workload(name, ens, Path(tmp))[1]:
                 key = f"{name} seed={seed} ens={c.ensemble_index} {c.label}"
                 cells[key] = {"error": c.error, **(fields(c.result) if c.result else {})}
     dual_solver._eval_point, rates._NuCandidates.auction = eval_point, nu_auction
+    if nu_water is not None:
+        rates._NuCandidates.water = nu_water
     for path in sorted((root / "scripts").glob("*.json")):
         spec = ExperimentSpec.from_file(path)
         spec.realizations = frames or spec.realizations

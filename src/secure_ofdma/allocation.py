@@ -103,11 +103,14 @@ def decisions_from_arrays(
     flat *= n
     flat += np.arange(n)
     a = np.take(ensemble.alpha, flat)
-    # an unowned column has power 0, so both of its rates are already 0
-    info = np.log1p(power * a)
-    beta = np.where(kmax == owner, nu2, nu1)
-    secrecy = np.maximum(info - np.log1p(power * beta), 0.0)
-    rate = np.where(owner < config.n_secure, secrecy, info)
+    # an unowned column has power 0, so its rate is already 0
+    rate = np.log1p(power * a)
+    # an SU's secrecy rate, on its own columns alone: its eavesdropper is
+    # the runner-up where it holds the maximum, else the maximum
+    su = np.flatnonzero(owned & (owner < config.n_secure))
+    su_owner, su_power = owner.ravel()[su], power.ravel()[su]
+    beta = np.where(kmax.ravel()[su] == su_owner, nu2.ravel()[su], nu1.ravel()[su])
+    rate.ravel()[su] = np.maximum(rate.ravel()[su] - np.log1p(su_power * beta), 0.0)
     return Allocation(
         owner=owner, power=power, rate=rate,
         n_users=config.n_users, n_secure=config.n_secure,

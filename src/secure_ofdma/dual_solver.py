@@ -11,6 +11,12 @@ in peak mode), the ``mu`` calibration the secrecy of the open SUs (on
 their columns alone), the outer loop the secrecy, NU rate and dual
 value; the primal is read off the loop's best auction, not priced again.
 An SU at ``mu_k = 0`` never wins a column, so no probe prices its columns.
+The NU side is priced in full only where an SU competes: on the SU-max
+columns the NU payoff comes from price-free terms gathered once, and
+elsewhere an NU spends its water-filling level ``(w/lam - 1/alpha)+``,
+so with one NU weight class a probe's spend needs no NU auction.  The
+full-width NU auction is priced only for what reads it: an outer
+iterate's NU rate and dual value, and the primal.
 
 The searches also price only contested columns.  An SU competes for a
 column only where it holds the largest CNR and beats the runner-up by
@@ -68,14 +74,15 @@ class _Prepared:
 
     The auction is pruned here, once.  An SU can be paid only where it
     holds the column maximum, so the SU side keeps just those columns:
-    ``su_idx`` (flat t*N + n index), ``su_t``, ``su_k`` (the SU), and in
-    the rows of ``su_cols`` their top two CNRs and the price-free terms of
-    the SU closed form.  On the NU side only the strongest NU of each
-    weight class can win, so ``nu`` keeps one candidate per class and
-    column, read from the ensemble's strongest-NU index; its (T, G, N)
-    arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``, which the
-    benchmark tracer reads.  ``contested`` narrows the SU side further,
-    to a view for a search's later probes.
+    ``su_idx`` (flat t*N + n index), ``su_t``, ``su_k`` (the SU), in the
+    rows of ``su_cols`` their top two CNRs and the price-free terms of the
+    SU closed form, and in ``su_nu`` the price-free terms of the NU
+    candidates there, which price the NU payoff the SU must beat.  On the
+    NU side only the strongest NU of each weight class can win, so ``nu``
+    keeps one candidate per class and column, read from the ensemble's
+    strongest-NU index; its (T, G, N) arrays are also exposed as ``ln_wa``
+    and ``inv_alpha_nu``, which the benchmark tracer reads.  ``contested``
+    narrows the SU side further, to a view for a search's later probes.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -96,6 +103,7 @@ class _Prepared:
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
         self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
         self.nu = _NuCandidates(ensemble, self.k1, config.weights)
+        self.su_nu = self.nu.columns(self.su_idx)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
         self.memo = ensemble.memo
@@ -117,19 +125,18 @@ class _Prepared:
         return at, row, row * self.n + self.su_idx[at] % self.n
 
     def su_nu_payoff(self, lam):
-        """The NU payoff on the SU-max columns at ``lam``.
+        """The winning NU payoff on the SU-max columns at ``lam``.
 
         ``lam`` is a scalar, whose payoff is kept for the next call at the
-        same price, or one price per frame.  The NU auction is priced on
-        every column and read at ``su_idx``.
+        same price, or one price per frame.  It is priced on those columns
+        alone.
         """
         if np.ndim(lam):
-            lam_t = np.asarray(lam, float)[:, None, None]
-            return self.nu.auction(np.log(lam_t), lam_t)[0].ravel()[self.su_idx]
+            lam = np.asarray(lam, float)
+            return self.nu.best_payoff(self.su_nu, np.log(lam)[self.su_t], lam[self.su_t])
         lam = float(lam)
         if self._su_nu_paid is None or self._su_nu_paid[0] != lam:
-            h = self.nu.auction(math.log(lam), lam)[0].ravel()[self.su_idx]
-            self._su_nu_paid = lam, h
+            self._su_nu_paid = lam, self.nu.best_payoff(self.su_nu, math.log(lam), lam)
         return self._su_nu_paid[1]
 
     def contested(self, mu, lam) -> _Prepared:
@@ -153,6 +160,7 @@ class _Prepared:
         view.su_idx, view.su_k, view.su_t, view.su_ln_ratio = (
             a.take(at) for a in (self.su_idx, self.su_k, self.su_t, self.su_ln_ratio))
         view.su_cols = self.su_cols.take(at, axis=1)
+        view.su_nu = self.su_nu.take(at, axis=2)
         view.su_ptr = np.searchsorted(view.su_t, np.arange(self.t_count + 1))
         if self._su_nu_paid is not None:
             view._su_nu_paid = self._su_nu_paid[0], self._su_nu_paid[1].take(at)
@@ -165,20 +173,26 @@ class _Auction:
     ``lam`` is a scalar (average mode) or a length-T vector (peak mode).
     An SU at ``mu_k = 0`` earns nothing and never wins a column, so only
     the SU-max columns of SUs with ``mu_k > 0`` get the SU closed form.
-    Construction prices the NU candidates on every column and those SU
-    columns, and sets ``p_win``, ``power_t`` and ``power_mean``; the SU
+    Construction prices only what every probe reads.  On those SU columns
+    it prices the SU closed form and the NU payoff it must beat, from
+    ``prep.su_nu``.  The spend ``power_t`` (and ``power_mean``) is the
+    NU bids' powers (``_NuCandidates.water``) with the SU wins written
+    over them, summed per frame: the row sums of ``p_win``, bit for bit
+    wherever the winning NU payoff and its power are both positive or
+    both zero.  With one NU class that prices no NU auction.  The
+    full-width NU auction is priced on first read of ``p_win``,
+    ``owner``, ``nu_class`` (the weight class of each column's NU winner,
+    ``None`` with one class), ``r_nu_total`` or ``dual_value``, so only
+    the outer loop's iterates and the returned primal pay for it; the SU
     results are scattered into (T, N) arrays before any per-frame sum, so
-    all is bit-identical to pricing every user everywhere.  The
-    reductions ``secrecy``, ``r_nu_total``, ``dual_value`` and ``owner``
-    are computed on first read.  ``mu`` and ``lam`` are copies of the
-    prices, and ``nu_class`` holds the weight class of each priced
-    column's NU winner (``None`` with one class).
+    all is bit-identical to pricing every user everywhere.  ``secrecy``
+    is also reduced on first read.  ``mu`` and ``lam`` are copies of the
+    prices.
 
     Two narrow probes price less.  ``frames`` (ascending, one price in
     ``lam`` each) prices just those frames' ``power_t``.  ``sus``
     (ascending SU indices, one scalar price) prices just those SUs'
-    columns against ``su_nu_payoff``, which it shares with every probe at
-    the same price, and reads ``secrecy[sus]`` alone.
+    columns and reads ``secrecy[sus]`` alone.
     Reading anything a narrow probe did not price raises ValueError.
     """
 
@@ -217,62 +231,54 @@ class _Auction:
             su_at = np.arange(prep.su_k.size)[su_at][sel]
             su_row, su_idx = su_row[sel], su_idx[sel]
         if lam_arr.ndim == 1:
-            lam_n = lam_arr[:, None]
-            ln_lam_n = np.log(lam_arr)[:, None]
+            ln_lam_t = np.log(lam_arr)
+            lam_n, ln_lam_n = lam_arr[:, None], ln_lam_t[:, None]
             lam_g, ln_lam_g = lam_n[:, :, None], ln_lam_n[:, :, None]
-            lam_su = lam_arr[su_row]
+            lam_su, ln_lam_su = lam_arr[su_row], ln_lam_t[su_row]
         else:
             lam_n = lam_g = lam_su = float(lam_arr)
-            ln_lam_n = ln_lam_g = math.log(lam_n)
+            ln_lam_n = ln_lam_g = ln_lam_su = math.log(lam_n)
 
         su_k = prep.su_k[su_at]
-        cols = prep.su_cols[:, su_at] if isinstance(su_at, slice) \
-            else prep.su_cols.take(su_at, axis=1)
+        every = isinstance(su_at, slice)
+        cols = prep.su_cols if every else prep.su_cols.take(su_at, axis=1)
         h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu[su_k], lam_su, cols[2:])
         if sus is not None:
-            # the NU payoff on the priced columns alone
-            h_nu_su = prep.su_nu_payoff(lam_n)[su_at]
+            # a calibration's probes share one price, so they share its NU payoff
+            h_nu_su = prep.su_nu_payoff(lam_su)[su_at]
         else:
-            nu = prep.nu
-            h_nu_best, g = nu.auction(ln_lam_g, lam_g, rows=rows)
-            h_nu_su = h_nu_best.ravel()[su_idx]
+            nu_cols = prep.su_nu if every else prep.su_nu.take(su_at, axis=2)
+            h_nu_su = prep.nu.best_payoff(nu_cols, ln_lam_su, lam_su)
         su_wins = h_su > h_nu_su
         self._su_k, self._rs, self._su_wins = su_k, rs, su_wins
         if sus is not None:
             return
 
-        p_nu_best = np.maximum(
-            nu.weight(g) / lam_n - nu.take(nu.inv_alpha, g, rows=rows), 0.0
-        )
-        su_won = su_idx[su_wins]
-        # the scatter targets are fresh C-ordered arrays, so ravel() is a view
-        nu_pos = h_nu_best > 0.0
-        p_win = np.where(nu_pos, p_nu_best, 0.0)
-        p_win.ravel()[su_won] = p_su[su_wins]
-        power_t = p_win.sum(axis=1)[keep]
-        self._spend = p_win, power_t, float(power_t.mean())
-        self._ln_lam_n, self._h_nu_best, self.nu_class, self._nu_pos = (
-            ln_lam_n, h_nu_best, g, nu_pos)
-        self._h_su, self._h_nu_su, self._su_idx, self._su_won = (
-            h_su, h_nu_su, su_idx, su_won)
+        spend, bid = prep.nu.water(ln_lam_g, lam_g, rows)
+        su_won, p_su_won = su_idx[su_wins], p_su[su_wins]
+        # the scatter target is a fresh C-ordered array, so ravel() is a view
+        spend.ravel()[su_won] = p_su_won
+        power_t = spend.sum(axis=1)[keep]
+        self._spend = power_t, float(power_t.mean())
+        if bid is not None and frames is None:
+            self._nu_bid = bid   # several classes priced the NU auction already
+        self._ln_lam_n, self._lam_g, self._ln_lam_g = ln_lam_n, lam_g, ln_lam_g
+        self._h_su, self._h_nu_su, self._su_idx, self._su_won, self._p_su_won = (
+            h_su, h_nu_su, su_idx, su_won, p_su_won)
 
     def _spent(self):
-        """``(p_win, power_t, power_mean)``; an SU subset has no spend."""
+        """``(power_t, power_mean)``; an SU subset has no spend."""
         if self.sus is not None:
             raise ValueError("an SU subset prices its secrecy only")
         return self._spend
 
     @property
-    def p_win(self) -> np.ndarray:
+    def power_t(self) -> np.ndarray:
         return self._spent()[0]
 
     @property
-    def power_t(self) -> np.ndarray:
-        return self._spent()[1]
-
-    @property
     def power_mean(self) -> float:
-        return self._spent()[2]
+        return self._spent()[1]
 
     def _whole(self) -> _Prepared:
         """``prep`` for a reduction; a narrow probe has none."""
@@ -280,6 +286,22 @@ class _Auction:
             raise ValueError("a frame subset prices the per-frame spend only")
         self._spent()
         return self.prep
+
+    @cached_property
+    def _nu_bid(self):
+        """The full-width NU auction ``(h, g)``, priced on first read."""
+        return self._whole().nu.auction(self._ln_lam_g, self._lam_g)
+
+    @property
+    def nu_class(self):
+        return self._nu_bid[1]
+
+    @cached_property
+    def p_win(self) -> np.ndarray:
+        h = self._nu_bid[0]
+        p_win = np.where(h > 0.0, self.prep.nu.water(self._ln_lam_g, self._lam_g)[0], 0.0)
+        p_win.ravel()[self._su_won] = self._p_su_won
+        return p_win
 
     @cached_property
     def secrecy(self) -> np.ndarray:
@@ -292,9 +314,10 @@ class _Auction:
     @cached_property
     def _nu_winners(self):
         nu = self._whole().nu
-        nu_wins = self._nu_pos.copy()
+        h, g = self._nu_bid
+        nu_wins = h > 0.0
         nu_wins.ravel()[self._su_won] = False
-        return nu_wins, nu.take(nu.index, self.nu_class)
+        return nu_wins, nu.take(nu.index, g)
 
     @cached_property
     def r_nu_total(self) -> float:
@@ -308,7 +331,7 @@ class _Auction:
     @cached_property
     def dual_value(self) -> float:
         prep = self._whole()
-        h_col = self._h_nu_best.copy()
+        h_col = self._nu_bid[0].copy()
         h_col.ravel()[self._su_idx] = np.maximum(self._h_su, self._h_nu_su)
         return float(h_col.sum(axis=1).mean() + (self.lam * prep.config.power).mean()
                      - self.mu @ prep.config.secrecy_targets)

@@ -180,6 +180,9 @@ class _NuCandidates:
     weights) and ``weights`` the (G,) sorted class weights.  CNR ties go
     to the lowest NU index.  This is the one priced NU auction: the dual
     solver, whose peak refill reuses its classes, and the NU phase bid here.
+    ``water`` gives the powers the auction's winners spend, pricing no
+    auction with one class, and ``best_payoff`` prices the winning payoff
+    on a few gathered ``columns`` alone.
 
     No price changes which NU is strongest, so the index is found once
     per ensemble and (K1, weights) and kept by ``ensemble.memo``, as is
@@ -221,6 +224,15 @@ class _NuCandidates:
                 np.int32 if kink.size <= np.iinfo(np.int32).max else np.intp)
         return self._ensemble.memo(("nu_order", *self._key), build)
 
+    def _payoff(self, ln_wa, inv_alpha, ln_lam, lam):
+        """Each class's priced payoff from its price-free terms; the class
+        axis is second to last."""
+        w = self.weights[:, None]
+        return np.maximum(
+            w * np.maximum(ln_wa - ln_lam, 0.0) - np.maximum(w - lam * inv_alpha, 0.0),
+            0.0,
+        )
+
     def auction(self, ln_lam, lam, rows=slice(None)):
         """Winning candidate per column at power price ``lam``.
 
@@ -230,16 +242,39 @@ class _NuCandidates:
         is a single class.  Payoff ties between classes go to the lower
         class weight.
         """
-        w = self.weights[:, None]
-        h = np.maximum(
-            w * np.maximum(self.ln_wa[rows] - ln_lam, 0.0)
-            - np.maximum(w - lam * self.inv_alpha[rows], 0.0),
-            0.0,
-        )
+        h = self._payoff(self.ln_wa[rows], self.inv_alpha[rows], ln_lam, lam)
         if self.weights.size == 1:
             return h[:, 0, :], None
         g = np.argmax(h, axis=1)
         return self.take(h, g), g
+
+    def water(self, ln_lam, lam, rows=slice(None)):
+        """The (T', N) power of each column's winning NU bid at price ``lam``.
+
+        The arguments are those of ``auction``.  With one class the bid is
+        the water-filling ``(w/lam - 1/alpha)+`` and no auction is priced:
+        returns ``(p, None)``.  With several, the auction picks each
+        column's class and a column whose winning payoff is not positive
+        spends nothing: returns ``(p, (h, g))`` with the auction's result.
+        """
+        p = np.maximum(self.weights[:, None] / lam - self.inv_alpha[rows], 0.0)
+        if self.weights.size == 1:
+            return p[:, 0, :], None
+        h, g = self.auction(ln_lam, lam, rows)
+        return np.where(h > 0.0, self.take(p, g), 0.0), (h, g)
+
+    def columns(self, flat):
+        """``ln_wa`` and ``inv_alpha`` at the flat (t*N + n) columns ``flat``:
+        the (2, G, M) price-free terms ``best_payoff`` prices."""
+        _, classes, n = self.inv_alpha.shape
+        at = flat + flat // n * ((classes - 1) * n) + (np.arange(classes) * n)[:, None]
+        return np.stack([self.ln_wa.take(at), self.inv_alpha.take(at)])
+
+    def best_payoff(self, terms, ln_lam, lam):
+        """The winning payoff on the columns of ``terms`` (from ``columns``),
+        bit for bit the auction's there; ``ln_lam`` and ``lam`` are scalars
+        or one price per column."""
+        return self._payoff(terms[0], terms[1], ln_lam, lam).max(axis=0)
 
     def take(self, arr, g, rows=slice(None)):
         """The (T', N) slice of a (T, G, N) candidate array at classes ``g``."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from secure_ofdma import dual_solver
+from secure_ofdma import dual_solver, rates
 from secure_ofdma._search import _ITP_SLACK, bisect, bisect_monotone, bracket
 from secure_ofdma.channel import ChannelEnsemble, generate_ensemble
 from secure_ofdma.dual_solver import (
@@ -430,6 +430,63 @@ def test_contested_view_drops_columns_at_a_solves_prices():
     assert 0 < kept < 0.5 * prep.su_k.size
     assert prep.contested(mu, 4 * lam).su_k.size > kept
     assert prep.contested(4 * mu, lam).su_k.size > kept
+
+
+@given(
+    k=st.integers(2, 6), k1_frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 8), t=st.integers(1, 6),
+    weights=st.sampled_from(["unit", "distinct", "repeated"]),
+    lam_kind=st.sampled_from(["scalar", "vector"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_the_eager_spend_is_the_row_sum_of_p_win(
+    k, k1_frac, n, t, weights, lam_kind, seed,
+):
+    # a probe sums its spend from the NU water levels with the SU wins
+    # written over them, before any full-width NU auction; p_win is priced
+    # from that auction on first read, and each frame's spend is its row sum
+    rng = np.random.default_rng(seed)
+    k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
+    prep = random_problem(rng, k, k1, n, t, False, 20.0, weights)
+    mu = rng.uniform(0.0, 4.0, size=k1) * (rng.random(k1) < 0.7)
+    mu[rng.integers(k1)] = 0.0     # an idle SU
+    lam = np.exp(rng.uniform(-4.0, 1.0, size=t if lam_kind == "vector" else None))
+    whole = _eval_point(prep, mu, lam)
+    row_sums = whole.p_win.sum(axis=1)
+    np.testing.assert_allclose(whole.power_t, row_sums, rtol=1e-12, atol=0.0)
+    assert whole.power_mean == pytest.approx(row_sums.mean(), rel=1e-12, abs=0.0)
+    if lam_kind == "vector":
+        # one frame is gathered (when t > 1); all frames are priced whole
+        for frames in (np.sort(rng.choice(t, 1)), np.arange(t)):
+            got = _eval_point(prep, mu, lam[frames], frames=frames).power_t
+            np.testing.assert_allclose(got, row_sums[frames], rtol=1e-12, atol=0.0)
+
+
+def test_price_searches_and_screens_price_no_nu_auction_with_one_class(monkeypatch):
+    # with one NU class a probe's spend is the NU water levels and the SU
+    # columns' NU payoff is priced on those columns alone, so the price
+    # searches, the calibration and the screens never run the full-width
+    # NU auction; an outer iterate's dual value does, once
+    rng = np.random.default_rng(7)
+    prep = random_problem(rng, 6, 3, 16, 12, False, 20.0)
+    mu = rng.uniform(0.5, 4.0, size=3)
+    calls = []
+    auction = rates._NuCandidates.auction
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return auction(self, *args, **kwargs)
+
+    monkeypatch.setattr(rates._NuCandidates, "auction", counted)
+    lam = _solve_lambda_avg(prep, mu, 1e-3)
+    lam_t = _solve_lambda_peak(prep, mu, 1e-3)
+    prep.contested(mu, lam)
+    prep.contested(mu, lam_t)
+    _initial_mu(prep, lam, 1e-2)
+    assert calls == []
+    _eval_point(prep, mu, lam).dual_value
+    assert len(calls) == 1
 
 
 class TestStagesMatchLoops:
