@@ -10,15 +10,17 @@ prices, dual trace, iterations, flags, message, R_NU, per-SU secrecy,
 mean power, SU power and SU subcarrier count; each sweep's CSV is
 compared byte for byte.  Each checkout also counts, per workload, its
 dual-solver auctions (``dual_solver._eval_point`` calls), the full-width
-ones among them (neither ``frames`` nor ``sus``), its NU auctions
-(``_NuCandidates.auction`` calls) and its NU water pricings
-(``_NuCandidates.water`` calls, where the checkout has them), on
-ensembles drawn afresh, so every price-free search is counted too.
-Each differing cell is printed with the largest change of each numeric
-field, then the verdict on each CSV and both checkouts' auction counts,
-and ``--out`` gets a JSON summary that also names every compared field
-and each checkout's ``src/`` line count.  Exits 1 when a cell or a CSV
-differs.
+ones among them (no frame subset, nor, on checkouts that take one, an
+SU subset), its NU auctions (``_NuCandidates.auction`` calls) and its
+NU water pricings (``_NuCandidates.water`` calls, where the checkout has
+them), on ensembles drawn afresh, so every price-free search is counted
+too.  Where an SU probe sets the other SUs to ``mu = 0`` and a peak
+probe of most frames prices every frame, both are whole auctions and
+count as full.  Each differing cell is printed with the largest change
+of each numeric field, then the verdict on each CSV and both checkouts'
+auction counts, and ``--out`` gets a JSON summary that also names every
+compared field and each checkout's ``src/`` line count.  Exits 1 when a
+cell or a CSV differs.
 """
 
 import argparse
@@ -46,10 +48,11 @@ from secure_ofdma.experiments import ExperimentSpec, run_experiment
 eval_point, nu_auction = dual_solver._eval_point, rates._NuCandidates.auction
 nu_water = getattr(rates._NuCandidates, "water", None)
 
-def counted_eval_point(prep, mu, lam, frames=None, sus=None):
+def counted_eval_point(prep, mu, lam, *args, **kwargs):
+    # a narrow probe passes a frame (or, on older checkouts, an SU) subset
     tally["auctions"] += 1
-    tally["full"] += frames is None and sus is None
-    return eval_point(prep, mu, lam, frames, sus)
+    tally["full"] += all(a is None for a in (*args, *kwargs.values()))
+    return eval_point(prep, mu, lam, *args, **kwargs)
 
 def counted_nu_auction(self, *args, **kwargs):
     tally["nu"] += 1

@@ -5,13 +5,16 @@ secrecy targets and a total power budget) is priced with multipliers
 ``mu`` (secrecy) and ``lam`` (power) and split into one auction per
 subcarrier, won by the user with the largest priced payoff.  ``lam`` is
 one scalar under the average power constraint and one price per frame
-under the peak constraint.  Each probe prices the auction once and only
-what its caller reads: the ``lam`` search the spend (of the open frames
-in peak mode), the ``mu`` calibration the secrecy of the open SUs (on
-their columns alone), the outer loop the secrecy, NU rate and dual
-value; the primal is read off the loop's best auction, not priced again.
-An SU at ``mu_k = 0`` never wins a column, so no probe prices its columns.
-The NU side is priced in full only where an SU competes: on the SU-max
+under the peak constraint.  Each probe prices one auction on whatever
+view of the prepared ensemble it is given, and only what its caller
+reads: the ``lam`` search the spend, the ``mu`` calibration the secrecy,
+the outer loop the secrecy, NU rate and dual value; the primal is read
+off the loop's best auction, not priced again.  A narrow probe narrows
+its input, not the pricing: a probe of the open frames prices a
+``_Prepared.rows`` view, a whole auction on fewer frames, and a probe of
+the open SUs sets the other SUs' ``mu`` to 0, since an SU at
+``mu_k = 0`` never wins a column and no probe prices its columns.  The
+NU side is priced in full only where an SU competes: on the SU-max
 columns the NU payoff comes from price-free terms gathered once, and
 elsewhere an NU spends its water-filling level ``(w/lam - 1/alpha)+``,
 so with one NU weight class a probe's spend needs no NU auction.  The
@@ -80,9 +83,11 @@ class _Prepared:
     candidates there, which price the NU payoff the SU must beat.  On the
     NU side only the strongest NU of each weight class can win, so ``nu``
     keeps one candidate per class and column, read from the ensemble's
-    strongest-NU index; its (T, G, N) arrays are also exposed as ``ln_wa``
-    and ``inv_alpha_nu``, which the benchmark tracer reads.  ``contested``
-    narrows the SU side further, to a view for a search's later probes.
+    strongest-NU index at the rows ``nu_rows`` (every row here); its
+    (T, G, N) arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``,
+    which the benchmark tracer reads.  Two views narrow what an auction
+    prices: ``contested`` the SU side, for a search's later probes, and
+    ``rows`` the frames.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -103,6 +108,7 @@ class _Prepared:
         # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
         self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
         self.nu = _NuCandidates(ensemble, self.k1, config.weights)
+        self.nu_rows = slice(None)
         self.su_nu = self.nu.columns(self.su_idx)
         self.ln_wa = self.nu.ln_wa
         self.inv_alpha_nu = self.nu.inv_alpha
@@ -112,32 +118,26 @@ class _Prepared:
     # the (T, N) SU-max column mask: only the tracer reads it, so built on demand
     is_su_col = cached_property(lambda self: self.kmax < self.k1)
 
-    def su_in_frames(self, frames):
-        """The SU-max columns of ascending ``frames``.
+    def su_nu_payoff(self, lam, at=slice(None)):
+        """The winning NU payoff on the SU-max columns ``at`` (all) at ``lam``.
 
-        Returns their positions in the ``su_*`` arrays, their row among
-        ``frames`` and their flat index into a (len(frames), N) array.
+        ``lam`` is a scalar or one price per frame.  It is priced on those
+        columns alone, or gathered from the payoff on every column kept at
+        the last scalar price that priced them all.
         """
-        start = self.su_ptr[frames]
-        count = self.su_ptr[frames + 1] - start
-        row = np.repeat(np.arange(frames.size), count)
-        at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        return at, row, row * self.n + self.su_idx[at] % self.n
-
-    def su_nu_payoff(self, lam):
-        """The winning NU payoff on the SU-max columns at ``lam``.
-
-        ``lam`` is a scalar, whose payoff is kept for the next call at the
-        same price, or one price per frame.  It is priced on those columns
-        alone.
-        """
+        every, paid = isinstance(at, slice), self._su_nu_paid
+        if not np.ndim(lam) and paid is not None and paid[0] == lam:
+            return paid[1] if every else paid[1].take(at)
+        terms = self.su_nu if every else self.su_nu.take(at, axis=2)
         if np.ndim(lam):
             lam = np.asarray(lam, float)
-            return self.nu.best_payoff(self.su_nu, np.log(lam)[self.su_t], lam[self.su_t])
+            su_t = self.su_t if every else self.su_t.take(at)
+            return self.nu.best_payoff(terms, np.log(lam).take(su_t), lam.take(su_t))
         lam = float(lam)
-        if self._su_nu_paid is None or self._su_nu_paid[0] != lam:
-            self._su_nu_paid = lam, self.nu.best_payoff(self.su_nu, math.log(lam), lam)
-        return self._su_nu_paid[1]
+        payoff = self.nu.best_payoff(terms, math.log(lam), lam)
+        if every:
+            self._su_nu_paid = lam, payoff
+        return payoff
 
     def contested(self, mu, lam) -> _Prepared:
         """A view keeping the SU-max columns an SU can win at prices <= ``lam``.
@@ -166,131 +166,102 @@ class _Prepared:
             view._su_nu_paid = self._su_nu_paid[0], self._su_nu_paid[1].take(at)
         return view
 
+    def rows(self, frames) -> _Prepared:
+        """A view of the ascending ``frames``, whose auction is the whole
+        auction's rows ``frames``, bit for bit.
+
+        It holds only what an auction reads: the ``su_*`` arrays and
+        ``su_nu`` of those frames' SU-max columns, ``su_t`` and ``su_idx``
+        counting its own rows, and ``nu_rows``, the frames' rows of the
+        NU candidates.  Built without ``__init__`` from a ``prep`` of every
+        frame, whole or ``contested``.
+        """
+        start = self.su_ptr.take(frames)
+        count = self.su_ptr.take(frames + 1) - start
+        row = np.repeat(np.arange(frames.size), count)
+        at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        view = object.__new__(_Prepared)
+        view.config, view.k1, view.n = self.config, self.k1, self.n
+        view.t_count = frames.size
+        view.nu, view.nu_rows, view._su_nu_paid = self.nu, frames, None
+        view.su_t, view.su_k = row, self.su_k.take(at)
+        view.su_idx = row * self.n + self.su_idx.take(at) % self.n
+        view.su_cols = self.su_cols.take(at, axis=1)
+        view.su_nu = self.su_nu.take(at, axis=2)
+        return view
+
 
 class _Auction:
-    """The per-subcarrier auction at dual prices (mu, lam), priced once.
+    """The per-subcarrier auction at dual prices (mu, lam) on ``prep``, the
+    prepared ensemble or a view of it, whatever the view keeps.
 
-    ``lam`` is a scalar (average mode) or a length-T vector (peak mode).
-    An SU at ``mu_k = 0`` earns nothing and never wins a column, so only
-    the SU-max columns of SUs with ``mu_k > 0`` get the SU closed form.
-    Construction prices only what every probe reads.  On those SU columns
-    it prices the SU closed form and the NU payoff it must beat, from
-    ``prep.su_nu``.  The spend ``power_t`` (and ``power_mean``) is the
-    NU bids' powers (``_NuCandidates.water``) with the SU wins written
-    over them, summed per frame: the row sums of ``p_win``, bit for bit
+    ``lam`` is a scalar (average mode) or one price per frame of ``prep``
+    (peak mode).  An SU at ``mu_k = 0`` never wins a column, so only the
+    SU-max columns of SUs with ``mu_k > 0`` get the SU closed form, which
+    construction prices with the NU payoff it must beat there (from
+    ``prep.su_nu``).  All else is a reduction priced on first read.  With
+    one NU class the spend ``power_t`` (and ``power_mean``) is the NU
+    water levels (``_NuCandidates.water``) with the SU wins written over
+    them, summed per frame: the row sums of ``p_win``, bit for bit
     wherever the winning NU payoff and its power are both positive or
-    both zero.  With one NU class that prices no NU auction.  The
-    full-width NU auction is priced on first read of ``p_win``,
-    ``owner``, ``nu_class`` (the weight class of each column's NU winner,
-    ``None`` with one class), ``r_nu_total`` or ``dual_value``, so only
-    the outer loop's iterates and the returned primal pay for it; the SU
-    results are scattered into (T, N) arrays before any per-frame sum, so
-    all is bit-identical to pricing every user everywhere.  ``secrecy``
-    is also reduced on first read.  ``mu`` and ``lam`` are copies of the
-    prices.
-
-    Two narrow probes price less.  ``frames`` (ascending, one price in
-    ``lam`` each) prices just those frames' ``power_t``.  ``sus``
-    (ascending SU indices, one scalar price) prices just those SUs'
-    columns and reads ``secrecy[sus]`` alone.
-    Reading anything a narrow probe did not price raises ValueError.
+    both zero, with no NU auction priced; with several it is the row
+    sums of ``p_win``.  The full-width NU auction is priced on first read
+    of ``p_win``, ``owner``, ``nu_class`` (each column's NU winner's weight
+    class, ``None`` with one class), ``r_nu_total`` or ``dual_value``; the
+    SU results are scattered into (T, N) arrays before any per-frame sum,
+    so all is bit-identical to pricing every user everywhere.  ``mu`` and
+    ``lam`` are copies of the prices.
     """
 
-    def __init__(self, prep: _Prepared, mu, lam, frames=None, sus=None):
+    def __init__(self, prep: _Prepared, mu, lam):
         # copies: a reduction read later must not see the caller's updates
-        mu, lam_arr = np.array(mu, float), np.array(lam, float)
-        self.prep, self.frames, self.sus, self.mu, self.lam = (
-            prep, frames, sus, mu, lam_arr)
+        mu, lam = np.array(mu, float), np.array(lam, float)
+        self.prep, self.mu, self.lam = prep, mu, lam
         bids = mu > 0
-        if sus is not None:
-            if frames is not None:
-                raise ValueError("an SU subset prices every frame")
-            if lam_arr.ndim:
-                raise ValueError("an SU subset needs one scalar price")
-            asked = np.zeros(prep.k1, bool)
-            asked[sus] = True
-            bids &= asked
-        # the priced SU-max columns: their positions in the su_* arrays, the
-        # row of their price in lam and their flat index into the priced rows
-        rows, keep = slice(None), slice(None)
-        su_at, su_row, su_idx = slice(None), prep.su_t, prep.su_idx
-        if frames is not None:
-            if lam_arr.ndim != 1:
-                raise ValueError("a frame subset needs one price per frame")
-            if 2 * frames.size > prep.t_count:
-                # gathering most frames costs more than pricing them all; the
-                # other frames get placeholder prices and their spend is dropped
-                keep, lam_arr = frames, np.ones(prep.t_count)
-                lam_arr[frames] = lam
-            else:
-                rows = frames
-                su_at, su_row, su_idx = prep.su_in_frames(frames)
-        if not bids.all():
-            # drop the columns of the SUs that bid nothing, keeping the order
-            sel = np.flatnonzero(bids[prep.su_k[su_at]])
-            su_at = np.arange(prep.su_k.size)[su_at][sel]
-            su_row, su_idx = su_row[sel], su_idx[sel]
-        if lam_arr.ndim == 1:
-            ln_lam_t = np.log(lam_arr)
-            lam_n, ln_lam_n = lam_arr[:, None], ln_lam_t[:, None]
-            lam_g, ln_lam_g = lam_n[:, :, None], ln_lam_n[:, :, None]
-            lam_su, ln_lam_su = lam_arr[su_row], ln_lam_t[su_row]
-        else:
-            lam_n = lam_g = lam_su = float(lam_arr)
-            ln_lam_n = ln_lam_g = ln_lam_su = math.log(lam_n)
+        # the priced SU-max columns: their positions in the su_* arrays
+        at = slice(None) if bids.all() else np.flatnonzero(bids.take(prep.su_k))
+        every = isinstance(at, slice)
+        su_k = prep.su_k if every else prep.su_k.take(at)
+        cols = prep.su_cols if every else prep.su_cols.take(at, axis=1)
+        lam_su = lam.take(prep.su_t[at]) if lam.ndim else float(lam)   # per column
+        h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu.take(su_k), lam_su, cols[2:])
+        h_nu_su = prep.su_nu_payoff(lam, at)
+        self._at, self._su_k, self._rs, self._p_su = at, su_k, rs, p_su
+        self._h_su, self._h_nu_su, self._su_wins = h_su, h_nu_su, h_su > h_nu_su
 
-        su_k = prep.su_k[su_at]
-        every = isinstance(su_at, slice)
-        cols = prep.su_cols if every else prep.su_cols.take(su_at, axis=1)
-        h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu[su_k], lam_su, cols[2:])
-        if sus is not None:
-            # a calibration's probes share one price, so they share its NU payoff
-            h_nu_su = prep.su_nu_payoff(lam_su)[su_at]
-        else:
-            nu_cols = prep.su_nu if every else prep.su_nu.take(su_at, axis=2)
-            h_nu_su = prep.nu.best_payoff(nu_cols, ln_lam_su, lam_su)
-        su_wins = h_su > h_nu_su
-        self._su_k, self._rs, self._su_wins = su_k, rs, su_wins
-        if sus is not None:
-            return
+    def _prices(self, axes):
+        """``(ln lam, lam)``, each frame's price broadcasting against its
+        ``axes`` trailing axes: 1 for (T, N), 2 for the NU candidates."""
+        if not self.lam.ndim:
+            return math.log(self.lam), float(self.lam)
+        lam = self.lam.reshape(-1, *(1,) * axes)
+        return np.log(lam), lam
 
-        spend, bid = prep.nu.water(ln_lam_g, lam_g, rows)
-        su_won, p_su_won = su_idx[su_wins], p_su[su_wins]
-        # the scatter target is a fresh C-ordered array, so ravel() is a view
-        spend.ravel()[su_won] = p_su_won
-        power_t = spend.sum(axis=1)[keep]
-        self._spend = power_t, float(power_t.mean())
-        if bid is not None and frames is None:
-            self._nu_bid = bid   # several classes priced the NU auction already
-        self._ln_lam_n, self._lam_g, self._ln_lam_g = ln_lam_n, lam_g, ln_lam_g
-        self._h_su, self._h_nu_su, self._su_idx, self._su_won, self._p_su_won = (
-            h_su, h_nu_su, su_idx, su_won, p_su_won)
+    @cached_property
+    def _su_won(self):
+        """The flat (t*N + n) index and the power of each column an SU wins."""
+        wins = self._su_wins
+        return self.prep.su_idx[self._at][wins], self._p_su[wins]
 
-    def _spent(self):
-        """``(power_t, power_mean)``; an SU subset has no spend."""
-        if self.sus is not None:
-            raise ValueError("an SU subset prices its secrecy only")
-        return self._spend
-
-    @property
+    @cached_property
     def power_t(self) -> np.ndarray:
-        return self._spent()[0]
+        nu = self.prep.nu
+        if nu.weights.size > 1:
+            return self.p_win.sum(axis=1)   # the NU auction picks each bidder
+        spend = nu.water(self._prices(1)[1], rows=self.prep.nu_rows)
+        su_won, p_su_won = self._su_won
+        # the levels are a fresh C-ordered array, so ravel() is a view
+        spend.ravel()[su_won] = p_su_won
+        return spend.sum(axis=1)
 
     @property
     def power_mean(self) -> float:
-        return self._spent()[1]
-
-    def _whole(self) -> _Prepared:
-        """``prep`` for a reduction; a narrow probe has none."""
-        if self.frames is not None:
-            raise ValueError("a frame subset prices the per-frame spend only")
-        self._spent()
-        return self.prep
+        return float(self.power_t.mean())
 
     @cached_property
     def _nu_bid(self):
         """The full-width NU auction ``(h, g)``, priced on first read."""
-        return self._whole().nu.auction(self._ln_lam_g, self._lam_g)
+        return self.prep.nu.auction(*self._prices(2), self.prep.nu_rows)
 
     @property
     def nu_class(self):
@@ -298,41 +269,42 @@ class _Auction:
 
     @cached_property
     def p_win(self) -> np.ndarray:
-        h = self._nu_bid[0]
-        p_win = np.where(h > 0.0, self.prep.nu.water(self._ln_lam_g, self._lam_g)[0], 0.0)
-        p_win.ravel()[self._su_won] = self._p_su_won
+        h, g = self._nu_bid
+        p_nu = self.prep.nu.water(self._prices(1)[1], g, self.prep.nu_rows)
+        p_win = np.where(h > 0.0, p_nu, 0.0)
+        su_won, p_su_won = self._su_won
+        p_win.ravel()[su_won] = p_su_won
         return p_win
 
     @cached_property
     def secrecy(self) -> np.ndarray:
-        prep = self.prep if self.sus is not None else self._whole()
         wins = self._su_wins
-        secrecy = np.bincount(self._su_k[wins], weights=self._rs[wins],
-                              minlength=prep.k1) / prep.t_count
-        return secrecy if self.sus is None else secrecy[self.sus]
+        return np.bincount(self._su_k[wins], weights=self._rs[wins],
+                           minlength=self.prep.k1) / self.prep.t_count
 
     @cached_property
     def _nu_winners(self):
-        nu = self._whole().nu
+        nu = self.prep.nu
         h, g = self._nu_bid
         nu_wins = h > 0.0
-        nu_wins.ravel()[self._su_won] = False
-        return nu_wins, nu.take(nu.index, g)
+        nu_wins.ravel()[self._su_won[0]] = False
+        return nu_wins, nu.take(nu.index, g, self.prep.nu_rows)
 
     @cached_property
     def r_nu_total(self) -> float:
         nu_wins, j_best = self._nu_winners
         prep, nu = self.prep, self.prep.nu
-        rate_best = np.maximum(nu.take(nu.ln_wa, self.nu_class) - self._ln_lam_n, 0.0)
+        ln_wa = nu.take(nu.ln_wa, self.nu_class, prep.nu_rows)
+        rate_best = np.maximum(ln_wa - self._prices(1)[0], 0.0)
         nu_rate = np.bincount(j_best[nu_wins], weights=rate_best[nu_wins],
                               minlength=prep.config.n_normal) / prep.t_count
         return float(prep.config.weights @ nu_rate)
 
     @cached_property
     def dual_value(self) -> float:
-        prep = self._whole()
+        prep = self.prep
         h_col = self._nu_bid[0].copy()
-        h_col.ravel()[self._su_idx] = np.maximum(self._h_su, self._h_nu_su)
+        h_col.ravel()[prep.su_idx[self._at]] = np.maximum(self._h_su, self._h_nu_su)
         return float(h_col.sum(axis=1).mean() + (self.lam * prep.config.power).mean()
                      - self.mu @ prep.config.secrecy_targets)
 
@@ -340,13 +312,21 @@ class _Auction:
     def owner(self) -> np.ndarray:
         nu_wins, j_best = self._nu_winners
         owner = np.where(nu_wins, self.prep.k1 + j_best, UNASSIGNED).astype(np.int64)
-        owner.ravel()[self._su_won] = self._su_k[self._su_wins]
+        owner.ravel()[self._su_won[0]] = self._su_k[self._su_wins]
         return owner
 
+    @property
+    def primal(self):
+        """``(owner, p_win, mu, lam, nu_class)``: all that ``_recover`` and the
+        judge read, so a caller can drop the auction's other arrays first."""
+        return self.owner, self.p_win, self.mu, self.lam, self.nu_class
 
-def _eval_point(prep: _Prepared, mu, lam, frames=None, sus=None) -> _Auction:
-    """The auction at (mu, lam); every stage prices through this rebindable name."""
-    return _Auction(prep, mu, lam, frames, sus)
+
+def _eval_point(prep: _Prepared, mu, lam, frames=None) -> _Auction:
+    """The auction at (mu, lam), on the ascending ``frames`` alone (one price
+    each in ``lam``) when given; every stage prices through this rebindable
+    name."""
+    return _Auction(prep if frames is None else prep.rows(frames), mu, lam)
 
 
 def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
@@ -373,9 +353,10 @@ def _price(prep, mu, spend, target, tol_power, warm, shape):
 
     ``spend(view, lam, idx)`` is the spend at ``mu`` of the elements
     ``idx`` (every one when ``None``) at their prices ``lam``, priced on
-    ``view``.  It is non-increasing in each element's own price (each
-    candidate's power level falls and auction switches always move to the
-    lower-power bidder), so one geometric bisection serves all elements.
+    ``view`` or, for a few frames, its ``rows``.  It is non-increasing in
+    each element's own price (each candidate's power level falls and
+    auction switches always move to the lower-power bidder), so one
+    geometric bisection serves all elements.
     They are bracketed upward from ``2 * warm``, or from 1e-3 on a cold
     start (never below ``4 * _LAMBDA_FLOOR``), on ``prep``; every later
     probe prices at or below the bracket's top, so it prices the view
@@ -428,10 +409,19 @@ def _solve_lambda_avg(prep, mu, tol_power, warm=None):
 def _solve_lambda_peak(prep, mu, tol_power, warm=None):
     """One power price per frame meeting that frame's budget, or the floor.
 
-    The bracket prices every frame; the probes after it only the open ones.
+    The bracket prices every frame; the probes after it only the open ones,
+    on a ``rows`` view.  Gathering most frames costs more than pricing them
+    all, so a probe of more than half of them prices every frame, each
+    other one at the last price it was probed at, and drops their spend.
     """
+    prices = np.ones(prep.t_count)
+
     def spend(view, lam, frames):
-        return _eval_point(view, mu, lam, frames=frames).power_t
+        every = slice(None) if frames is None else frames
+        prices[every] = lam
+        if frames is not None and 2 * frames.size <= prep.t_count:
+            return _eval_point(view, mu, lam, frames=frames).power_t
+        return _eval_point(view, mu, prices).power_t[every]
 
     return _price(prep, mu, spend, prep.config.power, tol_power, warm, prep.t_count)
 
@@ -536,9 +526,11 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     a quarter of the outer loop's convergence band, or after ``rounds``
     ITP steps, and keeps the multiplier it was last probed at.  The dual
     iteration then only has to absorb the feedback of the power price.
-    The NU payoff at ``lam0`` is priced once; after the bracket every
-    probe bids at or below its top, so it prices the view
-    ``prep.contested`` keeps there for the SUs still open.
+    A probe of a few SUs sets the others' multipliers to 0, so their
+    columns are not priced, and reads the secrecy of its own.  The NU
+    payoff at ``lam0`` is priced once; after the bracket every probe bids
+    at or below its top, so it prices the view ``prep.contested`` keeps
+    there for the SUs still open.
     """
     targets = prep.config.secrecy_targets
     want = targets > 0
@@ -549,12 +541,14 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
     view = prep
 
     def probe(x, idx):
-        # each probe prices only the SUs it moves
-        idx = np.arange(prep.k1) if idx is None else idx
+        idx = slice(None) if idx is None else idx
         mu[idx] = x
-        gap = _eval_point(view, mu, lam0, sus=idx).secrecy - targets[idx]
+        bid = np.zeros(prep.k1)   # the SUs this probe does not move bid nothing
+        bid[idx] = x
+        gap = _eval_point(view, bid, lam0).secrecy[idx] - targets[idx]
         return gap < 0, (-below[idx] <= gap) & (gap <= above[idx]), gap
 
+    prep.su_nu_payoff(lam0)   # kept: every probe bids at lam0
     # no secrecy at mu = 0: the residual there is -C_k without an auction
     lo, hi, f_lo, f_hi = bracket(probe, np.zeros(prep.k1), np.ones(prep.k1), 4.0,
                                  limit=4.0**40, f_lo=-targets)
@@ -595,9 +589,9 @@ def _dual_outer_loop(prep, eps):
     the larger of itself and the (median) power price.  It stops once
     ``unmet`` passes the auction and, in average mode, the mean spend is
     within ``eps * P`` of the budget or the price is at the floor; an
-    earlier exit says why in its message.  Returns ``(auction, iterations,
-    trace, message)`` with the best iterate's auction, or ``auction =
-    None`` on an infeasible exit: after 0 iterations when
+    earlier exit says why in its message.  Returns ``(primal, iterations,
+    trace, message)`` with the best iterate's ``_Auction.primal``, or
+    ``primal = None`` on an infeasible exit: after 0 iterations when
     ``check_reachable`` rejects a target, or when a violated SU's
     multiplier passes ``_MU_CEILING``.
     """
@@ -662,24 +656,25 @@ def _dual_outer_loop(prep, eps):
 
     # the loop evaluates at least one iterate, so best is always set
     _, auction, iters = best
-    return auction, iters, trace, message
+    return auction.primal, iters, trace, message
 
 
-def _primal(prep, auction):
-    """The ``(owner, p_win)`` of an auction priced on every frame; peak mode
-    trims and refills them in place at its frame prices and NU classes."""
-    owner, p_win = auction.owner, auction.p_win
+def _recover(prep, owner, p_win, lam, nu_class):
+    """The one recovery of a dual primal, from an auction priced on every
+    frame: peak mode trims and refills its ``owner`` and ``p_win`` in place
+    at its frame prices ``lam`` and NU classes."""
     if prep.config.mode == "peak":
-        _trim_su_surplus(prep, owner, p_win, auction.lam)
-        _refill_nu_water(prep, owner, p_win, auction.lam, auction.nu_class)
-    return owner, p_win
+        _trim_su_surplus(prep, owner, p_win, lam)
+        _refill_nu_water(prep, owner, p_win, lam, nu_class)
 
 
-def _finish(prep, ensemble, eps, auction, iters, trace, message, infeasible=False):
-    """The primal recovered from ``auction``, judged by ``unmet``."""
-    owner, p_win = _primal(prep, auction)
+def _finish(prep, ensemble, eps, primal, iters, trace, message, infeasible=False):
+    """An auction's ``primal`` (``_Auction.primal``), recovered and judged
+    by ``unmet``."""
+    owner, p_win, mu, lam, nu_class = primal
+    _recover(prep, owner, p_win, lam, nu_class)
     return solve_result(
-        owner, p_win, ensemble, prep.config, eps, auction.mu, auction.lam,
+        owner, p_win, ensemble, prep.config, eps, mu, lam,
         infeasible=infeasible, message=message, iterations=iters,
         dual_value=float(np.min(trace)), dual_trace=trace,
     )
@@ -692,18 +687,19 @@ def _infeasible_result(prep, ensemble, eps, message, iters) -> SolveResult:
     recovered as every solve is, so it is the allocation ``solve_peak``
     returns at zero targets; the dual value is the auction's."""
     st = _eval_point(prep, np.zeros(prep.k1), _no_secrecy_price(prep, eps))
-    return _finish(prep, ensemble, eps, st, iters, [st.dual_value], message,
-                   infeasible=True)
+    trace, primal = [st.dual_value], st.primal
+    del st   # the recovery and the judge run without the auction's arrays
+    return _finish(prep, ensemble, eps, primal, iters, trace, message, infeasible=True)
 
 
 def _solve(ensemble, config, opts) -> SolveResult:
     """The dual solve shared by both power modes."""
     eps = (opts or SolverOptions()).epsilon
     prep = _Prepared(ensemble, config)
-    auction, iters, trace, message = _dual_outer_loop(prep, eps)
-    if auction is None:
+    primal, iters, trace, message = _dual_outer_loop(prep, eps)
+    if primal is None:
         return _infeasible_result(prep, ensemble, eps, message, iters)
-    return _finish(prep, ensemble, eps, auction, iters, trace, message)
+    return _finish(prep, ensemble, eps, primal, iters, trace, message)
 
 
 def solve_average(
@@ -748,5 +744,6 @@ def apply_policy(ensemble: ChannelEnsemble, duals: DualState, config: ProblemCon
         raise ValueError("average-mode allocation needs duals.lam > 0")
     else:
         lam = duals.lam
-    owner, p_win = _primal(prep, _eval_point(prep, duals.mu, lam))
+    owner, p_win, _, _, nu_class = _eval_point(prep, duals.mu, lam).primal
+    _recover(prep, owner, p_win, lam, nu_class)
     return decisions_from_arrays(owner, p_win, ensemble, config), lam

@@ -180,9 +180,9 @@ class _NuCandidates:
     weights) and ``weights`` the (G,) sorted class weights.  CNR ties go
     to the lowest NU index.  This is the one priced NU auction: the dual
     solver, whose peak refill reuses its classes, and the NU phase bid here.
-    ``water`` gives the powers the auction's winners spend, pricing no
-    auction with one class, and ``best_payoff`` prices the winning payoff
-    on a few gathered ``columns`` alone.
+    ``water`` gives the powers the candidates of chosen classes bid,
+    pricing no auction, and ``best_payoff`` prices the winning payoff on
+    a few gathered ``columns`` alone.
 
     No price changes which NU is strongest, so the index is found once
     per ensemble and (K1, weights) and kept by ``ensemble.memo``, as is
@@ -248,20 +248,13 @@ class _NuCandidates:
         g = np.argmax(h, axis=1)
         return self.take(h, g), g
 
-    def water(self, ln_lam, lam, rows=slice(None)):
-        """The (T', N) power of each column's winning NU bid at price ``lam``.
-
-        The arguments are those of ``auction``.  With one class the bid is
-        the water-filling ``(w/lam - 1/alpha)+`` and no auction is priced:
-        returns ``(p, None)``.  With several, the auction picks each
-        column's class and a column whose winning payoff is not positive
-        spends nothing: returns ``(p, (h, g))`` with the auction's result.
-        """
-        p = np.maximum(self.weights[:, None] / lam - self.inv_alpha[rows], 0.0)
-        if self.weights.size == 1:
-            return p[:, 0, :], None
-        h, g = self.auction(ln_lam, lam, rows)
-        return np.where(h > 0.0, self.take(p, g), 0.0), (h, g)
+    def water(self, lam, g=None, rows=slice(None)):
+        """The (T', N) water-filling power ``(w/lam - 1/alpha)+`` of the
+        candidates of classes ``g`` (``None`` with one class), in the frames
+        ``rows``; ``lam`` is a scalar or broadcasts against (T', N).  Only
+        where a column's NU auction has a positive winning payoff is this
+        its winner's bid.  No auction is priced."""
+        return np.maximum(self.weight(g) / lam - self.take(self.inv_alpha, g, rows), 0.0)
 
     def columns(self, flat):
         """``ln_wa`` and ``inv_alpha`` at the flat (t*N + n) columns ``flat``:

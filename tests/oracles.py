@@ -467,20 +467,27 @@ def looped_price(prep, mu, tol_power, lam_floor, warm=None, *, peak, rtol):
     the elements whose lower end is still there (an element that
     underspends at the floor keeps it), then geometric bisection of the
     open elements.  An element stops within ``tol_power`` of the budget
-    or once its bracket is ``rtol`` wide.  Returns the scalar price, or
-    the (T,) frame prices.
+    or once its bracket is ``rtol`` wide.  A peak step that moves at most
+    half of the frames prices just those; one that moves more prices
+    every frame, each other one at its last probed price.  Returns the
+    scalar price, or the (T,) frame prices.
     """
     target = prep.config.power
     count = prep.t_count if peak else 1
     every = list(range(count))
 
+    last = [1.0] * count   # each element's last probed price
+
     def unspent(points, idx):
         """The unspent budget of the elements ``idx`` at their ``points``."""
-        if peak:
-            frames = None if len(idx) == count else np.array(idx)
-            spend = _eval_point(prep, mu, np.array(points), frames=frames).power_t
-        else:
+        for i, point in zip(idx, points):
+            last[i] = point
+        if not peak:
             spend = [_eval_point(prep, mu, points[0]).power_mean]
+        elif 2 * len(idx) <= count:
+            spend = _eval_point(prep, mu, np.array(points), frames=np.array(idx)).power_t
+        else:
+            spend = _eval_point(prep, mu, np.array(last)).power_t[idx]
         return [target - float(s) for s in spend]
 
     lo = [lam_floor] * count

@@ -107,25 +107,34 @@ def test_screened_auctions_keep_their_stage_and_one_prepare_span(
     tracer, monkeypatch,
 ):
     # the searches price views of the prepared ensemble, built without
-    # its constructor: a traced solve still opens one prepare span, and
-    # every auction on a view is a lambda or mu auction of its stage
+    # its constructor: a traced solve still opens one prepare span, every
+    # auction on a contested view is a lambda or mu auction of its stage,
+    # and every auction on a frame view a peak lambda auction
     from secure_ofdma import dual_solver
 
-    views = []
-    contested = dual_solver._Prepared.contested
+    views, frame_views = [], []
+    contested, rows = dual_solver._Prepared.contested, dual_solver._Prepared.rows
 
     def keep(self, mu, lam):
         views.append(contested(self, mu, lam))
         return views[-1]
 
-    on_view = []
+    def keep_rows(self, frames):
+        frame_views.append(rows(self, frames))
+        return frame_views[-1]
+
+    on_view, on_rows = [], []
     eval_point = dual_solver._eval_point
 
     def note(prep, *args, **kwargs):
         on_view.append(any(prep is v for v in views))
-        return eval_point(prep, *args, **kwargs)
+        built = len(frame_views)
+        out = eval_point(prep, *args, **kwargs)
+        on_rows.append(len(frame_views) > built and out.prep is frame_views[-1])
+        return out
 
     monkeypatch.setattr(dual_solver._Prepared, "contested", keep)
+    monkeypatch.setattr(dual_solver._Prepared, "rows", keep_rows)
     monkeypatch.setattr(dual_solver, "_eval_point", note)
     cfg = make_config(n=16, k=4, k1=2, c=0.4, power=50.0)
     ens = generate_ensemble(cfg, 40, seed=4)
@@ -143,6 +152,9 @@ def test_screened_auctions_keep_their_stage_and_one_prepare_span(
     parents = [name[s[4]] for s, v in zip(evals, on_view) if v]
     assert set(parents) == {"dual_solver.lambda_avg", "dual_solver.lambda_peak",
                             "dual_solver.initial_mu"}
+    assert frame_views and sum(on_rows) == len(frame_views)
+    parents = [name[s[4]] for s, v in zip(evals, on_rows) if v]
+    assert set(parents) == {"dual_solver.lambda_peak"}
 
 
 def test_two_phase_solves_never_enter_the_dual_solver(tracer):

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -137,10 +139,10 @@ def test_a_converged_solve_prices_its_duals_in_one_auction(mode, monkeypatch):
     full, views = [], []
     auction, contested = dual_solver._eval_point, dual_solver._Prepared.contested
 
-    def record(prep, mu, lam, frames=None, sus=None):
-        if frames is None and sus is None and not any(prep is v for v in views):
+    def record(prep, mu, lam, frames=None):
+        if frames is None and not any(prep is v for v in views):
             full.append((np.copy(mu), np.copy(lam)))
-        return auction(prep, mu, lam, frames, sus)
+        return auction(prep, mu, lam, frames)
 
     monkeypatch.setattr(dual_solver, "_eval_point", record)
     monkeypatch.setattr(dual_solver._Prepared, "contested", lambda self, mu, lam:
@@ -151,6 +153,34 @@ def test_a_converged_solve_prices_its_duals_in_one_auction(mode, monkeypatch):
     at_duals = [1 for mu, lam_ in full
                 if np.array_equal(mu, res.duals.mu) and np.array_equal(lam_, lam)]
     assert len(at_duals) == 1
+
+
+@pytest.mark.parametrize("mode", ["average", "peak"])
+def test_no_auction_outlives_the_recovery(mode, monkeypatch):
+    # the judge builds the allocation after the recovery; by then nothing
+    # holds an auction, so its cached (T, N) arrays are freed, on an
+    # infeasible exit's no-secrecy auction too
+    judge = importlib.import_module("secure_ofdma.evaluate")
+    cfg = make_config(n=16, k=4, k1=2, c=0.5, power=100.0, mode=mode)
+    ens = generate_ensemble(cfg, 50, seed=8)
+    auctions, alive = [], []
+    eval_point, decide = dual_solver._eval_point, judge.decisions_from_arrays
+
+    def keep(*args, **kwargs):
+        auction = eval_point(*args, **kwargs)
+        auctions.append(weakref.ref(auction))
+        return auction
+
+    def decisions(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in auctions))
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(dual_solver, "_eval_point", keep)
+    monkeypatch.setattr(judge, "decisions_from_arrays", decisions)
+    solve = solve_peak if mode == "peak" else solve_average
+    assert solve(ens, cfg).converged
+    assert solve(ens, cfg.with_targets([0.5, 1e3])).infeasible
+    assert auctions and alive == [0, 0]
 
 
 def assert_same_result(got, want):

@@ -251,7 +251,8 @@ def assert_same_probes(log):
 def assert_mu_contract(log, prep, lam0, eps, mu, rounds=28):
     """The calibration against ``oracles.looped_initial_mu``.
 
-    Replayed from its probes, every SU's search keeps a bracket
+    A probe at ``mu_k = 0`` did not probe SU k: a probe bids only the SUs
+    it moves.  Replayed from its probes, every SU's search keeps a bracket
     [lo, hi] with secrecy below the target at lo and not below it at hi,
     and probes strictly inside it.  Each SU ends within its tolerance
     band at its last probe, which is what is returned, or the search ran
@@ -265,8 +266,8 @@ def assert_mu_contract(log, prep, lam0, eps, mu, rounds=28):
     for k in np.flatnonzero(targets > 0):
         lo, hi, last, gap = 0.0, np.inf, None, None
         for m, s in zip((m for m, _, _ in log["lib"]), secrecy):
-            if m[k] == last:
-                continue    # not probed for SU k: stopped, or a held bracket end
+            if m[k] == 0 or m[k] == last:
+                continue    # not probed for SU k, or a held bracket end
             assert lo < m[k] < hi
             last, gap = m[k], s[k] - targets[k]
             if gap < 0:
@@ -306,20 +307,22 @@ def random_problem(rng, k, k1, n, t, zero_target, power, weights="unit"):
 
 
 def test_frame_subset_spend_is_the_whole_auction_row():
+    # a frame view is a whole auction on fewer frames: its rows are the
+    # whole auction's, bit for bit, with one NU weight class or several
     rng = np.random.default_rng(4)
-    prep = random_problem(rng, 5, 2, 8, 10, False, 20.0)
-    mu, lam = rng.uniform(0.0, 4.0, size=2), rng.uniform(0.05, 2.0, size=10)
-    whole = _eval_point(prep, mu, lam).power_t
-    # a few frames are gathered; most frames are priced with the rest
-    for frames in (np.array([3]), np.array([0, 4, 9]), np.arange(1, 10)):
-        got = _eval_point(prep, mu, lam[frames], frames=frames)
-        assert np.array_equal(got.power_t, whole[frames])
-        # a subset has only its spend
-        for reduction in ("secrecy", "r_nu_total", "dual_value", "owner"):
-            with pytest.raises(ValueError, match="frame subset"):
-                getattr(got, reduction)
-    with pytest.raises(ValueError, match="one price per frame"):
-        _eval_point(prep, mu, 1.0, frames=np.arange(2))
+    for weights in ("unit", "distinct", "repeated"):
+        prep = random_problem(rng, 6, 2, 8, 10, False, 20.0, weights)
+        mu, lam = rng.uniform(0.0, 4.0, size=2), rng.uniform(0.05, 2.0, size=10)
+        whole = _eval_point(prep, mu, lam)
+        for frames in (np.array([3]), np.array([0, 4, 9]), np.arange(1, 10)):
+            got = _eval_point(prep, mu, lam[frames], frames=frames)
+            for name in ("owner", "p_win", "power_t"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(whole, name)[frames]), (weights, name)
+            if whole.nu_class is None:   # one class: always with unit weights
+                assert got.nu_class is None
+            else:
+                assert np.array_equal(got.nu_class, whole.nu_class[frames])
 
 
 @given(
@@ -347,27 +350,23 @@ def test_narrow_probes_and_idle_sus_price_as_the_whole_auction(
         assert np.array_equal(getattr(whole, name), want[name]), name
     assert not np.isin(whole.owner, np.flatnonzero(mu == 0)).any()
 
-    # an SU subset, at one scalar price, prices its own secrecy, bit for
-    # bit, and nothing else
+    # a probe of an SU subset sets the other SUs to mu = 0: every reduction
+    # is the unpruned auction's at those masked prices
     for size in range(1, k1 + 1):
         subset = np.sort(rng.choice(k1, size, replace=False))
-        if lam_kind == "vector":
-            with pytest.raises(ValueError, match="one scalar price"):
-                _eval_point(prep, mu, lam, sus=subset)
-            continue
-        narrow = _eval_point(prep, mu, lam, sus=subset)
-        assert np.array_equal(narrow.secrecy, whole.secrecy[subset])
-        for name in ("p_win", "power_t", "power_mean", "r_nu_total",
-                     "dual_value", "owner"):
-            with pytest.raises(ValueError, match="SU subset"):
-                getattr(narrow, name)
+        masked = np.zeros(k1)
+        masked[subset] = mu[subset]
+        narrow = _eval_point(prep, masked, lam)
+        want = oracles.unpruned_auction(ens.alpha, cfg, masked, lam)
+        for name in ("owner", "p_win", "power_t", "secrecy", "r_nu_total",
+                     "dual_value"):
+            assert np.array_equal(getattr(narrow, name), want[name]), name
+        assert np.array_equal(narrow.secrecy[subset], whole.secrecy[subset])
     if lam_kind == "vector":
         # the idle SUs are skipped on a frame subset too
         frames = np.sort(rng.choice(t, rng.integers(1, t + 1), replace=False))
         got = _eval_point(prep, mu, lam[frames], frames=frames)
         assert np.array_equal(got.power_t, whole.power_t[frames])
-        with pytest.raises(ValueError, match="every frame"):
-            _eval_point(prep, mu, lam[frames], frames=frames, sus=np.arange(k1))
 
 
 @given(
@@ -387,7 +386,8 @@ def test_contested_view_prices_as_the_whole_auction_below_its_prices(
     # are the whole auction's bit for bit
     rng = np.random.default_rng(seed)
     k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
-    prep = _Prepared(*random_instance(rng, k, k1, n, t, False, 20.0, weights))
+    ens, cfg = random_instance(rng, k, k1, n, t, False, 20.0, weights)
+    prep = _Prepared(ens, cfg)
     # prices over many decades, so some SU payoffs come near their bound
     mu_hi = np.exp(rng.uniform(-3.0, 7.0, size=k1)) * (rng.random(k1) < 0.8)
     lam_hi = np.exp(rng.uniform(-12.0, 1.0, size=t if lam_kind == "vector" else None))
@@ -413,8 +413,15 @@ def test_contested_view_prices_as_the_whole_auction_below_its_prices(
         whole = _eval_point(prep, mu, lam0).secrecy
         for size in range(1, k1 + 1):
             subset = np.sort(rng.choice(k1, size, replace=False))
-            got = _eval_point(view, mu, lam0, sus=subset).secrecy
-            assert np.array_equal(got, whole[subset])
+            masked = np.zeros(k1)
+            masked[subset] = mu[subset]
+            # a probe of the subset, the other SUs at mu = 0
+            got = _eval_point(view, masked, lam0)
+            want = oracles.unpruned_auction(ens.alpha, cfg, masked, lam0)
+            for name in ("owner", "p_win", "power_t", "secrecy", "r_nu_total",
+                         "dual_value"):
+                assert np.array_equal(getattr(got, name), want[name]), name
+            assert np.array_equal(got.secrecy[subset], whole[subset])
 
 
 def test_contested_view_drops_columns_at_a_solves_prices():
