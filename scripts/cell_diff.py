@@ -11,16 +11,17 @@ mean power, SU power and SU subcarrier count; each sweep's CSV is
 compared byte for byte.  Each checkout also counts, per workload, its
 dual-solver auctions (``dual_solver._eval_point`` calls), the full-width
 ones among them (no frame subset, nor, on checkouts that take one, an
-SU subset), its NU auctions (``_NuCandidates.auction`` calls) and its
+SU subset), its NU auctions (``_NuCandidates.auction`` calls), its
 NU water pricings (``_NuCandidates.water`` calls, where the checkout has
-them), on ensembles drawn afresh, so every price-free search is counted
-too.  Where an SU probe sets the other SUs to ``mu = 0`` and a peak
-probe of most frames prices every frame, both are whole auctions and
-count as full.  Each differing cell is printed with the largest change
-of each numeric field, then the verdict on each CSV and both checkouts'
-auction counts, and ``--out`` gets a JSON summary that also names every
-compared field and each checkout's ``src/`` line count.  Exits 1 when a
-cell or a CSV differs.
+them) and the SU columns it prices with the closed form (the elements
+passed to ``dual_solver._h_su_core``), on ensembles drawn afresh, so
+every price-free search is counted too.  Where an SU probe sets the
+other SUs to ``mu = 0`` and a peak probe of most frames prices every
+frame, both are whole auctions and count as full.  Each differing cell
+is printed with the largest change of each numeric field, then the
+verdict on each CSV and both checkouts' auction counts, and ``--out``
+gets a JSON summary that also names every compared field and each
+checkout's ``src/`` line count.  Exits 1 when a cell or a CSV differs.
 """
 
 import argparse
@@ -43,9 +44,10 @@ import workloads
 from secure_ofdma import dual_solver, rates
 from secure_ofdma.experiments import ExperimentSpec, run_experiment
 
-# all are looked up at call time: the auction as a module global, the NU
-# auction and water pricing as methods
+# all are looked up at call time: the auction and the SU closed form as
+# module globals, the NU auction and water pricing as methods
 eval_point, nu_auction = dual_solver._eval_point, rates._NuCandidates.auction
+h_su_core = dual_solver._h_su_core
 nu_water = getattr(rates._NuCandidates, "water", None)
 
 def counted_eval_point(prep, mu, lam, *args, **kwargs):
@@ -53,6 +55,10 @@ def counted_eval_point(prep, mu, lam, *args, **kwargs):
     tally["auctions"] += 1
     tally["full"] += all(a is None for a in (*args, *kwargs.values()))
     return eval_point(prep, mu, lam, *args, **kwargs)
+
+def counted_h_su_core(alpha, *args, **kwargs):
+    tally["su_cols"] += np.size(alpha)
+    return h_su_core(alpha, *args, **kwargs)
 
 def counted_nu_auction(self, *args, **kwargs):
     tally["nu"] += 1
@@ -74,19 +80,21 @@ def fields(r):
             "su_power": rep.su_power, "su_subcarriers": rep.su_subcarriers}
 
 cells, csv, auctions = {}, {}, {}
-dual_solver._eval_point = counted_eval_point
+dual_solver._eval_point, dual_solver._h_su_core = counted_eval_point, counted_h_su_core
 rates._NuCandidates.auction = counted_nu_auction
 if nu_water is not None:
     rates._NuCandidates.water = counted_nu_water
 with tempfile.TemporaryDirectory() as tmp:
     for name, w in workloads.WORKLOADS.items():
-        auctions[name] = tally = {"auctions": 0, "full": 0, "nu": 0, "water": 0}
+        auctions[name] = tally = {"auctions": 0, "full": 0, "nu": 0, "water": 0,
+                                  "su_cols": 0}
         for seed in map(int, seeds):
             ens = workloads.make_inputs(w, seed, frames or None)
             for c in workloads.run_workload(name, ens, Path(tmp))[1]:
                 key = f"{name} seed={seed} ens={c.ensemble_index} {c.label}"
                 cells[key] = {"error": c.error, **(fields(c.result) if c.result else {})}
-    dual_solver._eval_point, rates._NuCandidates.auction = eval_point, nu_auction
+    dual_solver._eval_point, dual_solver._h_su_core = eval_point, h_su_core
+    rates._NuCandidates.auction = nu_auction
     if nu_water is not None:
         rates._NuCandidates.water = nu_water
     for path in sorted((root / "scripts").glob("*.json")):

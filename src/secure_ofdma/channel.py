@@ -221,11 +221,13 @@ def load_ensemble(path) -> ChannelEnsemble:
         magic, k, n, count, rho, seed = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not an ensemble file")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    expected = count * k * n
-    if data.size != expected:
-        raise ValueError(f"{path}: truncated ensemble payload")
-    alpha = data.reshape(count, k, n).astype(float)
+        payload = fh.read()
+    expected = 8 * count * k * n
+    if len(payload) != expected:
+        kind = "truncated" if len(payload) < expected else "oversized"
+        raise ValueError(f"{path}: {kind} ensemble payload: {len(payload)} bytes, "
+                         f"expected {expected}")
+    alpha = np.frombuffer(payload, dtype="<f8").reshape(count, k, n).astype(float)
     return ChannelEnsemble(alpha=alpha, seed=seed, rho=rho)
 
 

@@ -40,9 +40,11 @@ def power_to_snr_db(power: float) -> float:
 
 
 def whole_number(name: str, value, low: int = 0, high: int | None = None) -> int:
-    """``value`` as an int, if it is a whole number >= ``low`` (and < ``high``)."""
+    """``value`` as an int, if it is a whole number >= ``low`` (and < ``high``);
+    a bool, JSON's ``true`` or ``false``, is not one."""
     top = np.inf if high is None else high
-    whole = isinstance(value, numbers.Real) and value == value // 1
+    whole = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and value == value // 1)
     if not (whole and low <= value < top):
         span = f">= {low}" if high is None else f"in [{low}, {high})"
         raise ValueError(f"{name} must be a whole number {span}")

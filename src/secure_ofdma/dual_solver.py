@@ -6,20 +6,21 @@ secrecy targets and a total power budget) is priced with multipliers
 subcarrier, won by the user with the largest priced payoff.  ``lam`` is
 one scalar under the average power constraint and one price per frame
 under the peak constraint.  Each probe prices one auction on whatever
-view of the prepared ensemble it is given, and only what its caller
-reads: the ``lam`` search the spend, the ``mu`` calibration the secrecy,
-the outer loop the secrecy, NU rate and dual value; the primal is read
-off the loop's best auction, not priced again.  A narrow probe narrows
-its input, not the pricing: a probe of the open frames prices a
-``_Prepared.rows`` view, a whole auction on fewer frames, and a probe of
-the open SUs sets the other SUs' ``mu`` to 0, since an SU at
-``mu_k = 0`` never wins a column and no probe prices its columns.  The
-NU side is priced in full only where an SU competes: on the SU-max
-columns the NU payoff comes from price-free terms gathered once, and
-elsewhere an NU spends its water-filling level ``(w/lam - 1/alpha)+``,
-so with one NU weight class a probe's spend needs no NU auction.  The
-full-width NU auction is priced only for what reads it: an outer
-iterate's NU rate and dual value, and the primal.
+view of the prepared ensemble it is given, on every column of it, and
+only what its caller reads: the ``lam`` search the spend, the ``mu``
+calibration the secrecy, the outer loop the secrecy, NU rate and dual
+value; the primal is read off the loop's best auction, not priced
+again.  A ``_Prepared`` view is the one narrowing: a probe of the open
+frames prices a ``rows`` view, a whole auction on fewer frames, and a
+probe of the open SUs sets the other SUs' ``mu`` to 0, since an SU at
+``mu_k = 0`` never wins a column and every auction prices a view
+without such SUs' columns.  The NUs follow the water-filling rule: an
+NU spends its level ``(w/lam - 1/alpha)+`` and owns the columns that
+level powers outside the SU wins, and the spend is the row sums of
+those powers.  The NU payoff is priced only where an SU competes, on
+the SU-max columns, from price-free terms gathered once; with one NU
+weight class only an outer iterate's dual value prices the full-width
+NU auction, and with several it also picks each column's class.
 
 The searches also price only contested columns.  An SU competes for a
 column only where it holds the largest CNR and beats the runner-up by
@@ -85,9 +86,11 @@ class _Prepared:
     keeps one candidate per class and column, read from the ensemble's
     strongest-NU index at the rows ``nu_rows`` (every row here); its
     (T, G, N) arrays are also exposed as ``ln_wa`` and ``inv_alpha_nu``,
-    which the benchmark tracer reads.  Two views narrow what an auction
-    prices: ``contested`` the SU side, for a search's later probes, and
-    ``rows`` the frames.
+    which the benchmark tracer reads.  A view narrows what an auction
+    prices, and is the only narrowing: ``contested`` keeps the SU-max
+    columns an SU can still win, ``rows`` some frames, and ``_eval_point``
+    drops the columns of the SUs at ``mu_k = 0``.  All three are built by
+    ``_view``.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -99,14 +102,12 @@ class _Prepared:
         self.su_idx, su_k, su_nu1, su_nu2 = ensemble.su_columns(self.k1)
         # an index array of the platform's width gathers without a cast
         self.su_k = su_k.astype(np.intp)
-        self.su_t = self.su_idx // self.n
+        self.su_t = self.su_idx // self.n   # ascending, as su_idx is
         self.su_cols = np.stack([su_nu1, su_nu2, *_su_terms(su_nu1, su_nu2)])
         # an SU's payoff on a column stays below mu_k * ln(nu1/nu2)
         self.su_ln_ratio = np.log(su_nu1 / su_nu2)
         # per-SU ensemble-average secrecy at unbounded power (upper limit)
         self.su_caps = secrecy_limit(su_nu1, su_nu2, self.su_k, self.k1, self.t_count)
-        # su_idx ascends, so frame t's SU-max columns are su_ptr[t]:su_ptr[t+1]
-        self.su_ptr = np.searchsorted(self.su_t, np.arange(self.t_count + 1))
         self.nu = _NuCandidates(ensemble, self.k1, config.weights)
         self.nu_rows = slice(None)
         self.su_nu = self.nu.columns(self.su_idx)
@@ -118,26 +119,47 @@ class _Prepared:
     # the (T, N) SU-max column mask: only the tracer reads it, so built on demand
     is_su_col = cached_property(lambda self: self.kmax < self.k1)
 
-    def su_nu_payoff(self, lam, at=slice(None)):
-        """The winning NU payoff on the SU-max columns ``at`` (all) at ``lam``.
+    def column_prices(self, lam):
+        """``(ln lam, lam)`` on the SU-max columns: two scalars, or each
+        column's frame price and its log, each gathered once."""
+        if not np.ndim(lam):
+            return math.log(lam), float(lam)
+        lam = np.asarray(lam, float)
+        return np.log(lam).take(self.su_t), lam.take(self.su_t)
 
-        ``lam`` is a scalar or one price per frame.  It is priced on those
-        columns alone, or gathered from the payoff on every column kept at
-        the last scalar price that priced them all.
-        """
-        every, paid = isinstance(at, slice), self._su_nu_paid
-        if not np.ndim(lam) and paid is not None and paid[0] == lam:
-            return paid[1] if every else paid[1].take(at)
-        terms = self.su_nu if every else self.su_nu.take(at, axis=2)
-        if np.ndim(lam):
-            lam = np.asarray(lam, float)
-            su_t = self.su_t if every else self.su_t.take(at)
-            return self.nu.best_payoff(terms, np.log(lam).take(su_t), lam.take(su_t))
-        lam = float(lam)
-        payoff = self.nu.best_payoff(terms, math.log(lam), lam)
-        if every:
+    def su_nu_payoff(self, ln_lam, lam):
+        """The winning NU payoff on the SU-max columns at the prices from
+        ``column_prices``, priced on those columns alone; the payoff at the
+        last scalar price is kept and returned while the price holds."""
+        scalar, paid = not np.ndim(lam), self._su_nu_paid
+        if scalar and paid is not None and paid[0] == lam:
+            return paid[1]
+        payoff = self.nu.best_payoff(self.su_nu, ln_lam, lam)
+        if scalar:
             self._su_nu_paid = lam, payoff
         return payoff
+
+    def _view(self, at, frames=None, row=None) -> _Prepared:
+        """A view keeping the SU-max columns at the ascending positions ``at``
+        of the ``su_*`` arrays, built without ``__init__``; it shares every
+        other array and gathers the NU payoff kept at a scalar price.
+        Given the ascending ``frames`` that hold those columns and each
+        one's ``row`` among them, it is a view of just those frames, counted
+        from 0 (its ``nu1``, ``nu2``, ``kmax`` and ``su_caps`` stay whole)."""
+        view = object.__new__(_Prepared)
+        view.__dict__.update(self.__dict__)
+        view.su_idx, view.su_k, view.su_ln_ratio = (
+            a.take(at) for a in (self.su_idx, self.su_k, self.su_ln_ratio))
+        view.su_cols = self.su_cols.take(at, axis=1)
+        view.su_nu = self.su_nu.take(at, axis=2)
+        paid = self._su_nu_paid
+        if frames is None:
+            view.su_t = self.su_t.take(at)
+            view._su_nu_paid = paid if paid is None else (paid[0], paid[1].take(at))
+        else:   # a frame view is priced per frame, so it keeps no scalar payoff
+            view.t_count, view.nu_rows, view._su_nu_paid = frames.size, frames, None
+            view.su_t, view.su_idx = row, row * self.n + view.su_idx % self.n
+        return view
 
     def contested(self, mu, lam) -> _Prepared:
         """A view keeping the SU-max columns an SU can win at prices <= ``lam``.
@@ -148,68 +170,43 @@ class _Prepared:
         priced on the view at such prices has the winners, ``p_win`` and
         secrecy of the whole ``prep``, bit for bit.  ``lam`` is a scalar
         or one price per frame; a margin of 1e-9 relative and 1e-12
-        absolute absorbs rounding.  The view shares every other array and
-        is built without ``__init__``.
+        absolute absorbs rounding.
         """
-        h_nu = self.su_nu_payoff(lam)
+        h_nu = self.su_nu_payoff(*self.column_prices(lam))
         bound = np.asarray(mu, float)[self.su_k] * self.su_ln_ratio
         # gathering by index beats masking on a scattered selection
-        at = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 > h_nu)
-        view = object.__new__(_Prepared)
-        view.__dict__.update(self.__dict__)
-        view.su_idx, view.su_k, view.su_t, view.su_ln_ratio = (
-            a.take(at) for a in (self.su_idx, self.su_k, self.su_t, self.su_ln_ratio))
-        view.su_cols = self.su_cols.take(at, axis=1)
-        view.su_nu = self.su_nu.take(at, axis=2)
-        view.su_ptr = np.searchsorted(view.su_t, np.arange(self.t_count + 1))
-        if self._su_nu_paid is not None:
-            view._su_nu_paid = self._su_nu_paid[0], self._su_nu_paid[1].take(at)
-        return view
+        return self._view(np.flatnonzero(bound * (1 + 1e-9) + 1e-12 > h_nu))
 
     def rows(self, frames) -> _Prepared:
-        """A view of the ascending ``frames``, whose auction is the whole
-        auction's rows ``frames``, bit for bit.
-
-        It holds only what an auction reads: the ``su_*`` arrays and
-        ``su_nu`` of those frames' SU-max columns, ``su_t`` and ``su_idx``
-        counting its own rows, and ``nu_rows``, the frames' rows of the
-        NU candidates.  Built without ``__init__`` from a ``prep`` of every
-        frame, whole or ``contested``.
-        """
-        start = self.su_ptr.take(frames)
-        count = self.su_ptr.take(frames + 1) - start
+        """A view of the ascending ``frames`` of a ``prep`` of every frame,
+        whole or ``contested``, whose auction is the whole auction's rows
+        ``frames``, bit for bit."""
+        start = self.su_t.searchsorted(frames)
+        count = self.su_t.searchsorted(frames, "right") - start
         row = np.repeat(np.arange(frames.size), count)
         at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        view = object.__new__(_Prepared)
-        view.config, view.k1, view.n = self.config, self.k1, self.n
-        view.t_count = frames.size
-        view.nu, view.nu_rows, view._su_nu_paid = self.nu, frames, None
-        view.su_t, view.su_k = row, self.su_k.take(at)
-        view.su_idx = row * self.n + self.su_idx.take(at) % self.n
-        view.su_cols = self.su_cols.take(at, axis=1)
-        view.su_nu = self.su_nu.take(at, axis=2)
-        return view
+        return self._view(at, frames, row)
 
 
 class _Auction:
-    """The per-subcarrier auction at dual prices (mu, lam) on ``prep``, the
-    prepared ensemble or a view of it, whatever the view keeps.
+    """The per-subcarrier auction at dual prices (mu, lam) on every column
+    of ``prep``, the prepared ensemble or a view of it.
 
     ``lam`` is a scalar (average mode) or one price per frame of ``prep``
-    (peak mode).  An SU at ``mu_k = 0`` never wins a column, so only the
-    SU-max columns of SUs with ``mu_k > 0`` get the SU closed form, which
-    construction prices with the NU payoff it must beat there (from
-    ``prep.su_nu``).  All else is a reduction priced on first read.  With
-    one NU class the spend ``power_t`` (and ``power_mean``) is the NU
-    water levels (``_NuCandidates.water``) with the SU wins written over
-    them, summed per frame: the row sums of ``p_win``, bit for bit
-    wherever the winning NU payoff and its power are both positive or
-    both zero, with no NU auction priced; with several it is the row
-    sums of ``p_win``.  The full-width NU auction is priced on first read
-    of ``p_win``, ``owner``, ``nu_class`` (each column's NU winner's weight
-    class, ``None`` with one class), ``r_nu_total`` or ``dual_value``; the
-    SU results are scattered into (T, N) arrays before any per-frame sum,
-    so all is bit-identical to pricing every user everywhere.  ``mu`` and
+    (peak mode).  Construction prices the SU closed form on the view's
+    SU-max columns with the NU payoff it must beat there (from
+    ``prep.su_nu``); all else is a reduction priced on first read.  The
+    NUs follow the water-filling rule: ``p_win`` is each column's NU
+    water level ``(w/lam - 1/alpha)+`` (``_NuCandidates.water``) at the
+    weight class ``nu_class`` with the SU wins written over it, an NU
+    owns the columns outside the SU wins that its level powers
+    (``p_win > 0``), and the spend ``power_t`` (and ``power_mean``) is
+    the row sums of ``p_win``.  ``nu_class`` is ``None`` with one class
+    and is read from the full-width NU auction with several, so with one
+    class only ``dual_value`` prices that auction.  The SU results are
+    scattered into (T, N) arrays before any per-frame sum, so all is
+    bit-identical to pricing every user everywhere wherever a winning NU
+    payoff and its power are both positive or both zero.  ``mu`` and
     ``lam`` are copies of the prices.
     """
 
@@ -217,17 +214,12 @@ class _Auction:
         # copies: a reduction read later must not see the caller's updates
         mu, lam = np.array(mu, float), np.array(lam, float)
         self.prep, self.mu, self.lam = prep, mu, lam
-        bids = mu > 0
-        # the priced SU-max columns: their positions in the su_* arrays
-        at = slice(None) if bids.all() else np.flatnonzero(bids.take(prep.su_k))
-        every = isinstance(at, slice)
-        su_k = prep.su_k if every else prep.su_k.take(at)
-        cols = prep.su_cols if every else prep.su_cols.take(at, axis=1)
-        lam_su = lam.take(prep.su_t[at]) if lam.ndim else float(lam)   # per column
-        h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu.take(su_k), lam_su, cols[2:])
-        h_nu_su = prep.su_nu_payoff(lam, at)
-        self._at, self._su_k, self._rs, self._p_su = at, su_k, rs, p_su
-        self._h_su, self._h_nu_su, self._su_wins = h_su, h_nu_su, h_su > h_nu_su
+        ln_lam, lam_su = prep.column_prices(lam)
+        cols = prep.su_cols
+        h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu.take(prep.su_k), lam_su, cols[2:])
+        h_nu_su = prep.su_nu_payoff(ln_lam, lam_su)
+        self._rs, self._p_su, self._h_su, self._h_nu_su = rs, p_su, h_su, h_nu_su
+        self._su_wins = h_su > h_nu_su
 
     def _prices(self, axes):
         """``(ln lam, lam)``, each frame's price broadcasting against its
@@ -241,62 +233,56 @@ class _Auction:
     def _su_won(self):
         """The flat (t*N + n) index and the power of each column an SU wins."""
         wins = self._su_wins
-        return self.prep.su_idx[self._at][wins], self._p_su[wins]
-
-    @cached_property
-    def power_t(self) -> np.ndarray:
-        nu = self.prep.nu
-        if nu.weights.size > 1:
-            return self.p_win.sum(axis=1)   # the NU auction picks each bidder
-        spend = nu.water(self._prices(1)[1], rows=self.prep.nu_rows)
-        su_won, p_su_won = self._su_won
-        # the levels are a fresh C-ordered array, so ravel() is a view
-        spend.ravel()[su_won] = p_su_won
-        return spend.sum(axis=1)
-
-    @property
-    def power_mean(self) -> float:
-        return float(self.power_t.mean())
+        return self.prep.su_idx[wins], self._p_su[wins]
 
     @cached_property
     def _nu_bid(self):
         """The full-width NU auction ``(h, g)``, priced on first read."""
         return self.prep.nu.auction(*self._prices(2), self.prep.nu_rows)
 
-    @property
+    @cached_property
     def nu_class(self):
-        return self._nu_bid[1]
+        """Each column's NU weight class, ``None`` with one class."""
+        return None if self.prep.nu.weights.size == 1 else self._nu_bid[1]
 
     @cached_property
     def p_win(self) -> np.ndarray:
-        h, g = self._nu_bid
-        p_nu = self.prep.nu.water(self._prices(1)[1], g, self.prep.nu_rows)
-        p_win = np.where(h > 0.0, p_nu, 0.0)
+        prep = self.prep
+        p_win = prep.nu.water(self._prices(1)[1], self.nu_class, prep.nu_rows)
         su_won, p_su_won = self._su_won
+        # the levels are a fresh C-ordered array, so ravel() is a view
         p_win.ravel()[su_won] = p_su_won
         return p_win
 
     @cached_property
+    def power_t(self) -> np.ndarray:
+        return self.p_win.sum(axis=1)
+
+    @property
+    def power_mean(self) -> float:
+        return float(self.power_t.mean())
+
+    @cached_property
     def secrecy(self) -> np.ndarray:
         wins = self._su_wins
-        return np.bincount(self._su_k[wins], weights=self._rs[wins],
+        return np.bincount(self.prep.su_k[wins], weights=self._rs[wins],
                            minlength=self.prep.k1) / self.prep.t_count
 
     @cached_property
-    def _nu_winners(self):
-        nu = self.prep.nu
-        h, g = self._nu_bid
-        nu_wins = h > 0.0
-        nu_wins.ravel()[self._su_won[0]] = False
-        return nu_wins, nu.take(nu.index, g, self.prep.nu_rows)
+    def owner(self) -> np.ndarray:
+        prep, nu = self.prep, self.prep.nu
+        j_best = nu.take(nu.index, self.nu_class, prep.nu_rows)
+        owner = np.where(self.p_win > 0.0, prep.k1 + j_best, UNASSIGNED).astype(np.int64)
+        owner.ravel()[self._su_won[0]] = prep.su_k[self._su_wins]
+        return owner
 
     @cached_property
     def r_nu_total(self) -> float:
-        nu_wins, j_best = self._nu_winners
-        prep, nu = self.prep, self.prep.nu
+        prep, nu, owner = self.prep, self.prep.nu, self.owner
+        nu_wins = owner >= prep.k1
         ln_wa = nu.take(nu.ln_wa, self.nu_class, prep.nu_rows)
-        rate_best = np.maximum(ln_wa - self._prices(1)[0], 0.0)
-        nu_rate = np.bincount(j_best[nu_wins], weights=rate_best[nu_wins],
+        rate = np.maximum(ln_wa - self._prices(1)[0], 0.0)
+        nu_rate = np.bincount(owner[nu_wins] - prep.k1, weights=rate[nu_wins],
                               minlength=prep.config.n_normal) / prep.t_count
         return float(prep.config.weights @ nu_rate)
 
@@ -304,16 +290,9 @@ class _Auction:
     def dual_value(self) -> float:
         prep = self.prep
         h_col = self._nu_bid[0].copy()
-        h_col.ravel()[prep.su_idx[self._at]] = np.maximum(self._h_su, self._h_nu_su)
+        h_col.ravel()[prep.su_idx] = np.maximum(self._h_su, self._h_nu_su)
         return float(h_col.sum(axis=1).mean() + (self.lam * prep.config.power).mean()
                      - self.mu @ prep.config.secrecy_targets)
-
-    @cached_property
-    def owner(self) -> np.ndarray:
-        nu_wins, j_best = self._nu_winners
-        owner = np.where(nu_wins, self.prep.k1 + j_best, UNASSIGNED).astype(np.int64)
-        owner.ravel()[self._su_won[0]] = self._su_k[self._su_wins]
-        return owner
 
     @property
     def primal(self):
@@ -325,8 +304,13 @@ class _Auction:
 def _eval_point(prep: _Prepared, mu, lam, frames=None) -> _Auction:
     """The auction at (mu, lam), on the ascending ``frames`` alone (one price
     each in ``lam``) when given; every stage prices through this rebindable
-    name."""
-    return _Auction(prep if frames is None else prep.rows(frames), mu, lam)
+    name.  An SU at ``mu_k = 0`` never wins a column, so the auction prices
+    a view without the columns of such SUs."""
+    view = prep if frames is None else prep.rows(frames)
+    bids = np.asarray(mu) > 0
+    if not bids.all():
+        view = view._view(np.flatnonzero(bids.take(view.su_k)))
+    return _Auction(view, mu, lam)
 
 
 def dual_point(ensemble: ChannelEnsemble, config: ProblemConfig, mu, lam):
@@ -548,7 +532,7 @@ def _initial_mu(prep: _Prepared, lam0, eps, *, rounds=28) -> np.ndarray:
         gap = _eval_point(view, bid, lam0).secrecy[idx] - targets[idx]
         return gap < 0, (-below[idx] <= gap) & (gap <= above[idx]), gap
 
-    prep.su_nu_payoff(lam0)   # kept: every probe bids at lam0
+    prep.su_nu_payoff(*prep.column_prices(lam0))   # kept: every probe bids at lam0
     # no secrecy at mu = 0: the residual there is -C_k without an auction
     lo, hi, f_lo, f_hi = bracket(probe, np.zeros(prep.k1), np.ones(prep.k1), 4.0,
                                  limit=4.0**40, f_lo=-targets)

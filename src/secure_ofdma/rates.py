@@ -251,9 +251,10 @@ class _NuCandidates:
     def water(self, lam, g=None, rows=slice(None)):
         """The (T', N) water-filling power ``(w/lam - 1/alpha)+`` of the
         candidates of classes ``g`` (``None`` with one class), in the frames
-        ``rows``; ``lam`` is a scalar or broadcasts against (T', N).  Only
-        where a column's NU auction has a positive winning payoff is this
-        its winner's bid.  No auction is priced."""
+        ``rows``; ``lam`` is a scalar or broadcasts against (T', N).  This
+        is the NU rule: at the class a column's NU auction picks, the level
+        is the NU's power there and the NU owns the column where it is
+        positive (unless an SU wins it).  No auction is priced."""
         return np.maximum(self.weight(g) / lam - self.take(self.inv_alpha, g, rows), 0.0)
 
     def columns(self, flat):

@@ -109,7 +109,8 @@ def test_screened_auctions_keep_their_stage_and_one_prepare_span(
     # the searches price views of the prepared ensemble, built without
     # its constructor: a traced solve still opens one prepare span, every
     # auction on a contested view is a lambda or mu auction of its stage,
-    # and every auction on a frame view a peak lambda auction
+    # and every auction on a frame view, or on a view narrowed from one, a
+    # peak lambda auction
     from secure_ofdma import dual_solver
 
     views, frame_views = [], []
@@ -130,7 +131,10 @@ def test_screened_auctions_keep_their_stage_and_one_prepare_span(
         on_view.append(any(prep is v for v in views))
         built = len(frame_views)
         out = eval_point(prep, *args, **kwargs)
-        on_rows.append(len(frame_views) > built and out.prep is frame_views[-1])
+        # the auction prices the frame view, or a view narrowed from it
+        # (without the columns of SUs at mu = 0), which keeps its frames
+        on_rows.append(len(frame_views) > built
+                       and out.prep.nu_rows is frame_views[-1].nu_rows)
         return out
 
     monkeypatch.setattr(dual_solver._Prepared, "contested", keep)

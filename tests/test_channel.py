@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -61,13 +62,14 @@ def test_sample_mean_and_variance_match_the_distribution():
 
 def test_generate_rejects_bad_arguments():
     cfg = make_config()
-    for bad in (0, 2.5, np.nan):
+    # a bool (JSON's true) is an int subclass, not a count
+    for bad in (0, 2.5, np.nan, True):
         with pytest.raises(ValueError, match="count must be a whole number"):
             generate_ensemble(cfg, bad, seed=1)
     with pytest.raises(ValueError):
         make_config(rho=-1.0)
     # the file header packs the seed as int64, and Philox needs a key >= 0
-    for bad in (2**63, -1, 2.5, np.nan):
+    for bad in (2**63, -1, 2.5, np.nan, False):
         with pytest.raises(ValueError, match="seed must be a whole number"):
             generate_ensemble(cfg, 1, seed=bad)
     top = generate_ensemble(make_config(n=1, k=2, k1=1), 1, seed=2**63 - 1)
@@ -77,7 +79,7 @@ def test_generate_rejects_bad_arguments():
 
 def test_ensemble_rejects_a_seed_the_file_cannot_hold():
     alpha = np.ones((1, 2, 3))
-    for bad in (2**63, -1, 2.5):
+    for bad in (2**63, -1, 2.5, True):
         with pytest.raises(ValueError, match="seed must be a whole number"):
             ChannelEnsemble(alpha=alpha, seed=bad, rho=1.0)
     top = ChannelEnsemble(alpha=alpha, seed=np.int64(2**63 - 1), rho=1.0)
@@ -169,10 +171,16 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_bytes(b"CNR0" + data[4:])
     with pytest.raises(ValueError, match="not an ensemble file"):
         load_ensemble(path)
-    # a saved file cut short by one float
-    path.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match="truncated ensemble payload"):
-        load_ensemble(path)
+    # a payload cut short by one float, by less than one, or one float too
+    # long: the byte count is checked before any float is read, and the
+    # error names the file and both sizes
+    for off in (-8, -3, 8):
+        path.write_bytes(data[:off] if off < 0 else data + bytes(off))
+        kind = "truncated" if off < 0 else "oversized"
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: {kind} ensemble payload: "
+                f"{len(data) - 32 + off} bytes, expected {8 * 2 * 3 * 4}$")):
+            load_ensemble(path)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])

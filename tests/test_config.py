@@ -44,11 +44,15 @@ class TestProblemConfig:
         with pytest.raises(ValueError, match="finite"):
             make_config(c=[0.1, np.nan, 0.2, 0.3])
         # counts are whole numbers: a fraction fails instead of truncating
-        with pytest.raises(ValueError, match="n_subcarriers"):
-            make_config(n=8.9)
+        # and a bool (JSON's true) is an int subclass, not a count
+        for bad in (8.9, True):
+            with pytest.raises(ValueError, match="n_subcarriers"):
+                make_config(n=bad)
         base = {"N": 8, "K": 4, "K1": 1, "snr_db": 10}
         for key, field, bad in [("N", "n_subcarriers", 8.9), ("K", "n_users", 4.5),
-                                ("K1", "n_secure", 1.7), ("N", "n_subcarriers", "8")]:
+                                ("K1", "n_secure", 1.7), ("N", "n_subcarriers", "8"),
+                                ("N", "n_subcarriers", True), ("K", "n_users", True),
+                                ("K1", "n_secure", True)]:
             with pytest.raises(ValueError, match=f"{field} must be a whole number"):
                 RunSpec.from_dict({**base, key: bad})
         cfg = ProblemConfig.from_dict({**base, "N": 8.0})
@@ -152,7 +156,8 @@ class TestRunSpec:
     def test_run_fields_are_whole_numbers(self):
         payload = {"N": 8, "K": 4, "K1": 2, "snr_db": 20.0}
         for key, bad in [("realizations", 0), ("realizations", 2.9),
-                         ("seed", -1), ("seed", 2.5), ("seed", np.nan)]:
+                         ("seed", -1), ("seed", 2.5), ("seed", np.nan),
+                         ("realizations", True), ("seed", False)]:
             with pytest.raises(ValueError, match=f"{key} must be a whole number"):
                 RunSpec.from_dict({**payload, key: bad})
         run = RunSpec.from_dict({**payload, "realizations": 5.0})

@@ -53,9 +53,9 @@ def test_cell_diff_finds_no_difference_between_a_checkout_and_itself(tmp_path, c
     for name in ("sweep_avg", "peak_cold"):
         counts = auctions["change"][name]
         assert counts["auctions"] >= counts["full"] > 0 and counts["nu"] > 0
-        assert counts["water"] > 0
+        assert counts["water"] > 0 and counts["su_cols"] > 0
     assert auctions["change"]["twophase"] == {"auctions": 0, "full": 0, "nu": 0,
-                                              "water": 0}
+                                              "water": 0, "su_cols": 0}
     assert capsys.readouterr().out.splitlines() == [
         json.dumps(summary["workloads"]), json.dumps(summary["csv"]),
         json.dumps(auctions)]

@@ -450,9 +450,9 @@ def test_contested_view_drops_columns_at_a_solves_prices():
 def test_the_eager_spend_is_the_row_sum_of_p_win(
     k, k1_frac, n, t, weights, lam_kind, seed,
 ):
-    # a probe sums its spend from the NU water levels with the SU wins
-    # written over them, before any full-width NU auction; p_win is priced
-    # from that auction on first read, and each frame's spend is its row sum
+    # one NU rule for every output: p_win is the NU water levels with the
+    # SU wins written over them, each frame's spend is its row sum, and an
+    # NU owns exactly the non-SU columns its level powers
     rng = np.random.default_rng(seed)
     k1 = min(1 + int(k1_frac * (k - 1)), k - 1)
     prep = random_problem(rng, k, k1, n, t, False, 20.0, weights)
@@ -461,8 +461,10 @@ def test_the_eager_spend_is_the_row_sum_of_p_win(
     lam = np.exp(rng.uniform(-4.0, 1.0, size=t if lam_kind == "vector" else None))
     whole = _eval_point(prep, mu, lam)
     row_sums = whole.p_win.sum(axis=1)
-    np.testing.assert_allclose(whole.power_t, row_sums, rtol=1e-12, atol=0.0)
-    assert whole.power_mean == pytest.approx(row_sums.mean(), rel=1e-12, abs=0.0)
+    assert np.array_equal(whole.power_t, row_sums)
+    assert whole.power_mean == row_sums.mean()
+    on_nu = (whole.owner < 0) | (whole.owner >= k1)   # the columns no SU owns
+    assert np.array_equal(whole.owner[on_nu] >= k1, whole.p_win[on_nu] > 0)
     if lam_kind == "vector":
         # one frame is gathered (when t > 1); all frames are priced whole
         for frames in (np.sort(rng.choice(t, 1)), np.arange(t)):
@@ -471,10 +473,10 @@ def test_the_eager_spend_is_the_row_sum_of_p_win(
 
 
 def test_price_searches_and_screens_price_no_nu_auction_with_one_class(monkeypatch):
-    # with one NU class a probe's spend is the NU water levels and the SU
-    # columns' NU payoff is priced on those columns alone, so the price
-    # searches, the calibration and the screens never run the full-width
-    # NU auction; an outer iterate's dual value does, once
+    # with one NU class an auction's powers, owners and spend are the NU
+    # water levels and the SU columns' NU payoff is priced on those columns
+    # alone, so the price searches, the calibration, the screens and every
+    # output but the dual value never run the full-width NU auction
     rng = np.random.default_rng(7)
     prep = random_problem(rng, 6, 3, 16, 12, False, 20.0)
     mu = rng.uniform(0.5, 4.0, size=3)
@@ -491,8 +493,13 @@ def test_price_searches_and_screens_price_no_nu_auction_with_one_class(monkeypat
     prep.contested(mu, lam)
     prep.contested(mu, lam_t)
     _initial_mu(prep, lam, 1e-2)
-    assert calls == []
-    _eval_point(prep, mu, lam).dual_value
+    # nor does any output of an auction but its dual value
+    for price in (lam, lam_t):
+        st = _eval_point(prep, mu, price)
+        for name in ("p_win", "owner", "nu_class", "power_t", "r_nu_total"):
+            getattr(st, name)
+        assert calls == [] and st.nu_class is None
+    st.dual_value
     assert len(calls) == 1
 
 
