@@ -90,7 +90,8 @@ class _Prepared:
     prices, and is the only narrowing: ``contested`` keeps the SU-max
     columns an SU can still win, ``rows`` some frames, and ``_eval_point``
     drops the columns of the SUs at ``mu_k = 0``.  All three are built by
-    ``_view``.
+    ``_view``.  Only the whole prep is screened, so only it keeps
+    ``su_ln_ratio``, the bound ``contested`` reads.
     """
 
     def __init__(self, ensemble: ChannelEnsemble, config: ProblemConfig):
@@ -148,8 +149,9 @@ class _Prepared:
         from 0 (its ``nu1``, ``nu2``, ``kmax`` and ``su_caps`` stay whole)."""
         view = object.__new__(_Prepared)
         view.__dict__.update(self.__dict__)
-        view.su_idx, view.su_k, view.su_ln_ratio = (
-            a.take(at) for a in (self.su_idx, self.su_k, self.su_ln_ratio))
+        # only the whole prep is screened (``contested``): a view has no bound
+        vars(view).pop("su_ln_ratio", None)
+        view.su_idx, view.su_k = self.su_idx.take(at), self.su_k.take(at)
         view.su_cols = self.su_cols.take(at, axis=1)
         view.su_nu = self.su_nu.take(at, axis=2)
         paid = self._su_nu_paid
@@ -196,6 +198,8 @@ class _Auction:
     (peak mode).  Construction prices the SU closed form on the view's
     SU-max columns with the NU payoff it must beat there (from
     ``prep.su_nu``); all else is a reduction priced on first read.  The
+    SU wins are kept as their ascending positions in the view's ``su_*``
+    arrays, and every reduction gathers them with ``take``.  The
     NUs follow the water-filling rule: ``p_win`` is each column's NU
     water level ``(w/lam - 1/alpha)+`` (``_NuCandidates.water``) at the
     weight class ``nu_class`` with the SU wins written over it, an NU
@@ -219,7 +223,8 @@ class _Auction:
         h_su, p_su, rs = _h_su_core(cols[0], cols[1], mu.take(prep.su_k), lam_su, cols[2:])
         h_nu_su = prep.su_nu_payoff(ln_lam, lam_su)
         self._rs, self._p_su, self._h_su, self._h_nu_su = rs, p_su, h_su, h_nu_su
-        self._su_wins = h_su > h_nu_su
+        # an index, not a mask: a scattered selection gathers faster by take
+        self._su_wins = np.flatnonzero(h_su > h_nu_su)
 
     def _prices(self, axes):
         """``(ln lam, lam)``, each frame's price broadcasting against its
@@ -233,7 +238,7 @@ class _Auction:
     def _su_won(self):
         """The flat (t*N + n) index and the power of each column an SU wins."""
         wins = self._su_wins
-        return self.prep.su_idx[wins], self._p_su[wins]
+        return self.prep.su_idx.take(wins), self._p_su.take(wins)
 
     @cached_property
     def _nu_bid(self):
@@ -265,7 +270,7 @@ class _Auction:
     @cached_property
     def secrecy(self) -> np.ndarray:
         wins = self._su_wins
-        return np.bincount(self.prep.su_k[wins], weights=self._rs[wins],
+        return np.bincount(self.prep.su_k.take(wins), weights=self._rs.take(wins),
                            minlength=self.prep.k1) / self.prep.t_count
 
     @cached_property
@@ -273,16 +278,16 @@ class _Auction:
         prep, nu = self.prep, self.prep.nu
         j_best = nu.take(nu.index, self.nu_class, prep.nu_rows)
         owner = np.where(self.p_win > 0.0, prep.k1 + j_best, UNASSIGNED).astype(np.int64)
-        owner.ravel()[self._su_won[0]] = prep.su_k[self._su_wins]
+        owner.ravel()[self._su_won[0]] = prep.su_k.take(self._su_wins)
         return owner
 
     @cached_property
     def r_nu_total(self) -> float:
-        prep, nu, owner = self.prep, self.prep.nu, self.owner
-        nu_wins = owner >= prep.k1
+        prep, nu, owner = self.prep, self.prep.nu, self.owner.ravel()
+        nu_wins = np.flatnonzero(owner >= prep.k1)
         ln_wa = nu.take(nu.ln_wa, self.nu_class, prep.nu_rows)
-        rate = np.maximum(ln_wa - self._prices(1)[0], 0.0)
-        nu_rate = np.bincount(owner[nu_wins] - prep.k1, weights=rate[nu_wins],
+        rate = np.maximum(ln_wa - self._prices(1)[0], 0.0).ravel()
+        nu_rate = np.bincount(owner.take(nu_wins) - prep.k1, weights=rate.take(nu_wins),
                               minlength=prep.config.n_normal) / prep.t_count
         return float(prep.config.weights @ nu_rate)
 

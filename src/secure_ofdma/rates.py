@@ -3,7 +3,10 @@
 Everything works in nats (natural log) on linear CNRs.  All functions
 broadcast over numpy arrays and return scalars for scalar input.  The
 ``_core`` variants skip argument validation and are what the solvers call
-on large arrays; the public functions validate and delegate.
+on large arrays; the public functions validate and delegate.  The SU
+``_core`` kernels compute in place, but only in buffers they allocate:
+their inputs are solver caches and search terms priced again at other
+prices, so they are never written.  One body serves 0-d and n-d inputs.
 
 Conventions for a secure user on one subcarrier: ``alpha`` is its own
 CNR, ``beta`` the largest CNR among all other users (the strongest
@@ -85,15 +88,27 @@ def _su_terms(alpha, beta):
 
 def _su_power_core(alpha, beta, mu, lam, terms=None):
     gap, d2, neg_d, inv_sum = _su_terms(alpha, beta) if terms is None else terms
+    p = np.empty(np.broadcast_shapes(*map(np.shape, (gap, mu, lam))))
     # positivity threshold alpha - beta > lam/mu, written division-free so
     # mu == 0 is handled uniformly
-    active = mu * gap > lam
-    disc = d2 + (4.0 * mu / lam) * neg_d
-    root = np.sqrt(np.where(active, disc, 1.0))
-    p = 0.5 * (root - inv_sum)
+    active = np.greater(np.multiply(mu, gap, out=p), lam)
+    idle = None if active.all() else ~active
+    # the discriminant d**2 + (4 mu / lam) * (-d)
+    np.multiply(4.0, mu, out=p)
+    p /= lam
+    p *= neg_d
+    p += d2
+    if idle is not None:
+        np.copyto(p, 1.0, where=idle)
+    np.sqrt(p, out=p)
+    p -= inv_sum
+    p *= 0.5
     # the optimum is strictly positive on the active side; keep that true
     # even when the closed form underflows right at the boundary
-    return np.where(active, np.maximum(p, np.finfo(float).tiny), 0.0)
+    np.maximum(p, np.finfo(float).tiny, out=p)
+    if idle is not None:
+        np.copyto(p, 0.0, where=idle)
+    return p
 
 
 def su_power(alpha, beta, mu_k, lam):
@@ -131,8 +146,12 @@ def nu_power(alpha, omega_k, lam):
 
 def _h_su_core(alpha, beta, mu, lam, terms=None):
     p = _su_power_core(alpha, beta, mu, lam, terms)
-    rs = np.where(p > 0, np.log1p(p * alpha) - np.log1p(p * beta), 0.0)
-    return np.maximum(mu * rs - lam * p, 0.0), p, rs
+    rs, h = np.multiply(p, alpha, out=np.empty_like(p)), np.empty_like(p)
+    np.log1p(rs, out=rs)
+    # +0 where p is, as ln(1 + 0) - ln(1 + 0): no mask needed
+    rs -= np.log1p(np.multiply(p, beta, out=h), out=h)
+    np.subtract(np.multiply(mu, rs), np.multiply(lam, p, out=h), out=h)
+    return np.maximum(h, 0.0, out=h), p, rs
 
 
 def h_su(alpha, beta, mu_k, lam):

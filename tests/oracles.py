@@ -7,9 +7,12 @@ enumeration plus a general-purpose constrained optimizer.
 
 The exceptions are ``unpruned_auction`` and ``assign_subcarrier``.  They
 check the solver's candidate pruning bit for bit, so they price every
-user on every column with the library's own per-column closed forms;
-``assign_subcarrier`` does it one column at a time, with the column's
-order statistics from the scalar ``order_stats``.
+user on every column with the per-column closed forms: the library's NU
+ones, and for the SUs ``textbook_su_power`` and ``textbook_h_su``, this
+module's own copy of the SU closed form as plain expressions, which the
+library's kernels must match bit for bit; ``assign_subcarrier`` does it
+one column at a time, with the column's order statistics from the
+scalar ``order_stats``.  ``ThresholdCurve`` prices with the same copy.
 
 ``per_frame_decisions`` and ``per_frame_evaluate`` are the per-frame
 loops that ``decisions_from_arrays`` and ``evaluate`` replaced with
@@ -44,7 +47,7 @@ from secure_ofdma.allocation import UNASSIGNED, AllocationDecision
 from secure_ofdma.channel import column_order_stats
 from secure_ofdma.dual_solver import _eval_point
 from secure_ofdma.evaluate import EvaluationReport
-from secure_ofdma.rates import _h_nu_core, _h_su_core, _nu_power_core, _su_power_core
+from secure_ofdma.rates import _h_nu_core, _nu_power_core
 from secure_ofdma.suboptimal import SecrecyInfeasibleError
 
 
@@ -84,6 +87,24 @@ def su_power_oracle(alpha, beta, mu, lam):
 def nu_power_oracle(alpha, omega, lam):
     hi = omega / lam + 1.0
     return maximize_power_payoff(nu_payoff(alpha, omega, lam), hi)
+
+
+def textbook_su_power(alpha, beta, mu, lam):
+    """The SU closed-form power as plain broadcasting expressions."""
+    inv_a, inv_b = 1.0 / alpha, 1.0 / beta
+    d = inv_a - inv_b
+    active = mu * (alpha - beta) > lam
+    disc = d * d + (4.0 * mu / lam) * (inv_b - inv_a)
+    root = np.sqrt(np.where(active, disc, 1.0))
+    p = 0.5 * (root - (inv_a + inv_b))
+    return np.where(active, np.maximum(p, np.finfo(float).tiny), 0.0)
+
+
+def textbook_h_su(alpha, beta, mu, lam):
+    """``(h, p, rs)``: the SU's priced payoff, power and secrecy rate."""
+    p = textbook_su_power(alpha, beta, mu, lam)
+    rs = np.where(p > 0, np.log1p(p * alpha) - np.log1p(p * beta), 0.0)
+    return np.maximum(mu * rs - lam * p, 0.0), p, rs
 
 
 def top_two_log_ratio_mc(n_users, rho, samples, seed, batch=1 << 19):
@@ -274,7 +295,7 @@ def unpruned_auction(alpha, config, mu, lam):
     p_nu_best = np.maximum(omega[j_best] / lam_n - inv_a_best, 0.0)
 
     mu_col = np.where(is_su_col, mu[np.minimum(kmax, k1 - 1)], 0.0)
-    h_su_col, p_su, rs = _h_su_core(nu1, nu2, mu_col, lam_n)
+    h_su_col, p_su, rs = textbook_h_su(nu1, nu2, mu_col, lam_n)
 
     su_wins = h_su_col > h_nu_best
     any_pos = np.maximum(h_su_col, h_nu_best) > 0.0
@@ -341,7 +362,7 @@ def assign_subcarrier(column, duals, config, lam):
     for u in range(k):
         beta = nu2 if u == best else nu1
         if u < k1:
-            h[u], p[u], _ = _h_su_core(column[u], beta, duals.mu[u], lam)
+            h[u], p[u], _ = textbook_h_su(column[u], beta, duals.mu[u], lam)
         else:
             h[u] = _h_nu_core(column[u], config.weights[u - k1], lam)
             p[u] = _nu_power_core(column[u], config.weights[u - k1], lam)
@@ -691,7 +712,7 @@ class ThresholdCurve:
         if not act.any():
             return 0.0, 0.0
         a, b = self.a[act], self.b[act]
-        p = _su_power_core(a, b, 1.0 / threshold, 1.0)
+        p = textbook_su_power(a, b, 1.0 / threshold, 1.0)
         rs = np.log1p(p * a) - np.log1p(p * b)
         return float(rs.sum() / self.t_count), float(p.sum() / self.t_count)
 
@@ -705,7 +726,7 @@ class ThresholdCurve:
             return p
         act = self.gap > threshold
         if act.any():
-            p[act] = _su_power_core(self.a[act], self.b[act], 1.0 / threshold, 1.0)
+            p[act] = textbook_su_power(self.a[act], self.b[act], 1.0 / threshold, 1.0)
         return p
 
 

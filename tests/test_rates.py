@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from secure_ofdma import (
     ChannelEnsemble,
@@ -17,10 +18,10 @@ from secure_ofdma import (
     secrecy_rate,
     su_power,
 )
-from secure_ofdma.rates import _NuCandidates
+from secure_ofdma.rates import _h_su_core, _NuCandidates, _su_power_core, _su_terms
 
 from conftest import make_config
-from oracles import nu_power_oracle, su_power_oracle
+from oracles import nu_power_oracle, su_power_oracle, textbook_h_su, textbook_su_power
 
 cnr = st.floats(1e-3, 1e3)
 mult = st.floats(1e-3, 1e2)
@@ -89,6 +90,61 @@ class TestSuPower:
         ratios = np.linspace(0.05, 2.0, 30)
         powers = [su_power(4.0, 1.0, 1.0, r) for r in ratios]
         assert all(a >= b - 1e-12 for a, b in zip(powers, powers[1:]))
+
+
+def _same_bits(got, want):
+    """Equal shapes and bytes: tells -0.0 from +0.0 and compares NaNs."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _read_only(a):
+    a = np.array(a, float)
+    a.flags.writeable = False
+    return a
+
+
+# (alpha, beta, mu, lam) columns; mu is 0 on some of them
+su_columns = st.integers(2, 40).flatmap(lambda m: st.tuples(*(
+    hnp.arrays(float, m, elements=e)
+    for e in (cnr, cnr, st.one_of(st.just(0.0), mult), mult))))
+
+
+class TestSuKernels:
+    """The in-place SU kernels against the textbook expressions, bit for bit."""
+
+    @given(su_columns, st.sampled_from(["scalar", "per_column", "threshold"]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_match_the_textbook(self, columns, prices, all_active, with_terms):
+        alpha, beta, mu, lam = columns
+        # an auction's one price, a peak auction's price per column, or the
+        # gap-threshold search's price pair (1/x, 1)
+        lam = {"scalar": lam[0], "per_column": lam, "threshold": 1.0}[prices]
+        if all_active:
+            mu = np.maximum(mu, 1e-3)
+            alpha = beta + 2.0 * lam / mu
+        else:   # one column idle at mu = 0 and one active
+            mu[:2] = 0.0, 1.0
+            alpha[1] = beta[1] + 2.0 * np.broadcast_to(lam, mu.shape)[1]
+        want_h, want_p, want_rs = textbook_h_su(alpha, beta, mu, lam)
+        # every write into an input raises
+        alpha, beta, mu = map(_read_only, (alpha, beta, mu))
+        lam = _read_only(lam) if np.ndim(lam) else lam
+        terms = _read_only(_su_terms(alpha, beta)) if with_terms else None
+        assert (want_p > 0).all() == all_active
+        assert _same_bits(_su_power_core(alpha, beta, mu, lam, terms), want_p)
+        h, p, rs = _h_su_core(alpha, beta, mu, lam, terms)
+        assert _same_bits(h, want_h) and _same_bits(p, want_p)
+        assert _same_bits(rs, want_rs)
+
+    @given(cnr, cnr, st.one_of(st.just(0.0), mult), mult)
+    @settings(max_examples=150, deadline=None)
+    def test_scalars_match_the_textbook(self, alpha, beta, mu, lam):
+        p, h = su_power(alpha, beta, mu, lam), h_su(alpha, beta, mu, lam)
+        assert type(p) is float and type(h) is float
+        assert _same_bits(p, textbook_su_power(alpha, beta, mu, lam))
+        assert _same_bits(h, textbook_h_su(alpha, beta, mu, lam)[0])
 
 
 class TestNuPower:

@@ -1,5 +1,6 @@
 import json
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -59,3 +60,31 @@ def test_cell_diff_finds_no_difference_between_a_checkout_and_itself(tmp_path, c
     assert capsys.readouterr().out.splitlines() == [
         json.dumps(summary["workloads"]), json.dumps(summary["csv"]),
         json.dumps(auctions)]
+
+
+def test_bench_pairs_compares_a_checkout_with_itself(tmp_path, capsys):
+    # a copy, so the runs' perfbench/out/ files land outside the tree
+    root = tmp_path / "checkout"
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for name in ("src", "perfbench"):
+        shutil.copytree(SCRIPTS.parent / name, root / name, ignore=skip)
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", root)
+    main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    out = tmp_path / "pairs.json"
+    assert main([str(root), str(root), "--workloads", "sweep_avg", "--pairs", "1",
+                 "--frames", "20", "--seconds", "0.5", "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["workloads"]["sweep_avg"]
+    assert block["pairs"] == 1 and block["correct"]
+    assert block["failed"] == {"parent": 0, "change": 0}
+    metrics = block["metrics"]
+    assert set(metrics) == {"wall_s", "setup_s", "peak_rss_mb", "r_nu_mean",
+                            "passed_frac"}
+    # the same code on the same seed gives the same results
+    assert metrics["r_nu_mean"]["tied_pairs"] == metrics["passed_frac"]["tied_pairs"] == 1
+    for m in metrics.values():
+        assert len(m["parent_runs"]) == len(m["change_runs"]) == 1
+        assert m["parent_iqr"] == 0.0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        "pair 0 sweep_avg parent", "pair 0 sweep_avg change"]
+    assert len(lines) == 2 + len(metrics)

@@ -433,8 +433,11 @@ def test_contested_view_drops_columns_at_a_solves_prices():
     res = dual_solver.solve_average(ens, cfg)
     prep = _Prepared(ens, cfg)
     mu, lam = res.duals.mu, res.duals.lam
-    kept = prep.contested(mu, lam).su_k.size
+    view = prep.contested(mu, lam)
+    kept = view.su_k.size
     assert 0 < kept < 0.5 * prep.su_k.size
+    # only the whole prep is screened, so no view gathers the screen's bound
+    assert not hasattr(view, "su_ln_ratio")
     assert prep.contested(mu, 4 * lam).su_k.size > kept
     assert prep.contested(4 * mu, lam).su_k.size > kept
 
